@@ -1,21 +1,21 @@
 """Zonal spherical functions three ways, and their reconciliation.
 
-The spectral route needs no formulas: project the base-point indicator onto
-each adjacency eigenspace and read the result off the distance orbits. The
-two closed-form families (principal: a character average over sphere
+The spectral route needs no formulas: the q x q quotient matrices of the
+distance classes share their eigenvectors, and one symmetric eigensolve
+gives every spherical row of (q, delta) at once. The two closed-form families (principal: a character average over sphere
 y-coordinates; cuspidal: a sign-weighted character sum over the norm-one
 subgroup) are then matched row by row against that oracle.
 """
 
 import numpy as np
 
-from fuhp import field_context, match_formulas_to_oracle
-from fuhp.spherical import first_complete_radius
+from fuhp import field_context, match_formulas_to_oracle, spherical_table
 
+r_s = 1
 for q in (5, 7):
     ctx = field_context(q)
-    r_s, table = first_complete_radius(ctx)
-    print(f"=== q={q}: table built at generating radius r_s={r_s}")
+    table = spherical_table(ctx, r_s)
+    print(f"=== q={q}: eigenvalues read at generating radius r_s={r_s}")
     print(f"radii (canonical order): {table.radii}")
     with np.printoptions(precision=6, suppress=True):
         print(table.omega)

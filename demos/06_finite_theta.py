@@ -7,13 +7,19 @@ exponents and all; its gap from the kernel is printed, not patched.
 The classical theta series is evaluated for comparison.
 """
 
-from fuhp import classical_theta, field_context, finite_theta, theta_consistency_report
+from fuhp import (
+    classical_theta,
+    field_context,
+    finite_theta,
+    spherical_table,
+    theta_consistency_report,
+)
 from fuhp.heat import heat_kernel_spectral
-from fuhp.spherical import first_complete_radius
 
 q = 5
+r_s = 1
 ctx = field_context(q)
-r_s, table = first_complete_radius(ctx)
+table = spherical_table(ctx, r_s)
 print(f"q={q}, generating radius r_s={r_s}\n")
 
 print("reconciled mode against the spectral kernel:")

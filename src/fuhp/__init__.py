@@ -32,11 +32,11 @@ from .characters import beta, character_orthogonality_check, ext_char, nu, nu0
 from .spherical import (
     SphericalTable,
     cuspidal_spherical,
-    first_complete_radius,
     laplace_eigenvalue,
     match_formulas_to_oracle,
     principal_spherical,
     radial_eigenbasis,
+    spherical_table,
 )
 from .heat import (
     GroupGraph,
@@ -82,7 +82,6 @@ __all__ = [
     "find_generator",
     "find_nonsquare",
     "finite_theta",
-    "first_complete_radius",
     "fourier_coefficient_check",
     "heat_kernel_oracle",
     "heat_kernel_spectral",
@@ -102,5 +101,6 @@ __all__ = [
     "radial_eigenbasis",
     "run_battery",
     "sphere",
+    "spherical_table",
     "theta_consistency_report",
 ]

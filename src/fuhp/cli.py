@@ -16,7 +16,7 @@ from . import __version__
 from .export import dumps_csv, dumps_json
 from .field import field_context, find_nonsquare
 from .heat import heat_kernel_oracle, heat_kernel_spectral
-from .spherical import radial_eigenbasis
+from .spherical import spherical_table
 from .theta import theta_consistency_report
 from .uhp import build_graph, degenerate_radii, orbit_sizes, radii_order
 from .verify import run_battery
@@ -68,8 +68,7 @@ def _parse_t(text):
 def _radii_arg(ctx, r_s):
     """Resolve --r-s: a single regular radius, or every one for 'all-regular'."""
     if r_s == "all-regular":
-        deg = set(degenerate_radii(ctx))
-        return [r for r in range(ctx.q) if r not in deg]
+        return radii_order(ctx)[2:]
     try:
         return [int(r_s) % ctx.q]
     except (TypeError, ValueError):
@@ -83,6 +82,11 @@ def _emit(args, doc, csv_maker):
     else:
         header, rows = csv_maker(doc)
         text = dumps_csv(header, rows, preamble={"config": doc["config"], "version": doc["version"]})
+    _write(args, text)
+
+
+def _write(args, text):
+    """Write text to --out (default stdout)."""
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -146,18 +150,30 @@ def cmd_graph(args):
     return EXIT_OK
 
 
+def _emit_runs(ctx, args, blocks, header, csv_rows):
+    """Emit one radius's block as is, or an 'all-regular' sweep as runs with an r_s column."""
+    single = len(blocks) == 1
+    data = blocks[0] if single else {"runs": blocks}
+    doc = _document(_config_doc(ctx, args, r_s=blocks[0]["r_s"] if single else "all-regular"), data)
+
+    def csv_maker(doc):
+        prefix = [] if single else ["r_s"]
+        return prefix + header, [
+            ([] if single else [b["r_s"]]) + row for b in blocks for row in csv_rows(b)
+        ]
+
+    _emit(args, doc, csv_maker)
+    return EXIT_OK
+
+
 def _spectrum_block(ctx, r_s):
-    graph = build_graph(ctx, r_s)
-    w = np.linalg.eigvalsh(graph.adjacency.astype(float))[::-1]
-    clustered = []
-    for x in w:
-        if clustered and abs(clustered[-1][0] - x) <= 1e-8:
-            clustered[-1][1] += 1
-        else:
-            clustered.append([float(x), 1])
+    table = spherical_table(ctx, r_s)
+    clustered = table.spectrum()
     return {
         "r_s": r_s,
-        "adjacency_spectrum": [float(x) for x in w],
+        "adjacency_spectrum": [
+            float(a) for a, d in zip(table.adjacency_eigenvalues, table.degrees) for _ in range(d)
+        ],
         "eigenvalues": [c[0] for c in clustered],
         "multiplicities": [c[1] for c in clustered],
         "laplacian_eigenvalues": [float(ctx.q + 1 - c[0]) for c in clustered],
@@ -166,31 +182,16 @@ def _spectrum_block(ctx, r_s):
 
 def cmd_spectrum(args):
     ctx = _resolve_ctx(args)
-    radii_list = _radii_arg(ctx, args.r_s)
-    blocks = [_spectrum_block(ctx, r) for r in radii_list]
-    single = len(blocks) == 1
-    data = blocks[0] if single else {"runs": blocks}
-    doc = _document(
-        _config_doc(ctx, args, r_s=radii_list[0] if single else "all-regular"), data
-    )
-
-    def csv_maker(doc):
-        prefix = [] if single else ["r_s"]
-        header = prefix + ["adjacency_eigenvalue", "multiplicity", "laplacian_eigenvalue"]
-        rows = [
-            ([] if single else [b["r_s"]]) + [e, m, l]
-            for b in blocks
-            for e, m, l in zip(b["eigenvalues"], b["multiplicities"], b["laplacian_eigenvalues"])
-        ]
-        return header, rows
-
-    _emit(args, doc, csv_maker)
-    return EXIT_OK
+    blocks = [_spectrum_block(ctx, r) for r in _radii_arg(ctx, args.r_s)]
+    keys = ["eigenvalues", "multiplicities", "laplacian_eigenvalues"]
+    return _emit_runs(ctx, args, blocks,
+                      ["adjacency_eigenvalue", "multiplicity", "laplacian_eigenvalue"],
+                      lambda b: [list(row) for row in zip(*(b[k] for k in keys))])
 
 
 def _spherical_block(ctx, r_s):
-    table = radial_eigenbasis(build_graph(ctx, r_s))
-    return table, {
+    table = spherical_table(ctx, r_s)
+    return {
         "r_s": r_s,
         "radii": table.radii,
         "orbit_sizes": [int(s) for s in table.orbit_sizes],
@@ -210,34 +211,12 @@ def _spherical_block(ctx, r_s):
 
 def cmd_spherical(args):
     ctx = _resolve_ctx(args)
-    radii_list = _radii_arg(ctx, args.r_s)
-    pairs = [_spherical_block(ctx, r) for r in radii_list]
-    single = len(pairs) == 1
-    data = pairs[0][1] if single else {"runs": [blk for _, blk in pairs]}
-    doc = _document(
-        _config_doc(ctx, args, r_s=radii_list[0] if single else "all-regular"), data
-    )
-
-    def csv_maker(doc):
-        radii = pairs[0][0].radii  # radius order is shared across generating radii
-        prefix = [] if single else ["r_s"]
-        header = prefix + ["row", "degree", "adjacency_eigenvalue", "laplacian_eigenvalue"] + [
-            f"omega_r{r}" for r in radii
-        ]
-        rows = []
-        for table, blk in pairs:
-            for i in range(table.num_rows):
-                rows.append(
-                    ([] if single else [blk["r_s"]])
-                    + [i, int(table.degrees[i]),
-                       float(table.adjacency_eigenvalues[i]),
-                       float(table.laplacian_eigenvalues[i])]
-                    + [float(x) for x in table.omega[i]]
-                )
-        return header, rows
-
-    _emit(args, doc, csv_maker)
-    return EXIT_OK
+    blocks = [_spherical_block(ctx, r) for r in _radii_arg(ctx, args.r_s)]
+    fields = ["index", "degree", "adjacency_eigenvalue", "laplacian_eigenvalue"]
+    # radius order is shared across generating radii
+    header = ["row"] + fields[1:] + [f"omega_r{r}" for r in blocks[0]["radii"]]
+    return _emit_runs(ctx, args, blocks, header,
+                      lambda b: [[row[k] for k in fields] + row["omega"] for row in b["rows"]])
 
 
 def cmd_heat(args):
@@ -249,11 +228,12 @@ def cmd_heat(args):
     blocks = []
     for r_s in _radii_arg(ctx, args.r_s):
         graph = build_graph(ctx, r_s)
-        table = radial_eigenbasis(graph)
+        # the oracle's dense eigh sets peak memory; the radial table's temporaries follow it
+        oracles = [heat_kernel_oracle(graph, t) for t in t_grid]
+        table = spherical_table(ctx, r_s)
         series = []
-        for t in t_grid:
+        for t, orac in zip(t_grid, oracles):
             spec = heat_kernel_spectral(table, t)
-            orac = heat_kernel_oracle(graph, t)
             series.append(
                 {
                     "t": t,
@@ -264,24 +244,9 @@ def cmd_heat(args):
                 }
             )
         blocks.append({"r_s": r_s, "radii": radii, "series": series})
-    single = len(blocks) == 1
-    data = blocks[0] if single else {"runs": blocks}
-    doc = _document(
-        _config_doc(ctx, args, r_s=blocks[0]["r_s"] if single else "all-regular"), data
-    )
-
-    def csv_maker(doc):
-        prefix = [] if single else ["r_s"]
-        header = prefix + ["t"] + [f"E_r{r}" for r in radii] + ["oracle_deviation"]
-        rows = [
-            ([] if single else [b["r_s"]]) + [s["t"]] + s["values"] + [s["oracle_deviation"]]
-            for b in blocks
-            for s in b["series"]
-        ]
-        return header, rows
-
-    _emit(args, doc, csv_maker)
-    return EXIT_OK
+    header = ["t"] + [f"E_r{r}" for r in radii] + ["oracle_deviation"]
+    return _emit_runs(ctx, args, blocks, header,
+                      lambda b: [[s["t"]] + s["values"] + [s["oracle_deviation"]] for s in b["series"]])
 
 
 def cmd_theta(args):
@@ -300,12 +265,7 @@ def cmd_theta(args):
                 f"{format_float(value.real)} + {format_float(value.imag)}i "
                 f"(truncation bound {format_float(bound)}, n_max={args.n_max})"
             )
-        text = "\n".join(lines) + "\n"
-        if args.out and args.out != "-":
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(args, "\n".join(lines) + "\n")
         return EXIT_OK
     if args.r_s == "all-regular":
         raise ValueError("theta reports need a single generating radius")

@@ -16,15 +16,14 @@ import numpy as np
 from .field import ExtElement, ext_inv, ext_mul
 from .uhp import (
     Point,
+    act,
     base_point,
     build_graph,
-    distance,
     point_index,
+    radial_values,
     radii_order,
     sphere,
 )
-
-ORBIT_CONSTANCY_TOL = 1e-10
 
 
 @dataclass
@@ -70,17 +69,11 @@ def heat_kernel_oracle(graph, t, base=None):
     vec = v @ (v[base_i] * np.exp(-lam * t))
     by_vertex = n * vec
 
-    by_radius = {}
-    for i, z in enumerate(graph.points):
-        by_radius.setdefault(distance(ctx, z, base), []).append(by_vertex[i])
-    out = {}
-    for r in radii_order(ctx):
-        vals = np.array(by_radius[r])
-        spread = vals.max() - vals.min()
-        assert spread <= ORBIT_CONSTANCY_TOL * max(1.0, abs(vals).max()), (
-            f"oracle kernel not constant on orbit r={r} (spread {spread:.3e})"
-        )
-        out[r] = float(vals.mean())
+    around_base = by_vertex
+    if base != base_point():
+        # distance is invariant under left translation: d(base . z, base) = d(z, sqrt(delta))
+        around_base = by_vertex[[graph.index[act(ctx, base, z)] for z in graph.points]]
+    out = dict(zip(radii_order(ctx), radial_values(ctx, around_base, "oracle kernel")))
     return HeatKernelResult(
         t=float(t), params=(q, ctx.delta, graph.r_s), by_radius=out, by_vertex=by_vertex
     )

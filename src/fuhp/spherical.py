@@ -1,27 +1,36 @@
-"""Zonal spherical functions of H_q, computed three ways and reconciled.
+"""Zonal spherical functions of H_q, computed two ways, and their closed forms.
 
-The ground truth is spectral: eigenprojections of the adjacency matrix applied
-to the base-point indicator are constant on the distance orbits and, once
-normalized at the base point, give the q radius-indexed spherical rows
-together with their multiplicities d_i and Laplacian eigenvalues lambda_i.
+The distance classes form a commutative association scheme, so the q
+spherical functions belong to (q, delta), not to a generating radius:
+``spherical_table`` computes them once from q x q quotient matrices, and r_s
+only selects the eigenvalues a_i = (q+1)*omega_i(r_s). ``radial_eigenbasis``
+is its dense oracle (adjacency eigenprojections of the base-point indicator),
+which merges rows that share an eigenvalue at r_s.
 
-Two closed-form families are then matched against those rows: the principal
+Two closed-form families are then matched against the rows: the principal
 family, a character average over the sphere's y-coordinates, and the cuspidal
 family, a sign-weighted character sum over the norm-one subgroup U. Both are
 treated as claims to be checked, not as definitions: the matcher assigns each
 character class its unique spectral row and records every deviation.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .characters import beta, nu, nu0, nu_equals_inverse
 from .field import ExtElement, norm_one_subgroup, quadratic_character
-from .uhp import build_graph, degenerate_radii, orbit_decomposition, radii_order, sphere
+from .uhp import degenerate_radii, orbit_labels, radial_values, radii_order, regular_radius, sphere
 
 EIGENVALUE_CLUSTER_TOL = 1e-8
-ORBIT_CONSTANCY_TOL = 1e-10
+# weights cos(r * golden angle) keep the eigenvalues of sum_r c_r B~_r apart
+# by >= 5.5e-5 of its norm at every prime q <= 101
+GOLDEN_ANGLE = np.pi * (3 - np.sqrt(5))
+# an eigenvector error e ~ eps*|M|/gap enters the Rayleigh quotients squared,
+# (q+1)*e^2 < 1e-14 for a relative gap >= 1e-8
+MIN_RELATIVE_GAP = 1e-8
+DEGREE_INTEGRALITY_TOL = 1e-6
 
 
 @dataclass
@@ -55,9 +64,77 @@ class SphericalTable:
     def radius_column(self, r):
         return self.radii.index(r % self.q)
 
+    def spectrum(self):
+        """Descending [eigenvalue, multiplicity] pairs, merging rows within EIGENVALUE_CLUSTER_TOL."""
+        out = []
+        for a, d in zip(self.adjacency_eigenvalues, self.degrees):
+            if out and out[-1][0] - a <= EIGENVALUE_CLUSTER_TOL:
+                out[-1][1] += int(d)
+            else:
+                out.append([float(a), int(d)])
+        return out
+
+
+@functools.lru_cache(maxsize=8)
+def _radial_rows(ctx):
+    """Radii, orbit sizes D, spherical rows and degrees of (q, delta); do not modify.
+
+    B_r[r1, r2] = #{s in S_r : d(z_r1 . s, sqrt(delta)) = r2}. The symmetric
+    B~_r = D^(1/2) B_r D^(-1/2) share eigenvectors u_i, found by one eigh of
+    sum_r c_r B~_r; B_r omega_i = |S_r| omega_i(r) omega_i, so omega_i(r) is
+    the Rayleigh quotient u_i' B~_r u_i / (|S_r| u_i' u_i).
+    """
+    q = ctx.q
+    n = q * (q - 1)
+    radii = radii_order(ctx)
+    cols = np.argsort(radii)[orbit_labels(ctx)]  # vertex -> column of its radius
+    sizes = np.bincount(cols, minlength=q)
+    reps = np.unique(cols, return_index=True)[1]  # one vertex per orbit
+    xs, ys = np.arange(n) % q, np.arange(n) // q + 1
+    # column of z_k . w = (y_k x_w + x_k, y_k y_w) for representative z_k and vertex w
+    moved = cols[(ys[reps, None] * ys % q - 1) * q + (ys[reps, None] * xs + xs[reps, None]) % q]
+    flat = (cols[None, :] * q + np.arange(q)[:, None]) * q + moved
+    quotient = np.bincount(flat.ravel(), minlength=q**3).reshape(q, q, q)  # [r, r1, r2]
+    pairs = sizes[None, :, None] * quotient
+    if not np.array_equal(pairs, pairs.transpose(0, 2, 1)):
+        raise AssertionError("|S_r1| B_r[r1, r2] must be symmetric: distance classes are not a scheme")
+    sym = pairs / np.sqrt(np.outer(sizes, sizes))  # exactly symmetric B~_r
+    w, u = np.linalg.eigh((np.cos(GOLDEN_ANGLE * np.array(radii)) @ sym.reshape(q, -1)).reshape(q, q))
+    gap = np.diff(w).min()
+    if gap < MIN_RELATIVE_GAP * np.abs(w).max():
+        raise AssertionError(f"radial eigenbasis ill-separated at q={q}: gap {gap:.3e}")
+    omega = ((sym @ u) * u).sum(axis=1).T / sizes / (u * u).sum(axis=0)[:, None]
+    # each row of B_r sums to |S_r|, so the constant function is an exact row
+    omega[np.abs(omega - 1.0).max(axis=1).argmin()] = 1.0
+    raw = n / (omega**2 @ sizes)
+    degrees = np.rint(raw).astype(np.int64)
+    if np.abs(raw - degrees).max() > DEGREE_INTEGRALITY_TOL:
+        raise AssertionError(f"multiplicities not integral at q={q}: {raw}")
+    return tuple(radii), sizes, omega, degrees
+
+
+def spherical_table(ctx, r_s):
+    """All q rows (cached per (q, delta)) with a_i = (q+1)*omega_i(r_s), by ascending lambda_i."""
+    q = ctx.q
+    r_s = regular_radius(ctx, r_s)
+    radii, sizes, omega, degrees = _radial_rows(ctx)
+    adj = (q + 1) * omega[:, radii.index(r_s)]
+    order = np.argsort((q + 1) - adj, kind="stable")
+    return SphericalTable(
+        q=q,
+        delta=ctx.delta,
+        r_s=r_s,
+        radii=list(radii),
+        orbit_sizes=sizes.copy(),
+        omega=omega[order],
+        degrees=degrees[order],
+        adjacency_eigenvalues=adj[order],
+        laplacian_eigenvalues=(q + 1) - adj[order],
+    )
+
 
 def radial_eigenbasis(graph):
-    """Spectral oracle: spherical rows from adjacency eigenprojections.
+    """Dense oracle: spherical rows from adjacency eigenprojections.
 
     For each distinct adjacency eigenvalue a_i with projector P_i, the vector
     P_i e_0 (e_0 = base-point indicator) is constant on distance orbits; its
@@ -76,9 +153,8 @@ def radial_eigenbasis(graph):
         if i == n or w[i] - w[i - 1] > EIGENVALUE_CLUSTER_TOL:
             clusters.append((start, i))
             start = i
-    orbits = orbit_decomposition(ctx)
     radii = radii_order(ctx)
-    sizes = np.array([len(orbits[r]) for r in radii])
+    sizes = np.bincount(orbit_labels(ctx), minlength=q)[radii]
 
     base = 0  # canonical (y, x) order puts sqrt(delta) first
     rows = []
@@ -88,15 +164,7 @@ def radial_eigenbasis(graph):
         denom = proj_e0[base]
         # for a Gelfand pair the base-point mass is d_i/n > 0
         assert denom > 1e-12, "eigenprojection of the base indicator vanished at the base"
-        vec = proj_e0 / denom
-        values = np.empty(len(radii))
-        for k, r in enumerate(radii):
-            vals = vec[orbits[r]]
-            spread = vals.max() - vals.min()
-            assert spread <= ORBIT_CONSTANCY_TOL, (
-                f"eigenprojection not constant on orbit r={r} (spread {spread:.3e})"
-            )
-            values[k] = vals.mean()
+        values = radial_values(ctx, proj_e0 / denom, "eigenprojection")
         d = hi - lo
         a = float(w[lo:hi].mean())
         rows.append((values, d, a))
@@ -254,13 +322,13 @@ def match_formulas_to_oracle(ctx, r_s, table=None, tol=1e-9):
     """
     q = ctx.q
     if table is None:
-        table = radial_eigenbasis(build_graph(ctx, r_s))
+        table = spherical_table(ctx, r_s)
     if table.r_s != r_s % q:
         raise ValueError(f"table was built with r_s={table.r_s}, got {r_s}")
     if not table.is_complete:
         raise ValueError(
             f"table has {table.num_rows} rows < q={q}: an eigenvalue collision merged "
-            f"orbits at r_s={table.r_s}; match the formulas at a collision-free radius"
+            f"orbits at r_s={table.r_s}; match against spherical_table, which keeps all q rows"
         )
 
     radii = table.radii
@@ -348,23 +416,6 @@ def match_formulas_to_oracle(ctx, r_s, table=None, tol=1e-9):
 
     assert len(taken) == table.num_rows, "match must cover every spectral row"
     return report
-
-
-def first_complete_radius(ctx):
-    """Smallest regular generating radius whose table has all q rows.
-
-    Distinct spherical functions can share an adjacency eigenvalue at some
-    generating radii (the projector then merges their rows); formula matching
-    and theta regrouping need a collision-free table.
-    """
-    deg = degenerate_radii(ctx)
-    for r_s in range(ctx.q):
-        if r_s in deg:
-            continue
-        table = radial_eigenbasis(build_graph(ctx, r_s))
-        if table.is_complete:
-            return r_s, table
-    raise ValueError(f"no collision-free generating radius exists for q={ctx.q}")
 
 
 def _best_row(devs, taken, tol, label):

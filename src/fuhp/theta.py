@@ -28,7 +28,7 @@ from .spherical import (
     match_formulas_to_oracle,
     principal_spherical,
     cuspidal_spherical,
-    radial_eigenbasis,
+    spherical_table,
 )
 from .uhp import build_graph, degenerate_radii, sphere
 
@@ -234,14 +234,15 @@ def theta_consistency_report(ctx, r_s, t_grid, graph=None, table=None):
     q = ctx.q
     if graph is None:
         graph = build_graph(ctx, r_s)
+    # before the radial table, so that the dense eigh alone sets peak memory
+    oracle_by_t = {t: heat_kernel_oracle(graph, t).by_radius for t in t_grid}
     if table is None:
-        table = radial_eigenbasis(graph)
+        table = spherical_table(ctx, r_s)
     match = match_formulas_to_oracle(ctx, table.r_s, table=table)
     deg0, deg1 = degenerate_radii(ctx)
     radii = [r for r in table.radii if r not in (deg0, deg1, 1)]
 
     report = ThetaReport(q=q, delta=ctx.delta, r_s=table.r_s, t_grid=list(t_grid))
-    oracle_by_t = {t: heat_kernel_oracle(graph, t).by_radius for t in t_grid}
     for r in radii:
         for t in t_grid:
             oracle_val = oracle_by_t[t][r]

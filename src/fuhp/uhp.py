@@ -16,6 +16,8 @@ import numpy as np
 
 from .field import ExtElement, ext_norm
 
+ORBIT_CONSTANCY_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class Point:
@@ -58,15 +60,8 @@ def sphere(ctx, r):
     at the two degenerate radii 0 and 4*delta, where the sphere is the
     single point sqrt(delta) resp. -sqrt(delta).
     """
-    q, d = ctx.q, ctx.delta
-    r %= q
-    out = []
-    for y in range(1, q):
-        rhs = (r * y + d * (y - 1) * (y - 1)) % q
-        for x in range(q):
-            if (x * x) % q == rhs:
-                out.append(Point(x, y))
-    return out
+    q = ctx.q
+    return [Point(i % q, i // q + 1) for i in np.flatnonzero(orbit_labels(ctx) == r % q).tolist()]
 
 
 def distance(ctx, z, w):
@@ -78,6 +73,15 @@ def distance(ctx, z, w):
 def degenerate_radii(ctx):
     """The two radii at which the sphere collapses to a single point."""
     return (0, 4 * ctx.delta % ctx.q)
+
+
+def regular_radius(ctx, r_s):
+    """r_s mod q as a generating radius; the degenerate radii are rejected."""
+    r_s %= ctx.q
+    deg0, deg1 = degenerate_radii(ctx)
+    if r_s in (deg0, deg1):
+        raise ValueError(f"degenerate radius r_s={r_s}: radii {deg0} and {deg1} give singleton spheres")
+    return r_s
 
 
 class UhpGraph:
@@ -115,12 +119,7 @@ def build_graph(ctx, r_s):
     is (q+1)-regular, loop-free, symmetric, and connected.
     """
     q = ctx.q
-    r_s %= q
-    deg0, deg1 = degenerate_radii(ctx)
-    if r_s in (deg0, deg1):
-        raise ValueError(
-            f"degenerate radius r_s={r_s}: radii {deg0} and {deg1} give singleton spheres"
-        )
+    r_s = regular_radius(ctx, r_s)
 
     gen = sphere(ctx, r_s)
     gen_set = set(gen)
@@ -168,13 +167,33 @@ def laplacian(graph):
     return (graph.ctx.q + 1) * np.eye(n) - graph.adjacency.astype(float)
 
 
+def orbit_labels(ctx):
+    """Distance (x^2 - delta*(y-1)^2) / y of every vertex to sqrt(delta), in (y, x) order."""
+    q = ctx.q
+    ys = np.repeat(np.arange(1, q), q)
+    xs = np.tile(np.arange(q), q - 1)
+    y_inv = np.array([0] + [ctx.inv(y) for y in range(1, q)])
+    return (xs * xs - ctx.delta * (ys - 1) ** 2) * y_inv[ys] % q
+
+
 def orbit_decomposition(ctx):
     """Partition of H_q by distance to sqrt(delta): radius -> sorted vertex indices."""
-    base = base_point()
-    orbits = {}
-    for i, z in enumerate(enumerate_points(ctx)):
-        orbits.setdefault(distance(ctx, z, base), []).append(i)
-    return {r: sorted(ix) for r, ix in orbits.items()}
+    labels = orbit_labels(ctx)
+    return {r: np.flatnonzero(labels == r).tolist() for r in dict.fromkeys(labels.tolist())}
+
+
+def radial_values(ctx, vec, what):
+    """Values by radius (radii_order) of a vertex function ``what``, asserted constant on orbits."""
+    labels = orbit_labels(ctx)
+    out = []
+    for r in radii_order(ctx):
+        vals = vec[labels == r]
+        spread = vals.max() - vals.min()
+        assert spread <= ORBIT_CONSTANCY_TOL * max(1.0, abs(vals).max()), (
+            f"{what} not constant on orbit r={r} (spread {spread:.3e})"
+        )
+        out.append(float(vals.mean()))
+    return np.array(out)
 
 
 def orbit_sizes(ctx):

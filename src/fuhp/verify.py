@@ -14,6 +14,7 @@ import numpy as np
 from . import characters as chars
 from .field import (
     ExtElement,
+    _prime_factors,
     ext_mul,
     ext_norm,
     field_context,
@@ -27,21 +28,17 @@ from .heat import (
     initial_condition_check,
     method_of_images_check,
 )
-from .spherical import (
-    first_complete_radius,
-    laplace_eigenvalue,
-    match_formulas_to_oracle,
-    radial_eigenbasis,
-)
+from .spherical import laplace_eigenvalue, match_formulas_to_oracle, spherical_table
 from .theta import classical_theta, finite_theta, theta_consistency_report
 from .uhp import (
     act,
-    base_point,
     build_graph,
     degenerate_radii,
     distance,
     laplacian,
+    orbit_labels,
     orbit_sizes,
+    radii_order,
     sphere,
 )
 
@@ -89,19 +86,6 @@ def field_checks(ctx):
         for z, w in product(elements, repeat=2)
     )
     _check(out, f"q={q} norm multiplicative", norm_ok, f"all {len(elements) ** 2} pairs")
-    return out
-
-
-def _prime_factors(n):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
     return out
 
 
@@ -163,7 +147,7 @@ def graph_checks(ctx, r_s):
     transitive = all(np.array_equal(np.sort(row), m0) for row in graph.adjacency)
     _check(out, f"q={q} r_s={r_s} row multisets equal", transitive, "vertex-transitivity")
 
-    w = np.linalg.eigvalsh(graph.adjacency.astype(float))
+    w = spherical_table(ctx, r_s).adjacency_eigenvalues
     nontrivial = w[np.abs(np.abs(w) - (q + 1)) > 1e-8]
     bound = 2 * math.sqrt(q) + 1e-9
     worst = float(np.abs(nontrivial).max()) if nontrivial.size else 0.0
@@ -176,10 +160,10 @@ def spherical_checks(ctx, r_s):
     q = ctx.q
     n = q * (q - 1)
     out = []
-    graph = build_graph(ctx, r_s)
-    table = radial_eigenbasis(graph)
-    _check(out, f"q={q} r_s={r_s} table rows = q", table.is_complete,
-           f"{table.num_rows} rows (collision merges are reported, not fatal)",
+    table = spherical_table(ctx, r_s)
+    distinct = len(table.spectrum())
+    _check(out, f"q={q} r_s={r_s} adjacency eigenvalues distinct", distinct == table.num_rows,
+           f"{distinct} distinct for {table.num_rows} rows (collisions are reported, not fatal)",
            finding_only=True)
     _check(out, f"q={q} r_s={r_s} omega(0) = 1",
            float(np.abs(table.omega[:, 0] - 1).max()) <= 1e-12,
@@ -201,23 +185,17 @@ def spherical_checks(ctx, r_s):
            f"(q+1)(1 - omega(r_s)) vs lambda: {lam_dev:.2e}")
 
     # lifted rows are adjacency eigenvectors
-    base = base_point()
-    col = {r: k for k, r in enumerate(table.radii)}
-    lift = np.array([[table.omega[i, col[distance(ctx, z, base)]] for z in graph.points]
-                     for i in range(table.num_rows)])
-    eig_dev = float(max(
-        np.abs(graph.adjacency.astype(float) @ lift[i] - table.adjacency_eigenvalues[i] * lift[i]).max()
-        for i in range(table.num_rows)
-    ))
+    lift = table.omega[:, np.argsort(table.radii)[orbit_labels(ctx)]].T
+    adjacency = build_graph(ctx, r_s).adjacency.astype(float)
+    eig_dev = float(np.abs(adjacency @ lift - lift * table.adjacency_eigenvalues).max())
     _check(out, f"q={q} r_s={r_s} rows are eigenfunctions", eig_dev <= 1e-9, f"{eig_dev:.2e}")
     return out
 
 
-def formula_match_checks(ctx):
+def formula_match_checks(ctx, r_s):
     q = ctx.q
     out = []
-    r_s, table = first_complete_radius(ctx)
-    report = match_formulas_to_oracle(ctx, r_s, table=table)
+    report = match_formulas_to_oracle(ctx, r_s)
     worst = max(m.max_deviation for m in report.matches)
     unique = len({m.row for m in report.matches}) == len(report.matches)
     _check(out, f"q={q} formulas match oracle (r_s={r_s})", worst <= 1e-9 and unique,
@@ -239,7 +217,7 @@ def heat_checks(ctx, r_s):
     n = q * (q - 1)
     out = []
     graph = build_graph(ctx, r_s)
-    table = radial_eigenbasis(graph)
+    table = spherical_table(ctx, r_s)
 
     dev = 0.0
     mass_dev = 0.0
@@ -291,9 +269,7 @@ def heat_checks(ctx, r_s):
            f"worst residual-minus-bound {worst_margin:.2e}")
 
     if q == 3:
-        t = 1.0
-        w3, v3 = np.linalg.eigh(laplacian(graph))
-        kernel = graph.n * (v3 @ (np.exp(-w3 * t)[:, None] * v3.T))
+        kernel = graph.n * expm(1.0)
         ok = True
         for p in graph.points:
             perm = np.array([graph.index[act(ctx, p, z)] for z in graph.points])
@@ -317,10 +293,10 @@ def lift_checks(ctx, r_s):
     return out
 
 
-def theta_checks(ctx):
+def theta_checks(ctx, r_s):
     q = ctx.q
     out = []
-    r_s, table = first_complete_radius(ctx)
+    table = spherical_table(ctx, r_s)
     dev = 0.0
     for t in (0.0, 0.1, 1.0):
         spec = heat_kernel_spectral(table, t)
@@ -328,7 +304,7 @@ def theta_checks(ctx):
             dev = max(dev, abs(finite_theta(ctx, table, r, t) - spec.by_radius[r]))
     _check(out, f"q={q} reconciled theta = spectral kernel", dev <= 1e-12, f"{dev:.2e}")
 
-    report = theta_consistency_report(ctx, r_s, [0.1, 1.0])
+    report = theta_consistency_report(ctx, r_s, [0.1, 1.0], table=table)
     _check(out, f"q={q} theta report reconciled column", report.max_reconciled_deviation <= 1e-9,
            f"{report.max_reconciled_deviation:.2e}")
     _check(out, f"q={q} verbatim theta gap", report.max_verbatim_deviation <= 1e-9,
@@ -361,14 +337,13 @@ def run_battery(q_list, include_lift=False):
         ctx = field_context(q)
         results += field_checks(ctx)
         results += character_checks(ctx)
-        deg = set(degenerate_radii(ctx))
-        regular = [r for r in range(q) if r not in deg]
+        regular = radii_order(ctx)[2:]
         for r_s in regular:
             results += graph_checks(ctx, r_s)
             results += spherical_checks(ctx, r_s)
-        results += formula_match_checks(ctx)
+        results += formula_match_checks(ctx, regular[0])
         results += heat_checks(ctx, regular[0])
-        results += theta_checks(ctx)
+        results += theta_checks(ctx, regular[0])
         if include_lift:
             results += lift_checks(ctx, regular[0])
     return results

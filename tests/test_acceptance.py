@@ -16,11 +16,7 @@ from fuhp.heat import (
     initial_condition_check,
     method_of_images_check,
 )
-from fuhp.spherical import (
-    first_complete_radius,
-    match_formulas_to_oracle,
-    radial_eigenbasis,
-)
+from fuhp.spherical import match_formulas_to_oracle, spherical_table
 from fuhp.theta import classical_theta, finite_theta, theta_consistency_report
 from fuhp.uhp import build_graph, degenerate_radii
 
@@ -39,14 +35,14 @@ def sweep():
             if r_s in deg:
                 continue
             graph = build_graph(ctx, r_s)
-            out[(q, r_s)] = (ctx, graph, radial_eigenbasis(graph))
+            out[(q, r_s)] = (ctx, graph, spherical_table(ctx, r_s))
     return out
 
 
 def test_criterion_1_q3_closed_form():
     start = time.perf_counter()
     ctx = field_context(3, delta=2)
-    table = radial_eigenbasis(build_graph(ctx, 1))
+    table = spherical_table(ctx, 1)
     for t in (0.0, 0.5, 1.0, 5.0):
         kern = heat_kernel_spectral(table, t)
         e4, e6 = math.exp(-4 * t), math.exp(-6 * t)
@@ -104,7 +100,8 @@ def test_criterion_5_spherical_table_invariants(sweep):
 @pytest.mark.parametrize("q", [5, 7])
 def test_criterion_6_formula_reconciliation(q):
     ctx = field_context(q)
-    r_s, table = first_complete_radius(ctx)
+    r_s = 1
+    table = spherical_table(ctx, r_s)
     report = match_formulas_to_oracle(ctx, r_s, table=table)
     assert len(report.matches) == q
     assert len({m.row for m in report.matches}) == q  # unique row per class
@@ -144,7 +141,8 @@ def test_criterion_8_ramanujan_diagnostic(sweep):
 def test_criterion_9_theta_audit():
     for q in (3, 5, 7):
         ctx = field_context(q)
-        r_s, table = first_complete_radius(ctx)
+        r_s = 1
+        table = spherical_table(ctx, r_s)
         for t in (0.0, 0.1, 1.0):
             spec = heat_kernel_spectral(table, t)
             for r in table.radii:
@@ -153,7 +151,8 @@ def test_criterion_9_theta_audit():
 
     for q in (5, 7):
         ctx = field_context(q)
-        r_s, table = first_complete_radius(ctx)
+        r_s = 1
+        table = spherical_table(ctx, r_s)
         report = theta_consistency_report(ctx, r_s, [0.1, 1.0])
         deg0, deg1 = degenerate_radii(ctx)
         assert {row.r for row in report.rows} == {

@@ -15,7 +15,7 @@ from fuhp.heat import (
     method_of_images_check,
     mobius_action,
 )
-from fuhp.spherical import radial_eigenbasis
+from fuhp.spherical import spherical_table
 from fuhp.uhp import act, base_point, build_graph, laplacian
 
 
@@ -23,7 +23,7 @@ from fuhp.uhp import act, base_point, build_graph, laplacian
 def q3():
     ctx = field_context(3, delta=2)
     graph = build_graph(ctx, 1)
-    return ctx, graph, radial_eigenbasis(graph)
+    return ctx, graph, spherical_table(ctx, 1)
 
 
 def closed_form_q3(t):
@@ -86,7 +86,7 @@ def test_mass_conservation_and_positivity():
     for q, r_s in ((3, 1), (5, 2), (7, 1)):
         ctx = field_context(q)
         graph = build_graph(ctx, r_s)
-        table = radial_eigenbasis(graph)
+        table = spherical_table(ctx, r_s)
         for t in (0.0, 0.1, 1.0, 10.0):
             kern = heat_kernel_oracle(graph, t)
             assert kern.by_vertex.mean() == pytest.approx(1.0, abs=1e-10)
@@ -136,7 +136,7 @@ def test_fourier_coefficients_q3(q3):
 
 def test_fourier_coefficients_q5():
     ctx = field_context(5)
-    table = radial_eigenbasis(build_graph(ctx, 1))
+    table = spherical_table(ctx, 1)
     assert fourier_coefficient_check(table, 0.5).max_deviation <= 1e-9
 
 

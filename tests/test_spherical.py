@@ -1,25 +1,26 @@
-"""Spherical tables from the spectral oracle, and the closed-form families."""
+"""Spherical tables (radial core and dense oracle), and the closed-form families."""
 
 import numpy as np
 import pytest
 
-from fuhp.field import field_context
+from fuhp.field import field_context, is_odd_prime
 from fuhp.spherical import (
     cuspidal_spherical,
-    first_complete_radius,
     laplace_eigenvalue,
     match_formulas_to_oracle,
     principal_spherical,
     radial_eigenbasis,
+    spherical_table,
 )
-from fuhp.uhp import base_point, build_graph, degenerate_radii, distance
+from fuhp.theta import finite_theta, theta_consistency_report
+from fuhp.uhp import base_point, build_graph, degenerate_radii, distance, radii_order
 
 
 def table_for(q, r_s=None, delta=None):
+    """Dense-oracle table at an explicit r_s; the radial table at r_s=1 otherwise."""
     ctx = field_context(q, delta)
     if r_s is None:
-        r_s, table = first_complete_radius(ctx)
-        return ctx, build_graph(ctx, r_s), table
+        return ctx, build_graph(ctx, 1), spherical_table(ctx, 1)
     graph = build_graph(ctx, r_s)
     return ctx, graph, radial_eigenbasis(graph)
 
@@ -183,8 +184,8 @@ def test_match_q3_by_elimination():
 @pytest.mark.parametrize("q", [5, 7])
 def test_match_unique_rows_and_tolerances(q):
     ctx = field_context(q)
-    r_s, table = first_complete_radius(ctx)
-    report = match_formulas_to_oracle(ctx, r_s, table=table)
+    table = spherical_table(ctx, 1)
+    report = match_formulas_to_oracle(ctx, 1, table=table)
     assert len(report.matches) == q
     assert len({m.row for m in report.matches}) == q
     for m in report.principal:
@@ -197,21 +198,18 @@ def test_match_unique_rows_and_tolerances(q):
 
 def test_match_rejects_merged_table():
     ctx = field_context(5)
+    merged = radial_eigenbasis(build_graph(ctx, 2))
     with pytest.raises(ValueError, match="collision"):
-        match_formulas_to_oracle(ctx, 2)
+        match_formulas_to_oracle(ctx, 2, table=merged)
 
 
 def test_antipodal_reading_is_minus_nu():
     # at q = 1 mod 4 the two candidate readings differ; the spectral match
     # picks -nu(-1) every time
     for q in (5, 13):
-        ctx = field_context(q)
-        r_s, table = first_complete_radius(ctx)
-        report = match_formulas_to_oracle(ctx, r_s, table=table)
+        report = match_formulas_to_oracle(field_context(q), 1)
         assert all(m.infinity_reading == "minus_nu" for m in report.cuspidal)
-    ctx = field_context(7)
-    r_s, table = first_complete_radius(ctx)
-    report = match_formulas_to_oracle(ctx, r_s, table=table)
+    report = match_formulas_to_oracle(field_context(7), 1)
     assert all(m.infinity_reading.startswith("both") for m in report.cuspidal)
 
 
@@ -247,3 +245,79 @@ def test_rows_lift_to_adjacency_eigenvectors(q, r_s):
         np.testing.assert_allclose(
             adj @ vec, table.adjacency_eigenvalues[i] * vec, atol=1e-9
         )
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 13])
+def test_radial_table_matches_dense_oracle(q):
+    ctx = field_context(q)
+    compared = 0
+    for r_s in radii_order(ctx)[2:]:
+        dense = radial_eigenbasis(build_graph(ctx, r_s))
+        if not dense.is_complete:
+            continue
+        table = spherical_table(ctx, r_s)
+        assert table.radii == dense.radii
+        np.testing.assert_array_equal(table.orbit_sizes, dense.orbit_sizes)
+        np.testing.assert_array_equal(table.degrees, dense.degrees)
+        np.testing.assert_allclose(table.omega, dense.omega, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(
+            table.adjacency_eigenvalues, dense.adjacency_eigenvalues, rtol=0, atol=1e-10
+        )
+        compared += 1
+    assert compared > 0
+
+
+@pytest.mark.parametrize("q,r_s", [(5, 2), (13, 1)])
+def test_merged_dense_rows_are_degree_weighted_means(q, r_s):
+    ctx = field_context(q)
+    dense = radial_eigenbasis(build_graph(ctx, r_s))
+    table = spherical_table(ctx, r_s)
+    assert table.num_rows == q > dense.num_rows
+    for i in range(dense.num_rows):
+        share = np.abs(table.adjacency_eigenvalues - dense.adjacency_eigenvalues[i]) <= 1e-8
+        d = table.degrees[share]
+        assert d.sum() == dense.degrees[i]
+        mean = d @ table.omega[share] / d.sum()
+        np.testing.assert_allclose(dense.omega[i], mean, rtol=0, atol=1e-10)
+    assert [m for _, m in table.spectrum()] == dense.degrees.tolist()
+
+
+def test_radial_table_has_every_row_at_every_radius():
+    # the rows belong to (q, delta): each generating radius permutes them
+    for q in (5, 7, 11, 13, 17):
+        ctx = field_context(q)
+        first = None
+        for r_s in radii_order(ctx)[2:]:
+            table = spherical_table(ctx, r_s)
+            assert table.is_complete and table.num_rows == q
+            assert table.omega[0].tolist() == [1.0] * q
+            assert table.laplacian_eigenvalues[0] == 0.0
+            rows = sorted(map(tuple, np.round(table.omega, 9)))
+            assert first is None or rows == first
+            first = rows
+
+
+def test_match_and_reconciled_theta_at_a_colliding_radius():
+    # q=13, r_s=1 merges rows in the dense table, so both used to raise there
+    ctx = field_context(13)
+    table = spherical_table(ctx, 1)
+    assert len(table.spectrum()) < table.num_rows
+    report = match_formulas_to_oracle(ctx, 1)
+    assert len({m.row for m in report.matches}) == 13
+    assert max(m.max_deviation for m in report.matches) <= 1e-9
+    theta = theta_consistency_report(ctx, 1, [0.1, 1.0], table=table)
+    assert theta.max_reconciled_deviation <= 1e-9
+    assert finite_theta(ctx, table, 0, 0.0) == pytest.approx(13 * 12, abs=1e-9)
+
+
+def test_radial_table_builds_at_every_prime_up_to_the_default_cap():
+    # the fixed combination must keep its eigenvalues apart and the degrees integral;
+    # the t=0 kernel sum_i d_i omega_i(r) = n [r = 0] then holds to 4*eps*n, since
+    # each term is accurate to a few eps relative to d_i and sum_i d_i = n
+    for q in filter(is_odd_prime, range(3, 102)):
+        table = spherical_table(field_context(q), 1)
+        n = q * (q - 1)
+        assert table.num_rows == q
+        assert int(table.degrees.sum()) == n
+        delta = np.array([n if r == 0 else 0.0 for r in table.radii])
+        assert np.abs(table.degrees @ table.omega - delta).max() <= 4 * np.finfo(float).eps * n

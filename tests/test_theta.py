@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fuhp.field import ext_norm, ext_pow, ext_trace, field_context
 from fuhp.heat import heat_kernel_spectral
-from fuhp.spherical import first_complete_radius
+from fuhp.spherical import spherical_table
 from fuhp.theta import (
     classical_theta,
     finite_theta,
@@ -61,7 +61,7 @@ def test_index_sets_pole():
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_reconciled_equals_spectral(q):
     ctx = field_context(q)
-    r_s, table = first_complete_radius(ctx)
+    table = spherical_table(ctx, 1)
     for t in (0.0, 0.01, 0.1, 1.0):
         spec = heat_kernel_spectral(table, t)
         for r in table.radii:
@@ -72,14 +72,14 @@ def test_reconciled_equals_spectral(q):
 
 def test_reconciled_frozen_values():
     ctx = field_context(3)
-    r_s, table = first_complete_radius(ctx)
+    table = spherical_table(ctx, 1)
     assert finite_theta(ctx, table, 0, 0.0) == pytest.approx(6.0, abs=1e-12)
     assert finite_theta(ctx, table, 1, 1.0) == pytest.approx(1 - math.exp(-6), abs=1e-12)
 
 
 def test_finite_theta_errors():
     ctx = field_context(5)
-    r_s, table = first_complete_radius(ctx)
+    table = spherical_table(ctx, 1)
     with pytest.raises(ValueError):
         finite_theta(ctx, table, 2, -1.0)
     with pytest.raises(ValueError):
@@ -90,7 +90,7 @@ def test_finite_theta_errors():
 
 def test_verbatim_runs_and_deviates():
     ctx = field_context(5)
-    r_s, table = first_complete_radius(ctx)
+    table = spherical_table(ctx, 1)
     rec = finite_theta(ctx, table, 2, 0.1, mode="reconciled")
     verb = finite_theta(ctx, table, 2, 0.1, mode="verbatim")
     assert math.isfinite(verb)
@@ -100,8 +100,7 @@ def test_verbatim_runs_and_deviates():
 @pytest.mark.parametrize("q", [5, 7])
 def test_consistency_report(q):
     ctx = field_context(q)
-    r_s, table = first_complete_radius(ctx)
-    report = theta_consistency_report(ctx, r_s, [0.0, 0.1, 1.0])
+    report = theta_consistency_report(ctx, 1, [0.0, 0.1, 1.0])
     deg0, deg1 = degenerate_radii(ctx)
     expected_radii = {r for r in range(q) if r not in (deg0, deg1, 1)}
     assert {row.r for row in report.rows} == expected_radii

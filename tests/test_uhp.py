@@ -15,6 +15,7 @@ from fuhp.uhp import (
     enumerate_points,
     laplacian,
     orbit_decomposition,
+    orbit_labels,
     orbit_sizes,
     point_index,
     point_inverse,
@@ -163,6 +164,8 @@ def test_orbits_partition_and_match_spheres(q):
     pts = enumerate_points(ctx)
     for r, ix in orbits.items():
         assert {pts[i] for i in ix} == set(sphere(ctx, r))
+    base = base_point()
+    assert orbit_labels(ctx).tolist() == [distance(ctx, z, base) for z in pts]
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
