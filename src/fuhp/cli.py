@@ -26,6 +26,12 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 
 DEFAULT_MAX_Q = 101
+# The CSV adjacency is n x n by definition, and writing it holds every cell in
+# Python row lists and text: about 16 bytes per cell at the peak (measured
+# 154 MB at q=53, 7.6e6 cells, and 245 MB at q=61, 1.3e7 cells, each with
+# about 35 MB of interpreter). The cap of 1.6e7 cells (q <= 61) keeps it near
+# 300 MB; q=101 (1.0e8 cells) would need about 1.7 GB.
+MAX_CSV_ADJACENCY_CELLS = 16_000_000
 
 
 def _max_q():
@@ -131,17 +137,24 @@ def cmd_graph(args):
     if args.r_s == "all-regular":
         raise ValueError("graph export needs a single radius; 'all-regular' applies elsewhere")
     (r_s,) = _radii_arg(ctx, args.r_s)
+    n = ctx.q * (ctx.q - 1)
+    if args.format == "csv" and n * n > MAX_CSV_ADJACENCY_CELLS:
+        raise ValueError(
+            f"the CSV adjacency at q={ctx.q} has {n * n} cells, above the cap of "
+            f"{MAX_CSV_ADJACENCY_CELLS}; use --format json (an edge list)"
+        )
     graph = build_graph(ctx, r_s)
-    edges = [[int(i), int(j)] for i, j in zip(*np.nonzero(graph.adjacency)) if i < j]
+    # sorted rows read in row-major order list each edge once as (i, j), i < j, ascending
+    nbrs = np.sort(graph.neighbors, axis=1)
+    i, k = np.nonzero(nbrs > np.arange(n)[:, None])
     data = {
         "vertices": [[z.x, z.y] for z in graph.points],
-        "edges": edges,
+        "edges": np.stack([i, nbrs[i, k]], axis=1).tolist(),
         "degree": ctx.q + 1,
     }
     doc = _document(_config_doc(ctx, args, r_s=r_s), data)
 
     def csv_maker(doc):
-        n = len(doc["data"]["vertices"])
         header = ["vertex"] + [f"v{j}" for j in range(n)]
         rows = [[f"v{i}"] + [int(x) for x in graph.adjacency[i]] for i in range(n)]
         return header, rows
@@ -228,12 +241,11 @@ def cmd_heat(args):
     blocks = []
     for r_s in _radii_arg(ctx, args.r_s):
         graph = build_graph(ctx, r_s)
-        # the oracle's dense eigh sets peak memory; the radial table's temporaries follow it
-        oracles = [heat_kernel_oracle(graph, t) for t in t_grid]
         table = spherical_table(ctx, r_s)
         series = []
-        for t, orac in zip(t_grid, oracles):
+        for t in t_grid:
             spec = heat_kernel_spectral(table, t)
+            orac = heat_kernel_oracle(graph, t)
             series.append(
                 {
                     "t": t,

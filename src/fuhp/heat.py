@@ -3,12 +3,26 @@
 The fundamental solution E(t; r) with unit initial mass at sqrt(delta) is
 computed two independent ways: the spectral expansion sum_i d_i e^(-lambda_i t)
 omega_i(r) over the spherical table, and the matrix-exponential oracle
-q(q-1) * exp(-t*Laplacian) applied to the base-point indicator. The module
-also lifts the problem to the full group of invertible 2x2 matrices and
-verifies that averaging the lifted kernel over the point stabilizer
-reproduces the quotient kernel (the method of images).
+q(q-1) * exp(-t*Laplacian) applied to the base-point indicator.
+
+The oracle uses no eigendecomposition. The Laplacian is (q+1)I - A with A
+(q+1)-regular and non-negative, so with P = A/(q+1) and rate = (q+1)t
+
+    exp(-tL) e_0 = sum_k Poisson(k; rate) * P^k e_0
+
+(uniformization, the continuous-time random walk). P is applied through the
+n x (q+1) neighbour array at cost n(q+1) per step, and the sum stops at the
+first K whose dropped Poisson tail is at most the unit roundoff u, so the
+whole oracle costs O(K * n(q+1)) with K ~ rate + O(sqrt(rate)). Every term is
+non-negative, so nothing cancels: the result carries the truncated tail
+(<= u) plus rounding of about K*u relative in each entry.
+
+The module also lifts the problem to the full group of invertible 2x2
+matrices and verifies that averaging the lifted kernel over the point
+stabilizer reproduces the quotient kernel (the method of images).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,12 +63,43 @@ def heat_kernel_spectral(table, t):
     )
 
 
+def poisson_weights(rate):
+    """Poisson(k; rate) for k = 0..K, and a bound on the dropped tail sum_{k>K}.
+
+    e^(-rate) underflows once rate > 745, so only the mode weight is formed,
+    in log space as fsum(-rate, log(rate/j) for j <= mode); the others follow
+    by the ratios w_(k+1)/w_k = rate/(k+1) outward from it, one rounding per
+    step. For k >= K+1 >= rate the ratios are at most rho = rate/(K+2) < 1,
+    so the tail is at most w_(K+1)/(1 - rho); K is the first index from the
+    mode on where that bound is <= u, the unit roundoff.
+    """
+    if rate == 0:
+        return np.ones(1), 0.0
+    u = np.finfo(float).eps / 2
+    mode = int(rate)
+    weights = [math.exp(math.fsum([-rate] + [math.log(rate / j) for j in range(1, mode + 1)]))]
+    for k in range(mode, 0, -1):
+        weights.append(weights[-1] * k / rate)
+    weights.reverse()
+    while True:
+        k = len(weights)  # index of the next weight, the first one dropped
+        nxt = weights[-1] * rate / k
+        if k + 1 > rate:
+            tail = nxt * (k + 1) / (k + 1 - rate)
+            if tail <= u:
+                return np.array(weights), tail
+        weights.append(nxt)
+
+
 def heat_kernel_oracle(graph, t, base=None):
     """Matrix-exponential oracle E(t; .) = q(q-1) * exp(-t*Laplacian) e_base.
 
-    The exponential is evaluated through the cached symmetric adjacency
-    eigendecomposition (exact at these sizes). Radius values are read off
-    the orbits around the base point, asserting constancy on each orbit.
+    Uniformization, with no eigendecomposition: n * sum_{k<=K} w_k P^k e_base,
+    where w = poisson_weights((q+1)t) and P = A/(q+1) is applied as a sum over
+    the neighbour array. Cost O(K * n(q+1)) with K ~ (q+1)t + O(sqrt((q+1)t));
+    error: the dropped Poisson tail (<= u) plus about K*u relative per entry,
+    as every term is non-negative. Radius values are read off the orbits
+    around the base point, asserting constancy on each orbit.
     """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
@@ -63,11 +108,14 @@ def heat_kernel_oracle(graph, t, base=None):
     n = graph.n
     if base is None:
         base = base_point()
-    base_i = graph.index[base]
-    w, v = graph.adjacency_eigh()
-    lam = (q + 1) - w
-    vec = v @ (v[base_i] * np.exp(-lam * t))
-    by_vertex = n * vec
+    weights, _ = poisson_weights((q + 1) * t)
+    walk = np.zeros(n)
+    walk[graph.index[base]] = 1.0
+    acc = weights[0] * walk
+    for w_k in weights[1:]:
+        walk = walk[graph.neighbors].sum(axis=1) / (q + 1)
+        acc += w_k * walk
+    by_vertex = n * acc
 
     around_base = by_vertex
     if base != base_point():

@@ -155,17 +155,19 @@ def _finite_theta_reconciled(ctx, table, match, r, t):
     return total
 
 
-def finite_theta(ctx, table, r, t, mode="reconciled"):
+def finite_theta(ctx, table, r, t, mode="reconciled", match=None):
     """Evaluate the finite theta sum at radius r and time t.
 
-    Reconciled mode reproduces the spectral heat kernel; verbatim mode
-    returns the real part of the printed sum (use the consistency report
-    for its imaginary leakage and deviation).
+    Reconciled mode reproduces the spectral heat kernel; pass the table's
+    ``match_formulas_to_oracle`` report as ``match`` to reuse it across calls.
+    Verbatim mode returns the real part of the printed sum (use the
+    consistency report for its imaginary leakage and deviation).
     """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     if mode == "reconciled":
-        match = match_formulas_to_oracle(ctx, table.r_s, table=table)
+        if match is None:
+            match = match_formulas_to_oracle(ctx, table.r_s, table=table)
         return _finite_theta_reconciled(ctx, table, match, r % ctx.q, t)
     if mode == "verbatim":
         return _finite_theta_verbatim(ctx, r, t).real
@@ -224,21 +226,22 @@ class ThetaReport:
         return max((row.verbatim_deviation for row in self.rows), default=0.0)
 
 
-def theta_consistency_report(ctx, r_s, t_grid, graph=None, table=None):
+def theta_consistency_report(ctx, r_s, t_grid, graph=None, table=None, match=None):
     """Audit the two theta modes against the matrix-exponential oracle.
 
     For every regular radius r != 1 and every t: the oracle kernel value,
     the reconciled value (required to agree), and the verbatim value with
-    its deviation (a finding, expected nonzero).
+    its deviation (a finding, expected nonzero). ``graph``, ``table`` and
+    ``match`` are built for r_s when not given.
     """
     q = ctx.q
     if graph is None:
         graph = build_graph(ctx, r_s)
-    # before the radial table, so that the dense eigh alone sets peak memory
-    oracle_by_t = {t: heat_kernel_oracle(graph, t).by_radius for t in t_grid}
     if table is None:
         table = spherical_table(ctx, r_s)
-    match = match_formulas_to_oracle(ctx, table.r_s, table=table)
+    if match is None:
+        match = match_formulas_to_oracle(ctx, table.r_s, table=table)
+    oracle_by_t = {t: heat_kernel_oracle(graph, t).by_radius for t in t_grid}
     deg0, deg1 = degenerate_radii(ctx)
     radii = [r for r in table.radii if r not in (deg0, deg1, 1)]
 

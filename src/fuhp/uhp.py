@@ -10,6 +10,7 @@ Vertex order is fixed to lexicographic (y, x) so that all matrices are
 bit-reproducible.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,14 +86,19 @@ def regular_radius(ctx, r_s):
 
 
 class UhpGraph:
-    """Cayley graph of H_q with generating sphere S_{r_s}; immutable once built."""
+    """Cayley graph of H_q with generating sphere S_{r_s}; immutable once built.
 
-    def __init__(self, ctx, r_s, points, adjacency):
+    ``neighbors[i]`` lists the q+1 neighbours of vertex i, one column per
+    generator in sphere order; the dense int8 ``adjacency`` is built from it
+    on first use only.
+    """
+
+    def __init__(self, ctx, r_s, points, neighbors):
         self.ctx = ctx
         self.r_s = r_s
         self.points = points
         self.index = {z: i for i, z in enumerate(points)}
-        self.adjacency = adjacency
+        self.neighbors = neighbors
         self._eig = None
 
     @property
@@ -103,8 +109,19 @@ class UhpGraph:
     def degree(self):
         return self.ctx.q + 1
 
+    @functools.cached_property
+    def adjacency(self):
+        """Dense n x n int8 adjacency matrix."""
+        adjacency = np.zeros((self.n, self.n), dtype=np.int8)
+        adjacency[np.arange(self.n)[:, None], self.neighbors] = 1
+        return adjacency
+
     def adjacency_eigh(self):
-        """Cached symmetric eigendecomposition of the adjacency matrix."""
+        """Cached symmetric eigendecomposition of the adjacency matrix.
+
+        O(n^3) time and O(n^2) memory: the small-q cross-check of the tests and
+        of ``radial_eigenbasis``; no CLI or ``verify`` path calls it.
+        """
         if self._eig is None:
             w, v = np.linalg.eigh(self.adjacency.astype(float))
             self._eig = (w, v)
@@ -116,7 +133,8 @@ def build_graph(ctx, r_s):
 
     Rejects the degenerate radii. Verifies (rather than assumes) that the
     generating sphere is closed under group inversion, and that the result
-    is (q+1)-regular, loop-free, symmetric, and connected.
+    is (q+1)-regular, loop-free, symmetric, and connected. Every check runs
+    on the n x (q+1) neighbour array; no n x n matrix is built.
     """
     q = ctx.q
     r_s = regular_radius(ctx, r_s)
@@ -131,33 +149,35 @@ def build_graph(ctx, r_s):
     n = len(points)
     xs = np.array([z.x for z in points])
     ys = np.array([z.y for z in points])
-    adjacency = np.zeros((n, n), dtype=np.int8)
-    rows = np.arange(n)
-    for s in gen:
-        nx = (ys * s.x + xs) % q
-        ny = (ys * s.y) % q
-        adjacency[rows, (ny - 1) * q + nx] = 1
+    # column k holds the right translates z . s_k, in canonical index order
+    neighbors = np.stack([(ys * s.y % q - 1) * q + (ys * s.x + xs) % q for s in gen], axis=1)
 
-    if np.any(np.diag(adjacency)):
+    rows = np.arange(n)
+    if np.any(neighbors == rows[:, None]):
         raise AssertionError("self-loop produced by a regular radius")
-    if not np.array_equal(adjacency, adjacency.T):
-        raise AssertionError("adjacency not symmetric")
-    if not np.all(adjacency.sum(axis=1) == q + 1):
+    if np.any(np.diff(np.sort(neighbors, axis=1), axis=1) == 0):
         raise AssertionError("graph is not (q+1)-regular")
-    if not _connected(adjacency):
+    # the edge set {(i, j)} equals its transpose: compare the encoded lists i*n + j and j*n + i
+    forward = np.sort(rows[:, None] * n + neighbors, axis=None)
+    backward = np.sort(neighbors * n + rows[:, None], axis=None)
+    if not np.array_equal(forward, backward):
+        raise AssertionError("adjacency not symmetric")
+    if not _connected(neighbors):
         raise AssertionError("graph is not connected")
 
-    return UhpGraph(ctx, r_s, points, adjacency)
+    return UhpGraph(ctx, r_s, points, neighbors)
 
 
-def _connected(adjacency):
-    n = adjacency.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    frontier = np.zeros(n, dtype=bool)
-    frontier[0] = True
-    while frontier.any():
-        seen |= frontier
-        frontier = (adjacency[frontier].sum(axis=0) > 0) & ~seen
+def _connected(neighbors):
+    """Breadth-first search from vertex 0 over the neighbour array."""
+    seen = np.zeros(neighbors.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = np.array([0])
+    while frontier.size:
+        reached = np.zeros_like(seen)
+        reached[neighbors[frontier]] = True
+        frontier = np.flatnonzero(reached & ~seen)
+        seen |= reached
     return bool(seen.all())
 
 

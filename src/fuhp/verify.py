@@ -122,10 +122,10 @@ def character_checks(ctx):
     return out
 
 
-def graph_checks(ctx, r_s):
-    q = ctx.q
+def graph_checks(graph):
+    """Checks on a built graph (build_graph asserts regularity, symmetry and connectivity)."""
+    ctx, r_s, q = graph.ctx, graph.r_s, graph.ctx.q
     out = []
-    graph = build_graph(ctx, r_s)  # regularity/symmetry/connectivity asserted inside
     _check(out, f"q={q} r_s={r_s} graph built", True,
            f"{graph.n} vertices, degree {q + 1}, connected")
     sizes = orbit_sizes(ctx)
@@ -143,8 +143,9 @@ def graph_checks(ctx, r_s):
         )
         _check(out, f"q={q} r_s={r_s} adjacency = distance sphere", consistent, "all pairs")
 
-    m0 = np.sort(graph.adjacency[0])
-    transitive = all(np.array_equal(np.sort(row), m0) for row in graph.adjacency)
+    # every 0/1 adjacency row has the multiset {1^(q+1), 0^(n-q-1)}: q+1 distinct neighbours
+    distinct = 1 + (np.diff(np.sort(graph.neighbors, axis=1), axis=1) != 0).sum(axis=1)
+    transitive = bool(np.all(distinct == q + 1))
     _check(out, f"q={q} r_s={r_s} row multisets equal", transitive, "vertex-transitivity")
 
     w = spherical_table(ctx, r_s).adjacency_eigenvalues
@@ -156,9 +157,9 @@ def graph_checks(ctx, r_s):
     return out
 
 
-def spherical_checks(ctx, r_s):
-    q = ctx.q
-    n = q * (q - 1)
+def spherical_checks(graph):
+    ctx, r_s, q = graph.ctx, graph.r_s, graph.ctx.q
+    n = graph.n
     out = []
     table = spherical_table(ctx, r_s)
     distinct = len(table.spectrum())
@@ -184,18 +185,17 @@ def spherical_checks(ctx, r_s):
     _check(out, f"q={q} r_s={r_s} eigenvalue relation", lam_dev <= 1e-10,
            f"(q+1)(1 - omega(r_s)) vs lambda: {lam_dev:.2e}")
 
-    # lifted rows are adjacency eigenvectors
+    # lifted rows are adjacency eigenvectors: (A lift)[x] is the sum of lift over x's neighbours
     lift = table.omega[:, np.argsort(table.radii)[orbit_labels(ctx)]].T
-    adjacency = build_graph(ctx, r_s).adjacency.astype(float)
-    eig_dev = float(np.abs(adjacency @ lift - lift * table.adjacency_eigenvalues).max())
+    eig_dev = float(np.abs(lift[graph.neighbors].sum(axis=1) - lift * table.adjacency_eigenvalues).max())
     _check(out, f"q={q} r_s={r_s} rows are eigenfunctions", eig_dev <= 1e-9, f"{eig_dev:.2e}")
     return out
 
 
-def formula_match_checks(ctx, r_s):
-    q = ctx.q
+def formula_match_checks(report):
+    """Checks on a match_formulas_to_oracle report."""
+    q, r_s = report.table.q, report.table.r_s
     out = []
-    report = match_formulas_to_oracle(ctx, r_s)
     worst = max(m.max_deviation for m in report.matches)
     unique = len({m.row for m in report.matches}) == len(report.matches)
     _check(out, f"q={q} formulas match oracle (r_s={r_s})", worst <= 1e-9 and unique,
@@ -212,11 +212,10 @@ def formula_match_checks(ctx, r_s):
     return out
 
 
-def heat_checks(ctx, r_s):
-    q = ctx.q
-    n = q * (q - 1)
+def heat_checks(graph):
+    ctx, r_s, q = graph.ctx, graph.r_s, graph.ctx.q
+    n = graph.n
     out = []
-    graph = build_graph(ctx, r_s)
     table = spherical_table(ctx, r_s)
 
     dev = 0.0
@@ -278,14 +277,14 @@ def heat_checks(ctx, r_s):
     return out
 
 
-def lift_checks(ctx, r_s):
-    q = ctx.q
+def lift_checks(graph):
+    ctx, r_s, q = graph.ctx, graph.r_s, graph.ctx.q
     out = []
     if q > 5:
         _check(out, f"q={q} method of images", True,
                "skipped: lift verification covers q in {3, 5}", finding_only=True)
         return out
-    rep = method_of_images_check(ctx, r_s, [0.1, 1.0, 5.0])
+    rep = method_of_images_check(ctx, r_s, [0.1, 1.0, 5.0], graph=graph)
     _check(out, f"q={q} r_s={r_s} lifted Laplacian intertwines", rep.intertwining_exact,
            f"measured scaling {rep.measured_scaling:.1f} (expected {rep.stabilizer_order})")
     _check(out, f"q={q} r_s={r_s} K-average = quotient kernel", rep.max_deviation <= 1e-8,
@@ -293,18 +292,20 @@ def lift_checks(ctx, r_s):
     return out
 
 
-def theta_checks(ctx, r_s):
-    q = ctx.q
+def theta_checks(graph, match):
+    """Theta checks on graph's radius, reusing the table and match of ``match``."""
+    ctx, q = graph.ctx, graph.ctx.q
     out = []
-    table = spherical_table(ctx, r_s)
+    table = match.table
     dev = 0.0
     for t in (0.0, 0.1, 1.0):
         spec = heat_kernel_spectral(table, t)
         for r in table.radii:
-            dev = max(dev, abs(finite_theta(ctx, table, r, t) - spec.by_radius[r]))
+            dev = max(dev, abs(finite_theta(ctx, table, r, t, match=match) - spec.by_radius[r]))
     _check(out, f"q={q} reconciled theta = spectral kernel", dev <= 1e-12, f"{dev:.2e}")
 
-    report = theta_consistency_report(ctx, r_s, [0.1, 1.0], table=table)
+    report = theta_consistency_report(ctx, graph.r_s, [0.1, 1.0], graph=graph, table=table,
+                                      match=match)
     _check(out, f"q={q} theta report reconciled column", report.max_reconciled_deviation <= 1e-9,
            f"{report.max_reconciled_deviation:.2e}")
     _check(out, f"q={q} verbatim theta gap", report.max_verbatim_deviation <= 1e-9,
@@ -338,12 +339,16 @@ def run_battery(q_list, include_lift=False):
         results += field_checks(ctx)
         results += character_checks(ctx)
         regular = radii_order(ctx)[2:]
+        # one graph per (q, r_s); the first radius's graph and match serve the later groups
+        first = build_graph(ctx, regular[0])
         for r_s in regular:
-            results += graph_checks(ctx, r_s)
-            results += spherical_checks(ctx, r_s)
-        results += formula_match_checks(ctx, regular[0])
-        results += heat_checks(ctx, regular[0])
-        results += theta_checks(ctx, regular[0])
+            graph = first if r_s == regular[0] else build_graph(ctx, r_s)
+            results += graph_checks(graph)
+            results += spherical_checks(graph)
+        match = match_formulas_to_oracle(ctx, first.r_s)
+        results += formula_match_checks(match)
+        results += heat_checks(first)
+        results += theta_checks(first, match)
         if include_lift:
-            results += lift_checks(ctx, regular[0])
+            results += lift_checks(first)
     return results

@@ -1,10 +1,16 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fuhp
 from fuhp.cli import EXIT_BAD_INPUT, EXIT_OK, main
 from fuhp.export import read_csv, read_json
 
@@ -66,6 +72,28 @@ def test_graph_json_and_csv(tmp_path):
     meta, header, rows = read_csv(out_csv)
     assert len(rows) == 6 and len(rows[0]) == 7
     assert sum(sum(r[1:]) for r in rows) == 24
+
+
+def test_graph_csv_refused_above_cap(capsys):
+    # the n x n CSV at q=101 would hold 1.0e8 cells; it is refused before the graph is built
+    assert main(["graph", "--q", "101", "--format", "csv"]) == EXIT_BAD_INPUT
+    assert "cap" in capsys.readouterr().err
+
+
+def test_heat_q101_memory(tmp_path):
+    # a child process, so that its own peak RSS is measured by wait4
+    env = dict(os.environ, PYTHONPATH=str(Path(fuhp.__file__).parents[1]))
+    out = tmp_path / "heat.json"
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "fuhp.cli", "heat", "--q", "101", "--r-s", "1",
+                             "--t", "0,1", "--out", str(out)], env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
+    assert os.waitstatus_to_exitcode(status) == EXIT_OK
+    assert peak_mb < 300, f"peak RSS {peak_mb:.0f} MB (wall {wall:.2f} s)"
+    series = read_json(out)["data"]["series"]
+    assert max(s["oracle_deviation"] for s in series) <= 1e-11 * 101 * 100
 
 
 def test_heat_csv_q3(tmp_path):

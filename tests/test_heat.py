@@ -2,9 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from fuhp.cli import EXIT_OK, main
 from fuhp.field import field_context
 from fuhp.heat import (
     build_group_graph,
@@ -14,9 +16,15 @@ from fuhp.heat import (
     initial_condition_check,
     method_of_images_check,
     mobius_action,
+    poisson_weights,
 )
 from fuhp.spherical import spherical_table
-from fuhp.uhp import act, base_point, build_graph, laplacian
+from fuhp.theta import theta_consistency_report
+from fuhp.uhp import UhpGraph, act, base_point, build_graph, laplacian, radii_order
+from fuhp.verify import heat_checks
+
+U = np.finfo(float).eps / 2  # unit roundoff
+ORACLE_TIMES = (0.0, 1e-6, 0.1, 1.0, 10.0, 50.0)
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +100,67 @@ def test_mass_conservation_and_positivity():
             assert kern.by_vertex.mean() == pytest.approx(1.0, abs=1e-10)
             spec = heat_kernel_spectral(table, t)
             assert min(spec.by_radius.values()) >= -1e-12
+
+
+def _dense_kernel(graph, t):
+    """n * exp(-tL) e_base contracted through the dense adjacency eigendecomposition."""
+    w, v = graph.adjacency_eigh()
+    b = graph.index[base_point()]
+    return graph.n * (v @ (v[b] * np.exp(-(graph.degree - w) * t)))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 13])
+def test_oracle_matches_dense_contraction(q):
+    # eigh's eigenvectors are orthonormal to about c*n*u, so each entry of the dense
+    # n * V e^(-tL) V^T e_base errs by about c*n^2*u (measured c <= 8, at q=5); the
+    # oracle's own error, a tail <= u plus about K*u relative, is far below that
+    ctx = field_context(q)
+    n = q * (q - 1)
+    for r_s in radii_order(ctx)[2:]:
+        graph = build_graph(ctx, r_s)
+        for t in ORACLE_TIMES:
+            np.testing.assert_allclose(heat_kernel_oracle(graph, t).by_vertex,
+                                       _dense_kernel(graph, t), rtol=0, atol=32 * n * n * U)
+
+
+@pytest.mark.parametrize("rate", [0.0, 1e-5, 0.7, 14.0, 140.0, 1020.0])
+def test_poisson_weights_and_tail_bound(rate):
+    weights, tail = poisson_weights(rate)
+    k_max = len(weights) - 1
+    assert tail <= U
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(rate)
+        ref = [mpmath.exp(-lam)]
+        for k in range(k_max):
+            ref.append(ref[-1] * lam / (k + 1))
+        true_tail = 1 - mpmath.fsum(ref)
+        assert true_tail <= tail  # the stated bound holds
+        for w_k, r_k in zip(weights, ref):
+            # one rounding per ratio step from the mode, which is exact to ~2*mode*u
+            assert abs(w_k - r_k) <= 4 * (k_max + 1) * U * r_k + 1e-300
+
+
+@pytest.mark.parametrize("q, r_s", [(5, 2), (13, 1)])
+def test_oracle_mass_is_kept_poisson_mass(q, r_s):
+    # P is stochastic, so the walk keeps mass 1 and E sums to n * (1 - dropped tail)
+    graph = build_graph(field_context(q), r_s)
+    for t in ORACLE_TIMES:
+        weights, tail = poisson_weights((q + 1) * t)
+        mass = heat_kernel_oracle(graph, t).by_vertex.sum()
+        assert abs(mass - graph.n * (1 - tail)) <= len(weights) * graph.n * U
+
+
+def test_heat_path_uses_no_eigendecomposition(monkeypatch, tmp_path):
+    def refuse(self):
+        raise AssertionError("dense adjacency eigendecomposition on the heat path")
+
+    monkeypatch.setattr(UhpGraph, "adjacency_eigh", refuse)
+    assert main(["heat", "--q", "13", "--r-s", "1", "--t", "0,0.1,1",
+                 "--out", str(tmp_path / "heat.json")]) == EXIT_OK
+    ctx = field_context(13)
+    report = theta_consistency_report(ctx, 1, [0.1, 1.0])
+    assert report.max_reconciled_deviation <= 1e-9
+    assert not any(r.fatal for r in heat_checks(build_graph(ctx, 1)))
 
 
 def test_initial_condition_constant_function(q3):

@@ -8,6 +8,7 @@ import pytest
 from fuhp.field import field_context
 from fuhp.uhp import (
     Point,
+    _connected,
     base_point,
     build_graph,
     degenerate_radii,
@@ -177,6 +178,24 @@ def test_adjacency_iff_distance(q):
     for i in range(g.n):
         for j in range(g.n):
             assert bool(g.adjacency[i, j]) == (distance(ctx, pts[i], pts[j]) == r_s)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_lazy_adjacency_is_distance_sphere_at_every_radius(q):
+    ctx = field_context(q)
+    for r_s in radii_order(ctx)[2:]:
+        g = build_graph(ctx, r_s)
+        assert "adjacency" not in vars(g)  # built on first use only
+        assert g.neighbors.shape == (g.n, q + 1)
+        expect = [[distance(ctx, z, w) == r_s for w in g.points] for z in g.points]
+        assert np.array_equal(g.adjacency, np.array(expect, dtype=np.int8))
+
+
+def test_connectivity_search_over_neighbors():
+    ring = np.array([[1, 2], [2, 0], [0, 1]])
+    assert _connected(ring)
+    two_rings = np.concatenate([ring, ring + 3])
+    assert not _connected(two_rings)
 
 
 @pytest.mark.parametrize("q", [5, 7, 13])
