@@ -8,9 +8,14 @@ phases -- is reproducible across runs and machines.
 
 Elements of F_q are plain ints reduced mod q; elements of F_q(sqrt(delta))
 are ``ExtElement`` pairs (a, b) standing for a + b*sqrt(delta).
+``field_tables`` gives the same tables as integer arrays for array code.
 """
 
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 
 def is_odd_prime(n):
@@ -233,3 +238,32 @@ def norm_one_subgroup(ctx):
         u = ext_mul(ctx, u, gen)
     assert u == EXT_ONE, "norm-one subgroup must close after q+1 steps"
     return out
+
+
+class FieldTables(NamedTuple):
+    """Array form of a context's tables (do not modify).
+
+    power_a[m], power_b[m]: coordinates of zeta^m for m = 0..q^2-2;
+    dlog[a]: discrete log of a in F_q^x, with dlog[0] = -1;
+    chi[x]: the quadratic character of x in F_q, with chi[0] = 0.
+    """
+
+    power_a: np.ndarray
+    power_b: np.ndarray
+    dlog: np.ndarray
+    chi: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def field_tables(ctx):
+    """The dlog tables of ctx as integer arrays, built once per (q, delta)."""
+    q, n2 = ctx.q, ctx.q * ctx.q - 1
+    power_a = np.empty(n2, dtype=np.int64)
+    power_b = np.empty(n2, dtype=np.int64)
+    exps = list(ctx.dlog_q2.values())
+    power_a[exps] = [z.a for z in ctx.dlog_q2]
+    power_b[exps] = [z.b for z in ctx.dlog_q2]
+    dlog = np.full(q, -1, dtype=np.int64)
+    dlog[list(ctx.dlog_q)] = list(ctx.dlog_q.values())
+    chi = np.array([quadratic_character(ctx, x) for x in range(q)], dtype=np.int64)
+    return FieldTables(power_a, power_b, dlog, chi)

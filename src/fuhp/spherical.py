@@ -16,12 +16,13 @@ character class its unique spectral row and records every deviation.
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .characters import beta, nu, nu0, nu_equals_inverse
-from .field import ExtElement, norm_one_subgroup, quadratic_character
-from .uhp import degenerate_radii, orbit_labels, radial_values, radii_order, regular_radius, sphere
+from .characters import character_tables, nu_equals_inverse
+from .field import field_tables
+from .uhp import degenerate_radii, orbit_labels, radial_values, radii_order, regular_radius
 
 EIGENVALUE_CLUSTER_TOL = 1e-8
 # weights cos(r * golden angle) keep the eigenvalues of sum_r c_r B~_r apart
@@ -186,24 +187,70 @@ def radial_eigenbasis(graph):
     )
 
 
-def principal_spherical(ctx, j, r):
-    """Principal-family value at radius r for the base-field character beta_j.
+class ClosedForms(NamedTuple):
+    """Both closed-form families at every radius, indexed [r, j] by radius value r.
 
-    1 at r=0, beta_j(-1) at the antipodal radius 4*delta, and otherwise the
-    sphere average of beta_j over the y-coordinates.
+    principal[r, j] for j < q-1; cuspidal[variant][r, j] for j <= q, NaN at the
+    excluded radius 1 and at 4*delta, whose values are antipodal[reading][j].
     """
-    q = ctx.q
-    r %= q
-    deg0, deg1 = degenerate_radii(ctx)
-    if r == deg0:
-        return complex(1.0)
-    if r == deg1:
-        return beta(ctx, j, q - 1)
-    return sum(beta(ctx, j, z.y) for z in sphere(ctx, r)) / (q + 1)
+
+    principal: np.ndarray
+    cuspidal: dict
+    antipodal: dict
 
 
 CUSPIDAL_INFINITY_READINGS = ("minus_nu", "minus_nu0_nu")
 CUSPIDAL_VARIANTS = ("reconciled", "verbatim")
+
+
+@functools.lru_cache(maxsize=8)
+def closed_forms(ctx):
+    """Evaluate both families for every character and radius of (q, delta) at once; do not modify.
+
+    The principal value is the (q-1)-point character transform of the histogram
+    of dlog(y) over each sphere. The cuspidal value is a (q x (q+1)) sign matrix
+    eps(2 u.a - 2 c(r)) * nu0(u) times the nu_j phases on U. See
+    ``principal_spherical`` and ``cuspidal_spherical`` for the definitions.
+    """
+    q, delta = ctx.q, ctx.delta
+    fields, chars = field_tables(ctx), character_tables(ctx)
+    deg0, deg1 = degenerate_radii(ctx)
+
+    ys = np.arange(q * (q - 1)) // q + 1
+    hist = np.bincount(orbit_labels(ctx) * (q - 1) + fields.dlog[ys], minlength=q * (q - 1))
+    principal = hist.reshape(q, q - 1) @ chars.base.T / (q + 1)
+    principal[deg0] = 1.0
+    principal[deg1] = chars.base[:, (q - 1) // 2]  # beta_j(-1), dlog(-1) = (q-1)/2
+
+    k = np.arange(q + 1)
+    u_a = fields.power_a[(q - 1) * k]  # a-coordinates of U in norm_one_subgroup order
+    nu0 = np.where(k % 2, -1, 1)
+    regular = [r for r in range(q) if r not in (deg0, deg1, 1)]
+    two_c = {
+        "reconciled": [(2 - r * ctx.inv(delta)) % q for r in regular],
+        "verbatim": [2 * (1 + r) * ctx.inv(1 - r) % q for r in regular],
+    }
+    cuspidal = {}
+    for variant, consts in two_c.items():
+        signs = np.zeros((q, q + 1))
+        signs[regular] = fields.chi[(2 * u_a - np.array(consts, dtype=np.int64)[:, None]) % q] * nu0
+        values = signs @ chars.norm_one.T / (q + 1)
+        values[deg0] = 1.0
+        values[[1, deg1]] = np.nan
+        cuspidal[variant] = values
+    minus_nu = -chars.norm_one[:, (q + 1) // 2]  # -1 = zeta^((q-1)(q+1)/2)
+    antipodal = {"minus_nu": minus_nu, "minus_nu0_nu": nu0[(q + 1) // 2] * minus_nu}
+    return ClosedForms(principal, cuspidal, antipodal)
+
+
+def principal_spherical(ctx, j, r):
+    """Principal-family value at radius r for the base-field character beta_j.
+
+    1 at r=0, beta_j(-1) at the antipodal radius 4*delta, and otherwise the
+    sphere average of beta_j over the y-coordinates. A lookup into
+    ``closed_forms``.
+    """
+    return complex(closed_forms(ctx).principal[r % ctx.q, j % (ctx.q - 1)])
 
 
 def cuspidal_spherical(ctx, j, r, infinity_reading="minus_nu", variant="reconciled"):
@@ -223,36 +270,26 @@ def cuspidal_spherical(ctx, j, r, infinity_reading="minus_nu", variant="reconcil
 
     At the antipodal radius the value is a constant with two candidate
     readings, -nu_j(-1) and -nu0(-1)*nu_j(-1); the spectral match
-    adjudicates between them rather than hard-coding one.
+    adjudicates between them rather than hard-coding one. A lookup into
+    ``closed_forms``.
     """
     q = ctx.q
     r %= q
     if nu_equals_inverse(ctx, j):
         raise ValueError(f"invalid character: nu_{j} is self-inverse on U")
+    forms = closed_forms(ctx)
     deg0, deg1 = degenerate_radii(ctx)
     if r == deg0:
         return complex(1.0)
-    minus_one = ExtElement(q - 1, 0)
     if r == deg1:
-        if infinity_reading == "minus_nu":
-            return -nu(ctx, j, minus_one)
-        if infinity_reading == "minus_nu0_nu":
-            return -nu0(ctx, minus_one) * nu(ctx, j, minus_one)
-        raise ValueError(f"unknown infinity_reading {infinity_reading!r}")
+        if infinity_reading not in CUSPIDAL_INFINITY_READINGS:
+            raise ValueError(f"unknown infinity_reading {infinity_reading!r}")
+        return complex(forms.antipodal[infinity_reading][j % (q + 1)])
     if r == 1:
         raise ValueError("singular radius r=1 is excluded from the cuspidal sum")
-    if variant == "reconciled":
-        two_c = (2 - r * ctx.inv(ctx.delta)) % q
-    elif variant == "verbatim":
-        two_c = 2 * (1 + r) * ctx.inv(1 - r) % q
-    else:
+    if variant not in CUSPIDAL_VARIANTS:
         raise ValueError(f"variant must be one of {CUSPIDAL_VARIANTS}, got {variant!r}")
-    total = 0.0 + 0.0j
-    for u in norm_one_subgroup(ctx):
-        eps = quadratic_character(ctx, (2 * u.a - two_c) % q)
-        if eps:
-            total += eps * nu0(ctx, u) * nu(ctx, j, u)
-    return total / (q + 1)
+    return complex(forms.cuspidal[variant][r, j % (q + 1)])
 
 
 def laplace_eigenvalue(table, i, r_s):
@@ -333,11 +370,12 @@ def match_formulas_to_oracle(ctx, r_s, table=None, tol=1e-9):
 
     radii = table.radii
     deg1 = degenerate_radii(ctx)[1]
+    forms = closed_forms(ctx)
     report = MatchReport(table=table)
     taken = set()
 
     for j in principal_class_indices(q):
-        values = np.array([principal_spherical(ctx, j, r) for r in radii])
+        values = forms.principal[radii, j]
         report.max_imag = max(report.max_imag, float(np.abs(values.imag).max()))
         devs = np.abs(table.omega - values.real[None, :]).max(axis=1)
         row = _best_row(devs, taken, tol, f"principal class beta_{j}")
@@ -349,56 +387,33 @@ def match_formulas_to_oracle(ctx, r_s, table=None, tol=1e-9):
                 partner_index=(q - 1 - j) % (q - 1),
                 row=row,
                 max_deviation=float(devs[row]),
-                deviation_by_radius={
-                    r: float(abs(table.omega[row, k] - values[k]))
-                    for k, r in enumerate(radii)
-                },
+                deviation_by_radius=dict(zip(radii, np.abs(table.omega[row] - values).tolist())),
             )
         )
 
+    defined = [r for r in radii if r != 1 and r != deg1]
+    cols = [table.radius_column(r) for r in defined]
+    inf_col = table.radius_column(deg1)
+    # with only the normalization radii defined the match is by elimination
+    informative = len(defined) > 1 or q > 3
     for j in cuspidal_class_indices(q):
-        defined = [r for r in radii if r != 1 and r != deg1]
-        values = {r: cuspidal_spherical(ctx, j, r) for r in defined}
-        verbatim = {r: cuspidal_spherical(ctx, j, r, variant="verbatim") for r in defined}
-        inf_values = {
-            reading: cuspidal_spherical(ctx, j, deg1, infinity_reading=reading)
-            for reading in CUSPIDAL_INFINITY_READINGS
-        }
-        report.max_imag = max(
-            report.max_imag, max(abs(v.imag) for v in values.values())
-        )
-        devs = np.empty(table.num_rows)
-        for i in range(table.num_rows):
-            dev = max(
-                abs(table.omega[i, table.radius_column(r)] - values[r]) for r in defined
-            )
-            inf_dev = min(
-                abs(table.omega[i, table.radius_column(deg1)] - v)
-                for v in inf_values.values()
-            )
-            devs[i] = max(dev, inf_dev)
+        values = forms.cuspidal["reconciled"][defined, j]
+        verbatim = forms.cuspidal["verbatim"][defined, j]
+        inf_values = {reading: forms.antipodal[reading][j] for reading in CUSPIDAL_INFINITY_READINGS}
+        report.max_imag = max(report.max_imag, float(np.abs(values.imag).max()))
+        inf_devs = np.array([np.abs(table.omega[:, inf_col] - v) for v in inf_values.values()])
+        devs = np.maximum(np.abs(table.omega[:, cols] - values).max(axis=1), inf_devs.min(axis=0))
         free = [i for i in range(table.num_rows) if i not in taken]
-        # with only the normalization radii defined the match is by elimination
-        informative = len(defined) > 1 or q > 3
         row = _best_row(devs, taken, tol, f"cuspidal class nu_{j}")
         taken.add(row)
-        inf_target = table.omega[row, table.radius_column(deg1)]
+        inf_target = table.omega[row, inf_col]
         best_reading = min(
             CUSPIDAL_INFINITY_READINGS, key=lambda rd: abs(inf_target - inf_values[rd])
         )
         if abs(inf_values["minus_nu"] - inf_values["minus_nu0_nu"]) <= tol:
             best_reading = "both (readings coincide)"
-        dev_by_r = {
-            r: float(abs(table.omega[row, table.radius_column(r)] - values[r]))
-            for r in defined
-        }
-        dev_by_r[deg1] = float(
-            min(abs(inf_target - v) for v in inf_values.values())
-        )
-        verbatim_dev = max(
-            (abs(table.omega[row, table.radius_column(r)] - verbatim[r]) for r in defined),
-            default=0.0,
-        )
+        dev_by_r = dict(zip(defined, np.abs(table.omega[row, cols] - values).tolist()))
+        dev_by_r[deg1] = float(inf_devs[:, row].min())
         report.matches.append(
             CharacterMatch(
                 kind="cuspidal",
@@ -410,7 +425,7 @@ def match_formulas_to_oracle(ctx, r_s, table=None, tol=1e-9):
                 excluded_radii=(1,),
                 by_elimination=not informative and len(free) == 1,
                 infinity_reading=best_reading,
-                verbatim_deviation=float(verbatim_dev),
+                verbatim_deviation=float(np.abs(table.omega[row, cols] - verbatim).max()),
             )
         )
 

@@ -12,25 +12,26 @@ index lattice (characters x norm-one indices) in two modes:
   for base-field indices, and the characteristic-function phase term. Its
   gap from the reconciled kernel is a measured finding, never corrected.
 
+Both modes are array code: the reconciled sum reads the closed-form tables
+of ``spherical.closed_forms``, and the verbatim sum multiplies phase tables
+built once per (q, delta) by per-radius sign vectors, for all times at once.
+
 ``classical_theta`` is the lattice sum theta(z, it) = sum_n e^(-pi n^2 t + 2 pi i n z),
 the circle-domain analogue the finite sums imitate.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .characters import beta
-from .field import ext_norm, ext_pow, ext_trace, quadratic_character
+import numpy as np
+
+from .field import field_tables
 from .heat import heat_kernel_oracle
-from .spherical import (
-    match_formulas_to_oracle,
-    principal_spherical,
-    cuspidal_spherical,
-    spherical_table,
-)
-from .uhp import build_graph, degenerate_radii, sphere
+from .spherical import closed_forms, match_formulas_to_oracle, spherical_table
+from .uhp import build_graph, degenerate_radii, orbit_labels
 
 THETA_MODES = ("verbatim", "reconciled")
 
@@ -52,107 +53,123 @@ class ThetaIndexSets:
     n_idx: tuple
 
 
-def index_sets(ctx, r):
-    """Enumerate U, V(r), O(r) and the full index set; r=1 is excluded."""
+class _ThetaTables(NamedTuple):
+    u_idx: np.ndarray  # the norm-one representatives (q-1)*(1..q+1)
+    u_phase: np.ndarray  # [l-1, k] = e^(2 pi i l u_k/(q^2-1)), l = 1..q^2-1
+    base_alpha: np.ndarray  # [l-1, y-1] = e^(2 pi i l y/(q-1)), l, y = 1..q-1
+    base_phase: np.ndarray  # [l-1, y-1] = e^(2 pi i l y (q+2)/(q^2-1)), l, y = 1..q-1
+
+
+@functools.lru_cache(maxsize=8)
+def _theta_tables(ctx):
+    """The radius-independent phases of the verbatim sum, built once per (q, delta).
+
+    Each argument is multiplied and divided in the order the printed sum
+    states it, as in ``character_tables``.
+    """
+    q, n2 = ctx.q, ctx.q * ctx.q - 1
+    fields = field_tables(ctx)
+    norm = (fields.power_a**2 - ctx.delta * fields.power_b**2) % q
+    u_idx = np.arange(q - 1, n2 + 1, q - 1)
+    # N(zeta^m) = N(zeta)^m and N(zeta) generates F_q^x, so N = 1 exactly on multiples of q-1
+    if not np.array_equal(np.flatnonzero(norm[np.arange(1, n2 + 1) % n2] == 1) + 1, u_idx):
+        raise AssertionError("the norm-one indices are not the multiples of q-1")
+    ls = np.arange(1, n2 + 1)
+    y = np.arange(1, q)
+    return _ThetaTables(
+        u_idx=u_idx,
+        u_phase=np.exp(1j * (2 * np.pi * ls[:, None] * u_idx / n2)),
+        base_alpha=np.exp(1j * (2 * np.pi * y[:, None] * y / (q - 1))),
+        base_phase=np.exp(1j * (2 * np.pi * y[:, None] * y * (q + 2) / n2)),
+    )
+
+
+def _index_masks(ctx, r):
+    """Masks over m = 0..q^2-1 (entry 0 unused): m in O(r), and m in V(r)."""
     q = ctx.q
     r %= q
     if r == 1:
         raise ValueError("singular radius r=1: pole of (r+1)/(r-1)")
-    n2 = q * q - 1
-    reps = range(1, n2 + 1)
-
-    u_idx = tuple(m for m in reps if ext_norm(ctx, ext_pow(ctx, ctx.zeta, m)) == 1)
-    v_r = tuple(sorted({z.y for z in sphere(ctx, r)}))
+    fields = field_tables(ctx)
     shift = (r + 1) * ctx.inv(r - 1) % q
-    o_r = tuple(
-        m
-        for m in reps
-        if quadratic_character(ctx, (ext_trace(ctx, ext_pow(ctx, ctx.zeta, m)) - shift) % q) == 1
+    in_o = np.zeros(q * q, dtype=bool)
+    # Tr(zeta^m) = 2a; the representative q^2-1 is zeta^0
+    in_o[1:] = fields.chi[(2 * np.roll(fields.power_a, -1) - shift) % q] == 1
+    in_v = np.zeros(q * q, dtype=bool)
+    in_v[np.flatnonzero(orbit_labels(ctx) == r) // q + 1] = True  # vertex i has y = i//q + 1
+    return in_o, in_v
+
+
+def index_sets(ctx, r):
+    """Enumerate U, V(r), O(r) and the full index set; r=1 is excluded."""
+    in_o, in_v = _index_masks(ctx, r)
+    q = ctx.q
+    return ThetaIndexSets(
+        q=q,
+        r=r % q,
+        u_idx=tuple(_theta_tables(ctx).u_idx.tolist()),
+        v_r=tuple(np.flatnonzero(in_v).tolist()),
+        o_r=tuple(np.flatnonzero(in_o).tolist()),
+        n_idx=tuple(range(1, q * q)),
     )
-    return ThetaIndexSets(q=q, r=r, u_idx=u_idx, v_r=v_r, o_r=o_r, n_idx=tuple(reps))
 
 
-def _chi_phase(m, o_r):
-    """e^(2 pi i (chi_O(m) + chi_N(m))/2): +1 inside O(r), -1 outside.
+def _finite_theta_verbatim(ctx, r, t_grid):
+    """The printed double sum at radius r for every t in t_grid, complex-valued.
 
-    chi_N is identically 1, so the exponent is (chi_O(m)+1)/2 and the factor
-    is a sign; its two-valuedness is asserted where it is used.
+    With sign(m) = e^(2 pi i (chi_O(m) + chi_N(m))/2) = +1 on O(r) and -1 off it
+    (chi_N is identically 1), the sum is
+        1/(q+1) sum_l e^(-alpha_r(l) t) sum_m sign(m) e^(2 pi i l m ...),
+    where m runs over V(r) with the (q+2) phase for the base-field indices
+    l < q, and over U - V(r) with e^(2 pi i l m/(q^2-1)) for the rest, and
+        alpha_r(l) = sum_(m in U) sign(m) e^(2 pi i l m/(q^2-1))
+                     + [l < q] sum_(y in V(r)) e^(2 pi i l y/(q-1)).
+    Each sum over m, for every l at once, is one product of a phase table
+    with a vector, and the sum over l for every t is one more product.
     """
-    return 1.0 if m in o_r else -1.0
-
-
-def _verbatim_alpha(ctx, sets, r, l, o_r_set):
-    """alpha_r(l) exactly as stated: radius-dependent, built from the printed sums."""
     q = ctx.q
-    n2 = q * q - 1
-    omega_c = sum(
-        _chi_phase(m, o_r_set) * cmath.exp(2j * cmath.pi * l * m / n2) for m in sets.u_idx
-    ) / (q + 1)
-    alpha = (q + 1) * omega_c
-    if 1 <= l <= q - 1:
-        omega_p = sum(
-            cmath.exp(2j * cmath.pi * l * m / (q - 1)) for m in sets.v_r
-        ) / (q + 1)
-        alpha += (q + 1) * omega_p
-    return alpha
+    tables = _theta_tables(ctx)
+    in_o, in_v = _index_masks(ctx, r)
+    sign = np.where(in_o, 1.0, -1.0)
+    u_sign = sign[tables.u_idx]
+    alpha = tables.u_phase @ u_sign
+    alpha[: q - 1] += tables.base_alpha @ in_v[1:q]
+    inner = np.concatenate([
+        tables.base_phase @ (sign[1:q] * in_v[1:q]),
+        tables.u_phase[q - 1 :] @ (u_sign * ~in_v[tables.u_idx]),
+    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.exp(-np.outer(t_grid, alpha)) @ inner / (q + 1)
+    if not np.isfinite(values).all():
+        raise OverflowError(f"verbatim theta overflows at r={r} for t up to {max(t_grid)}")
+    return values
 
 
-def _finite_theta_verbatim(ctx, r, t):
-    """The printed double sum, complex-valued; imaginary leakage is reported."""
-    q = ctx.q
-    n2 = q * q - 1
-    sets = index_sets(ctx, r)
-    o_r_set = set(sets.o_r)
-    v_r_set = set(sets.v_r)
+def reconciled_kernel(ctx, table, t_grid, match=None):
+    """Reconciled theta sums sum_i d_i e^(-lambda_i t) omega_i(r) as an array [t, radius column].
 
-    total = 0.0 + 0.0j
-    # base-field indices pair with V(r); the phase carries the (q+2) factor
-    for l in range(1, q):
-        alpha = _verbatim_alpha(ctx, sets, r, l, o_r_set)
-        for m in sets.v_r:
-            sign = _chi_phase(m, o_r_set)
-            assert abs(abs(sign) - 1.0) < 1e-15
-            phase = sign * cmath.exp(2j * cmath.pi * l * m * (q + 2) / n2)
-            total += cmath.exp(-alpha * t) * phase
-    # the remaining indices pair with U - V(r)
-    for l in range(q, n2 + 1):
-        alpha = _verbatim_alpha(ctx, sets, r, l, o_r_set)
-        for m in sets.u_idx:
-            if m in v_r_set:
-                continue
-            sign = _chi_phase(m, o_r_set)
-            phase = sign * cmath.exp(2j * cmath.pi * l * m / n2)
-            total += cmath.exp(-alpha * t) * phase
-    return total / (q + 1)
-
-
-def _reconciled_omega(ctx, table, kind, j, row, infinity_reading, r):
-    """Character-sum value of one spherical row at radius r, table fallback at r=1."""
-    q = ctx.q
-    deg1 = degenerate_radii(ctx)[1]
-    if r == 0:
-        return 1.0
-    if kind == "principal":
-        if r == deg1:
-            return beta(ctx, j, q - 1).real
-        return principal_spherical(ctx, j, r).real
-    if r == deg1:
-        reading = "minus_nu" if infinity_reading.startswith("both") else infinity_reading
-        return cuspidal_spherical(ctx, j, r, infinity_reading=reading).real
-    if r == 1:
-        # contractually excluded from the cuspidal sum; the spectral row is used
-        return float(table.omega[row, table.radius_column(1)])
-    return cuspidal_spherical(ctx, j, r).real
-
-
-def _finite_theta_reconciled(ctx, table, match, r, t):
-    total = 0.0
-    for m in match.matches:
-        lam = table.laplacian_eigenvalues[m.row]
-        d = table.degrees[m.row]
-        omega = _reconciled_omega(ctx, table, m.kind, m.index, m.row, m.infinity_reading, r)
-        total += d * math.exp(-lam * t) * omega
-    return total
+    One term per matched character class, with the true decay rate and degree
+    of its spectral row and its character-sum omega. The antipodal column takes
+    the adjudicated reading; column r=1, excluded from the cuspidal sum, takes
+    the spectral row. Pass the table's ``match_formulas_to_oracle`` report as
+    ``match`` to reuse it.
+    """
+    if match is None:
+        match = match_formulas_to_oracle(ctx, table.r_s, table=table)
+    forms = closed_forms(ctx)
+    deg1_col, one_col = table.radius_column(degenerate_radii(ctx)[1]), table.radius_column(1)
+    rows = [m.row for m in match.matches]
+    omega = np.empty((len(rows), table.q))
+    for i, m in enumerate(match.matches):
+        if m.kind == "principal":
+            omega[i] = forms.principal[table.radii, m.index].real
+            continue
+        omega[i] = forms.cuspidal["reconciled"][table.radii, m.index].real
+        reading = "minus_nu" if m.infinity_reading.startswith("both") else m.infinity_reading
+        omega[i, deg1_col] = forms.antipodal[reading][m.index].real
+        omega[i, one_col] = table.omega[m.row, one_col]
+    decay = np.exp(-np.outer(t_grid, table.laplacian_eigenvalues[rows]))
+    return (decay * table.degrees[rows]) @ omega
 
 
 def finite_theta(ctx, table, r, t, mode="reconciled", match=None):
@@ -166,11 +183,9 @@ def finite_theta(ctx, table, r, t, mode="reconciled", match=None):
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     if mode == "reconciled":
-        if match is None:
-            match = match_formulas_to_oracle(ctx, table.r_s, table=table)
-        return _finite_theta_reconciled(ctx, table, match, r % ctx.q, t)
+        return float(reconciled_kernel(ctx, table, [t], match)[0, table.radius_column(r)])
     if mode == "verbatim":
-        return _finite_theta_verbatim(ctx, r, t).real
+        return float(_finite_theta_verbatim(ctx, r, [t])[0].real)
     raise ValueError(f"mode must be one of {THETA_MODES}, got {mode!r}")
 
 
@@ -242,15 +257,15 @@ def theta_consistency_report(ctx, r_s, t_grid, graph=None, table=None, match=Non
     if match is None:
         match = match_formulas_to_oracle(ctx, table.r_s, table=table)
     oracle_by_t = {t: heat_kernel_oracle(graph, t).by_radius for t in t_grid}
+    kernel = reconciled_kernel(ctx, table, t_grid, match)
     deg0, deg1 = degenerate_radii(ctx)
     radii = [r for r in table.radii if r not in (deg0, deg1, 1)]
 
     report = ThetaReport(q=q, delta=ctx.delta, r_s=table.r_s, t_grid=list(t_grid))
     for r in radii:
-        for t in t_grid:
+        verbatim = _finite_theta_verbatim(ctx, r, t_grid)
+        for t, rec, verb in zip(t_grid, kernel[:, table.radius_column(r)].tolist(), verbatim.tolist()):
             oracle_val = oracle_by_t[t][r]
-            rec = _finite_theta_reconciled(ctx, table, match, r, t)
-            verb = _finite_theta_verbatim(ctx, r, t)
             report.rows.append(
                 ThetaReportRow(
                     r=r,

@@ -7,17 +7,17 @@ carry finding_only=True and never fail a run.
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from . import characters as chars
 from .field import (
+    EXT_ZERO,
     ExtElement,
     _prime_factors,
-    ext_mul,
     ext_norm,
     field_context,
+    field_tables,
     norm_one_subgroup,
     quadratic_character,
 )
@@ -29,7 +29,7 @@ from .heat import (
     method_of_images_check,
 )
 from .spherical import laplace_eigenvalue, match_formulas_to_oracle, spherical_table
-from .theta import classical_theta, finite_theta, theta_consistency_report
+from .theta import classical_theta, reconciled_kernel, theta_consistency_report
 from .uhp import (
     act,
     build_graph,
@@ -80,12 +80,16 @@ def field_checks(ctx):
     nu0_ok = all(chars.nu0(ctx, w) == (-1) ** k for k, w in enumerate(u))
     _check(out, f"q={q} nu0 = parity of U index", nu0_ok, "exhaustive")
 
-    elements = [ExtElement(a, b) for a in range(q) for b in range(q)]
-    norm_ok = all(
-        ext_norm(ctx, ext_mul(ctx, z, w)) == ext_norm(ctx, z) * ext_norm(ctx, w) % q
-        for z, w in product(elements, repeat=2)
+    # The dlog table is total, so every nonzero z is zeta^m for one m, and
+    # zeta^m * zeta^k = zeta^(m+k). N(zw) = N(z)N(w) on all nonzero pairs thus
+    # says that m -> N(zeta^m) is a homomorphism of the cyclic group, which holds
+    # exactly when N(zeta^m) = N(zeta)^m for every m; pairs with a zero need N(0) = 0.
+    n_zeta = ext_norm(ctx, ctx.zeta)
+    norm_ok = ext_norm(ctx, EXT_ZERO) == 0 and all(
+        ext_norm(ctx, z) == pow(n_zeta, m, q) for z, m in ctx.dlog_q2.items()
     )
-    _check(out, f"q={q} norm multiplicative", norm_ok, f"all {len(elements) ** 2} pairs")
+    _check(out, f"q={q} norm multiplicative", norm_ok,
+           f"N(zeta^m) = N(zeta)^m for all {len(ctx.dlog_q2)} m, N(0) = 0")
     return out
 
 
@@ -95,12 +99,13 @@ def character_checks(ctx):
     rep = chars.character_orthogonality_check(ctx)
     _check(out, f"q={q} character orthogonality", rep.max_residual <= 1e-12,
            f"max residual {rep.max_residual:.2e}")
-    mult_ok = all(
-        abs(chars.beta(ctx, j, a * b % q) - chars.beta(ctx, j, a) * chars.beta(ctx, j, b)) < 1e-12
-        for j in range(q - 1)
-        for a in range(1, q)
-        for b in range(1, q)
-    )
+    # beta_j(ab) against beta_j(a) beta_j(b) for all j, a, b: the multiplication
+    # table of F_q^x, read through dlog, picks columns of the character table
+    dlog, base = field_tables(ctx).dlog, chars.character_tables(ctx).base
+    units = np.arange(1, q)
+    beta = base[:, dlog[units]]  # beta[j, a-1] = beta_j(a)
+    beta_ab = base[:, dlog[units[:, None] * units % q]]
+    mult_ok = bool(np.abs(beta_ab - beta[:, :, None] * beta[:, None, :]).max() < 1e-12)
     _check(out, f"q={q} beta multiplicative", mult_ok, "exhaustive")
     mags = max(
         abs(abs(chars.ext_char(ctx, j, z)) - 1.0)
@@ -297,11 +302,10 @@ def theta_checks(graph, match):
     ctx, q = graph.ctx, graph.ctx.q
     out = []
     table = match.table
-    dev = 0.0
-    for t in (0.0, 0.1, 1.0):
-        spec = heat_kernel_spectral(table, t)
-        for r in table.radii:
-            dev = max(dev, abs(finite_theta(ctx, table, r, t, match=match) - spec.by_radius[r]))
+    t_grid = (0.0, 0.1, 1.0)
+    kernel = reconciled_kernel(ctx, table, t_grid, match)
+    spec = np.array([[heat_kernel_spectral(table, t).by_radius[r] for r in table.radii] for t in t_grid])
+    dev = float(np.abs(kernel - spec).max())
     _check(out, f"q={q} reconciled theta = spectral kernel", dev <= 1e-12, f"{dev:.2e}")
 
     report = theta_consistency_report(ctx, graph.r_s, [0.1, 1.0], graph=graph, table=table,

@@ -7,6 +7,7 @@ import pytest
 from fuhp.characters import (
     beta,
     character_orthogonality_check,
+    character_tables,
     ext_char,
     nu,
     nu0,
@@ -53,6 +54,19 @@ def test_orthogonality_residual(q):
     ctx = field_context(q)
     report = character_orthogonality_check(ctx)
     assert report.max_residual <= 1e-12
+
+
+@pytest.mark.parametrize("q", [5, 13, 101])
+def test_character_tables_equal_scalar_characters(q):
+    # the array phases form each argument as the scalar ones do: equal to within one ulp
+    ctx = field_context(q)
+    tables = character_tables(ctx)
+    for j in range(q - 1):
+        for a in range(1, q):
+            assert abs(tables.base[j, ctx.dlog_q[a]] - beta(ctx, j, a)) <= 2**-52
+    for j in range(q + 1):
+        for k, u in enumerate(norm_one_subgroup(ctx)):
+            assert abs(tables.norm_one[j, k] - nu(ctx, j, u)) <= 2**-52
 
 
 def test_nu_frozen_values():

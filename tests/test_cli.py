@@ -96,6 +96,23 @@ def test_heat_q101_memory(tmp_path):
     assert max(s["oracle_deviation"] for s in series) <= 1e-11 * 101 * 100
 
 
+def test_theta_q101_memory(tmp_path):
+    # a child process, so that its own peak RSS is measured by wait4
+    env = dict(os.environ, PYTHONPATH=str(Path(fuhp.__file__).parents[1]))
+    out = tmp_path / "theta.json"
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "fuhp.cli", "theta", "--q", "101", "--r-s", "2",
+                             "--t", "1", "--mode", "both", "--out", str(out)], env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
+    assert os.waitstatus_to_exitcode(status) == EXIT_OK
+    assert peak_mb < 300, f"peak RSS {peak_mb:.0f} MB (wall {wall:.2f} s)"
+    rows = read_json(out)["data"]["rows"]
+    assert len(rows) == 98  # every radius but 0, 4*delta and 1
+    assert max(row["reconciled_deviation"] for row in rows) <= 1e-11 * 101 * 100
+
+
 def test_heat_csv_q3(tmp_path):
     out = tmp_path / "heat.csv"
     assert main(["heat", "--q", "3", "--r-s", "1", "--t", "0,1", "--format", "csv",

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from fuhp.field import field_context, is_odd_prime
+from fuhp.characters import beta, nu, nu0, nu_equals_inverse
+from fuhp.field import ExtElement, field_context, is_odd_prime, norm_one_subgroup, quadratic_character
 from fuhp.spherical import (
+    CUSPIDAL_INFINITY_READINGS,
+    CUSPIDAL_VARIANTS,
+    closed_forms,
     cuspidal_spherical,
     laplace_eigenvalue,
     match_formulas_to_oracle,
@@ -13,7 +17,7 @@ from fuhp.spherical import (
     spherical_table,
 )
 from fuhp.theta import finite_theta, theta_consistency_report
-from fuhp.uhp import base_point, build_graph, degenerate_radii, distance, radii_order
+from fuhp.uhp import base_point, build_graph, degenerate_radii, distance, radii_order, sphere
 
 
 def table_for(q, r_s=None, delta=None):
@@ -120,6 +124,53 @@ def test_principal_values_real():
                 assert abs(principal_spherical(ctx, j, r).imag) <= 1e-10
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 13])
+def test_closed_forms_match_their_definitions(q):
+    # loops over the sphere and over U, in scalar characters, against the array tables
+    ctx = field_context(q)
+    deg0, deg1 = degenerate_radii(ctx)
+    forms = closed_forms(ctx)
+    assert forms.principal.shape == (q, q - 1)
+    for j in range(q - 1):
+        for r in range(q):
+            if r == deg0:
+                want = 1.0
+            elif r == deg1:
+                want = beta(ctx, j, q - 1)
+            else:
+                want = sum(beta(ctx, j, z.y) for z in sphere(ctx, r)) / (q + 1)
+            assert abs(forms.principal[r, j] - want) <= 1e-12
+            assert abs(principal_spherical(ctx, j, r) - want) <= 1e-12
+
+    minus_one = ExtElement(q - 1, 0)
+    constants = {
+        "reconciled": lambda r: (2 - r * pow(ctx.delta, -1, q)) % q,
+        "verbatim": lambda r: 2 * (1 + r) * pow(1 - r, -1, q) % q,
+    }
+    for j in range(q + 1):
+        if nu_equals_inverse(ctx, j):
+            continue
+        readings = {
+            "minus_nu": -nu(ctx, j, minus_one),
+            "minus_nu0_nu": -nu0(ctx, minus_one) * nu(ctx, j, minus_one),
+        }
+        for reading in CUSPIDAL_INFINITY_READINGS:
+            got = cuspidal_spherical(ctx, j, deg1, infinity_reading=reading)
+            assert abs(got - readings[reading]) <= 1e-12
+        for variant in CUSPIDAL_VARIANTS:
+            assert cuspidal_spherical(ctx, j, deg0, variant=variant) == 1
+            for r in range(q):
+                if r in (deg0, deg1, 1):
+                    continue
+                two_c = constants[variant](r)
+                want = sum(
+                    quadratic_character(ctx, 2 * u.a - two_c) * nu0(ctx, u) * nu(ctx, j, u)
+                    for u in norm_one_subgroup(ctx)
+                ) / (q + 1)
+                assert abs(forms.cuspidal[variant][r, j] - want) <= 1e-12
+                assert abs(cuspidal_spherical(ctx, j, r, variant=variant) - want) <= 1e-12
+
+
 def test_cuspidal_normalization_and_errors():
     ctx = field_context(5)
     assert cuspidal_spherical(ctx, 1, 0) == pytest.approx(1)
@@ -129,6 +180,10 @@ def test_cuspidal_normalization_and_errors():
         cuspidal_spherical(ctx, 3, 2)  # index 3 = (q+1)/2 is self-inverse on U
     with pytest.raises(ValueError, match="self-inverse"):
         cuspidal_spherical(ctx, 0, 2)
+    with pytest.raises(ValueError, match="infinity_reading"):
+        cuspidal_spherical(ctx, 1, 3, infinity_reading="plus_nu")  # 3 = 4*delta
+    with pytest.raises(ValueError, match="variant"):
+        cuspidal_spherical(ctx, 1, 2, variant="printed")
 
 
 def test_cuspidal_matches_oracle_rows_q5():

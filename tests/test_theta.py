@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuhp.field import ext_norm, ext_pow, ext_trace, field_context
+from fuhp.field import ext_norm, ext_pow, ext_trace, field_context, quadratic_character
 from fuhp.heat import heat_kernel_spectral
 from fuhp.spherical import spherical_table
 from fuhp.theta import (
@@ -18,6 +18,48 @@ from fuhp.theta import (
     theta_consistency_report,
 )
 from fuhp.uhp import degenerate_radii, sphere
+
+
+def brute_index_sets(ctx, r):
+    """U, V(r) and O(r) by enumerating zeta^m with ext_pow, m = 1..q^2-1."""
+    q = ctx.q
+    powers = [ext_pow(ctx, ctx.zeta, m) for m in range(1, q * q)]
+    shift = (r + 1) * pow(r - 1, -1, q) % q
+    u_idx = tuple(m for m, z in enumerate(powers, 1) if ext_norm(ctx, z) == 1)
+    v_r = tuple(sorted({z.y for z in sphere(ctx, r)}))
+    o_r = tuple(
+        m for m, z in enumerate(powers, 1)
+        if quadratic_character(ctx, (ext_trace(ctx, z) - shift) % q) == 1
+    )
+    return u_idx, v_r, o_r
+
+
+def scalar_verbatim(ctx, r, t, sets):
+    """The printed double sum term by term in cmath: the oracle of the array path."""
+    q = ctx.q
+    n2 = q * q - 1
+    u_idx, v_r, o_r = sets
+    sign = {m: 1.0 if m in o_r else -1.0 for m in range(1, n2 + 1)}
+
+    def alpha(l):
+        omega_c = sum(sign[m] * cmath.exp(2j * cmath.pi * l * m / n2) for m in u_idx) / (q + 1)
+        out = (q + 1) * omega_c
+        if 1 <= l <= q - 1:
+            omega_p = sum(cmath.exp(2j * cmath.pi * l * m / (q - 1)) for m in v_r) / (q + 1)
+            out += (q + 1) * omega_p
+        return out
+
+    total = 0.0 + 0.0j
+    for l in range(1, q):
+        decay = cmath.exp(-alpha(l) * t)
+        for m in v_r:
+            total += decay * sign[m] * cmath.exp(2j * cmath.pi * l * m * (q + 2) / n2)
+    for l in range(q, n2 + 1):
+        decay = cmath.exp(-alpha(l) * t)
+        for m in u_idx:
+            if m not in v_r:
+                total += decay * sign[m] * cmath.exp(2j * cmath.pi * l * m / n2)
+    return total / (q + 1)
 
 
 def test_index_sets_q3_frozen():
@@ -50,6 +92,39 @@ def test_index_sets_u_is_norm_one():
     for m in sets.u_idx:
         assert ext_norm(ctx, ext_pow(ctx, ctx.zeta, m)) == 1
     assert len(sets.u_idx) == 6
+
+
+@pytest.mark.parametrize("q", [5, 13])
+def test_index_sets_match_brute_force(q):
+    ctx = field_context(q)
+    for r in range(q):
+        if r == 1:
+            continue
+        sets = index_sets(ctx, r)
+        assert (sets.u_idx, sets.v_r, sets.o_r) == brute_index_sets(ctx, r)
+        assert sets.n_idx == tuple(range(1, q * q))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 13])
+def test_verbatim_matches_scalar_oracle(q):
+    ctx = field_context(q)
+    n = q * (q - 1)
+    t_grid = [0.0, 0.05, 1.0, 2.0]
+    sets = {r: brute_index_sets(ctx, r) for r in range(q) if r != 1}
+    oracle = {(r, t): scalar_verbatim(ctx, r, t, sets[r]) for r in sets for t in t_grid}
+    # finite_theta covers the degenerate radii too; the report every r outside {0, 4 delta, 1}
+    table = spherical_table(ctx, 1)
+    for (r, t), v in oracle.items():
+        got = finite_theta(ctx, table, r, t, mode="verbatim")
+        assert abs(got - v.real) <= 1e-12 * max(abs(v), n)
+    report = theta_consistency_report(ctx, 1, t_grid)
+    assert len(report.rows) == (q - 3) * len(t_grid)
+    for row in report.rows:
+        v = oracle[row.r, row.t]
+        scale = 1e-12 * max(abs(v), n)
+        assert abs(row.verbatim - v.real) <= scale
+        assert abs(row.verbatim_imag - abs(v.imag)) <= scale
+        assert abs(row.verbatim_deviation - abs(v - row.reconciled)) <= scale
 
 
 def test_index_sets_pole():
@@ -86,6 +161,15 @@ def test_finite_theta_errors():
         finite_theta(ctx, table, 2, 1.0, mode="nonsense")
     with pytest.raises(ValueError, match="r=1"):
         finite_theta(ctx, table, 1, 1.0, mode="verbatim")
+
+
+def test_verbatim_overflow_raises():
+    # the printed sum grows like e^(-min Re alpha * t); past the float range it raises as cmath did
+    ctx = field_context(7)
+    table = spherical_table(ctx, 1)
+    assert math.isfinite(finite_theta(ctx, table, 2, 100.0, mode="verbatim"))
+    with pytest.raises(OverflowError):
+        finite_theta(ctx, table, 2, 1000.0, mode="verbatim")
 
 
 def test_verbatim_runs_and_deviates():
