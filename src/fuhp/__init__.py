@@ -40,7 +40,6 @@ from .spherical import (
 )
 from .heat import (
     GroupGraph,
-    HeatKernelResult,
     build_group_graph,
     fourier_coefficient_check,
     heat_kernel_oracle,
@@ -61,7 +60,6 @@ __all__ = [
     "ExtElement",
     "FieldCtx",
     "GroupGraph",
-    "HeatKernelResult",
     "Point",
     "SphericalTable",
     "ThetaIndexSets",

@@ -6,9 +6,11 @@ base field and nu_j(zeta^m) = exp(2*pi*i*j*m/(q^2-1)) on the extension. All
 values are roots of unity of order at most q^2-1, carried in double precision.
 
 ``character_tables`` holds the same values as arrays. Every phase there is
-np.exp(1j * (2*pi*j*m/modulus)) with the argument multiplied and divided in
-that order, as the scalar cmath expression forms it, so each entry equals the
-scalar value wherever numpy's exp rounds like the C library's sin and cos.
+np.exp(1j * (2*pi*(j*m mod modulus)/modulus)) with the argument multiplied and
+divided in that order, as the scalar cmath expression forms it, so each entry
+equals the scalar value wherever numpy's exp rounds like the C library's sin
+and cos. Reducing j*m first keeps the argument in [0, 2*pi), where its
+rounding does not grow with |j*m|.
 """
 
 import cmath
@@ -26,7 +28,7 @@ def beta(ctx, j, a):
     a %= ctx.q
     if a == 0:
         raise ValueError("beta is only defined on F_q^x (a = 0 given)")
-    return cmath.exp(2j * cmath.pi * j * ctx.dlog_q[a] / (ctx.q - 1))
+    return cmath.exp(2j * cmath.pi * (j * ctx.dlog_q[a] % (ctx.q - 1)) / (ctx.q - 1))
 
 
 def ext_char(ctx, j, z):
@@ -34,7 +36,7 @@ def ext_char(ctx, j, z):
     if z.is_zero():
         raise ValueError("character undefined at zero")
     n2 = ctx.q * ctx.q - 1
-    return cmath.exp(2j * cmath.pi * j * ctx.dlog_q2[z] / n2)
+    return cmath.exp(2j * cmath.pi * (j * ctx.dlog_q2[z] % n2) / n2)
 
 
 def nu(ctx, j, u):
@@ -84,9 +86,9 @@ def character_tables(ctx):
     """The characters of F_q^x and of U as arrays, built once per (q, delta); do not modify."""
     q = ctx.q
     j = np.arange(q - 1)
-    base = np.exp(1j * (2 * np.pi * j[:, None] * j / (q - 1)))
+    base = np.exp(1j * (2 * np.pi * (j[:, None] * j % (q - 1)) / (q - 1)))
     k = np.arange(q + 1)
-    norm_one = np.exp(1j * (2 * np.pi * k[:, None] * ((q - 1) * k) / (q * q - 1)))
+    norm_one = np.exp(1j * (2 * np.pi * (k[:, None] * ((q - 1) * k) % (q * q - 1)) / (q * q - 1)))
     return CharacterTables(base, norm_one)
 
 

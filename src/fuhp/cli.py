@@ -240,21 +240,13 @@ def cmd_heat(args):
     radii = radii_order(ctx)
     blocks = []
     for r_s in _radii_arg(ctx, args.r_s):
-        graph = build_graph(ctx, r_s)
-        table = spherical_table(ctx, r_s)
-        series = []
-        for t in t_grid:
-            spec = heat_kernel_spectral(table, t)
-            orac = heat_kernel_oracle(graph, t)
-            series.append(
-                {
-                    "t": t,
-                    "values": [spec.by_radius[r] for r in radii],
-                    "oracle_deviation": max(
-                        abs(spec.by_radius[r] - orac.by_radius[r]) for r in radii
-                    ),
-                }
-            )
+        spec = heat_kernel_spectral(spherical_table(ctx, r_s), t_grid)
+        oracle = heat_kernel_oracle(build_graph(ctx, r_s), t_grid).by_radius
+        deviation = np.abs(spec - oracle).max(axis=1)
+        series = [
+            {"t": t, "values": values, "oracle_deviation": dev}
+            for t, values, dev in zip(t_grid, spec.tolist(), deviation.tolist())
+        ]
         blocks.append({"r_s": r_s, "radii": radii, "series": series})
     header = ["t"] + [f"E_r{r}" for r in radii] + ["oracle_deviation"]
     return _emit_runs(ctx, args, blocks, header,

@@ -17,6 +17,9 @@ whole oracle costs O(K * n(q+1)) with K ~ rate + O(sqrt(rate)). Every term is
 non-negative, so nothing cancels: the result carries the truncated tail
 (<= u) plus rounding of about K*u relative in each entry.
 
+Both kernels take a grid of times and return arrays [t, radius column]; the
+oracle walks once, to the largest t of the grid, and also returns [t, vertex].
+
 The module also lifts the problem to the full group of invertible 2x2
 matrices and verifies that averaging the lifted kernel over the point
 stabilizer reproduces the quotient kernel (the method of images).
@@ -24,6 +27,7 @@ stabilizer reproduces the quotient kernel (the method of images).
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,32 +39,27 @@ from .uhp import (
     build_graph,
     point_index,
     radial_values,
-    radii_order,
     sphere,
 )
 
 
-@dataclass
-class HeatKernelResult:
-    """E(t; .) by radius, plus the vertex-level values when computed."""
+def _time_grid(t_grid):
+    """The times as a 1-D float array; a scalar or a negative time raises ValueError."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1:
+        raise ValueError(f"times must be a 1-D sequence, got shape {t_grid.shape}")
+    if (t_grid < 0).any():
+        raise ValueError(f"time must be nonnegative, got {t_grid.min()}")
+    return t_grid
 
-    t: float
-    params: tuple  # (q, delta, r_s)
-    by_radius: dict
-    by_vertex: np.ndarray = None
 
+def heat_kernel_spectral(table, t_grid):
+    """Spectral expansion E(t; r) = sum_i d_i * exp(-lambda_i * t) * omega_i(r).
 
-def heat_kernel_spectral(table, t):
-    """Spectral expansion E(t; r) = sum_i d_i * exp(-lambda_i * t) * omega_i(r)."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    weights = table.degrees * np.exp(-table.laplacian_eigenvalues * t)
-    values = weights @ table.omega
-    return HeatKernelResult(
-        t=float(t),
-        params=(table.q, table.delta, table.r_s),
-        by_radius={r: float(v) for r, v in zip(table.radii, values)},
-    )
+    One array [t, radius column] for the whole grid, columns in ``table.radii``.
+    """
+    weights = table.degrees * np.exp(-np.outer(_time_grid(t_grid), table.laplacian_eigenvalues))
+    return weights @ table.omega
 
 
 def poisson_weights(rate):
@@ -91,40 +90,49 @@ def poisson_weights(rate):
         weights.append(nxt)
 
 
-def heat_kernel_oracle(graph, t, base=None):
-    """Matrix-exponential oracle E(t; .) = q(q-1) * exp(-t*Laplacian) e_base.
+class OracleKernel(NamedTuple):
+    """E(t; .) of the oracle for a grid of times: [t, radius column] and [t, vertex]."""
+
+    by_radius: np.ndarray  # columns in radii_order
+    by_vertex: np.ndarray  # columns in the graph's vertex order
+
+
+def heat_kernel_oracle(graph, t_grid, base=None):
+    """Matrix-exponential oracle E(t; .) = q(q-1) * exp(-t*Laplacian) e_base for every t in t_grid.
 
     Uniformization, with no eigendecomposition: n * sum_{k<=K} w_k P^k e_base,
     where w = poisson_weights((q+1)t) and P = A/(q+1) is applied as a sum over
-    the neighbour array. Cost O(K * n(q+1)) with K ~ (q+1)t + O(sqrt((q+1)t));
-    error: the dropped Poisson tail (<= u) plus about K*u relative per entry,
-    as every term is non-negative. Radius values are read off the orbits
-    around the base point, asserting constancy on each orbit.
+    the neighbour array. One walk serves the whole grid: the weight rows are
+    zero-padded to the largest K, and adding a zero term leaves a sum as it
+    is, so each row equals the walk for its time alone, bit for bit. Cost
+    O(K * n(q+1)) with K ~ (q+1)t + O(sqrt((q+1)t)) for the largest t; error:
+    the dropped Poisson tail (<= u) plus about K*u relative per entry, as
+    every term is non-negative. Radius values are read off the orbits around
+    the base point, asserting constancy on each orbit.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    t_grid = _time_grid(t_grid)
     ctx = graph.ctx
     q = ctx.q
     n = graph.n
     if base is None:
         base = base_point()
-    weights, _ = poisson_weights((q + 1) * t)
+    rows = [poisson_weights((q + 1) * t)[0] for t in t_grid]
+    weights = np.zeros((len(rows), max(map(len, rows), default=1)))
+    for i, row in enumerate(rows):
+        weights[i, : len(row)] = row
     walk = np.zeros(n)
-    walk[graph.index[base]] = 1.0
-    acc = weights[0] * walk
-    for w_k in weights[1:]:
+    walk[point_index(ctx, base)] = 1.0
+    acc = np.outer(weights[:, 0], walk)
+    for w_k in weights.T[1:]:
         walk = walk[graph.neighbors].sum(axis=1) / (q + 1)
-        acc += w_k * walk
+        acc += np.outer(w_k, walk)
     by_vertex = n * acc
 
     around_base = by_vertex
     if base != base_point():
         # distance is invariant under left translation: d(base . z, base) = d(z, sqrt(delta))
-        around_base = by_vertex[[graph.index[act(ctx, base, z)] for z in graph.points]]
-    out = dict(zip(radii_order(ctx), radial_values(ctx, around_base, "oracle kernel")))
-    return HeatKernelResult(
-        t=float(t), params=(q, ctx.delta, graph.r_s), by_radius=out, by_vertex=by_vertex
-    )
+        around_base = by_vertex[:, [point_index(ctx, act(ctx, base, z)) for z in graph.points]]
+    return OracleKernel(radial_values(ctx, around_base, "oracle kernel"), by_vertex)
 
 
 def initial_condition_check(graph, f, t_grid):
@@ -137,37 +145,30 @@ def initial_condition_check(graph, f, t_grid):
     n = graph.n
     if f.shape != (n,):
         raise ValueError(f"test function must have one value per vertex ({n})")
-    base_i = graph.index[base_point()]
-    out = []
-    for t in t_grid:
-        kern = heat_kernel_oracle(graph, t)
-        out.append(float(abs(kern.by_vertex @ f / n - f[base_i])))
-    return out
+    kernel = heat_kernel_oracle(graph, t_grid).by_vertex
+    return np.abs(kernel @ f / n - f[point_index(graph.ctx, base_point())]).tolist()
 
 
 @dataclass
 class FourierCoefficientReport:
-    t: float
-    coefficients: np.ndarray
-    expected: np.ndarray
+    t_grid: list
+    coefficients: np.ndarray  # [t, row]
+    expected: np.ndarray  # [t, row]
     max_deviation: float
 
 
-def fourier_coefficient_check(table, t):
+def fourier_coefficient_check(table, t_grid):
     """Recover a_i(t) from E(t; .) by orthogonality and compare with d_i e^(-lambda_i t).
 
-    a_i(t) = (d_i / (q(q-1))) * sum_r |S_r| E(t; r) conj(omega_i(r)).
+    a_i(t) = (d_i / (q(q-1))) * sum_r |S_r| E(t; r) conj(omega_i(r)), for every t in t_grid.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    t_grid = _time_grid(t_grid)
     n = table.q * (table.q - 1)
-    kern = heat_kernel_spectral(table, t)
-    e_vals = np.array([kern.by_radius[r] for r in table.radii])
-    weighted_sums = (table.omega * table.orbit_sizes[None, :]) @ e_vals
-    coeffs = table.degrees / n * weighted_sums
-    expected = table.degrees * np.exp(-table.laplacian_eigenvalues * t)
+    kernel = heat_kernel_spectral(table, t_grid)
+    coeffs = table.degrees / n * (kernel @ (table.omega * table.orbit_sizes[None, :]).T)
+    expected = table.degrees * np.exp(-np.outer(t_grid, table.laplacian_eigenvalues))
     return FourierCoefficientReport(
-        t=float(t),
+        t_grid=t_grid.tolist(),
         coefficients=coeffs,
         expected=expected,
         max_deviation=float(np.abs(coeffs - expected).max()),
@@ -333,13 +334,12 @@ def method_of_images_check(ctx, r_s, t_grid, graph=None, group_graph=None):
     lap_lift = (q + 1) * np.eye(gg.n) - gg.adjacency.astype(float) / k_order
     w, v = np.linalg.eigh(lap_lift)
 
-    members = [np.flatnonzero(gg.coset_of == z) for z in range(n_h)]
-    deviation_by_t = {}
-    for t in t_grid:
-        e_lift = gg.n * (v @ (v[ident] * np.exp(-w * t)))
-        averaged = np.array([e_lift[mem].mean() for mem in members])
-        quotient = heat_kernel_oracle(graph, t).by_vertex
-        deviation_by_t[float(t)] = float(np.abs(averaged - quotient).max())
+    t_grid = _time_grid(t_grid)
+    e_lift = gg.n * ((v[ident] * np.exp(-np.outer(t_grid, w))) @ v.T)
+    # every coset g*K has |K| members, so its mean is the coset sum over |K|
+    averaged = e_lift @ lift / k_order
+    quotient = heat_kernel_oracle(graph, t_grid).by_vertex
+    deviation_by_t = dict(zip(t_grid.tolist(), np.abs(averaged - quotient).max(axis=1).tolist()))
 
     return ImagesReport(
         q=q,

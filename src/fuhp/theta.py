@@ -23,13 +23,13 @@ the circle-domain analogue the finite sums imitate.
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .field import field_tables
-from .heat import heat_kernel_oracle
+from .heat import heat_kernel_oracle, heat_kernel_spectral
 from .spherical import closed_forms, match_formulas_to_oracle, spherical_table
 from .uhp import build_graph, degenerate_radii, orbit_labels
 
@@ -148,28 +148,26 @@ def _finite_theta_verbatim(ctx, r, t_grid):
 def reconciled_kernel(ctx, table, t_grid, match=None):
     """Reconciled theta sums sum_i d_i e^(-lambda_i t) omega_i(r) as an array [t, radius column].
 
-    One term per matched character class, with the true decay rate and degree
-    of its spectral row and its character-sum omega. The antipodal column takes
-    the adjudicated reading; column r=1, excluded from the cuspidal sum, takes
-    the spectral row. Pass the table's ``match_formulas_to_oracle`` report as
-    ``match`` to reuse it.
+    The spectral kernel of the table with each row replaced by the
+    character-sum omega of its matched class: the true decay rates and
+    degrees stay. The antipodal column takes the adjudicated reading; column
+    r=1, excluded from the cuspidal sum, keeps the spectral row. Pass the
+    table's ``match_formulas_to_oracle`` report as ``match`` to reuse it.
     """
     if match is None:
         match = match_formulas_to_oracle(ctx, table.r_s, table=table)
     forms = closed_forms(ctx)
     deg1_col, one_col = table.radius_column(degenerate_radii(ctx)[1]), table.radius_column(1)
-    rows = [m.row for m in match.matches]
-    omega = np.empty((len(rows), table.q))
-    for i, m in enumerate(match.matches):
+    omega = table.omega.copy()
+    for m in match.matches:
         if m.kind == "principal":
-            omega[i] = forms.principal[table.radii, m.index].real
+            omega[m.row] = forms.principal[table.radii, m.index].real
             continue
-        omega[i] = forms.cuspidal["reconciled"][table.radii, m.index].real
+        omega[m.row] = forms.cuspidal["reconciled"][table.radii, m.index].real
         reading = "minus_nu" if m.infinity_reading.startswith("both") else m.infinity_reading
-        omega[i, deg1_col] = forms.antipodal[reading][m.index].real
-        omega[i, one_col] = table.omega[m.row, one_col]
-    decay = np.exp(-np.outer(t_grid, table.laplacian_eigenvalues[rows]))
-    return (decay * table.degrees[rows]) @ omega
+        omega[m.row, deg1_col] = forms.antipodal[reading][m.index].real
+        omega[m.row, one_col] = table.omega[m.row, one_col]
+    return heat_kernel_spectral(replace(table, omega=omega), t_grid)
 
 
 def finite_theta(ctx, table, r, t, mode="reconciled", match=None):
@@ -256,7 +254,7 @@ def theta_consistency_report(ctx, r_s, t_grid, graph=None, table=None, match=Non
         table = spherical_table(ctx, r_s)
     if match is None:
         match = match_formulas_to_oracle(ctx, table.r_s, table=table)
-    oracle_by_t = {t: heat_kernel_oracle(graph, t).by_radius for t in t_grid}
+    oracle = heat_kernel_oracle(graph, t_grid).by_radius
     kernel = reconciled_kernel(ctx, table, t_grid, match)
     deg0, deg1 = degenerate_radii(ctx)
     radii = [r for r in table.radii if r not in (deg0, deg1, 1)]
@@ -264,8 +262,9 @@ def theta_consistency_report(ctx, r_s, t_grid, graph=None, table=None, match=Non
     report = ThetaReport(q=q, delta=ctx.delta, r_s=table.r_s, t_grid=list(t_grid))
     for r in radii:
         verbatim = _finite_theta_verbatim(ctx, r, t_grid)
-        for t, rec, verb in zip(t_grid, kernel[:, table.radius_column(r)].tolist(), verbatim.tolist()):
-            oracle_val = oracle_by_t[t][r]
+        col = table.radius_column(r)
+        for t, oracle_val, rec, verb in zip(t_grid, oracle[:, col].tolist(), kernel[:, col].tolist(),
+                                            verbatim.tolist()):
             report.rows.append(
                 ThetaReportRow(
                     r=r,

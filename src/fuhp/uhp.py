@@ -97,7 +97,6 @@ class UhpGraph:
         self.ctx = ctx
         self.r_s = r_s
         self.points = points
-        self.index = {z: i for i, z in enumerate(points)}
         self.neighbors = neighbors
         self._eig = None
 
@@ -202,18 +201,25 @@ def orbit_decomposition(ctx):
     return {r: np.flatnonzero(labels == r).tolist() for r in dict.fromkeys(labels.tolist())}
 
 
-def radial_values(ctx, vec, what):
-    """Values by radius (radii_order) of a vertex function ``what``, asserted constant on orbits."""
+def radial_values(ctx, vecs, what):
+    """Values by radius (radii_order) of the vertex function ``what``, asserted constant on orbits.
+
+    ``vecs`` is one function (shape [n]) or one per row (shape [rows, n]); the
+    result has the same leading shape, with one column per radius.
+    """
     labels = orbit_labels(ctx)
-    out = []
-    for r in radii_order(ctx):
-        vals = vec[labels == r]
-        spread = vals.max() - vals.min()
-        assert spread <= ORBIT_CONSTANCY_TOL * max(1.0, abs(vals).max()), (
-            f"{what} not constant on orbit r={r} (spread {spread:.3e})"
+    radii = radii_order(ctx)
+    out = np.empty(vecs.shape[:-1] + (len(radii),))
+    for k, r in enumerate(radii):
+        # contiguous rows, so that each row mean adds in the order of a 1-D vector's mean
+        vals = np.ascontiguousarray(vecs[..., labels == r])
+        spread = vals.max(axis=-1) - vals.min(axis=-1)
+        scale = np.maximum(1.0, np.abs(vals).max(axis=-1))
+        assert np.all(spread <= ORBIT_CONSTANCY_TOL * scale), (
+            f"{what} not constant on orbit r={r} (spread {np.max(spread):.3e})"
         )
-        out.append(float(vals.mean()))
-    return np.array(out)
+        out[..., k] = vals.mean(axis=-1)
+    return out
 
 
 def orbit_sizes(ctx):

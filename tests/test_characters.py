@@ -49,8 +49,9 @@ def test_beta_multiplicative_exhaustive(q):
                 )
 
 
-@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("q", [3, 5, 7, 101])
 def test_orthogonality_residual(q):
+    # the phases reduce j*m mod N first: from the unreduced product the residual reached 1.95e-12 at q=101
     ctx = field_context(q)
     report = character_orthogonality_check(ctx)
     assert report.max_residual <= 1e-12

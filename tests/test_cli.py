@@ -196,6 +196,14 @@ def test_byte_identical_reruns(tmp_path):
         assert main(["heat", "--q", "5", "--r-s", "1", "--t", "0,0.5,1",
                      "--out", str(path)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+    # one oracle walk per grid: an unsorted grid with 0 and a repeated time, every radius
+    e, f = tmp_path / "e.csv", tmp_path / "f.csv"
+    for path in (e, f):
+        assert main(["heat", "--q", "13", "--r-s", "all-regular", "--t", "1,0,0.25,1",
+                     "--format", "csv", "--out", str(path)]) == EXIT_OK
+    assert e.read_bytes() == f.read_bytes()
+    meta, header, rows = read_csv(e)
+    assert [row[1] for row in rows[:4]] == [1.0, 0.0, 0.25, 1.0]  # the grid keeps its order
     c, d = tmp_path / "c.csv", tmp_path / "d.csv"
     for path in (c, d):
         assert main(["spherical", "--q", "7", "--r-s", "2", "--format", "csv",

@@ -20,7 +20,7 @@ from fuhp.heat import (
 )
 from fuhp.spherical import spherical_table
 from fuhp.theta import theta_consistency_report
-from fuhp.uhp import UhpGraph, act, base_point, build_graph, laplacian, radii_order
+from fuhp.uhp import UhpGraph, act, base_point, build_graph, laplacian, point_index, radii_order
 from fuhp.verify import heat_checks
 
 U = np.finfo(float).eps / 2  # unit roundoff
@@ -41,53 +41,53 @@ def closed_form_q3(t):
 
 def test_q3_closed_form(q3):
     ctx, graph, table = q3
-    for t in (0.0, 0.5, 1.0, 5.0):
-        kern = heat_kernel_spectral(table, t)
+    t_grid = (0.0, 0.5, 1.0, 5.0)
+    for t, row in zip(t_grid, heat_kernel_spectral(table, t_grid)):
+        kern = dict(zip(table.radii, row))
         expect = closed_form_q3(t)
         for r in (0, 1, 2):
-            assert kern.by_radius[r] == pytest.approx(expect[r], abs=1e-12)
+            assert kern[r] == pytest.approx(expect[r], abs=1e-12)
 
 
 def test_spectral_t0_is_delta(q3):
     _, _, table = q3
-    kern = heat_kernel_spectral(table, 0.0)
-    assert kern.by_radius[0] == pytest.approx(6, abs=1e-12)
-    assert kern.by_radius[1] == pytest.approx(0, abs=1e-12)
-    assert kern.by_radius[2] == pytest.approx(0, abs=1e-12)
+    kern = dict(zip(table.radii, heat_kernel_spectral(table, [0.0])[0]))
+    assert kern[0] == pytest.approx(6, abs=1e-12)
+    assert kern[1] == pytest.approx(0, abs=1e-12)
+    assert kern[2] == pytest.approx(0, abs=1e-12)
 
 
 def test_half_value_time(q3):
     _, _, table = q3
     t = math.log(2) / 6
-    assert heat_kernel_spectral(table, t).by_radius[1] == pytest.approx(0.5, abs=1e-12)
+    assert heat_kernel_spectral(table, [t])[0, table.radius_column(1)] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_negative_time_rejected(q3):
     ctx, graph, table = q3
-    with pytest.raises(ValueError):
-        heat_kernel_spectral(table, -0.1)
-    with pytest.raises(ValueError):
-        heat_kernel_oracle(graph, -1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        heat_kernel_spectral(table, [-0.1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        heat_kernel_oracle(graph, [0.0, -1.0])
+    with pytest.raises(ValueError, match="1-D"):
+        heat_kernel_oracle(graph, 1.0)
 
 
 def test_oracle_matches_spectral(q3):
     ctx, graph, table = q3
-    for t in (0.01, 1.0):
-        spec = heat_kernel_spectral(table, t)
-        orac = heat_kernel_oracle(graph, t)
-        for r in (0, 1, 2):
-            assert spec.by_radius[r] == pytest.approx(orac.by_radius[r], abs=1e-10)
+    spec = heat_kernel_spectral(table, (0.01, 1.0))
+    orac = heat_kernel_oracle(graph, (0.01, 1.0))
+    assert spec == pytest.approx(orac.by_radius, abs=1e-10)
 
 
 def test_oracle_t0_and_longtime(q3):
     ctx, graph, _ = q3
-    k0 = heat_kernel_oracle(graph, 0.0)
-    base_i = graph.index[base_point()]
+    k0, k_inf = heat_kernel_oracle(graph, [0.0, 50.0]).by_vertex
+    base_i = point_index(ctx, base_point())
     expect = np.zeros(graph.n)
     expect[base_i] = 6.0
-    np.testing.assert_allclose(k0.by_vertex, expect, atol=1e-10)
-    k_inf = heat_kernel_oracle(graph, 50.0)
-    np.testing.assert_allclose(k_inf.by_vertex, 1.0, atol=1e-10)
+    np.testing.assert_allclose(k0, expect, atol=1e-10)
+    np.testing.assert_allclose(k_inf, 1.0, atol=1e-10)
 
 
 def test_mass_conservation_and_positivity():
@@ -95,17 +95,17 @@ def test_mass_conservation_and_positivity():
         ctx = field_context(q)
         graph = build_graph(ctx, r_s)
         table = spherical_table(ctx, r_s)
-        for t in (0.0, 0.1, 1.0, 10.0):
-            kern = heat_kernel_oracle(graph, t)
-            assert kern.by_vertex.mean() == pytest.approx(1.0, abs=1e-10)
-            spec = heat_kernel_spectral(table, t)
-            assert min(spec.by_radius.values()) >= -1e-12
+        t_grid = (0.0, 0.1, 1.0, 10.0)
+        kern = heat_kernel_oracle(graph, t_grid)
+        assert kern.by_vertex.mean(axis=1) == pytest.approx(1.0, abs=1e-10)
+        spec = heat_kernel_spectral(table, t_grid)
+        assert spec.min() >= -1e-12
 
 
 def _dense_kernel(graph, t):
     """n * exp(-tL) e_base contracted through the dense adjacency eigendecomposition."""
     w, v = graph.adjacency_eigh()
-    b = graph.index[base_point()]
+    b = point_index(graph.ctx, base_point())
     return graph.n * (v @ (v[b] * np.exp(-(graph.degree - w) * t)))
 
 
@@ -118,9 +118,8 @@ def test_oracle_matches_dense_contraction(q):
     n = q * (q - 1)
     for r_s in radii_order(ctx)[2:]:
         graph = build_graph(ctx, r_s)
-        for t in ORACLE_TIMES:
-            np.testing.assert_allclose(heat_kernel_oracle(graph, t).by_vertex,
-                                       _dense_kernel(graph, t), rtol=0, atol=32 * n * n * U)
+        for t, row in zip(ORACLE_TIMES, heat_kernel_oracle(graph, ORACLE_TIMES).by_vertex):
+            np.testing.assert_allclose(row, _dense_kernel(graph, t), rtol=0, atol=32 * n * n * U)
 
 
 @pytest.mark.parametrize("rate", [0.0, 1e-5, 0.7, 14.0, 140.0, 1020.0])
@@ -144,10 +143,35 @@ def test_poisson_weights_and_tail_bound(rate):
 def test_oracle_mass_is_kept_poisson_mass(q, r_s):
     # P is stochastic, so the walk keeps mass 1 and E sums to n * (1 - dropped tail)
     graph = build_graph(field_context(q), r_s)
-    for t in ORACLE_TIMES:
+    masses = heat_kernel_oracle(graph, ORACLE_TIMES).by_vertex.sum(axis=1)
+    for t, mass in zip(ORACLE_TIMES, masses):
         weights, tail = poisson_weights((q + 1) * t)
-        mass = heat_kernel_oracle(graph, t).by_vertex.sum()
         assert abs(mass - graph.n * (1 - tail)) <= len(weights) * graph.n * U
+
+
+def _walk_for_one_time(graph, t):
+    """The oracle's sum n * sum_k w_k P^k e_0 for one time, over that time's own weights only."""
+    weights, _ = poisson_weights(graph.degree * t)
+    walk = np.zeros(graph.n)
+    walk[point_index(graph.ctx, base_point())] = 1.0
+    acc = weights[0] * walk
+    for w_k in weights[1:]:
+        walk = walk[graph.neighbors].sum(axis=1) / graph.degree
+        acc += w_k * walk
+    return graph.n * acc
+
+
+@pytest.mark.parametrize("q, r_s", [(5, 2), (13, 1), (17, 3)])
+def test_grid_oracle_equals_per_time_walks(q, r_s):
+    # one walk, zero-padded to the largest time, adds exactly what each time's own walk adds
+    graph = build_graph(field_context(q), r_s)
+    t_grid = [1.0, 0.0, 0.25, 1.0, 2.0, 0.01]
+    grid = heat_kernel_oracle(graph, t_grid)
+    for i, t in enumerate(t_grid):
+        assert np.array_equal(grid.by_vertex[i], _walk_for_one_time(graph, t))
+        single = heat_kernel_oracle(graph, [t])
+        assert np.array_equal(grid.by_vertex[i], single.by_vertex[0])
+        assert np.array_equal(grid.by_radius[i], single.by_radius[0])
 
 
 def test_heat_path_uses_no_eigendecomposition(monkeypatch, tmp_path):
@@ -172,7 +196,7 @@ def test_initial_condition_constant_function(q3):
 def test_initial_condition_indicator(q3):
     ctx, graph, _ = q3
     f = np.zeros(graph.n)
-    f[graph.index[base_point()]] = 1.0
+    f[point_index(ctx, base_point())] = 1.0
     t_grid = [1e-2, 1e-4, 1e-6]
     res = initial_condition_check(graph, f, t_grid)
     # closed form: residual = |(E(t;0) - 6)/6| = |3(e^{-4t}-1) + 2(e^{-6t}-1)|/6
@@ -195,18 +219,17 @@ def test_initial_condition_random_bounded():
 
 def test_fourier_coefficients_q3(q3):
     _, _, table = q3
-    rep0 = fourier_coefficient_check(table, 0.0)
-    np.testing.assert_allclose(rep0.coefficients, table.degrees, atol=1e-12)
-    rep1 = fourier_coefficient_check(table, 1.0)
+    rep = fourier_coefficient_check(table, [0.0, 1.0])
+    np.testing.assert_allclose(rep.coefficients[0], table.degrees, atol=1e-12)
     expect = sorted([1.0, 3 * math.exp(-4), 2 * math.exp(-6)], reverse=True)
-    np.testing.assert_allclose(sorted(rep1.coefficients, reverse=True), expect, atol=1e-12)
-    assert rep1.max_deviation <= 1e-9
+    np.testing.assert_allclose(sorted(rep.coefficients[1], reverse=True), expect, atol=1e-12)
+    assert rep.max_deviation <= 1e-9
 
 
 def test_fourier_coefficients_q5():
     ctx = field_context(5)
     table = spherical_table(ctx, 1)
-    assert fourier_coefficient_check(table, 0.5).max_deviation <= 1e-9
+    assert fourier_coefficient_check(table, [0.5]).max_deviation <= 1e-9
 
 
 def test_semigroup_property():
@@ -223,7 +246,7 @@ def test_left_invariance_q3(q3):
     w, v = np.linalg.eigh(laplacian(graph))
     kernel = graph.n * (v @ (np.exp(-w * 1.0)[:, None] * v.T))
     for p in graph.points:  # the affine group acting on itself from the left
-        perm = np.array([graph.index[act(ctx, p, z)] for z in graph.points])
+        perm = np.array([point_index(ctx, act(ctx, p, z)) for z in graph.points])
         np.testing.assert_allclose(kernel[np.ix_(perm, perm)], kernel, atol=1e-10)
 
 
@@ -280,10 +303,9 @@ def test_oracle_with_nondefault_base():
 
     ctx = field_context(5)
     graph = build_graph(ctx, 1)
-    default = heat_kernel_oracle(graph, 0.7)
-    other = heat_kernel_oracle(graph, 0.7, base=Point(3, 2))
-    for r in default.by_radius:
-        assert other.by_radius[r] == pytest.approx(default.by_radius[r], abs=1e-10)
+    default = heat_kernel_oracle(graph, [0.7])
+    other = heat_kernel_oracle(graph, [0.7], base=Point(3, 2))
+    assert other.by_radius == pytest.approx(default.by_radius, abs=1e-10)
     assert other.by_vertex.mean() == pytest.approx(1.0, abs=1e-12)
 
 

@@ -85,8 +85,8 @@ def test_octahedron_structure():
     # each vertex has exactly one non-neighbor: its antipode
     comp = 1 - g.adjacency - np.eye(6, dtype=np.int8)
     assert np.all(comp.sum(axis=1) == 1)
-    i = g.index[Point(0, 1)]
-    j = g.index[Point(0, 2)]
+    i = point_index(ctx, Point(0, 1))
+    j = point_index(ctx, Point(0, 2))
     assert comp[i, j] == 1  # (0,1) is adjacent to everything except (0,2)
 
 
