@@ -5,14 +5,16 @@ stabilizer K of sqrt(delta) (order q^2-1). Lifting the sphere to the group
 multiplies every adjacency count by |K|, so the lifted Laplacian must be
 normalized by |K| before its kernel, averaged over each coset g*K,
 reproduces the quotient kernel. Both the exact intertwining identity and
-the kernel equality are checked here.
+the kernel equality are checked here. The lifted kernel is a random walk on
+the group applied through a |G| x (q+1) array of cosets, so no |G| x |G|
+matrix is built (|G| = 2,016 at q=7).
 """
 
 import time
 
 from fuhp import field_context, method_of_images_check
 
-for q in (3, 5):
+for q in (3, 5, 7):
     ctx = field_context(q)
     start = time.perf_counter()
     report = method_of_images_check(ctx, 1, [0.0, 0.1, 1.0, 5.0])

@@ -39,8 +39,6 @@ from .spherical import (
     spherical_table,
 )
 from .heat import (
-    GroupGraph,
-    build_group_graph,
     fourier_coefficient_check,
     heat_kernel_oracle,
     heat_kernel_spectral,
@@ -59,7 +57,6 @@ from .verify import run_battery
 __all__ = [
     "ExtElement",
     "FieldCtx",
-    "GroupGraph",
     "Point",
     "SphericalTable",
     "ThetaIndexSets",
@@ -67,7 +64,6 @@ __all__ = [
     "base_point",
     "beta",
     "build_graph",
-    "build_group_graph",
     "character_orthogonality_check",
     "classical_theta",
     "cuspidal_spherical",

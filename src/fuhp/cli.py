@@ -372,7 +372,7 @@ def build_parser():
     p.add_argument("--q", default="3,5,7", help="comma-separated q list")
     p.add_argument("--q-list", dest="q_list", default=None, help="alias for --q")
     p.add_argument("--include-lift", action="store_true",
-                   help="also verify the subgroup-average lift (q <= 5)")
+                   help="also verify the subgroup-average lift (q <= 13)")
     p.set_defaults(func=cmd_verify)
     return parser
 

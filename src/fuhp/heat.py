@@ -22,7 +22,9 @@ oracle walks once, to the largest t of the grid, and also returns [t, vertex].
 
 The module also lifts the problem to the full group of invertible 2x2
 matrices and verifies that averaging the lifted kernel over the point
-stabilizer reproduces the quotient kernel (the method of images).
+stabilizer reproduces the quotient kernel (the method of images). The lifted
+kernel comes from the same uniformization, applied through a |G| x (q+1)
+array of cosets, so no |G| x |G| matrix is built there either.
 """
 
 import math
@@ -31,9 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import ExtElement, ext_inv, ext_mul
 from .uhp import (
-    Point,
     act,
     base_point,
     build_graph,
@@ -97,14 +97,31 @@ class OracleKernel(NamedTuple):
     by_vertex: np.ndarray  # columns in the graph's vertex order
 
 
+def _uniformization(step, start, rates):
+    """sum_{k<=K} w_k P^k start for each rate, with w = poisson_weights(rate) and P = step.
+
+    One walk serves every rate: the weight rows are zero-padded to the
+    largest K, and adding a zero term leaves a sum as it is, so each row
+    equals the walk for its rate alone, bit for bit. Returns [rate, entry].
+    """
+    rows = [poisson_weights(rate)[0] for rate in rates]
+    weights = np.zeros((len(rows), max(map(len, rows), default=1)))
+    for i, row in enumerate(rows):
+        weights[i, : len(row)] = row
+    walk = start
+    acc = np.outer(weights[:, 0], walk)
+    for w_k in weights.T[1:]:
+        walk = step(walk)
+        acc += np.outer(w_k, walk)
+    return acc
+
+
 def heat_kernel_oracle(graph, t_grid, base=None):
     """Matrix-exponential oracle E(t; .) = q(q-1) * exp(-t*Laplacian) e_base for every t in t_grid.
 
     Uniformization, with no eigendecomposition: n * sum_{k<=K} w_k P^k e_base,
     where w = poisson_weights((q+1)t) and P = A/(q+1) is applied as a sum over
-    the neighbour array. One walk serves the whole grid: the weight rows are
-    zero-padded to the largest K, and adding a zero term leaves a sum as it
-    is, so each row equals the walk for its time alone, bit for bit. Cost
+    the neighbour array; one walk serves the whole grid. Cost
     O(K * n(q+1)) with K ~ (q+1)t + O(sqrt((q+1)t)) for the largest t; error:
     the dropped Poisson tail (<= u) plus about K*u relative per entry, as
     every term is non-negative. Radius values are read off the orbits around
@@ -116,17 +133,10 @@ def heat_kernel_oracle(graph, t_grid, base=None):
     n = graph.n
     if base is None:
         base = base_point()
-    rows = [poisson_weights((q + 1) * t)[0] for t in t_grid]
-    weights = np.zeros((len(rows), max(map(len, rows), default=1)))
-    for i, row in enumerate(rows):
-        weights[i, : len(row)] = row
-    walk = np.zeros(n)
-    walk[point_index(ctx, base)] = 1.0
-    acc = np.outer(weights[:, 0], walk)
-    for w_k in weights.T[1:]:
-        walk = walk[graph.neighbors].sum(axis=1) / (q + 1)
-        acc += np.outer(w_k, walk)
-    by_vertex = n * acc
+    start = np.zeros(n)
+    start[point_index(ctx, base)] = 1.0
+    step = lambda walk: walk[graph.neighbors].sum(axis=1) / (q + 1)
+    by_vertex = n * _uniformization(step, start, (q + 1) * t_grid)
 
     around_base = by_vertex
     if base != base_point():
@@ -178,107 +188,27 @@ def fourier_coefficient_check(table, t_grid):
 # -- method of images on the full matrix group ------------------------------
 
 
-def _mat_mul(m1, m2, q):
-    a1, b1, c1, d1 = m1
-    a2, b2, c2, d2 = m2
-    return (
-        (a1 * a2 + b1 * c2) % q,
-        (a1 * b2 + b1 * d2) % q,
-        (c1 * a2 + d1 * c2) % q,
-        (c1 * b2 + d1 * d2) % q,
-    )
+def _inverses(q):
+    """inv[a] = a^(-1) mod q, with inv[0] = 0."""
+    return np.array([0] + [pow(a, q - 2, q) for a in range(1, q)])
 
 
-def _mat_inv(m, q):
-    a, b, c, d = m
-    det_inv = pow((a * d - b * c) % q, q - 2, q)
-    return (d * det_inv % q, -b * det_inv % q, -c * det_inv % q, a * det_inv % q)
+def mobius_index(ctx, mats):
+    """Vertex index of g.sqrt(delta) for each invertible g = (a, b, c, d) in ``mats`` (shape (..., 4)).
 
-
-def mobius_action(ctx, m, z):
-    """Fractional-linear action of an invertible matrix on z = x + y*sqrt(delta)."""
-    a, b, c, d = m
-    num = ExtElement((a * z.x + b) % ctx.q, a * z.y % ctx.q)
-    den = ExtElement((c * z.x + d) % ctx.q, c * z.y % ctx.q)
-    w = ext_mul(ctx, num, ext_inv(ctx, den))
-    assert w.b != 0, "the action must preserve the upper half-plane"
-    return Point(w.a, w.b)
-
-
-@dataclass
-class GroupGraph:
-    """Cayley graph on all invertible 2x2 matrices over F_q.
-
-    The generating set is the full preimage of the sphere S_{r_s} under the
-    projection g -> g.sqrt(delta); K is the stabilizer of sqrt(delta), the
-    matrices [[a, delta*b], [b, a]] with (a, b) != (0, 0), of order q^2 - 1.
+    (a*sqrt(delta) + b) / (c*sqrt(delta) + d), times the conjugate over the
+    norm d^2 - delta*c^2 (non-zero, as delta is a non-square), is
+    x + y*sqrt(delta) with x = (bd - delta*ac)/N and y = (ad - bc)/N. As
+    g.z = (g h).sqrt(delta) for the affine matrix h = [[y_z, x_z], [0, 1]]
+    of z, this is the whole Mobius action.
     """
-
-    ctx: object
-    r_s: int
-    elements: list
-    index: dict = field(repr=False)
-    k_members: list
-    adjacency: np.ndarray = field(repr=False)
-    coset_of: np.ndarray = field(repr=False)  # element index -> H_q vertex index
-
-    @property
-    def n(self):
-        return len(self.elements)
-
-
-def build_group_graph(ctx, r_s):
-    """Enumerate the matrix group, its stabilizer K, and the lifted adjacency."""
     q = ctx.q
-    elements = [
-        (a, b, c, d)
-        for a in range(q)
-        for b in range(q)
-        for c in range(q)
-        for d in range(q)
-        if (a * d - b * c) % q != 0
-    ]
-    expected_order = q * (q - 1) ** 2 * (q + 1)
-    assert len(elements) == expected_order
-    index = {m: i for i, m in enumerate(elements)}
-
-    k_members = [
-        (a, ctx.delta * b % q, b, a)
-        for a in range(q)
-        for b in range(q)
-        if (a, b) != (0, 0)
-    ]
-    assert len(k_members) == q * q - 1
-    sq = base_point()
-    assert all(mobius_action(ctx, k, sq) == sq for k in k_members), (
-        "K must stabilize sqrt(delta)"
-    )
-
-    coset_of = np.array([point_index(ctx, mobius_action(ctx, m, sq)) for m in elements])
-
-    sphere_ix = {point_index(ctx, z) for z in sphere(ctx, r_s)}
-    gen = [m for m, ci in zip(elements, coset_of) if ci in sphere_ix]
-    assert len(gen) == (q + 1) * (q * q - 1), "lift of the sphere has |S_r| * |K| elements"
-    gen_set = set(gen)
-    for s in gen:
-        if _mat_inv(s, q) not in gen_set:
-            raise AssertionError("lifted generating set not closed under inversion")
-
-    n = len(elements)
-    adjacency = np.zeros((n, n), dtype=np.int8)
-    for i, m in enumerate(elements):
-        for s in gen:
-            adjacency[i, index[_mat_mul(m, s, q)]] = 1
-    assert np.array_equal(adjacency, adjacency.T)
-    return GroupGraph(
-        ctx=ctx,
-        r_s=r_s,
-        elements=elements,
-        index=index,
-        k_members=k_members,
-        adjacency=adjacency,
-        coset_of=coset_of,
-    )
+    a, b, c, d = np.moveaxis(mats, -1, 0)
+    inv_norm = _inverses(q)[(d * d - ctx.delta * c * c) % q]
+    x = (b * d - ctx.delta * a * c) * inv_norm % q
+    y = (a * d - b * c) * inv_norm % q
+    assert np.all(y != 0), "the action must preserve the upper half-plane"
+    return (y - 1) * q + x
 
 
 @dataclass
@@ -293,61 +223,105 @@ class ImagesReport:
     intertwining_exact: bool
     measured_scaling: float
     deviation_by_t: dict
+    averaged: np.ndarray = field(repr=False)  # [t, vertex]: K-average of the lifted kernel
 
     @property
     def max_deviation(self):
         return max(self.deviation_by_t.values())
 
 
-def method_of_images_check(ctx, r_s, t_grid, graph=None, group_graph=None):
+def method_of_images_check(ctx, r_s, t_grid, graph=None):
     """Verify that the K-average of the lifted kernel equals the quotient kernel.
 
-    The lifted Laplacian is normalized by |K|: every sphere coset is hit
-    |K| times by the lifted generating set, so L_lift = (q+1)*I - A_lift/|K|
-    intertwines exactly with the quotient Laplacian through the projection.
-    That identity is checked in exact integer arithmetic before comparing
-    kernels; E_lift(t) = |G| exp(-t L_lift) e_identity is then averaged over
-    each coset g*K and compared with the quotient oracle at each t.
+    G = GL_2(F_q) is an integer array [|G|, 4], and ``coset_of[g]`` is the
+    vertex g.sqrt(delta). K, the stabilizer of sqrt(delta), is the matrices
+    [[a, delta*b], [b, a]] with (a, b) != (0, 0), and every fibre of
+    ``coset_of`` is a right coset gK. The lifted generating set is the union
+    of the right cosets s_i K over one representative s_i of each point x_i
+    of the sphere S_{r_s}, so A_lift f(g) = sum_i F(coset of g s_i), with
+    F the sums of f over right K-cosets: ``cols[g, i]``, the coset of
+    g s_i, replaces the |G| x |G| adjacency.
 
-    The group has q(q-1)^2(q+1) elements (48 at q=3, 480 at q=5); the dense
-    eigendecomposition stays cheap through q=5, which is the intended range.
+    The lifted Laplacian is normalized by |K|: L_lift = (q+1)*I - A_lift/|K|
+    intertwines with the quotient Laplacian through the projection,
+    A_lift L = |K| L A_H, exactly when every fibre has |K| members and each
+    row ``cols[g]`` is, as a multiset, the neighbour row of g's coset. Both
+    are checked in integers before comparing kernels; ``measured_scaling``
+    counts, per quotient edge, the lifted generators that land on it.
+    E_lift(t) = |G| exp(-t L_lift) e_identity comes from the uniformization
+    of the quotient oracle at the same rate (q+1)t, one step of
+    P_lift = A_lift/((q+1)|K|) being a ``bincount`` and a (q+1)-column
+    gather; it is averaged over each coset and compared with the quotient
+    oracle at each t. Cost O(K |G|(q+1)) time and O(|G|(q+1)) memory, with
+    |G| = q(q-1)^2(q+1) (26,208 at q=13).
     """
     q = ctx.q
     if graph is None:
         graph = build_graph(ctx, r_s)
-    if group_graph is None:
-        group_graph = build_group_graph(ctx, r_s)
-    gg = group_graph
     n_h = graph.n
     k_order = q * q - 1
 
-    # exact intertwining: counting neighbors per coset must give |K| * A_H
-    lift = np.zeros((gg.n, n_h), dtype=np.int64)
-    lift[np.arange(gg.n), gg.coset_of] = 1
-    lhs = gg.adjacency.astype(np.int64) @ lift
-    rhs = k_order * (lift @ graph.adjacency.astype(np.int64))
-    intertwining_exact = bool(np.array_equal(lhs, rhs))
-    nz = rhs != 0
-    measured_scaling = float(np.mean(lhs[nz] / rhs[nz]) * k_order) if nz.any() else float("nan")
+    mats = np.indices((q,) * 4).reshape(4, -1).T
+    group = mats[(mats[:, 0] * mats[:, 3] - mats[:, 1] * mats[:, 2]) % q != 0]
+    g_order = len(group)
+    assert g_order == q * (q - 1) ** 2 * (q + 1)
+    coset_of = mobius_index(ctx, group)
 
-    ident = gg.index[(1, 0, 0, 1)]
-    lap_lift = (q + 1) * np.eye(gg.n) - gg.adjacency.astype(float) / k_order
-    w, v = np.linalg.eigh(lap_lift)
+    a, b = np.divmod(np.arange(1, q * q), q)
+    k_members = np.stack([a, ctx.delta * b % q, b, a], axis=1)
+    base = point_index(ctx, base_point())
+    assert np.all(mobius_index(ctx, k_members) == base), "K must stabilize sqrt(delta)"
+    fibre = np.bincount(coset_of, minlength=n_h)
+
+    gen = sphere(ctx, graph.r_s)
+    gen_ix = np.array([point_index(ctx, z) for z in gen])
+    lifted = np.isin(coset_of, gen_ix)
+    assert lifted.sum() == (q + 1) * k_order, "lift of the sphere has |S_r| * |K| elements"
+    a, b, c, d = group[lifted].T
+    det_inv = _inverses(q)[(a * d - b * c) % q]
+    inverses = np.stack([d, -b, -c, a], axis=1) * det_inv[:, None] % q
+    if not np.isin(mobius_index(ctx, inverses), gen_ix).all():
+        raise AssertionError("lifted generating set not closed under inversion")
+
+    # g s_i for the representative s_i = [[y_i, x_i], [0, 1]] of each sphere point x_i + y_i sqrt(delta)
+    ys, xs = np.array([z.y for z in gen]), np.array([z.x for z in gen])
+    a, b, c, d = group.T[:, :, None]
+    cols = mobius_index(ctx, np.stack([a * ys, a * xs + b, c * ys, c * xs + d], axis=-1) % q)
+
+    # exact intertwining: counting lifted neighbours per coset must give |K| * A_H
+    quotient_rows = graph.neighbors[coset_of]
+    intertwining_exact = bool(
+        np.all(fibre == k_order)
+        and np.array_equal(np.sort(cols, axis=1), np.sort(quotient_rows, axis=1))
+    )
+    # lifted generators s with g.s in the coset of each quotient neighbour: s_i K has fibre[x_i] members
+    landed = sum((cols[:, [i]] == quotient_rows) * fibre[gen_ix[i]] for i in range(len(gen)))
+    measured_scaling = float(landed.mean())
+
+    ident = int(np.flatnonzero((group == (1, 0, 0, 1)).all(axis=1))[0])
+    start = np.zeros(g_order)
+    start[ident] = 1.0
+
+    def step(f):
+        """P_lift f: sum f over each right coset, then gather the q+1 cosets g s_i K of each g."""
+        return np.bincount(coset_of, weights=f, minlength=n_h)[cols].sum(axis=1) / ((q + 1) * k_order)
 
     t_grid = _time_grid(t_grid)
-    e_lift = gg.n * ((v[ident] * np.exp(-np.outer(t_grid, w))) @ v.T)
-    # every coset g*K has |K| members, so its mean is the coset sum over |K|
-    averaged = e_lift @ lift / k_order
+    walk = _uniformization(step, start, (q + 1) * t_grid)
+    # every coset g*K has |K| members, so the mean of E_lift = |G| walk over it is
+    # |G|/|K| = q(q-1) times the coset sum of the walk
+    averaged = n_h * np.stack([np.bincount(coset_of, weights=row, minlength=n_h) for row in walk])
     quotient = heat_kernel_oracle(graph, t_grid).by_vertex
     deviation_by_t = dict(zip(t_grid.tolist(), np.abs(averaged - quotient).max(axis=1).tolist()))
 
     return ImagesReport(
         q=q,
-        r_s=r_s,
-        group_order=gg.n,
+        r_s=graph.r_s,
+        group_order=g_order,
         stabilizer_order=k_order,
-        generating_set_size=(q + 1) * k_order,
+        generating_set_size=int(lifted.sum()),
         intertwining_exact=intertwining_exact,
         measured_scaling=measured_scaling,
         deviation_by_t=deviation_by_t,
+        averaged=averaged,
     )

@@ -186,13 +186,19 @@ def laplacian(graph):
     return (graph.ctx.q + 1) * np.eye(n) - graph.adjacency.astype(float)
 
 
+@functools.lru_cache(maxsize=8)
 def orbit_labels(ctx):
-    """Distance (x^2 - delta*(y-1)^2) / y of every vertex to sqrt(delta), in (y, x) order."""
+    """Distance (x^2 - delta*(y-1)^2) / y of every vertex to sqrt(delta), in (y, x) order.
+
+    Built once per (q, delta) and shared, so the array is read-only.
+    """
     q = ctx.q
     ys = np.repeat(np.arange(1, q), q)
     xs = np.tile(np.arange(q), q - 1)
     y_inv = np.array([0] + [ctx.inv(y) for y in range(1, q)])
-    return (xs * xs - ctx.delta * (ys - 1) ** 2) * y_inv[ys] % q
+    labels = (xs * xs - ctx.delta * (ys - 1) ** 2) * y_inv[ys] % q
+    labels.flags.writeable = False
+    return labels
 
 
 def orbit_decomposition(ctx):

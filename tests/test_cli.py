@@ -96,6 +96,34 @@ def test_heat_q101_memory(tmp_path):
     assert max(s["oracle_deviation"] for s in series) <= 1e-11 * 101 * 100
 
 
+def test_verify_q13_include_lift_memory():
+    # a child process, so that its own peak RSS is measured by wait4; the dense lift
+    # would need a |G| x |G| float matrix of 5.5 GB at q=13 (|G| = 26,208)
+    env = dict(os.environ, PYTHONPATH=str(Path(fuhp.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "fuhp.cli", "verify", "--q", "13", "--include-lift"],
+                            env=env, stdout=subprocess.PIPE, text=True)
+    out = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
+    assert os.waitstatus_to_exitcode(status) == EXIT_OK
+    assert peak_mb < 300, f"peak RSS {peak_mb:.0f} MB (wall {wall:.2f} s)"
+    assert "[PASS] q=13 r_s=1 K-average = quotient kernel" in out
+    assert "skipped" not in out
+
+
+def test_verify_does_not_load_numpy_random():
+    # importing numpy.random adds about 6 MB of resident memory to every verify process
+    env = dict(os.environ, PYTHONPATH=str(Path(fuhp.__file__).parents[1]))
+    script = (
+        "import sys; from fuhp.cli import main; "
+        "assert main(['verify', '--q', '3', '--include-lift']) == 0; "
+        "assert 'numpy.random' not in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, stdout=subprocess.DEVNULL)
+
+
 def test_theta_q101_memory(tmp_path):
     # a child process, so that its own peak RSS is measured by wait4
     env = dict(os.environ, PYTHONPATH=str(Path(fuhp.__file__).parents[1]))

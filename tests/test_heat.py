@@ -9,19 +9,20 @@ import pytest
 from fuhp.cli import EXIT_OK, main
 from fuhp.field import field_context
 from fuhp.heat import (
-    build_group_graph,
     fourier_coefficient_check,
     heat_kernel_oracle,
     heat_kernel_spectral,
     initial_condition_check,
     method_of_images_check,
-    mobius_action,
+    mobius_index,
     poisson_weights,
 )
 from fuhp.spherical import spherical_table
 from fuhp.theta import theta_consistency_report
-from fuhp.uhp import UhpGraph, act, base_point, build_graph, laplacian, point_index, radii_order
-from fuhp.verify import heat_checks
+from fuhp.uhp import Point, UhpGraph, act, base_point, build_graph, laplacian, point_index, radii_order
+from fuhp.verify import heat_checks, lift_checks
+
+from dense_lift import build_group_graph, dense_images, mobius_action
 
 U = np.finfo(float).eps / 2  # unit roundoff
 ORACLE_TIMES = (0.0, 1e-6, 0.1, 1.0, 10.0, 50.0)
@@ -254,6 +255,7 @@ def test_left_invariance_q3(q3):
 
 
 def test_group_graph_counts_q3():
+    # the dense builder of the cross-check
     ctx = field_context(3, delta=2)
     gg = build_group_graph(ctx, 1)
     assert gg.n == 48
@@ -264,6 +266,13 @@ def test_group_graph_counts_q3():
     assert np.all(counts == 8)
 
 
+def _array_action(ctx, m, z):
+    """m.z through the array action: z is the affine matrix [[y, x], [0, 1]] applied to sqrt(delta)."""
+    a, b, c, d = m
+    image = mobius_index(ctx, np.array([a * z.y, a * z.x + b, c * z.y, c * z.x + d]) % ctx.q)
+    return Point(int(image) % ctx.q, int(image) // ctx.q + 1)
+
+
 def test_mobius_action_stabilizer():
     ctx = field_context(5)
     base = base_point()
@@ -272,7 +281,7 @@ def test_mobius_action_stabilizer():
             if (a, b) == (0, 0):
                 continue
             k = (a, ctx.delta * b % 5, b, a)
-            assert mobius_action(ctx, k, base) == base
+            assert _array_action(ctx, k, base) == base
 
 
 def test_mobius_action_preserves_distance():
@@ -292,8 +301,17 @@ def test_mobius_action_preserves_distance():
         for z in pts[::3]:
             for w in pts[::4]:
                 assert distance(ctx, z, w) == distance(
-                    ctx, mobius_action(ctx, m, z), mobius_action(ctx, m, w)
+                    ctx, _array_action(ctx, m, z), _array_action(ctx, m, w)
                 )
+
+
+def test_array_action_matches_scalar_action_q5():
+    from fuhp.uhp import enumerate_points
+
+    ctx = field_context(5)
+    group = build_group_graph(ctx, 1).elements
+    for z in enumerate_points(ctx)[::3]:
+        assert [_array_action(ctx, m, z) for m in group] == [mobius_action(ctx, m, z) for m in group]
 
 
 def test_oracle_with_nondefault_base():
@@ -326,3 +344,81 @@ def test_method_of_images_t0_is_delta_on_the_identity_coset():
     ctx = field_context(3, delta=2)
     report = method_of_images_check(ctx, 1, [0.0])
     assert report.deviation_by_t[0.0] <= 1e-8
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_matrix_free_lift_matches_dense_lift(q):
+    # the dense lifted kernel errs by about c*|G|*u relative to its scale q(q-1), as eigh's
+    # eigenvectors are orthonormal to about |G|*u; the matrix-free walk by about K*u
+    ctx = field_context(q)
+    t_grid = [0.0, 0.1, 1.0, 5.0]
+    for r_s in radii_order(ctx)[2:]:
+        graph = build_graph(ctx, r_s)
+        report = method_of_images_check(ctx, r_s, t_grid, graph=graph)
+        dense = dense_images(graph, t_grid)
+        assert report.intertwining_exact and dense.intertwining_exact
+        assert report.measured_scaling == dense.measured_scaling == q * q - 1
+        bound = 16 * report.group_order * U * graph.n
+        assert np.abs(report.averaged - dense.averaged).max() <= bound
+
+
+def test_lift_intertwining_fails_on_a_wrong_coset_map(monkeypatch):
+    # a generator column shifted to another coset breaks the integer identity
+    import fuhp.heat
+
+    ctx = field_context(5)
+    real = fuhp.heat.mobius_index
+
+    def skewed(ctx, mats):
+        index = real(ctx, mats)
+        return np.where(index == 7, 8, index) if mats.ndim == 3 else index
+
+    monkeypatch.setattr(fuhp.heat, "mobius_index", skewed)
+    assert not method_of_images_check(ctx, 1, [0.1]).intertwining_exact
+
+
+def test_lift_uses_no_eigendecomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigendecomposition on the lift")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    report = method_of_images_check(field_context(7), 1, [0.1, 1.0, 5.0])
+    assert report.group_order == 2016 and report.intertwining_exact
+    assert report.max_deviation <= 1e-8
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+def test_lift_checks_cover_every_prime_to_13(q):
+    ctx = field_context(q)
+    results = lift_checks(build_graph(ctx, radii_order(ctx)[2]))
+    assert len(results) == 2
+    assert all(r.passed and not r.finding_only for r in results), [r.detail for r in results]
+
+
+def test_lift_checks_skip_above_13():
+    ctx = field_context(17)
+    (result,) = lift_checks(build_graph(ctx, 1))
+    assert result.finding_only and "q <= 13" in result.detail
+
+
+def _parent_grid_walk(graph, t_grid):
+    """The oracle's zero-padded grid walk, written out as one loop over the neighbour array."""
+    q = graph.ctx.q
+    rows = [poisson_weights((q + 1) * t)[0] for t in np.asarray(t_grid, dtype=float)]
+    weights = np.zeros((len(rows), max(map(len, rows))))
+    for i, row in enumerate(rows):
+        weights[i, : len(row)] = row
+    walk = np.zeros(graph.n)
+    walk[point_index(graph.ctx, base_point())] = 1.0
+    acc = np.outer(weights[:, 0], walk)
+    for w_k in weights.T[1:]:
+        walk = walk[graph.neighbors].sum(axis=1) / (q + 1)
+        acc += np.outer(w_k, walk)
+    return graph.n * acc
+
+
+@pytest.mark.parametrize("q, r_s", [(5, 2), (13, 1)])
+def test_oracle_bits_unchanged_by_the_shared_walk(q, r_s):
+    graph = build_graph(field_context(q), r_s)
+    t_grid = [1.0, 0.0, 0.25, 10.0, 2.0, 0.01]
+    assert np.array_equal(heat_kernel_oracle(graph, t_grid).by_vertex, _parent_grid_walk(graph, t_grid))

@@ -169,6 +169,14 @@ def test_orbits_partition_and_match_spheres(q):
     assert orbit_labels(ctx).tolist() == [distance(ctx, z, base) for z in pts]
 
 
+def test_orbit_labels_cached_read_only():
+    ctx = field_context(7)
+    labels = orbit_labels(ctx)
+    assert orbit_labels(ctx) is labels
+    with pytest.raises(ValueError):
+        labels[0] = 1
+
+
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_adjacency_iff_distance(q):
     ctx = field_context(q)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fuhp
@@ -12,7 +13,7 @@ import fuhp.theta
 import fuhp.verify
 from fuhp.cli import DEFAULT_MAX_Q
 from fuhp.field import field_context
-from fuhp.verify import character_checks, field_checks, run_battery
+from fuhp.verify import LIFT_MAX_Q, character_checks, field_checks, heat_test_functions, run_battery
 
 PRIMES_TO_THE_CAP = [
     q for q in range(3, DEFAULT_MAX_Q + 1, 2) if all(q % p for p in range(3, int(q**0.5) + 1, 2))
@@ -83,5 +84,15 @@ def test_spherical_checks_memory_at_the_cap():
 @pytest.mark.slow
 @pytest.mark.parametrize("q", PRIMES_TO_THE_CAP)
 def test_battery_has_no_failures_up_to_the_cap(q):
-    fatal = [r for r in run_battery([q]) if r.fatal]
+    fatal = [r for r in run_battery([q], include_lift=q <= LIFT_MAX_Q) if r.fatal]
     assert not fatal, [f"{r.name}: {r.detail}" for r in fatal]
+
+
+@pytest.mark.parametrize("n", [6, 20, 10100])
+def test_heat_test_functions_are_distinct_and_not_constant(n):
+    # sqrt(2 + j) would repeat: sqrt(4) = 2 makes frac(k * 2) the zero vector
+    f = heat_test_functions(n)
+    assert f.shape == (5, n)
+    assert np.all((f >= 0) & (f < 1))
+    assert np.all(f.max(axis=1) > f.min(axis=1))
+    assert len({row.tobytes() for row in f}) == 5
