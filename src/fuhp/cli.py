@@ -18,7 +18,7 @@ from .field import field_context, find_nonsquare
 from .heat import heat_kernel_oracle, heat_kernel_spectral
 from .spherical import spherical_table
 from .theta import theta_consistency_report
-from .uhp import build_graph, degenerate_radii, orbit_sizes, radii_order
+from .uhp import build_graph, degenerate_radii, orbit_sizes, radii_order, scheme
 from .verify import run_battery
 
 EXIT_OK = 0
@@ -148,7 +148,7 @@ def cmd_graph(args):
     nbrs = np.sort(graph.neighbors, axis=1)
     i, k = np.nonzero(nbrs > np.arange(n)[:, None])
     data = {
-        "vertices": [[z.x, z.y] for z in graph.points],
+        "vertices": np.stack([scheme(ctx).x, scheme(ctx).y], axis=1).tolist(),
         "edges": np.stack([i, nbrs[i, k]], axis=1).tolist(),
         "degree": ctx.q + 1,
     }
@@ -235,8 +235,6 @@ def cmd_spherical(args):
 def cmd_heat(args):
     ctx = _resolve_ctx(args)
     t_grid = _parse_t(args.t)
-    if any(t < 0 for t in t_grid):
-        raise ValueError("heat kernel times must be nonnegative")
     radii = radii_order(ctx)
     blocks = []
     for r_s in _radii_arg(ctx, args.r_s):

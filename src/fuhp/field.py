@@ -92,21 +92,6 @@ class FieldCtx:
             raise ZeroDivisionError("inverse of zero in F_q")
         return pow(a, self.q - 2, self.q)
 
-    def ext(self, a, b=0):
-        return ExtElement(a % self.q, b % self.q)
-
-
-def ext_add(ctx, z, w):
-    return ExtElement((z.a + w.a) % ctx.q, (z.b + w.b) % ctx.q)
-
-
-def ext_sub(ctx, z, w):
-    return ExtElement((z.a - w.a) % ctx.q, (z.b - w.b) % ctx.q)
-
-
-def ext_neg(ctx, z):
-    return ExtElement(-z.a % ctx.q, -z.b % ctx.q)
-
 
 def ext_mul(ctx, z, w):
     q, d = ctx.q, ctx.delta
@@ -245,13 +230,15 @@ class FieldTables(NamedTuple):
 
     power_a[m], power_b[m]: coordinates of zeta^m for m = 0..q^2-2;
     dlog[a]: discrete log of a in F_q^x, with dlog[0] = -1;
-    chi[x]: the quadratic character of x in F_q, with chi[0] = 0.
+    chi[x]: the quadratic character of x in F_q, with chi[0] = 0;
+    inv[a]: the inverse of a in F_q^x, with inv[0] = 0.
     """
 
     power_a: np.ndarray
     power_b: np.ndarray
     dlog: np.ndarray
     chi: np.ndarray
+    inv: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -266,4 +253,5 @@ def field_tables(ctx):
     dlog = np.full(q, -1, dtype=np.int64)
     dlog[list(ctx.dlog_q)] = list(ctx.dlog_q.values())
     chi = np.array([quadratic_character(ctx, x) for x in range(q)], dtype=np.int64)
-    return FieldTables(power_a, power_b, dlog, chi)
+    inv = np.array([0] + [ctx.inv(a) for a in range(1, q)], dtype=np.int64)
+    return FieldTables(power_a, power_b, dlog, chi, inv)

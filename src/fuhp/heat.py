@@ -33,23 +33,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .uhp import (
-    act,
-    base_point,
-    build_graph,
-    point_index,
-    radial_values,
-    sphere,
-)
+from .field import field_tables
+from .uhp import base_point, build_graph, point_index, radial_values, scheme, translate, vertex_index
 
 
 def _time_grid(t_grid):
-    """The times as a 1-D float array; a scalar or a negative time raises ValueError."""
+    """The times as a 1-D float array; a scalar, a negative or a non-finite time raises ValueError."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1:
         raise ValueError(f"times must be a 1-D sequence, got shape {t_grid.shape}")
-    if (t_grid < 0).any():
-        raise ValueError(f"time must be nonnegative, got {t_grid.min()}")
+    if not ((t_grid >= 0) & (t_grid < np.inf)).all():
+        raise ValueError(f"times must be finite and nonnegative, got {t_grid.tolist()}")
     return t_grid
 
 
@@ -131,17 +125,13 @@ def heat_kernel_oracle(graph, t_grid, base=None):
     ctx = graph.ctx
     q = ctx.q
     n = graph.n
-    if base is None:
-        base = base_point()
+    base_ix = point_index(ctx, base_point() if base is None else base)
     start = np.zeros(n)
-    start[point_index(ctx, base)] = 1.0
+    start[base_ix] = 1.0
     step = lambda walk: walk[graph.neighbors].sum(axis=1) / (q + 1)
     by_vertex = n * _uniformization(step, start, (q + 1) * t_grid)
-
-    around_base = by_vertex
-    if base != base_point():
-        # distance is invariant under left translation: d(base . z, base) = d(z, sqrt(delta))
-        around_base = by_vertex[:, [point_index(ctx, act(ctx, base, z)) for z in graph.points]]
+    # distance is invariant under left translation: d(base . z, base) = d(z, sqrt(delta))
+    around_base = by_vertex[:, translate(q, base_ix, np.arange(n))]
     return OracleKernel(radial_values(ctx, around_base, "oracle kernel"), by_vertex)
 
 
@@ -188,11 +178,6 @@ def fourier_coefficient_check(table, t_grid):
 # -- method of images on the full matrix group ------------------------------
 
 
-def _inverses(q):
-    """inv[a] = a^(-1) mod q, with inv[0] = 0."""
-    return np.array([0] + [pow(a, q - 2, q) for a in range(1, q)])
-
-
 def mobius_index(ctx, mats):
     """Vertex index of g.sqrt(delta) for each invertible g = (a, b, c, d) in ``mats`` (shape (..., 4)).
 
@@ -204,11 +189,11 @@ def mobius_index(ctx, mats):
     """
     q = ctx.q
     a, b, c, d = np.moveaxis(mats, -1, 0)
-    inv_norm = _inverses(q)[(d * d - ctx.delta * c * c) % q]
+    inv_norm = field_tables(ctx).inv[(d * d - ctx.delta * c * c) % q]
     x = (b * d - ctx.delta * a * c) * inv_norm % q
     y = (a * d - b * c) * inv_norm % q
     assert np.all(y != 0), "the action must preserve the upper half-plane"
-    return (y - 1) * q + x
+    return vertex_index(q, x, y)
 
 
 @dataclass
@@ -273,18 +258,18 @@ def method_of_images_check(ctx, r_s, t_grid, graph=None):
     assert np.all(mobius_index(ctx, k_members) == base), "K must stabilize sqrt(delta)"
     fibre = np.bincount(coset_of, minlength=n_h)
 
-    gen = sphere(ctx, graph.r_s)
-    gen_ix = np.array([point_index(ctx, z) for z in gen])
+    vertices = scheme(ctx)
+    gen_ix = np.flatnonzero(vertices.labels == graph.r_s)  # the sphere S_{r_s}, in sphere order
     lifted = np.isin(coset_of, gen_ix)
     assert lifted.sum() == (q + 1) * k_order, "lift of the sphere has |S_r| * |K| elements"
     a, b, c, d = group[lifted].T
-    det_inv = _inverses(q)[(a * d - b * c) % q]
+    det_inv = field_tables(ctx).inv[(a * d - b * c) % q]
     inverses = np.stack([d, -b, -c, a], axis=1) * det_inv[:, None] % q
     if not np.isin(mobius_index(ctx, inverses), gen_ix).all():
         raise AssertionError("lifted generating set not closed under inversion")
 
     # g s_i for the representative s_i = [[y_i, x_i], [0, 1]] of each sphere point x_i + y_i sqrt(delta)
-    ys, xs = np.array([z.y for z in gen]), np.array([z.x for z in gen])
+    xs, ys = vertices.x[gen_ix], vertices.y[gen_ix]
     a, b, c, d = group.T[:, :, None]
     cols = mobius_index(ctx, np.stack([a * ys, a * xs + b, c * ys, c * xs + d], axis=-1) % q)
 
@@ -295,7 +280,7 @@ def method_of_images_check(ctx, r_s, t_grid, graph=None):
         and np.array_equal(np.sort(cols, axis=1), np.sort(quotient_rows, axis=1))
     )
     # lifted generators s with g.s in the coset of each quotient neighbour: s_i K has fibre[x_i] members
-    landed = sum((cols[:, [i]] == quotient_rows) * fibre[gen_ix[i]] for i in range(len(gen)))
+    landed = sum((cols[:, [i]] == quotient_rows) * fibre[gen_ix[i]] for i in range(len(gen_ix)))
     measured_scaling = float(landed.mean())
 
     ident = int(np.flatnonzero((group == (1, 0, 0, 1)).all(axis=1))[0])

@@ -22,7 +22,7 @@ import numpy as np
 
 from .characters import character_tables, nu_equals_inverse
 from .field import field_tables
-from .uhp import degenerate_radii, orbit_labels, radial_values, radii_order, regular_radius
+from .uhp import degenerate_radii, radial_values, radii_order, regular_radius, scheme, translate
 
 EIGENVALUE_CLUSTER_TOL = 1e-8
 # weights cos(r * golden angle) keep the eigenvalues of sum_r c_r B~_r apart
@@ -88,12 +88,10 @@ def _radial_rows(ctx):
     q = ctx.q
     n = q * (q - 1)
     radii = radii_order(ctx)
-    cols = np.argsort(radii)[orbit_labels(ctx)]  # vertex -> column of its radius
-    sizes = np.bincount(cols, minlength=q)
-    reps = np.unique(cols, return_index=True)[1]  # one vertex per orbit
-    xs, ys = np.arange(n) % q, np.arange(n) // q + 1
-    # column of z_k . w = (y_k x_w + x_k, y_k y_w) for representative z_k and vertex w
-    moved = cols[(ys[reps, None] * ys % q - 1) * q + (ys[reps, None] * xs + xs[reps, None]) % q]
+    vertices = scheme(ctx)
+    cols, sizes = vertices.cols, vertices.sizes
+    # column of z_k . w for the representative z_k of each orbit and every vertex w
+    moved = cols[translate(q, vertices.reps[:, None], np.arange(n))]
     flat = (cols[None, :] * q + np.arange(q)[:, None]) * q + moved
     quotient = np.bincount(flat.ravel(), minlength=q**3).reshape(q, q, q)  # [r, r1, r2]
     pairs = sizes[None, :, None] * quotient
@@ -155,7 +153,7 @@ def radial_eigenbasis(graph):
             clusters.append((start, i))
             start = i
     radii = radii_order(ctx)
-    sizes = np.bincount(orbit_labels(ctx), minlength=q)[radii]
+    sizes = scheme(ctx).sizes.copy()
 
     base = 0  # canonical (y, x) order puts sqrt(delta) first
     rows = []
@@ -216,8 +214,8 @@ def closed_forms(ctx):
     fields, chars = field_tables(ctx), character_tables(ctx)
     deg0, deg1 = degenerate_radii(ctx)
 
-    ys = np.arange(q * (q - 1)) // q + 1
-    hist = np.bincount(orbit_labels(ctx) * (q - 1) + fields.dlog[ys], minlength=q * (q - 1))
+    vertices = scheme(ctx)
+    hist = np.bincount(vertices.labels * (q - 1) + fields.dlog[vertices.y], minlength=q * (q - 1))
     principal = hist.reshape(q, q - 1) @ chars.base.T / (q + 1)
     principal[deg0] = 1.0
     principal[deg1] = chars.base[:, (q - 1) // 2]  # beta_j(-1), dlog(-1) = (q-1)/2

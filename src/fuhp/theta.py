@@ -29,9 +29,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .field import field_tables
-from .heat import heat_kernel_oracle, heat_kernel_spectral
+from .heat import _time_grid, heat_kernel_oracle, heat_kernel_spectral
 from .spherical import closed_forms, match_formulas_to_oracle, spherical_table
-from .uhp import build_graph, degenerate_radii, orbit_labels
+from .uhp import build_graph, degenerate_radii, scheme
 
 THETA_MODES = ("verbatim", "reconciled")
 
@@ -95,8 +95,9 @@ def _index_masks(ctx, r):
     in_o = np.zeros(q * q, dtype=bool)
     # Tr(zeta^m) = 2a; the representative q^2-1 is zeta^0
     in_o[1:] = fields.chi[(2 * np.roll(fields.power_a, -1) - shift) % q] == 1
+    vertices = scheme(ctx)
     in_v = np.zeros(q * q, dtype=bool)
-    in_v[np.flatnonzero(orbit_labels(ctx) == r) // q + 1] = True  # vertex i has y = i//q + 1
+    in_v[vertices.y[vertices.labels == r]] = True
     return in_o, in_v
 
 
@@ -178,8 +179,7 @@ def finite_theta(ctx, table, r, t, mode="reconciled", match=None):
     Verbatim mode returns the real part of the printed sum (use the
     consistency report for its imaginary leakage and deviation).
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _time_grid([t])
     if mode == "reconciled":
         return float(reconciled_kernel(ctx, table, [t], match)[0, table.radius_column(r)])
     if mode == "verbatim":
@@ -198,8 +198,8 @@ def classical_theta(z, t, n_max=25):
     The reported bound 2 e^(-pi t n_max^2) / (1 - e^(-pi t)) dominates the
     dropped |n| > n_max terms for real z.
     """
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"time must be positive and finite, got {t}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     total = 1.0 + 0.0j

@@ -1,21 +1,27 @@
 """The finite upper half-plane H_q, its spheres, and the Cayley graph on it.
 
 H_q is the set of z = x + y*sqrt(delta) with y != 0, identified with the
-affine matrix [[y, x], [0, 1]]. The sphere of radius r around sqrt(delta)
-is cut out by x^2 = r*y + delta*(y-1)^2; using it as a Cayley generating
-set gives a (q+1)-regular graph on the q(q-1) points, whose combinatorial
-Laplacian is (q+1)*I - A.
+affine matrix [[y, x], [0, 1]]; the affine group acts on itself by the
+product (x, y).(x', y') = (y*x' + x, y*y'). The sphere of radius r around
+sqrt(delta) is cut out by x^2 = r*y + delta*(y-1)^2; using it as a Cayley
+generating set gives a (q+1)-regular graph on the q(q-1) points, whose
+combinatorial Laplacian is (q+1)*I - A.
 
-Vertex order is fixed to lexicographic (y, x) so that all matrices are
-bit-reproducible.
+Vertex encoding: vertex i is x + y*sqrt(delta) with x = i % q and
+y = i // q + 1, the lexicographic (y, x) order, so vertex 0 is sqrt(delta)
+and every matrix is bit-reproducible. Only this module knows it:
+``vertex_index`` encodes coordinates, ``translate`` is the affine product on
+indices, and ``scheme`` holds, once per (q, delta), the coordinate arrays and
+the distance classes (orbits) around sqrt(delta) that the other modules read.
 """
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .field import ExtElement, ext_norm
+from .field import ExtElement, ext_norm, field_tables
 
 ORBIT_CONSTANCY_TOL = 1e-10
 
@@ -38,9 +44,20 @@ def enumerate_points(ctx):
     return [Point(x, y) for y in range(1, ctx.q) for x in range(ctx.q)]
 
 
+def vertex_index(q, x, y):
+    """Index of x + y*sqrt(delta) in the canonical (y, x) order; x and y may be arrays."""
+    return (y - 1) * q + x
+
+
 def point_index(ctx, z):
     """Index of z in the canonical (y, x) order."""
-    return (z.y - 1) * ctx.q + z.x
+    return vertex_index(ctx.q, z.x, z.y)
+
+
+def translate(q, i, j):
+    """Index of z_i . z_j = (y_i*x_j + x_i, y_i*y_j) for vertex indices i, j (arrays broadcast)."""
+    (yi, xi), (yj, xj) = np.divmod(i, q), np.divmod(j, q)
+    return vertex_index(q, ((yi + 1) * xj + xi) % q, (yi + 1) * (yj + 1) % q)
 
 
 def act(ctx, z, s):
@@ -48,10 +65,35 @@ def act(ctx, z, s):
     return Point((z.y * s.x + z.x) % ctx.q, (z.y * s.y) % ctx.q)
 
 
-def point_inverse(ctx, s):
-    """Inverse of s in the affine group."""
-    yinv = ctx.inv(s.y)
-    return Point(-s.x * yinv % ctx.q, yinv)
+class Scheme(NamedTuple):
+    """The vertex encoding of (q, delta) and its distance classes around sqrt(delta); read-only.
+
+    x[i], y[i]: coordinates of vertex i; labels[i]: its distance to sqrt(delta);
+    cols[i]: the column of that radius in ``radii_order``; sizes[k]: the size
+    of the orbit of column k; reps[k]: its first vertex.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    labels: np.ndarray
+    cols: np.ndarray
+    sizes: np.ndarray
+    reps: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def scheme(ctx):
+    """The Scheme of ctx, built once per (q, delta) and shared, so its arrays are read-only."""
+    q = ctx.q
+    y, x = np.divmod(np.arange(q, q * q), q)  # vertex i is y*q + x - q
+    labels = (x * x - ctx.delta * (y - 1) ** 2) * field_tables(ctx).inv[y] % q
+    cols = np.argsort(radii_order(ctx))[labels]
+    sizes = np.bincount(cols, minlength=q)
+    reps = np.argsort(cols, kind="stable")[np.cumsum(sizes) - sizes]
+    out = Scheme(x, y, labels, cols, sizes, reps)
+    for array in out:
+        array.flags.writeable = False
+    return out
 
 
 def sphere(ctx, r):
@@ -61,8 +103,9 @@ def sphere(ctx, r):
     at the two degenerate radii 0 and 4*delta, where the sphere is the
     single point sqrt(delta) resp. -sqrt(delta).
     """
-    q = ctx.q
-    return [Point(i % q, i // q + 1) for i in np.flatnonzero(orbit_labels(ctx) == r % q).tolist()]
+    vertices = scheme(ctx)
+    ix = vertices.labels == r % ctx.q
+    return [Point(x, y) for x, y in zip(vertices.x[ix].tolist(), vertices.y[ix].tolist())]
 
 
 def distance(ctx, z, w):
@@ -88,25 +131,28 @@ def regular_radius(ctx, r_s):
 class UhpGraph:
     """Cayley graph of H_q with generating sphere S_{r_s}; immutable once built.
 
-    ``neighbors[i]`` lists the q+1 neighbours of vertex i, one column per
-    generator in sphere order; the dense int8 ``adjacency`` is built from it
-    on first use only.
+    ``neighbors[i, k]`` is the vertex z_i . s_k, for the generators s_k in
+    sphere order; the dense int8 ``adjacency`` and the ``points`` are built
+    from it on first use only.
     """
 
-    def __init__(self, ctx, r_s, points, neighbors):
+    def __init__(self, ctx, r_s, neighbors):
         self.ctx = ctx
         self.r_s = r_s
-        self.points = points
         self.neighbors = neighbors
         self._eig = None
 
     @property
     def n(self):
-        return len(self.points)
+        return self.neighbors.shape[0]
 
     @property
     def degree(self):
         return self.ctx.q + 1
+
+    @functools.cached_property
+    def points(self):
+        return enumerate_points(self.ctx)
 
     @functools.cached_property
     def adjacency(self):
@@ -137,34 +183,26 @@ def build_graph(ctx, r_s):
     """
     q = ctx.q
     r_s = regular_radius(ctx, r_s)
+    rows = np.arange(q * (q - 1))
+    gen = rows[scheme(ctx).labels == r_s]
+    neighbors = translate(q, rows[:, None], gen)
 
-    gen = sphere(ctx, r_s)
-    gen_set = set(gen)
-    for s in gen:
-        if point_inverse(ctx, s) not in gen_set:
-            raise AssertionError(f"generating sphere not closed under inversion at {s}")
-
-    points = enumerate_points(ctx)
-    n = len(points)
-    xs = np.array([z.x for z in points])
-    ys = np.array([z.y for z in points])
-    # column k holds the right translates z . s_k, in canonical index order
-    neighbors = np.stack([(ys * s.y % q - 1) * q + (ys * s.x + xs) % q for s in gen], axis=1)
-
-    rows = np.arange(n)
+    # row gen[k] holds s_k . s_l, so s_k^(-1) is the s_l where it reads 0, the identity
+    inv = np.argmax(neighbors[gen] == 0, axis=1)
+    missing = gen[neighbors[gen, inv] != 0]
+    if missing.size:
+        raise AssertionError(f"generating sphere not closed under inversion at vertex {missing[0]}")
     if np.any(neighbors == rows[:, None]):
         raise AssertionError("self-loop produced by a regular radius")
     if np.any(np.diff(np.sort(neighbors, axis=1), axis=1) == 0):
         raise AssertionError("graph is not (q+1)-regular")
-    # the edge set {(i, j)} equals its transpose: compare the encoded lists i*n + j and j*n + i
-    forward = np.sort(rows[:, None] * n + neighbors, axis=None)
-    backward = np.sort(neighbors * n + rows[:, None], axis=None)
-    if not np.array_equal(forward, backward):
+    # every edge i -> z_i . s_k comes back through the column of s_k^(-1)
+    if np.any(neighbors[neighbors, inv] != rows[:, None]):
         raise AssertionError("adjacency not symmetric")
     if not _connected(neighbors):
         raise AssertionError("graph is not connected")
 
-    return UhpGraph(ctx, r_s, points, neighbors)
+    return UhpGraph(ctx, r_s, neighbors)
 
 
 def _connected(neighbors):
@@ -186,24 +224,9 @@ def laplacian(graph):
     return (graph.ctx.q + 1) * np.eye(n) - graph.adjacency.astype(float)
 
 
-@functools.lru_cache(maxsize=8)
-def orbit_labels(ctx):
-    """Distance (x^2 - delta*(y-1)^2) / y of every vertex to sqrt(delta), in (y, x) order.
-
-    Built once per (q, delta) and shared, so the array is read-only.
-    """
-    q = ctx.q
-    ys = np.repeat(np.arange(1, q), q)
-    xs = np.tile(np.arange(q), q - 1)
-    y_inv = np.array([0] + [ctx.inv(y) for y in range(1, q)])
-    labels = (xs * xs - ctx.delta * (ys - 1) ** 2) * y_inv[ys] % q
-    labels.flags.writeable = False
-    return labels
-
-
 def orbit_decomposition(ctx):
     """Partition of H_q by distance to sqrt(delta): radius -> sorted vertex indices."""
-    labels = orbit_labels(ctx)
+    labels = scheme(ctx).labels
     return {r: np.flatnonzero(labels == r).tolist() for r in dict.fromkeys(labels.tolist())}
 
 
@@ -213,12 +236,12 @@ def radial_values(ctx, vecs, what):
     ``vecs`` is one function (shape [n]) or one per row (shape [rows, n]); the
     result has the same leading shape, with one column per radius.
     """
-    labels = orbit_labels(ctx)
+    cols = scheme(ctx).cols
     radii = radii_order(ctx)
     out = np.empty(vecs.shape[:-1] + (len(radii),))
     for k, r in enumerate(radii):
         # contiguous rows, so that each row mean adds in the order of a 1-D vector's mean
-        vals = np.ascontiguousarray(vecs[..., labels == r])
+        vals = np.ascontiguousarray(vecs[..., cols == k])
         spread = vals.max(axis=-1) - vals.min(axis=-1)
         scale = np.maximum(1.0, np.abs(vals).max(axis=-1))
         assert np.all(spread <= ORBIT_CONSTANCY_TOL * scale), (

@@ -158,8 +158,13 @@ def test_heat_csv_q3(tmp_path):
     assert row1["E_r1"] == pytest.approx(1 - math.exp(-6), abs=1e-12)
 
 
-def test_heat_rejects_negative_time(capsys):
-    assert main(["heat", "--q", "3", "--t", "-1"]) == EXIT_BAD_INPUT
+@pytest.mark.parametrize("command", [["heat"], ["theta"], ["theta", "--classical", "0.3"]],
+                         ids=["heat", "theta", "classical"])
+@pytest.mark.parametrize("times", ["-1", "inf", "nan", "0,inf"])
+def test_heat_rejects_negative_time(command, times, capsys):
+    # exit 1 is reserved for verification failures: a bad time, infinite ones included, is invalid input
+    assert main([*command, "--q", "3", "--t", times]) == EXIT_BAD_INPUT
+    assert "time" in capsys.readouterr().err
 
 
 def test_theta_report_both_modes(tmp_path):

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import fuhp.uhp
 from fuhp.field import field_context
 from fuhp.uhp import (
     Point,
     _connected,
+    act,
     base_point,
     build_graph,
     degenerate_radii,
@@ -16,12 +18,12 @@ from fuhp.uhp import (
     enumerate_points,
     laplacian,
     orbit_decomposition,
-    orbit_labels,
     orbit_sizes,
     point_index,
-    point_inverse,
     radii_order,
+    scheme,
     sphere,
+    translate,
 )
 
 
@@ -124,7 +126,8 @@ def test_generating_sphere_closed_under_inversion():
         if r in degenerate_radii(ctx):
             continue
         pts = set(sphere(ctx, r))
-        assert {point_inverse(ctx, s) for s in pts} == pts
+        inverses = {t for s in pts for t in enumerate_points(ctx) if act(ctx, s, t) == base_point()}
+        assert inverses == pts
 
 
 def test_laplacian_octahedron_spectrum():
@@ -166,15 +169,83 @@ def test_orbits_partition_and_match_spheres(q):
     for r, ix in orbits.items():
         assert {pts[i] for i in ix} == set(sphere(ctx, r))
     base = base_point()
-    assert orbit_labels(ctx).tolist() == [distance(ctx, z, base) for z in pts]
+    assert scheme(ctx).labels.tolist() == [distance(ctx, z, base) for z in pts]
 
 
 def test_orbit_labels_cached_read_only():
     ctx = field_context(7)
-    labels = orbit_labels(ctx)
-    assert orbit_labels(ctx) is labels
-    with pytest.raises(ValueError):
-        labels[0] = 1
+    vertices = scheme(ctx)
+    assert scheme(ctx) is vertices
+    for array in vertices:
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 13])
+def test_scheme_matches_points_and_orbits(q):
+    ctx = field_context(q)
+    vertices = scheme(ctx)
+    pts = enumerate_points(ctx)
+    assert vertices.x.tolist() == [z.x for z in pts]
+    assert vertices.y.tolist() == [z.y for z in pts]
+    radii = radii_order(ctx)
+    assert [radii[k] for k in vertices.cols] == vertices.labels.tolist()
+    orbits = orbit_decomposition(ctx)
+    assert vertices.sizes.tolist() == [len(orbits[r]) for r in radii]
+    assert vertices.reps.tolist() == [orbits[r][0] for r in radii]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_translate_is_the_affine_product(q):
+    ctx = field_context(q)
+    pts = enumerate_points(ctx)
+    rows = np.arange(len(pts))
+    expect = [[point_index(ctx, act(ctx, z, w)) for w in pts] for z in pts]
+    assert np.array_equal(translate(q, rows[:, None], rows), expect)
+    assert translate(q, len(pts) - 1, 1) == expect[-1][1]  # scalar indices
+
+
+def test_build_graph_rejects_a_generating_set_not_closed_under_inversion(monkeypatch):
+    ctx = field_context(7)
+    real = scheme(ctx)
+    u, u_inv = Point(1, 2), Point(3, 4)
+    assert act(ctx, u, u_inv) == base_point() and real.labels[point_index(ctx, u_inv)] != 1
+    labels = real.labels.copy()
+    labels[point_index(ctx, u)] = 1  # u joins S_1 without its inverse
+    monkeypatch.setattr(fuhp.uhp, "scheme", lambda c: real._replace(labels=labels))
+    with pytest.raises(AssertionError, match="not closed under inversion"):
+        build_graph(ctx, 1)
+
+
+def _loop_at_the_base(nbrs):
+    nbrs[0, 0] = 0
+
+
+def _repeated_neighbour(nbrs):
+    nbrs[0, 1] = nbrs[0, 0]
+
+
+def _one_way_edge(nbrs):
+    # the base point's neighbours are the generators; a vertex outside them cannot lead back
+    nbrs[0, 0] = np.setdiff1d(np.arange(1, nbrs.shape[0]), nbrs[0])[0]
+
+
+@pytest.mark.parametrize("corrupt, error", [
+    (_loop_at_the_base, "self-loop"),
+    (_repeated_neighbour, "not \\(q\\+1\\)-regular"),
+    (_one_way_edge, "not symmetric"),
+])
+def test_build_graph_rejects_a_corrupted_neighbour_array(monkeypatch, corrupt, error):
+    real = translate
+
+    def corrupted(q, i, j):
+        nbrs = real(q, i, j)
+        corrupt(nbrs)
+        return nbrs
+
+    monkeypatch.setattr(fuhp.uhp, "translate", corrupted)
+    with pytest.raises(AssertionError, match=error):
+        build_graph(field_context(7), 1)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
@@ -194,6 +265,7 @@ def test_lazy_adjacency_is_distance_sphere_at_every_radius(q):
     for r_s in radii_order(ctx)[2:]:
         g = build_graph(ctx, r_s)
         assert "adjacency" not in vars(g)  # built on first use only
+        assert "points" not in vars(g)
         assert g.neighbors.shape == (g.n, q + 1)
         expect = [[distance(ctx, z, w) == r_s for w in g.points] for z in g.points]
         assert np.array_equal(g.adjacency, np.array(expect, dtype=np.int8))

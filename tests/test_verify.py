@@ -46,6 +46,12 @@ def test_battery_builds_one_graph_per_radius_and_one_match(monkeypatch):
     assert calls.count("match_formulas_to_oracle") == 1
 
 
+def test_battery_runs_the_q_only_checks_once():
+    names = [r.name for r in run_battery([7])]
+    assert names.count("q=7 orbit sizes") == 1
+    assert names.count("q=7 sphere sizes") == 1
+
+
 def test_field_checks_and_beta_multiplicative_at_the_cap():
     # exhaustive at q=101: the pairwise norm loop alone took minutes here
     ctx = field_context(101)
