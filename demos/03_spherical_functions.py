@@ -23,7 +23,7 @@ for q in (5, 7):
           " (sum =", int(table.degrees.sum()), "= q(q-1))")
     print("Laplacian eigenvalues:", np.round(table.laplacian_eigenvalues, 6).tolist())
 
-    report = match_formulas_to_oracle(ctx, r_s, table=table)
+    report = match_formulas_to_oracle(ctx, r_s)
     print("closed-form match:")
     for m in report.matches:
         line = (f"  {m.kind:9s} class {m.index} -> row {m.row}  "

@@ -16,12 +16,12 @@ from fuhp import (
     heat_kernel_oracle,
     heat_kernel_spectral,
     initial_condition_check,
-    radial_eigenbasis,
+    spherical_table,
 )
 
 ctx = field_context(3)
 graph = build_graph(ctx, 1)
-table = radial_eigenbasis(graph)
+table = spherical_table(ctx, 1)
 
 print("q=3 closed form: E(t;0) = 1 + 3e^(-4t) + 2e^(-6t)")
 print("                 E(t;1) = 1 - e^(-6t)")

@@ -35,7 +35,6 @@ from .spherical import (
     laplace_eigenvalue,
     match_formulas_to_oracle,
     principal_spherical,
-    radial_eigenbasis,
     spherical_table,
 )
 from .heat import (
@@ -46,10 +45,8 @@ from .heat import (
     method_of_images_check,
 )
 from .theta import (
-    ThetaIndexSets,
     classical_theta,
     finite_theta,
-    index_sets,
     theta_consistency_report,
 )
 from .verify import run_battery
@@ -59,7 +56,6 @@ __all__ = [
     "FieldCtx",
     "Point",
     "SphericalTable",
-    "ThetaIndexSets",
     "UhpGraph",
     "base_point",
     "beta",
@@ -79,7 +75,6 @@ __all__ = [
     "fourier_coefficient_check",
     "heat_kernel_oracle",
     "heat_kernel_spectral",
-    "index_sets",
     "initial_condition_check",
     "laplace_eigenvalue",
     "laplacian",
@@ -92,7 +87,6 @@ __all__ = [
     "orbit_sizes",
     "principal_spherical",
     "quadratic_character",
-    "radial_eigenbasis",
     "run_battery",
     "sphere",
     "spherical_table",

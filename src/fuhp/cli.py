@@ -94,8 +94,11 @@ def _emit(args, doc, csv_maker):
 def _write(args, text):
     """Write text to --out (default stdout)."""
     if args.out and args.out != "-":
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

@@ -1,28 +1,28 @@
-"""Zonal spherical functions of H_q, computed two ways, and their closed forms.
+"""Zonal spherical functions of H_q and their closed forms.
 
 The distance classes form a commutative association scheme, so the q
 spherical functions belong to (q, delta), not to a generating radius:
 ``spherical_table`` computes them once from q x q quotient matrices, and r_s
-only selects the eigenvalues a_i = (q+1)*omega_i(r_s). ``radial_eigenbasis``
-is its dense oracle (adjacency eigenprojections of the base-point indicator),
-which merges rows that share an eigenvalue at r_s.
+only selects the eigenvalues a_i = (q+1)*omega_i(r_s) and the row order.
 
 Two closed-form families are then matched against the rows: the principal
 family, a character average over the sphere's y-coordinates, and the cuspidal
 family, a sign-weighted character sum over the norm-one subgroup U. Both are
 treated as claims to be checked, not as definitions: the matcher assigns each
-character class its unique spectral row and records every deviation.
+character class its unique spectral row and records every deviation. The
+assignment belongs to (q, delta) as well, so it is made once, against the
+rows in their own order, and ``match_formulas_to_oracle`` only renumbers it.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .characters import character_tables, nu_equals_inverse
 from .field import field_tables
-from .uhp import degenerate_radii, radial_values, radii_order, regular_radius, scheme, translate
+from .uhp import degenerate_radii, radii_order, regular_radius, scheme, translate
 
 EIGENVALUE_CLUSTER_TOL = 1e-8
 # weights cos(r * golden angle) keep the eigenvalues of sum_r c_r B~_r apart
@@ -32,6 +32,8 @@ GOLDEN_ANGLE = np.pi * (3 - np.sqrt(5))
 # (q+1)*e^2 < 1e-14 for a relative gap >= 1e-8
 MIN_RELATIVE_GAP = 1e-8
 DEGREE_INTEGRALITY_TOL = 1e-6
+# the largest deviation a matched row may have; at every prime q <= 101 they stay below 1.2e-15
+MATCH_TOL = 1e-9
 
 
 @dataclass
@@ -112,13 +114,19 @@ def _radial_rows(ctx):
     return tuple(radii), sizes, omega, degrees
 
 
+def _row_order(ctx, r_s):
+    """a_i = (q+1)*omega_i(r_s) for the rows of ``_radial_rows``, and their order by ascending lambda_i."""
+    radii, _, omega, _ = _radial_rows(ctx)
+    adj = (ctx.q + 1) * omega[:, radii.index(r_s)]
+    return adj, np.argsort((ctx.q + 1) - adj, kind="stable")
+
+
 def spherical_table(ctx, r_s):
     """All q rows (cached per (q, delta)) with a_i = (q+1)*omega_i(r_s), by ascending lambda_i."""
     q = ctx.q
     r_s = regular_radius(ctx, r_s)
     radii, sizes, omega, degrees = _radial_rows(ctx)
-    adj = (q + 1) * omega[:, radii.index(r_s)]
-    order = np.argsort((q + 1) - adj, kind="stable")
+    adj, order = _row_order(ctx, r_s)
     return SphericalTable(
         q=q,
         delta=ctx.delta,
@@ -129,59 +137,6 @@ def spherical_table(ctx, r_s):
         degrees=degrees[order],
         adjacency_eigenvalues=adj[order],
         laplacian_eigenvalues=(q + 1) - adj[order],
-    )
-
-
-def radial_eigenbasis(graph):
-    """Dense oracle: spherical rows from adjacency eigenprojections.
-
-    For each distinct adjacency eigenvalue a_i with projector P_i, the vector
-    P_i e_0 (e_0 = base-point indicator) is constant on distance orbits; its
-    value normalized by the base-point entry is omega_i by radius. d_i is the
-    eigenvalue multiplicity, and lambda_i = (q+1) - a_i.
-    """
-    ctx = graph.ctx
-    q = ctx.q
-    n = graph.n
-    w, v = graph.adjacency_eigh()
-
-    # cluster numerically-equal eigenvalues (ascending from eigh)
-    clusters = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or w[i] - w[i - 1] > EIGENVALUE_CLUSTER_TOL:
-            clusters.append((start, i))
-            start = i
-    radii = radii_order(ctx)
-    sizes = scheme(ctx).sizes.copy()
-
-    base = 0  # canonical (y, x) order puts sqrt(delta) first
-    rows = []
-    for lo, hi in clusters:
-        cols = v[:, lo:hi]
-        proj_e0 = cols @ cols[base]
-        denom = proj_e0[base]
-        # for a Gelfand pair the base-point mass is d_i/n > 0
-        assert denom > 1e-12, "eigenprojection of the base indicator vanished at the base"
-        values = radial_values(ctx, proj_e0 / denom, "eigenprojection")
-        d = hi - lo
-        a = float(w[lo:hi].mean())
-        rows.append((values, d, a))
-
-    order = np.argsort([q + 1 - a for _, _, a in rows], kind="stable")
-    omega = np.vstack([rows[i][0] for i in order])
-    degrees = np.array([rows[i][1] for i in order])
-    adj_eigs = np.array([rows[i][2] for i in order])
-    return SphericalTable(
-        q=q,
-        delta=ctx.delta,
-        r_s=graph.r_s,
-        radii=radii,
-        orbit_sizes=sizes,
-        omega=omega,
-        degrees=degrees,
-        adjacency_eigenvalues=adj_eigs,
-        laplacian_eigenvalues=(q + 1) - adj_eigs,
     )
 
 
@@ -308,16 +263,14 @@ def cuspidal_class_indices(q):
     return list(range(1, (q + 1) // 2))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CharacterMatch:
     """One character class matched to one spectral row."""
 
     kind: str  # "principal" | "cuspidal"
     index: int
-    partner_index: int
     row: int
     max_deviation: float
-    deviation_by_radius: dict
     excluded_radii: tuple = ()
     by_elimination: bool = False
     infinity_reading: str = ""
@@ -327,8 +280,8 @@ class CharacterMatch:
 @dataclass
 class MatchReport:
     table: SphericalTable
-    matches: list = field(default_factory=list)
-    max_imag: float = 0.0
+    matches: list
+    max_imag: float
 
     @property
     def principal(self):
@@ -338,107 +291,89 @@ class MatchReport:
     def cuspidal(self):
         return [m for m in self.matches if m.kind == "cuspidal"]
 
-    def row_for(self, kind, index):
-        for m in self.matches:
-            if m.kind == kind and m.index == index:
-                return m.row
-        raise KeyError((kind, index))
 
-
-def match_formulas_to_oracle(ctx, r_s, table=None, tol=1e-9):
-    """Assign every character class its spectral row and measure deviations.
+@functools.lru_cache(maxsize=8)
+def _class_matches(ctx):
+    """Every character class matched to its row of ``_radial_rows``, and the largest imaginary part.
 
     Principal classes are matched first (their values are defined at every
     radius), then cuspidal classes over the remaining rows, excluding the
-    pole radius r=1. The assignment must be injective; a class whose best
-    row deviates by more than tol raises with the offending index. For the
-    cuspidal value at the antipodal radius both candidate readings are
-    evaluated and the better one is recorded per class.
+    pole radius r=1. Each class takes its best untaken row, so the
+    assignment is injective; a best row deviating by more than MATCH_TOL
+    raises with the offending index. For the cuspidal value at the antipodal
+    radius both candidate readings are evaluated and the better one is
+    recorded per class. Returns (matches, max_imag); do not modify.
     """
     q = ctx.q
-    if table is None:
-        table = spherical_table(ctx, r_s)
-    if table.r_s != r_s % q:
-        raise ValueError(f"table was built with r_s={table.r_s}, got {r_s}")
-    if not table.is_complete:
-        raise ValueError(
-            f"table has {table.num_rows} rows < q={q}: an eigenvalue collision merged "
-            f"orbits at r_s={table.r_s}; match against spherical_table, which keeps all q rows"
-        )
-
-    radii = table.radii
+    radii, _, omega, _ = _radial_rows(ctx)
+    radii = list(radii)
     deg1 = degenerate_radii(ctx)[1]
     forms = closed_forms(ctx)
-    report = MatchReport(table=table)
-    taken = set()
+    taken = np.zeros(q, dtype=bool)
+    matches, max_imag = [], 0.0
+
+    def take(devs, label):
+        row = int(np.argmin(np.where(taken, np.inf, devs)))
+        if devs[row] > MATCH_TOL:
+            raise ValueError(
+                f"reconciliation failure: {label} deviates by {devs[row]:.3e} "
+                f"from its best unassigned spectral row (tol {MATCH_TOL:.1e})"
+            )
+        taken[row] = True
+        return row
 
     for j in principal_class_indices(q):
         values = forms.principal[radii, j]
-        report.max_imag = max(report.max_imag, float(np.abs(values.imag).max()))
-        devs = np.abs(table.omega - values.real[None, :]).max(axis=1)
-        row = _best_row(devs, taken, tol, f"principal class beta_{j}")
-        taken.add(row)
-        report.matches.append(
-            CharacterMatch(
-                kind="principal",
-                index=j,
-                partner_index=(q - 1 - j) % (q - 1),
-                row=row,
-                max_deviation=float(devs[row]),
-                deviation_by_radius=dict(zip(radii, np.abs(table.omega[row] - values).tolist())),
-            )
-        )
+        max_imag = max(max_imag, float(np.abs(values.imag).max()))
+        devs = np.abs(omega - values.real[None, :]).max(axis=1)
+        row = take(devs, f"principal class beta_{j}")
+        matches.append(CharacterMatch("principal", j, row, float(devs[row])))
 
     defined = [r for r in radii if r != 1 and r != deg1]
-    cols = [table.radius_column(r) for r in defined]
-    inf_col = table.radius_column(deg1)
-    # with only the normalization radii defined the match is by elimination
-    informative = len(defined) > 1 or q > 3
+    cols = [radii.index(r) for r in defined]
+    inf_col = radii.index(deg1)
     for j in cuspidal_class_indices(q):
         values = forms.cuspidal["reconciled"][defined, j]
         verbatim = forms.cuspidal["verbatim"][defined, j]
-        inf_values = {reading: forms.antipodal[reading][j] for reading in CUSPIDAL_INFINITY_READINGS}
-        report.max_imag = max(report.max_imag, float(np.abs(values.imag).max()))
-        inf_devs = np.array([np.abs(table.omega[:, inf_col] - v) for v in inf_values.values()])
-        devs = np.maximum(np.abs(table.omega[:, cols] - values).max(axis=1), inf_devs.min(axis=0))
-        free = [i for i in range(table.num_rows) if i not in taken]
-        row = _best_row(devs, taken, tol, f"cuspidal class nu_{j}")
-        taken.add(row)
-        inf_target = table.omega[row, inf_col]
-        best_reading = min(
-            CUSPIDAL_INFINITY_READINGS, key=lambda rd: abs(inf_target - inf_values[rd])
-        )
-        if abs(inf_values["minus_nu"] - inf_values["minus_nu0_nu"]) <= tol:
-            best_reading = "both (readings coincide)"
-        dev_by_r = dict(zip(defined, np.abs(table.omega[row, cols] - values).tolist()))
-        dev_by_r[deg1] = float(inf_devs[:, row].min())
-        report.matches.append(
+        inf_values = [forms.antipodal[reading][j] for reading in CUSPIDAL_INFINITY_READINGS]
+        max_imag = max(max_imag, float(np.abs(values.imag).max()))
+        inf_devs = np.array([np.abs(omega[:, inf_col] - v) for v in inf_values])
+        devs = np.maximum(np.abs(omega[:, cols] - values).max(axis=1), inf_devs.min(axis=0))
+        # with only the normalization radius defined (q=3), the last row is the match
+        by_elimination = len(defined) == 1 and taken.sum() == q - 1
+        row = take(devs, f"cuspidal class nu_{j}")
+        if abs(inf_values[0] - inf_values[1]) <= MATCH_TOL:
+            reading = "both (readings coincide)"
+        else:
+            reading = CUSPIDAL_INFINITY_READINGS[int(inf_devs[:, row].argmin())]
+        matches.append(
             CharacterMatch(
-                kind="cuspidal",
-                index=j,
-                partner_index=q + 1 - j,
-                row=row,
-                max_deviation=float(devs[row]),
-                deviation_by_radius=dev_by_r,
+                "cuspidal",
+                j,
+                row,
+                float(devs[row]),
                 excluded_radii=(1,),
-                by_elimination=not informative and len(free) == 1,
-                infinity_reading=best_reading,
-                verbatim_deviation=float(np.abs(table.omega[row, cols] - verbatim).max()),
+                by_elimination=by_elimination,
+                infinity_reading=reading,
+                verbatim_deviation=float(np.abs(omega[row, cols] - verbatim).max()),
             )
         )
-
-    assert len(taken) == table.num_rows, "match must cover every spectral row"
-    return report
+    return tuple(matches), max_imag
 
 
-def _best_row(devs, taken, tol, label):
-    order = np.argsort(devs, kind="stable")
-    for i in order:
-        if int(i) not in taken:
-            if devs[i] > tol:
-                raise ValueError(
-                    f"reconciliation failure: {label} deviates by {devs[i]:.3e} "
-                    f"from its best unassigned spectral row (tol {tol:.1e})"
-                )
-            return int(i)
-    raise ValueError(f"reconciliation failure: no spectral row left for {label}")
+def _table_matches(ctx, r_s):
+    """The matches of ``_class_matches`` with each row renumbered into ``spherical_table(ctx, r_s)``."""
+    matches, _ = _class_matches(ctx)
+    position = np.argsort(_row_order(ctx, r_s)[1])
+    return [replace(m, row=int(position[m.row])) for m in matches]
+
+
+def match_formulas_to_oracle(ctx, r_s):
+    """Every character class, its row of ``spherical_table(ctx, r_s)`` and its deviations.
+
+    The classes belong to (q, delta), so the assignment is made once per
+    (q, delta) (see ``_class_matches``); r_s only renumbers the rows.
+    """
+    table = spherical_table(ctx, r_s)
+    _, max_imag = _class_matches(ctx)
+    return MatchReport(table, _table_matches(ctx, table.r_s), max_imag)

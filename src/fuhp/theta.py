@@ -5,16 +5,18 @@ index lattice (characters x norm-one indices) in two modes:
 
 * ``reconciled``: regroups the spectral expansion. Decay rates are the true
   Laplacian eigenvalues (attached to character classes by the spectral
-  match) and the angular parts are the character-sum forms of the spherical
-  functions. This mode reproduces the spectral kernel identically.
+  match, made once per (q, delta)) and the angular parts are the
+  character-sum forms of the spherical functions. This mode reproduces the
+  spectral kernel identically.
 * ``verbatim``: the stated closed-form double sum evaluated literally, with
   its radius-dependent exponents alpha_r(l), the combined (q+2) phase factor
   for base-field indices, and the characteristic-function phase term. Its
   gap from the reconciled kernel is a measured finding, never corrected.
 
-Both modes are array code: the reconciled sum reads the closed-form tables
-of ``spherical.closed_forms``, and the verbatim sum multiplies phase tables
-built once per (q, delta) by per-radius sign vectors, for all times at once.
+Both modes are array code: the reconciled sum substitutes rows of
+``spherical.closed_forms`` into the spectral table, and the verbatim sum
+multiplies phase tables built once per (q, delta) by per-radius sign
+vectors, for all times at once.
 
 ``classical_theta`` is the lattice sum theta(z, it) = sum_n e^(-pi n^2 t + 2 pi i n z),
 the circle-domain analogue the finite sums imitate.
@@ -30,27 +32,10 @@ import numpy as np
 
 from .field import field_tables
 from .heat import _time_grid, heat_kernel_oracle, heat_kernel_spectral
-from .spherical import closed_forms, match_formulas_to_oracle, spherical_table
+from .spherical import _table_matches, closed_forms, spherical_table
 from .uhp import build_graph, degenerate_radii, scheme
 
 THETA_MODES = ("verbatim", "reconciled")
-
-
-@dataclass(frozen=True)
-class ThetaIndexSets:
-    """Index sets of the double sum at radius r, over integers mod q^2-1.
-
-    Representatives run 1..q^2-1. u_idx are the norm-one indices; v_r the
-    y-values (as integers 1..q-1) for which the sphere equation is solvable;
-    o_r the indices whose shifted trace is a nonzero square; n_idx everything.
-    """
-
-    q: int
-    r: int
-    u_idx: tuple
-    v_r: tuple
-    o_r: tuple
-    n_idx: tuple
 
 
 class _ThetaTables(NamedTuple):
@@ -101,20 +86,6 @@ def _index_masks(ctx, r):
     return in_o, in_v
 
 
-def index_sets(ctx, r):
-    """Enumerate U, V(r), O(r) and the full index set; r=1 is excluded."""
-    in_o, in_v = _index_masks(ctx, r)
-    q = ctx.q
-    return ThetaIndexSets(
-        q=q,
-        r=r % q,
-        u_idx=tuple(_theta_tables(ctx).u_idx.tolist()),
-        v_r=tuple(np.flatnonzero(in_v).tolist()),
-        o_r=tuple(np.flatnonzero(in_o).tolist()),
-        n_idx=tuple(range(1, q * q)),
-    )
-
-
 def _finite_theta_verbatim(ctx, r, t_grid):
     """The printed double sum at radius r for every t in t_grid, complex-valued.
 
@@ -146,21 +117,19 @@ def _finite_theta_verbatim(ctx, r, t_grid):
     return values
 
 
-def reconciled_kernel(ctx, table, t_grid, match=None):
+def reconciled_kernel(ctx, table, t_grid):
     """Reconciled theta sums sum_i d_i e^(-lambda_i t) omega_i(r) as an array [t, radius column].
 
-    The spectral kernel of the table with each row replaced by the
-    character-sum omega of its matched class: the true decay rates and
-    degrees stay. The antipodal column takes the adjudicated reading; column
-    r=1, excluded from the cuspidal sum, keeps the spectral row. Pass the
-    table's ``match_formulas_to_oracle`` report as ``match`` to reuse it.
+    The spectral kernel of ``table``, a ``spherical_table``, with each row
+    replaced by the character-sum omega of its matched class, an assignment
+    made once per (q, delta): the true decay rates and degrees stay. The
+    antipodal column takes the adjudicated reading; column r=1, excluded
+    from the cuspidal sum, keeps the spectral row.
     """
-    if match is None:
-        match = match_formulas_to_oracle(ctx, table.r_s, table=table)
     forms = closed_forms(ctx)
     deg1_col, one_col = table.radius_column(degenerate_radii(ctx)[1]), table.radius_column(1)
     omega = table.omega.copy()
-    for m in match.matches:
+    for m in _table_matches(ctx, table.r_s):
         if m.kind == "principal":
             omega[m.row] = forms.principal[table.radii, m.index].real
             continue
@@ -171,17 +140,16 @@ def reconciled_kernel(ctx, table, t_grid, match=None):
     return heat_kernel_spectral(replace(table, omega=omega), t_grid)
 
 
-def finite_theta(ctx, table, r, t, mode="reconciled", match=None):
+def finite_theta(ctx, table, r, t, mode="reconciled"):
     """Evaluate the finite theta sum at radius r and time t.
 
-    Reconciled mode reproduces the spectral heat kernel; pass the table's
-    ``match_formulas_to_oracle`` report as ``match`` to reuse it across calls.
-    Verbatim mode returns the real part of the printed sum (use the
-    consistency report for its imaginary leakage and deviation).
+    Reconciled mode reproduces the spectral heat kernel. Verbatim mode
+    returns the real part of the printed sum (use the consistency report for
+    its imaginary leakage and deviation).
     """
     _time_grid([t])
     if mode == "reconciled":
-        return float(reconciled_kernel(ctx, table, [t], match)[0, table.radius_column(r)])
+        return float(reconciled_kernel(ctx, table, [t])[0, table.radius_column(r)])
     if mode == "verbatim":
         return float(_finite_theta_verbatim(ctx, r, [t])[0].real)
     raise ValueError(f"mode must be one of {THETA_MODES}, got {mode!r}")
@@ -239,23 +207,20 @@ class ThetaReport:
         return max((row.verbatim_deviation for row in self.rows), default=0.0)
 
 
-def theta_consistency_report(ctx, r_s, t_grid, graph=None, table=None, match=None):
+def theta_consistency_report(ctx, r_s, t_grid, graph=None):
     """Audit the two theta modes against the matrix-exponential oracle.
 
     For every regular radius r != 1 and every t: the oracle kernel value,
     the reconciled value (required to agree), and the verbatim value with
-    its deviation (a finding, expected nonzero). ``graph``, ``table`` and
-    ``match`` are built for r_s when not given.
+    its deviation (a finding, expected nonzero). ``graph`` is built for r_s
+    when not given.
     """
     q = ctx.q
     if graph is None:
         graph = build_graph(ctx, r_s)
-    if table is None:
-        table = spherical_table(ctx, r_s)
-    if match is None:
-        match = match_formulas_to_oracle(ctx, table.r_s, table=table)
+    table = spherical_table(ctx, r_s)
     oracle = heat_kernel_oracle(graph, t_grid).by_radius
-    kernel = reconciled_kernel(ctx, table, t_grid, match)
+    kernel = reconciled_kernel(ctx, table, t_grid)
     deg0, deg1 = degenerate_radii(ctx)
     radii = [r for r in table.radii if r not in (deg0, deg1, 1)]
 

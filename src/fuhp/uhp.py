@@ -164,8 +164,8 @@ class UhpGraph:
     def adjacency_eigh(self):
         """Cached symmetric eigendecomposition of the adjacency matrix.
 
-        O(n^3) time and O(n^2) memory: the small-q cross-check of the tests and
-        of ``radial_eigenbasis``; no CLI or ``verify`` path calls it.
+        O(n^3) time and O(n^2) memory: the small-q cross-check of the tests;
+        no CLI or ``verify`` path calls it.
         """
         if self._eig is None:
             w, v = np.linalg.eigh(self.adjacency.astype(float))

@@ -307,18 +307,17 @@ def lift_checks(graph):
     return out
 
 
-def theta_checks(graph, match):
-    """Theta checks on graph's radius, reusing the table and match of ``match``."""
+def theta_checks(graph):
+    """Theta checks on graph's radius."""
     ctx, q = graph.ctx, graph.ctx.q
     out = []
-    table = match.table
+    table = spherical_table(ctx, graph.r_s)
     t_grid = (0.0, 0.1, 1.0)
-    reconciled = reconciled_kernel(ctx, table, t_grid, match)
+    reconciled = reconciled_kernel(ctx, table, t_grid)
     dev = float(np.abs(reconciled - heat_kernel_spectral(table, t_grid)).max())
     _check(out, f"q={q} reconciled theta = spectral kernel", dev <= 1e-12, f"{dev:.2e}")
 
-    report = theta_consistency_report(ctx, graph.r_s, [0.1, 1.0], graph=graph, table=table,
-                                      match=match)
+    report = theta_consistency_report(ctx, graph.r_s, [0.1, 1.0], graph=graph)
     _check(out, f"q={q} theta report reconciled column", report.max_reconciled_deviation <= 1e-9,
            f"{report.max_reconciled_deviation:.2e}")
     _check(out, f"q={q} verbatim theta gap", report.max_verbatim_deviation <= 1e-9,
@@ -352,16 +351,15 @@ def run_battery(q_list, include_lift=False):
         results += field_checks(ctx)
         results += character_checks(ctx)
         regular = radii_order(ctx)[2:]
-        # one graph per (q, r_s); the first radius's graph and match serve the later groups
+        # one graph per (q, r_s); the first radius's graph serves the later groups
         first = build_graph(ctx, regular[0])
         for r_s in regular:
             graph = first if r_s == regular[0] else build_graph(ctx, r_s)
             results += graph_checks(graph)
             results += spherical_checks(graph)
-        match = match_formulas_to_oracle(ctx, first.r_s)
-        results += formula_match_checks(match)
+        results += formula_match_checks(match_formulas_to_oracle(ctx, first.r_s))
         results += heat_checks(first)
-        results += theta_checks(first, match)
+        results += theta_checks(first)
         if include_lift:
             results += lift_checks(first)
     return results

@@ -1,0 +1,64 @@
+"""Dense spherical table for small q: the cross-check of the radial core.
+
+Adjacency eigenprojections of the base-point indicator from one dense n x n
+eigendecomposition, so O(n^3) time. Rows that share an adjacency eigenvalue
+at r_s are merged, which makes this the only source of an incomplete table.
+"""
+
+import numpy as np
+
+from fuhp.spherical import EIGENVALUE_CLUSTER_TOL, SphericalTable
+from fuhp.uhp import radial_values, radii_order, scheme
+
+
+def radial_eigenbasis(graph):
+    """Dense oracle: spherical rows from adjacency eigenprojections.
+
+    For each distinct adjacency eigenvalue a_i with projector P_i, the vector
+    P_i e_0 (e_0 = base-point indicator) is constant on distance orbits; its
+    value normalized by the base-point entry is omega_i by radius. d_i is the
+    eigenvalue multiplicity, and lambda_i = (q+1) - a_i.
+    """
+    ctx = graph.ctx
+    q = ctx.q
+    n = graph.n
+    w, v = graph.adjacency_eigh()
+
+    # cluster numerically-equal eigenvalues (ascending from eigh)
+    clusters = []
+    start = 0
+    for i in range(1, n + 1):
+        if i == n or w[i] - w[i - 1] > EIGENVALUE_CLUSTER_TOL:
+            clusters.append((start, i))
+            start = i
+    radii = radii_order(ctx)
+    sizes = scheme(ctx).sizes.copy()
+
+    base = 0  # canonical (y, x) order puts sqrt(delta) first
+    rows = []
+    for lo, hi in clusters:
+        cols = v[:, lo:hi]
+        proj_e0 = cols @ cols[base]
+        denom = proj_e0[base]
+        # for a Gelfand pair the base-point mass is d_i/n > 0
+        assert denom > 1e-12, "eigenprojection of the base indicator vanished at the base"
+        values = radial_values(ctx, proj_e0 / denom, "eigenprojection")
+        d = hi - lo
+        a = float(w[lo:hi].mean())
+        rows.append((values, d, a))
+
+    order = np.argsort([q + 1 - a for _, _, a in rows], kind="stable")
+    omega = np.vstack([rows[i][0] for i in order])
+    degrees = np.array([rows[i][1] for i in order])
+    adj_eigs = np.array([rows[i][2] for i in order])
+    return SphericalTable(
+        q=q,
+        delta=ctx.delta,
+        r_s=graph.r_s,
+        radii=radii,
+        orbit_sizes=sizes,
+        omega=omega,
+        degrees=degrees,
+        adjacency_eigenvalues=adj_eigs,
+        laplacian_eigenvalues=(q + 1) - adj_eigs,
+    )

@@ -99,9 +99,7 @@ def test_criterion_5_spherical_table_invariants(sweep):
 @pytest.mark.parametrize("q", [5, 7])
 def test_criterion_6_formula_reconciliation(q):
     ctx = field_context(q)
-    r_s = 1
-    table = spherical_table(ctx, r_s)
-    report = match_formulas_to_oracle(ctx, r_s, table=table)
+    report = match_formulas_to_oracle(ctx, 1)
     assert len(report.matches) == q
     assert len({m.row for m in report.matches}) == q  # unique row per class
     for m in report.principal:

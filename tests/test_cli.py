@@ -277,3 +277,11 @@ def test_classical_theta_text(capsys):
     out = capsys.readouterr().out
     assert out.startswith("theta(0.0, 1.0i) = 1.0864348112133")
     assert "truncation bound" in out
+
+
+def test_unwritable_out_is_bad_input(tmp_path, capsys):
+    out = tmp_path / "missing" / "info.json"
+    assert main(["info", "--q", "5", "--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write --out") and str(out) in err
+    assert not out.exists()

@@ -1,23 +1,28 @@
 """Spherical tables (radial core and dense oracle), and the closed-form families."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fuhp.characters import beta, nu, nu0, nu_equals_inverse
 from fuhp.field import ExtElement, field_context, is_odd_prime, norm_one_subgroup, quadratic_character
+from fuhp.heat import heat_kernel_spectral
 from fuhp.spherical import (
     CUSPIDAL_INFINITY_READINGS,
     CUSPIDAL_VARIANTS,
+    _radial_rows,
     closed_forms,
     cuspidal_spherical,
     laplace_eigenvalue,
     match_formulas_to_oracle,
     principal_spherical,
-    radial_eigenbasis,
     spherical_table,
 )
-from fuhp.theta import finite_theta, theta_consistency_report
+from fuhp.theta import finite_theta, reconciled_kernel, theta_consistency_report
 from fuhp.uhp import base_point, build_graph, degenerate_radii, distance, radii_order, sphere
+
+from dense_graph import radial_eigenbasis
 
 
 def table_for(q, r_s=None, delta=None):
@@ -187,8 +192,9 @@ def test_cuspidal_normalization_and_errors():
 
 
 def test_cuspidal_matches_oracle_rows_q5():
-    ctx, graph, table = table_for(5, r_s=1)
-    report = match_formulas_to_oracle(ctx, 1, table=table)
+    ctx = field_context(5)
+    report = match_formulas_to_oracle(ctx, 1)
+    table = report.table
     for m in report.cuspidal:
         assert m.max_deviation <= 1e-10
         row = m.row
@@ -201,8 +207,7 @@ def test_cuspidal_matches_oracle_rows_q5():
 def test_cuspidal_verbatim_variant_disagrees_somewhere():
     # the as-stated constant reproduces some classes but not all; the gap is
     # what the match report measures
-    ctx, _, table = table_for(7)
-    report = match_formulas_to_oracle(ctx, table.r_s, table=table)
+    report = match_formulas_to_oracle(field_context(7), 1)
     gaps = [m.verbatim_deviation for m in report.cuspidal]
     assert max(gaps) > 0.1
 
@@ -239,8 +244,7 @@ def test_match_q3_by_elimination():
 @pytest.mark.parametrize("q", [5, 7])
 def test_match_unique_rows_and_tolerances(q):
     ctx = field_context(q)
-    table = spherical_table(ctx, 1)
-    report = match_formulas_to_oracle(ctx, 1, table=table)
+    report = match_formulas_to_oracle(ctx, 1)
     assert len(report.matches) == q
     assert len({m.row for m in report.matches}) == q
     for m in report.principal:
@@ -249,13 +253,6 @@ def test_match_unique_rows_and_tolerances(q):
         assert m.max_deviation <= 1e-9
         assert m.excluded_radii == (1,)
     assert report.max_imag <= 1e-10
-
-
-def test_match_rejects_merged_table():
-    ctx = field_context(5)
-    merged = radial_eigenbasis(build_graph(ctx, 2))
-    with pytest.raises(ValueError, match="collision"):
-        match_formulas_to_oracle(ctx, 2, table=merged)
 
 
 def test_antipodal_reading_is_minus_nu():
@@ -360,7 +357,7 @@ def test_match_and_reconciled_theta_at_a_colliding_radius():
     report = match_formulas_to_oracle(ctx, 1)
     assert len({m.row for m in report.matches}) == 13
     assert max(m.max_deviation for m in report.matches) <= 1e-9
-    theta = theta_consistency_report(ctx, 1, [0.1, 1.0], table=table)
+    theta = theta_consistency_report(ctx, 1, [0.1, 1.0])
     assert theta.max_reconciled_deviation <= 1e-9
     assert finite_theta(ctx, table, 0, 0.0) == pytest.approx(13 * 12, abs=1e-9)
 
@@ -376,3 +373,51 @@ def test_radial_table_builds_at_every_prime_up_to_the_default_cap():
         assert int(table.degrees.sum()) == n
         delta = np.array([n if r == 0 else 0.0 for r in table.radii])
         assert np.abs(table.degrees @ table.omega - delta).max() <= 4 * np.finfo(float).eps * n
+
+
+@pytest.mark.parametrize("q", [5, 7, 13, 29])
+def test_match_is_the_same_at_every_generating_radius(q):
+    # the classes and their rows belong to (q, delta): each report, read back in the
+    # rows' own order, is one assignment with bit-equal deviations and readings
+    ctx = field_context(q)
+    forms = closed_forms(ctx)
+    own_row = {row.tobytes(): i for i, row in enumerate(_radial_rows(ctx)[2])}
+    seen = None
+    for r_s in radii_order(ctx)[2:]:
+        report = match_formulas_to_oracle(ctx, r_s)
+        table = report.table
+        assert table.r_s == r_s
+        for m in report.principal:
+            values = forms.principal[table.radii, m.index].real
+            assert np.abs(table.omega[m.row] - values).max() == m.max_deviation
+        summary = {
+            (m.kind, m.index): (own_row[table.omega[m.row].tobytes()], m.max_deviation,
+                                m.verbatim_deviation, m.infinity_reading, m.by_elimination)
+            for m in report.matches
+        }
+        assert len(summary) == q
+        assert seen is None or (summary, report.max_imag) == seen
+        seen = summary, report.max_imag
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 13])
+def test_reconciled_kernel_substitutes_the_matched_rows(q):
+    ctx = field_context(q)
+    forms = closed_forms(ctx)
+    t_grid = [0.0, 0.1, 1.0, 5.0]
+    for r_s in radii_order(ctx)[2:]:
+        report = match_formulas_to_oracle(ctx, r_s)
+        table = report.table
+        deg1_col = table.radius_column(degenerate_radii(ctx)[1])
+        omega = table.omega.copy()
+        for m in report.matches:
+            if m.kind == "principal":
+                omega[m.row] = forms.principal[table.radii, m.index].real
+            else:
+                reading = "minus_nu" if m.infinity_reading.startswith("both") else m.infinity_reading
+                keep = table.omega[m.row, table.radius_column(1)]
+                omega[m.row] = forms.cuspidal["reconciled"][table.radii, m.index].real
+                omega[m.row, deg1_col] = forms.antipodal[reading][m.index].real
+                omega[m.row, table.radius_column(1)] = keep
+        want = heat_kernel_spectral(replace(table, omega=omega), t_grid)
+        np.testing.assert_array_equal(reconciled_kernel(ctx, table, t_grid), want)

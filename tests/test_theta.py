@@ -2,8 +2,10 @@
 
 import cmath
 import math
+from typing import NamedTuple
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,12 +14,38 @@ from fuhp.field import ext_norm, ext_pow, ext_trace, field_context, quadratic_ch
 from fuhp.heat import heat_kernel_spectral
 from fuhp.spherical import spherical_table
 from fuhp.theta import (
+    _index_masks,
+    _theta_tables,
     classical_theta,
     finite_theta,
-    index_sets,
     theta_consistency_report,
 )
 from fuhp.uhp import degenerate_radii, sphere
+
+
+class ThetaIndexSets(NamedTuple):
+    """Index sets of the double sum at radius r, over the representatives 1..q^2-1.
+
+    u_idx are the norm-one indices; v_r the y-values (as integers 1..q-1) for
+    which the sphere equation is solvable; o_r the indices whose shifted trace
+    is a nonzero square; n_idx everything.
+    """
+
+    u_idx: tuple
+    v_r: tuple
+    o_r: tuple
+    n_idx: tuple
+
+
+def index_sets(ctx, r):
+    """The index sets the verbatim sum reads, enumerated from its masks; r=1 raises."""
+    in_o, in_v = _index_masks(ctx, r)
+    return ThetaIndexSets(
+        u_idx=tuple(_theta_tables(ctx).u_idx.tolist()),
+        v_r=tuple(np.flatnonzero(in_v).tolist()),
+        o_r=tuple(np.flatnonzero(in_o).tolist()),
+        n_idx=tuple(range(1, ctx.q * ctx.q)),
+    )
 
 
 def brute_index_sets(ctx, r):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fuhp
+import fuhp.spherical
 import fuhp.theta
 import fuhp.verify
 from fuhp.cli import DEFAULT_MAX_Q
@@ -40,10 +41,13 @@ def test_battery_builds_one_graph_per_radius_and_one_match(monkeypatch):
 
     for module in (fuhp.verify, fuhp.theta):
         counted(module, "build_graph")
-        counted(module, "match_formulas_to_oracle")
+    counted(fuhp.verify, "match_formulas_to_oracle")
+    fuhp.spherical._class_matches.cache_clear()
     assert not any(r.fatal for r in run_battery([7]))
     assert calls.count("build_graph") == 5  # the regular radii of q=7
     assert calls.count("match_formulas_to_oracle") == 1
+    # the reconciled theta kernels read the same assignment: it is computed once
+    assert fuhp.spherical._class_matches.cache_info().misses == 1
 
 
 def test_battery_runs_the_q_only_checks_once():
