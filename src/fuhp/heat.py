@@ -11,11 +11,16 @@ The oracle uses no eigendecomposition. The Laplacian is (q+1)I - A with A
     exp(-tL) e_0 = sum_k Poisson(k; rate) * P^k e_0
 
 (uniformization, the continuous-time random walk). P is applied through the
-n x (q+1) neighbour array at cost n(q+1) per step, and the sum stops at the
-first K whose dropped Poisson tail is at most the unit roundoff u, so the
-whole oracle costs O(K * n(q+1)) with K ~ rate + O(sqrt(rate)). Every term is
-non-negative, so nothing cancels: the result carries the truncated tail
-(<= u) plus rounding of about K*u relative in each entry.
+[q+1, n] generator rows of the graph at cost n(q+1) per step. The sum would
+run to the first K whose dropped Poisson tail is at most the unit roundoff u,
+K ~ rate + O(sqrt(rate)); but P is symmetric and doubly stochastic, so
+||P^k e_0 - 1/n||_inf never increases with k, and once it is at most
+delta = 4(q+1)u/n, at a step k* that is a property of the graph (at most
+86 over the primes q <= 101, at q=5), the remaining terms are replaced by
+the uniform vector times the remaining Poisson mass T. The oracle costs
+O(min(K, k*) * n(q+1)), whatever t. Every term is non-negative, so nothing
+cancels: each entry carries the truncated tail (<= u), rounding of about
+min(K, k*)*u relative, and the stop's n*delta*T <= 4(q+1)u.
 
 Both kernels take a grid of times and return arrays [t, radius column]; the
 oracle walks once, to the largest t of the grid, and also returns [t, vertex].
@@ -28,6 +33,7 @@ array of cosets, so no |G| x |G| matrix is built there either.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -35,6 +41,8 @@ import numpy as np
 
 from .field import field_tables
 from .uhp import base_point, build_graph, point_index, radial_values, scheme, translate, vertex_index
+
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 def _time_grid(t_grid):
@@ -56,32 +64,52 @@ def heat_kernel_spectral(table, t_grid):
     return weights @ table.omega
 
 
+def _poisson_terms(rate):
+    """Yield (w_k, b_k) for k = 0, 1, ...: w_k = Poisson(k; rate) and b_k >= sum_{j>=k} w_j.
+
+    Forward, so that w_0..w_k cost O(k) whatever the rate: w_0 = e^(-rate),
+    then w_k = w_(k-1) * rate/k, one or two roundings per step. e^(-rate)
+    underflows once rate > 708, so while the previous weight is below the
+    smallest normal float w_k is formed in log space instead, as
+    exp(-rate + sum_{j<=k} log(rate/j)) with the exponent summed under
+    Neumaier's compensation. Once k+1 > rate the ratios w_(j+1)/w_j =
+    rate/(j+1) are at most rho = rate/(k+1) < 1 for j >= k, so b_k =
+    w_k/(1 - rho); before that, b_k = inf.
+    """
+    if rate == 0:
+        yield 1.0, 1.0
+        yield 0.0, 0.0
+        return
+    total, carry, k = -rate, 0.0, 0
+    w = math.exp(total)
+    while True:
+        yield w, (w * (k + 1) / (k + 1 - rate) if k + 1 > rate else math.inf)
+        k += 1
+        term = math.log(rate / k)
+        new = total + term
+        carry += (total - new) + term if abs(total) >= abs(term) else (term - new) + total
+        total = new
+        w = w * rate / k if w >= sys.float_info.min else math.exp(total + carry)
+
+
+def _cut(terms):
+    """The weights of a ``_poisson_terms`` stream before its first tail bound <= u, and that bound."""
+    weights = []
+    for w, bound in terms:
+        if bound <= UNIT_ROUNDOFF:
+            return weights, bound
+        weights.append(w)
+
+
 def poisson_weights(rate):
     """Poisson(k; rate) for k = 0..K, and a bound on the dropped tail sum_{k>K}.
 
-    e^(-rate) underflows once rate > 745, so only the mode weight is formed,
-    in log space as fsum(-rate, log(rate/j) for j <= mode); the others follow
-    by the ratios w_(k+1)/w_k = rate/(k+1) outward from it, one rounding per
-    step. For k >= K+1 >= rate the ratios are at most rho = rate/(K+2) < 1,
-    so the tail is at most w_(K+1)/(1 - rho); K is the first index from the
-    mode on where that bound is <= u, the unit roundoff.
+    The weights of ``_poisson_terms``, cut before the first index K+1 whose
+    tail bound b_(K+1) is at most u, the unit roundoff; b_k is finite from
+    the mode on only, so K >= mode and the whole list costs O(rate).
     """
-    if rate == 0:
-        return np.ones(1), 0.0
-    u = np.finfo(float).eps / 2
-    mode = int(rate)
-    weights = [math.exp(math.fsum([-rate] + [math.log(rate / j) for j in range(1, mode + 1)]))]
-    for k in range(mode, 0, -1):
-        weights.append(weights[-1] * k / rate)
-    weights.reverse()
-    while True:
-        k = len(weights)  # index of the next weight, the first one dropped
-        nxt = weights[-1] * rate / k
-        if k + 1 > rate:
-            tail = nxt * (k + 1) / (k + 1 - rate)
-            if tail <= u:
-                return np.array(weights), tail
-        weights.append(nxt)
+    weights, tail = _cut(_poisson_terms(rate))
+    return np.array(weights), tail
 
 
 class OracleKernel(NamedTuple):
@@ -91,23 +119,57 @@ class OracleKernel(NamedTuple):
     by_vertex: np.ndarray  # columns in the graph's vertex order
 
 
-def _uniformization(step, start, rates):
-    """sum_{k<=K} w_k P^k start for each rate, with w = poisson_weights(rate) and P = step.
+def _uniformization(step, start, rates, terms):
+    """sum_k w_k P^k start per rate (w = poisson_weights(rate), P = step) until mixed; [rate, entry].
 
-    One walk serves every rate: the weight rows are zero-padded to the
-    largest K, and adding a zero term leaves a sum as it is, so each row
-    equals the walk for its rate alone, bit for bit. Returns [rate, entry].
+    P must be symmetric and doubly stochastic, so that dev_k = ||P^k start -
+    1/m||_inf (m = start.size, start of unit mass) never increases with k.
+    Each entry of a step sums ``terms`` values, so a step's rounding moves it
+    by about terms*u/m and the walk settles within a few times that of
+    uniform. The walk stops at the first k* with dev_k* <= tol = 4*terms*u/m,
+    or once every rate has used up its weights.
+
+    A rate still running at k* takes its remaining Poisson mass T = sum_{k>k*}
+    w_k times the uniform vector 1/m in place of its terms k > k*, which
+    moves each entry by at most tol*T. T is an upper tail: summed upward from
+    w_(k*+1) where the weights fall (k*+1 > rate), else 1 - sum_{k<=k*} w_k,
+    where k* lies below the median of Poisson(rate), so the sum is < 1/2 and
+    nothing cancels. Weights are formed only up to the stop, so a call costs
+    O(min(K, k*)) steps and Poisson weights, whatever the rate.
+
+    One walk serves every rate: a rate whose weights end at or before k*
+    adds zero terms after its last, which leaves a sum as it is, so its row
+    equals the walk for that rate alone, bit for bit.
     """
-    rows = [poisson_weights(rate)[0] for rate in rates]
-    weights = np.zeros((len(rows), max(map(len, rows), default=1)))
-    for i, row in enumerate(rows):
-        weights[i, : len(row)] = row
-    walk = start
-    acc = np.outer(weights[:, 0], walk)
-    for w_k in weights.T[1:]:
-        walk = step(walk)
+    m = start.size
+    tol = 4 * terms * UNIT_ROUNDOFF / m
+    weights = [_poisson_terms(rate) for rate in rates]
+    heads = [[] for _ in rates]
+    live = list(range(len(rates)))
+    acc = np.zeros((len(rates), m))
+    walk, k = start, 0
+    while True:
+        w_k = np.zeros(len(rates))
+        for i in list(live):
+            w, bound = next(weights[i])
+            if bound <= UNIT_ROUNDOFF:
+                live.remove(i)
+            else:
+                w_k[i] = w
+                heads[i].append(w)
         acc += np.outer(w_k, walk)
-    return acc
+        if not live:
+            return acc
+        if np.abs(walk - 1.0 / m).max() <= tol:
+            break
+        walk, k = step(walk), k + 1
+    rest = np.zeros(len(rates))
+    for i in live:
+        if k + 1 > rates[i]:
+            rest[i] = math.fsum(_cut(weights[i])[0])
+        else:
+            rest[i] = 1.0 - math.fsum(heads[i])
+    return acc + rest[:, None] / m
 
 
 def heat_kernel_oracle(graph, t_grid, base=None):
@@ -115,11 +177,14 @@ def heat_kernel_oracle(graph, t_grid, base=None):
 
     Uniformization, with no eigendecomposition: n * sum_{k<=K} w_k P^k e_base,
     where w = poisson_weights((q+1)t) and P = A/(q+1) is applied as a sum over
-    the neighbour array; one walk serves the whole grid. Cost
-    O(K * n(q+1)) with K ~ (q+1)t + O(sqrt((q+1)t)) for the largest t; error:
-    the dropped Poisson tail (<= u) plus about K*u relative per entry, as
-    every term is non-negative. Radius values are read off the orbits around
-    the base point, asserting constancy on each orbit.
+    the generator rows; one walk serves the whole grid, and it stops at the
+    first step k* where ||P^k* e_base - 1/n||_inf <= delta = 4(q+1)u/n (see
+    ``_uniformization``). Cost O(min(K, k*) * n(q+1)), with K ~ (q+1)t +
+    O(sqrt((q+1)t)) for the largest t. Error per entry: the dropped Poisson
+    tail (<= u), about min(K, k*)*u relative, as every term is non-negative,
+    and at most n*delta*T = 4(q+1)u*T for the times still running at k*, T
+    being their Poisson mass past k*. Radius values are read off the orbits
+    around the base point, asserting constancy on each orbit.
     """
     t_grid = _time_grid(t_grid)
     ctx = graph.ctx
@@ -128,8 +193,8 @@ def heat_kernel_oracle(graph, t_grid, base=None):
     base_ix = point_index(ctx, base_point() if base is None else base)
     start = np.zeros(n)
     start[base_ix] = 1.0
-    step = lambda walk: walk[graph.neighbors].sum(axis=1) / (q + 1)
-    by_vertex = n * _uniformization(step, start, (q + 1) * t_grid)
+    step = lambda walk: walk[graph.by_generator].sum(axis=0) / (q + 1)
+    by_vertex = n * _uniformization(step, start, (q + 1) * t_grid, q + 1)
     # distance is invariant under left translation: d(base . z, base) = d(z, sqrt(delta))
     around_base = by_vertex[:, translate(q, base_ix, np.arange(n))]
     return OracleKernel(radial_values(ctx, around_base, "oracle kernel"), by_vertex)
@@ -237,7 +302,10 @@ def method_of_images_check(ctx, r_s, t_grid, graph=None):
     of the quotient oracle at the same rate (q+1)t, one step of
     P_lift = A_lift/((q+1)|K|) being a ``bincount`` and a (q+1)-column
     gather; it is averaged over each coset and compared with the quotient
-    oracle at each t. Cost O(K |G|(q+1)) time and O(|G|(q+1)) memory, with
+    oracle at each t. The walk stops once within 4q(q+1)u/|G| of uniform
+    (a step sums q(q+1) terms per entry), which moves each coset average by
+    at most 4q(q+1)u times the remaining Poisson mass. Cost
+    O(min(K, k*) |G|(q+1)) time and O(|G|(q+1)) memory, with
     |G| = q(q-1)^2(q+1) (26,208 at q=13).
     """
     q = ctx.q
@@ -292,7 +360,8 @@ def method_of_images_check(ctx, r_s, t_grid, graph=None):
         return np.bincount(coset_of, weights=f, minlength=n_h)[cols].sum(axis=1) / ((q + 1) * k_order)
 
     t_grid = _time_grid(t_grid)
-    walk = _uniformization(step, start, (q + 1) * t_grid)
+    # a step sums |K| walk entries per coset, then q+1 cosets: q(q+1) terms
+    walk = _uniformization(step, start, (q + 1) * t_grid, q * (q + 1))
     # every coset g*K has |K| members, so the mean of E_lift = |G| walk over it is
     # |G|/|K| = q(q-1) times the coset sum of the walk
     averaged = n_h * np.stack([np.bincount(coset_of, weights=row, minlength=n_h) for row in walk])

@@ -85,26 +85,36 @@ def _radial_rows(ctx):
     B_r[r1, r2] = #{s in S_r : d(z_r1 . s, sqrt(delta)) = r2}. The symmetric
     B~_r = D^(1/2) B_r D^(-1/2) share eigenvectors u_i, found by one eigh of
     sum_r c_r B~_r; B_r omega_i = |S_r| omega_i(r) omega_i, so omega_i(r) is
-    the Rayleigh quotient u_i' B~_r u_i / (|S_r| u_i' u_i).
+    the Rayleigh quotient u_i' B~_r u_i / (|S_r| u_i' u_i). The counts are
+    filled one orbit representative z_r1 (one bincount over the n vertices) at
+    a time, and the quotients one radius r at a time, so the scratch beyond
+    the q^3 counts and their float copy B~ is O(n + q^2).
     """
     q = ctx.q
     n = q * (q - 1)
     radii = radii_order(ctx)
     vertices = scheme(ctx)
     cols, sizes = vertices.cols, vertices.sizes
-    # column of z_k . w for the representative z_k of each orbit and every vertex w
-    moved = cols[translate(q, vertices.reps[:, None], np.arange(n))]
-    flat = (cols[None, :] * q + np.arange(q)[:, None]) * q + moved
-    quotient = np.bincount(flat.ravel(), minlength=q**3).reshape(q, q, q)  # [r, r1, r2]
-    pairs = sizes[None, :, None] * quotient
+    every_vertex = np.arange(n)
+    pairs = np.empty((q, q, q), dtype=np.int64)  # [r, r1, r2]
+    for r1, rep in enumerate(vertices.reps):
+        # the column of z_r1 . w for every vertex w, counted by the column of w
+        moved = cols[translate(q, rep, every_vertex)]
+        pairs[:, r1] = np.bincount(cols * q + moved, minlength=q * q).reshape(q, q)
+    pairs *= sizes[None, :, None]
     if not np.array_equal(pairs, pairs.transpose(0, 2, 1)):
         raise AssertionError("|S_r1| B_r[r1, r2] must be symmetric: distance classes are not a scheme")
-    sym = pairs / np.sqrt(np.outer(sizes, sizes))  # exactly symmetric B~_r
+    sym = pairs.astype(float)
+    del pairs
+    sym /= np.sqrt(np.outer(sizes, sizes))  # exactly symmetric B~_r
     w, u = np.linalg.eigh((np.cos(GOLDEN_ANGLE * np.array(radii)) @ sym.reshape(q, -1)).reshape(q, q))
     gap = np.diff(w).min()
     if gap < MIN_RELATIVE_GAP * np.abs(w).max():
         raise AssertionError(f"radial eigenbasis ill-separated at q={q}: gap {gap:.3e}")
-    omega = ((sym @ u) * u).sum(axis=1).T / sizes / (u * u).sum(axis=0)[:, None]
+    quotients = np.empty((q, q))  # [r, i]
+    for r, block in enumerate(sym):
+        quotients[r] = (block @ u * u).sum(axis=0)
+    omega = quotients.T / sizes / (u * u).sum(axis=0)[:, None]
     # each row of B_r sums to |S_r|, so the constant function is an exact row
     omega[np.abs(omega - 1.0).max(axis=1).argmin()] = 1.0
     raw = n / (omega**2 @ sizes)

@@ -131,20 +131,23 @@ def regular_radius(ctx, r_s):
 class UhpGraph:
     """Cayley graph of H_q with generating sphere S_{r_s}; immutable once built.
 
-    ``neighbors[i, k]`` is the vertex z_i . s_k, for the generators s_k in
-    sphere order; the dense int8 ``adjacency`` and the ``points`` are built
-    from it on first use only.
+    ``by_generator[k, i]`` is the vertex z_i . s_k, for the generators s_k in
+    sphere order: one C-contiguous row of n vertex indices per generator, so
+    a walk step sums q+1 contiguous gathers. ``neighbors`` is its [n, q+1]
+    transposed view (no copy), the neighbour list of each vertex; the dense
+    int8 ``adjacency`` and the ``points`` are built from it on first use only.
     """
 
-    def __init__(self, ctx, r_s, neighbors):
+    def __init__(self, ctx, r_s, by_generator):
         self.ctx = ctx
         self.r_s = r_s
-        self.neighbors = neighbors
+        self.by_generator = by_generator
+        self.neighbors = by_generator.T
         self._eig = None
 
     @property
     def n(self):
-        return self.neighbors.shape[0]
+        return self.by_generator.shape[1]
 
     @property
     def degree(self):
@@ -178,41 +181,48 @@ def build_graph(ctx, r_s):
 
     Rejects the degenerate radii. Verifies (rather than assumes) that the
     generating sphere is closed under group inversion, and that the result
-    is (q+1)-regular, loop-free, symmetric, and connected. Every check runs
-    on the n x (q+1) neighbour array; no n x n matrix is built.
+    is (q+1)-regular, loop-free, symmetric, and connected. The neighbour
+    array is built, and checked, one generator (a row of n vertices) at a
+    time, so besides the n(q+1) result the scratch is O(n) but for one sorted
+    copy of the result in the regularity check; no n x n matrix is built.
     """
     q = ctx.q
     r_s = regular_radius(ctx, r_s)
     rows = np.arange(q * (q - 1))
     gen = rows[scheme(ctx).labels == r_s]
-    neighbors = translate(q, rows[:, None], gen)
+    by_gen = np.empty((len(gen), len(rows)), dtype=rows.dtype)
+    for k, s in enumerate(gen):
+        by_gen[k] = translate(q, rows, s)
 
-    # row gen[k] holds s_k . s_l, so s_k^(-1) is the s_l where it reads 0, the identity
-    inv = np.argmax(neighbors[gen] == 0, axis=1)
-    missing = gen[neighbors[gen, inv] != 0]
+    # column gen[k] holds s_k . s_l for every l, so s_k^(-1) is the s_l where it reads 0, the identity
+    inv = np.argmax(by_gen[:, gen] == 0, axis=0)
+    missing = gen[by_gen[inv, gen] != 0]
     if missing.size:
         raise AssertionError(f"generating sphere not closed under inversion at vertex {missing[0]}")
-    if np.any(neighbors == rows[:, None]):
+    if any(np.any(nbrs == rows) for nbrs in by_gen):
         raise AssertionError("self-loop produced by a regular radius")
-    if np.any(np.diff(np.sort(neighbors, axis=1), axis=1) == 0):
+    ordered = by_gen.T.copy()  # C order, so that each row sorts in place and contiguously
+    ordered.sort(axis=1)
+    if np.any(ordered[:, 1:] == ordered[:, :-1]):
         raise AssertionError("graph is not (q+1)-regular")
-    # every edge i -> z_i . s_k comes back through the column of s_k^(-1)
-    if np.any(neighbors[neighbors, inv] != rows[:, None]):
+    # every edge i -> z_i . s_k comes back through the row of s_k^(-1)
+    if any(np.any(by_gen[back][nbrs] != rows) for nbrs, back in zip(by_gen, inv)):
         raise AssertionError("adjacency not symmetric")
-    if not _connected(neighbors):
+    if not _connected(by_gen.T):
         raise AssertionError("graph is not connected")
 
-    return UhpGraph(ctx, r_s, neighbors)
+    return UhpGraph(ctx, r_s, by_gen)
 
 
 def _connected(neighbors):
-    """Breadth-first search from vertex 0 over the neighbour array."""
+    """Breadth-first search from vertex 0 over the [n, degree] neighbour array, one column at a time."""
     seen = np.zeros(neighbors.shape[0], dtype=bool)
     seen[0] = True
     frontier = np.array([0])
     while frontier.size:
         reached = np.zeros_like(seen)
-        reached[neighbors[frontier]] = True
+        for nbrs in neighbors.T:
+            reached[nbrs[frontier]] = True
         frontier = np.flatnonzero(reached & ~seen)
         seen |= reached
     return bool(seen.all())

@@ -1,14 +1,35 @@
-"""Dense spherical table for small q: the cross-check of the radial core.
+"""Dense references for the radial core.
 
-Adjacency eigenprojections of the base-point indicator from one dense n x n
+``radial_eigenbasis``: the spherical table for small q from adjacency
+eigenprojections of the base-point indicator, one dense n x n
 eigendecomposition, so O(n^3) time. Rows that share an adjacency eigenvalue
 at r_s are merged, which makes this the only source of an incomplete table.
+
+``broadcast_radial_rows``: ``spherical._radial_rows`` as one broadcast over
+every orbit representative and vertex, with q x n and q^3 temporaries.
 """
 
 import numpy as np
 
-from fuhp.spherical import EIGENVALUE_CLUSTER_TOL, SphericalTable
-from fuhp.uhp import radial_values, radii_order, scheme
+from fuhp.spherical import EIGENVALUE_CLUSTER_TOL, GOLDEN_ANGLE, SphericalTable
+from fuhp.uhp import radial_values, radii_order, scheme, translate
+
+
+def broadcast_radial_rows(ctx):
+    """(omega, degrees) of ``_radial_rows``, from the q x n translates of all representatives at once."""
+    q = ctx.q
+    n = q * (q - 1)
+    radii = radii_order(ctx)
+    vertices = scheme(ctx)
+    cols, sizes = vertices.cols, vertices.sizes
+    moved = cols[translate(q, vertices.reps[:, None], np.arange(n))]
+    flat = (cols[None, :] * q + np.arange(q)[:, None]) * q + moved
+    quotient = np.bincount(flat.ravel(), minlength=q**3).reshape(q, q, q)  # [r, r1, r2]
+    sym = sizes[None, :, None] * quotient / np.sqrt(np.outer(sizes, sizes))
+    _, u = np.linalg.eigh((np.cos(GOLDEN_ANGLE * np.array(radii)) @ sym.reshape(q, -1)).reshape(q, q))
+    omega = ((sym @ u) * u).sum(axis=1).T / sizes / (u * u).sum(axis=0)[:, None]
+    omega[np.abs(omega - 1.0).max(axis=1).argmin()] = 1.0
+    return omega, np.rint(n / (omega**2 @ sizes)).astype(np.int64)
 
 
 def radial_eigenbasis(graph):

@@ -96,6 +96,17 @@ def test_heat_q101_memory(tmp_path):
     assert max(s["oracle_deviation"] for s in series) <= 1e-11 * 101 * 100
 
 
+def test_heat_huge_time_is_bounded_by_the_mixing_time(tmp_path):
+    # rate (q+1)t = 4e8: a walk or a weight list as long as the rate would not finish in time
+    env = dict(os.environ, PYTHONPATH=str(Path(fuhp.__file__).parents[1]))
+    out = tmp_path / "heat.json"
+    proc = subprocess.run([sys.executable, "-m", "fuhp.cli", "heat", "--q", "3", "--r-s", "1",
+                           "--t", "1e8", "--out", str(out)], env=env, timeout=10)
+    assert proc.returncode == EXIT_OK
+    (series,) = read_json(out)["data"]["series"]
+    assert series["oracle_deviation"] <= 1e-13
+
+
 def test_verify_q13_include_lift_memory():
     # a child process, so that its own peak RSS is measured by wait4; the dense lift
     # would need a |G| x |G| float matrix of 5.5 GB at q=13 (|G| = 26,208)

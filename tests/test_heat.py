@@ -151,7 +151,7 @@ def test_oracle_mass_is_kept_poisson_mass(q, r_s):
 
 
 def _walk_for_one_time(graph, t):
-    """The oracle's sum n * sum_k w_k P^k e_0 for one time, over that time's own weights only."""
+    """The oracle's sum n * sum_k w_k P^k e_0 for one time, over that time's own weights only, no stop."""
     weights, _ = poisson_weights(graph.degree * t)
     walk = np.zeros(graph.n)
     walk[point_index(graph.ctx, base_point())] = 1.0
@@ -162,14 +162,41 @@ def _walk_for_one_time(graph, t):
     return graph.n * acc
 
 
+def _mixing_step(graph):
+    """k*: the first step of the walk from the base point within delta = 4(q+1)u/n of uniform."""
+    walk = np.zeros(graph.n)
+    walk[point_index(graph.ctx, base_point())] = 1.0
+    k = 0
+    while np.abs(walk - 1.0 / graph.n).max() > 4 * graph.degree * U / graph.n:
+        walk = walk[graph.neighbors].sum(axis=1) / graph.degree
+        k += 1
+    return k
+
+
+def _assert_stopped_walk_matches(graph, t, row, full, k_stop):
+    """A time whose weights end by k* is the full walk bit for bit; a later one is within the stop's bound.
+
+    The bound is the stated n * delta * T, T the Poisson mass past k*, plus the
+    full walk's own rounding of about K*u relative per entry.
+    """
+    weights, _ = poisson_weights(graph.degree * t)
+    if len(weights) - 1 <= k_stop:
+        assert np.array_equal(row, full)
+    else:
+        bound = 4 * graph.degree * U * weights[k_stop + 1:].sum() + len(weights) * U * np.abs(full).max()
+        assert np.abs(row - full).max() <= bound
+
+
 @pytest.mark.parametrize("q, r_s", [(5, 2), (13, 1), (17, 3)])
 def test_grid_oracle_equals_per_time_walks(q, r_s):
-    # one walk, zero-padded to the largest time, adds exactly what each time's own walk adds
+    # one walk, zero-padded to the largest time, adds exactly what each time's own walk adds,
+    # up to the mixing stop, which both make at the same step
     graph = build_graph(field_context(q), r_s)
     t_grid = [1.0, 0.0, 0.25, 1.0, 2.0, 0.01]
     grid = heat_kernel_oracle(graph, t_grid)
+    k_stop = _mixing_step(graph)
     for i, t in enumerate(t_grid):
-        assert np.array_equal(grid.by_vertex[i], _walk_for_one_time(graph, t))
+        _assert_stopped_walk_matches(graph, t, grid.by_vertex[i], _walk_for_one_time(graph, t), k_stop)
         single = heat_kernel_oracle(graph, [t])
         assert np.array_equal(grid.by_vertex[i], single.by_vertex[0])
         assert np.array_equal(grid.by_radius[i], single.by_radius[0])
@@ -402,7 +429,7 @@ def test_lift_checks_skip_above_13():
 
 
 def _parent_grid_walk(graph, t_grid):
-    """The oracle's zero-padded grid walk, written out as one loop over the neighbour array."""
+    """The oracle's zero-padded grid walk, with no mixing stop, as one loop over the neighbour array."""
     q = graph.ctx.q
     rows = [poisson_weights((q + 1) * t)[0] for t in np.asarray(t_grid, dtype=float)]
     weights = np.zeros((len(rows), max(map(len, rows))))
@@ -417,8 +444,14 @@ def _parent_grid_walk(graph, t_grid):
     return graph.n * acc
 
 
-@pytest.mark.parametrize("q, r_s", [(5, 2), (13, 1)])
+@pytest.mark.parametrize("q, r_s", [(5, 2), (13, 1), (53, 1)])
 def test_oracle_bits_unchanged_by_the_shared_walk(q, r_s):
     graph = build_graph(field_context(q), r_s)
     t_grid = [1.0, 0.0, 0.25, 10.0, 2.0, 0.01]
-    assert np.array_equal(heat_kernel_oracle(graph, t_grid).by_vertex, _parent_grid_walk(graph, t_grid))
+    k_stop = _mixing_step(graph)
+    stopped = heat_kernel_oracle(graph, t_grid).by_vertex
+    full = _parent_grid_walk(graph, t_grid)
+    for t, row, full_row in zip(t_grid, stopped, full):
+        _assert_stopped_walk_matches(graph, t, row, full_row, k_stop)
+    ends = [len(poisson_weights(graph.degree * t)[0]) - 1 for t in t_grid]
+    assert min(ends) <= k_stop < max(ends)  # both sides of the stop are covered

@@ -1,5 +1,6 @@
 """Spherical tables (radial core and dense oracle), and the closed-form families."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from fuhp.spherical import (
 from fuhp.theta import finite_theta, reconciled_kernel, theta_consistency_report
 from fuhp.uhp import base_point, build_graph, degenerate_radii, distance, radii_order, sphere
 
-from dense_graph import radial_eigenbasis
+from dense_graph import broadcast_radial_rows, radial_eigenbasis
 
 
 def table_for(q, r_s=None, delta=None):
@@ -373,6 +374,31 @@ def test_radial_table_builds_at_every_prime_up_to_the_default_cap():
         assert int(table.degrees.sum()) == n
         delta = np.array([n if r == 0 else 0.0 for r in table.radii])
         assert np.abs(table.degrees @ table.omega - delta).max() <= 4 * np.finfo(float).eps * n
+
+
+@pytest.mark.parametrize("q", [3, 13, 29, 53])
+def test_radial_rows_equal_the_broadcast_formula_bit_for_bit(q):
+    # per-representative counts and per-radius quotients add in the broadcast's order
+    ctx = field_context(q)
+    _, _, omega, degrees = _radial_rows.__wrapped__(ctx)
+    dense_omega, dense_degrees = broadcast_radial_rows(ctx)
+    assert np.array_equal(omega, dense_omega)
+    assert np.array_equal(degrees, dense_degrees)
+
+
+def test_radial_rows_scratch_is_two_cubes():
+    # the int64 counts and their float copy B~ are the only q^3 arrays; the
+    # broadcast formula also held q x n and q^3 index temporaries (8.4 MB traced at q=53)
+    q = 53
+    ctx = field_context(q)
+    _radial_rows.__wrapped__(ctx)  # warm the per-(q, delta) tables it reads
+    tracemalloc.start()
+    try:
+        _radial_rows.__wrapped__(ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * q**3 * 8, f"traced peak {peak / 1e6:.2f} MB"
 
 
 @pytest.mark.parametrize("q", [5, 7, 13, 29])
