@@ -7,6 +7,7 @@ files. CSV files carry the configuration in '#'-prefixed preamble lines
 that the bundled reader understands.
 """
 
+import itertools
 import json
 
 
@@ -27,9 +28,8 @@ def _encode(obj):
         return str(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_encode(v)}" for k, v in obj.items())
-        return "{" + items + "}"
+    if isinstance(obj, dict) or _holds_containers(obj):
+        return "".join(_pieces(obj))
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_encode(v) for v in obj) + "]"
     # numpy scalars and arrays reduce to the cases above
@@ -38,8 +38,34 @@ def _encode(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _holds_containers(obj):
+    return isinstance(obj, (list, tuple)) and len(obj) > 0 and isinstance(obj[0], (dict, list, tuple))
+
+
+def _pieces(obj):
+    """The text of obj in pieces, to be joined once.
+
+    The brackets, keys and separators of dicts and of lists of containers are
+    pieces of their own and every other value is one piece, so no container's
+    text is copied into its parent's before the one final join.
+    """
+    if isinstance(obj, dict):
+        yield "{"
+        for i, (k, v) in enumerate(obj.items()):
+            yield f"{', ' if i else ''}{json.dumps(str(k))}: "
+            yield from _pieces(v)
+        yield "}"
+    elif _holds_containers(obj):
+        for i, v in enumerate(obj):
+            yield ", " if i else "["
+            yield from _pieces(v)
+        yield "]"
+    else:
+        yield _encode(obj)
+
+
 def dumps_json(doc):
-    return _encode(doc) + "\n"
+    return "".join(itertools.chain(_pieces(doc), "\n"))
 
 
 def write_json(path, doc):

@@ -10,17 +10,18 @@ The oracle uses no eigendecomposition. The Laplacian is (q+1)I - A with A
 
     exp(-tL) e_0 = sum_k Poisson(k; rate) * P^k e_0
 
-(uniformization, the continuous-time random walk). P is applied through the
-[q+1, n] generator rows of the graph at cost n(q+1) per step. The sum would
+(uniformization, the continuous-time random walk). P adds the [q+1, n]
+generator rows' gathers into one n-vector: n(q+1) per step. The sum would
 run to the first K whose dropped Poisson tail is at most the unit roundoff u,
 K ~ rate + O(sqrt(rate)); but P is symmetric and doubly stochastic, so
 ||P^k e_0 - 1/n||_inf never increases with k, and once it is at most
 delta = 4(q+1)u/n, at a step k* that is a property of the graph (at most
 86 over the primes q <= 101, at q=5), the remaining terms are replaced by
 the uniform vector times the remaining Poisson mass T. The oracle costs
-O(min(K, k*) * n(q+1)), whatever t. Every term is non-negative, so nothing
-cancels: each entry carries the truncated tail (<= u), rounding of about
-min(K, k*)*u relative, and the stop's n*delta*T <= 4(q+1)u.
+O(min(K, k*) * n(q+1)) time and O(n) memory per time of the grid, whatever
+t. Every term is non-negative, so nothing cancels: each entry carries the
+truncated tail (<= u), rounding of about min(K, k*)*u relative, and the
+stop's n*delta*T <= 4(q+1)u.
 
 Both kernels take a grid of times and return arrays [t, radius column]; the
 oracle walks once, to the largest t of the grid, and also returns [t, vertex].
@@ -193,7 +194,13 @@ def heat_kernel_oracle(graph, t_grid, base=None):
     base_ix = point_index(ctx, base_point() if base is None else base)
     start = np.zeros(n)
     start[base_ix] = 1.0
-    step = lambda walk: walk[graph.by_generator].sum(axis=0) / (q + 1)
+
+    def step(walk):  # one take per generator row, added in the order of walk[by_generator].sum(axis=0)
+        out = walk.take(graph.by_generator[0])
+        for row in graph.by_generator[1:]:
+            out += walk.take(row)
+        return out / (q + 1)
+
     by_vertex = n * _uniformization(step, start, (q + 1) * t_grid, q + 1)
     # distance is invariant under left translation: d(base . z, base) = d(z, sqrt(delta))
     around_base = by_vertex[:, translate(q, base_ix, np.arange(n))]
@@ -205,13 +212,14 @@ def initial_condition_check(graph, f, t_grid):
 
     As t -> 0+ the weighted mean recovers point evaluation at the base; the
     residual is bounded by 2*(q+1)*t*max|f| (spectral bound on exp(-t*L) - I).
+    ``f`` is one function [n] or one per row [m, n] (residuals [t, m]).
     """
     f = np.asarray(f, dtype=float)
     n = graph.n
-    if f.shape != (n,):
+    if f.ndim not in (1, 2) or f.shape[-1] != n:
         raise ValueError(f"test function must have one value per vertex ({n})")
     kernel = heat_kernel_oracle(graph, t_grid).by_vertex
-    return np.abs(kernel @ f / n - f[point_index(graph.ctx, base_point())]).tolist()
+    return np.abs(kernel @ f.T / n - f[..., point_index(graph.ctx, base_point())]).tolist()
 
 
 @dataclass
@@ -342,7 +350,7 @@ def method_of_images_check(ctx, r_s, t_grid, graph=None):
     cols = mobius_index(ctx, np.stack([a * ys, a * xs + b, c * ys, c * xs + d], axis=-1) % q)
 
     # exact intertwining: counting lifted neighbours per coset must give |K| * A_H
-    quotient_rows = graph.neighbors[coset_of]
+    quotient_rows = graph.neighbors.take(coset_of, axis=0)
     intertwining_exact = bool(
         np.all(fibre == k_order)
         and np.array_equal(np.sort(cols, axis=1), np.sort(quotient_rows, axis=1))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .characters import character_tables, nu_equals_inverse
 from .field import field_tables
-from .uhp import degenerate_radii, radii_order, regular_radius, scheme, translate
+from .uhp import affine_product, degenerate_radii, radii_order, regular_radius, scheme, unsigned_dtype
 
 EIGENVALUE_CLUSTER_TOL = 1e-8
 # weights cos(r * golden angle) keep the eigenvalues of sum_r c_r B~_r apart
@@ -79,41 +79,51 @@ class SphericalTable:
 
 
 @functools.lru_cache(maxsize=8)
+def intersection_matrices(ctx):
+    """B_r[r1, r2] = #{s in S_r : d(z_r1 . s, sqrt(delta)) = r2} as one read-only array [r, r1, r2].
+
+    Indices are columns of ``radii_order``; the counts are at most q+1, so uint8 up to
+    q = 254. Filled one orbit representative z_r1 (a bincount over n vertices) at a time.
+    """
+    q = ctx.q
+    x, y, _, cols, _, reps = scheme(ctx)
+    counts = np.empty((q, q, q), dtype=unsigned_dtype(q + 1))
+    for r1, rep in enumerate(reps):
+        # the column of z_r1 . w for every vertex w, counted by the column of w
+        moved = cols[affine_product(q, x[rep], y[rep], x, y)]
+        counts[:, r1] = np.bincount(cols * q + moved, minlength=q * q).reshape(q, q)
+    counts.flags.writeable = False
+    return counts
+
+
+@functools.lru_cache(maxsize=8)
 def _radial_rows(ctx):
     """Radii, orbit sizes D, spherical rows and degrees of (q, delta); do not modify.
 
-    B_r[r1, r2] = #{s in S_r : d(z_r1 . s, sqrt(delta)) = r2}. The symmetric
-    B~_r = D^(1/2) B_r D^(-1/2) share eigenvectors u_i, found by one eigh of
-    sum_r c_r B~_r; B_r omega_i = |S_r| omega_i(r) omega_i, so omega_i(r) is
-    the Rayleigh quotient u_i' B~_r u_i / (|S_r| u_i' u_i). The counts are
-    filled one orbit representative z_r1 (one bincount over the n vertices) at
-    a time, and the quotients one radius r at a time, so the scratch beyond
-    the q^3 counts and their float copy B~ is O(n + q^2).
+    The symmetric B~_r = D^(1/2) B_r D^(-1/2) (B_r: ``intersection_matrices``)
+    share eigenvectors u_i, found by one eigh of sum_r c_r B~_r; B_r omega_i =
+    |S_r| omega_i(r) omega_i, so omega_i(r) is the Rayleigh quotient u_i' B~_r
+    u_i / (|S_r| u_i' u_i). Each q x q block B~_r is formed from the integers
+    twice, for the scheme check and the sum and for the quotients, so beyond
+    the q^3 bytes of B_r the scratch is O(q^2) and no q^3 float array is made.
     """
     q = ctx.q
     n = q * (q - 1)
     radii = radii_order(ctx)
-    vertices = scheme(ctx)
-    cols, sizes = vertices.cols, vertices.sizes
-    every_vertex = np.arange(n)
-    pairs = np.empty((q, q, q), dtype=np.int64)  # [r, r1, r2]
-    for r1, rep in enumerate(vertices.reps):
-        # the column of z_r1 . w for every vertex w, counted by the column of w
-        moved = cols[translate(q, rep, every_vertex)]
-        pairs[:, r1] = np.bincount(cols * q + moved, minlength=q * q).reshape(q, q)
-    pairs *= sizes[None, :, None]
-    if not np.array_equal(pairs, pairs.transpose(0, 2, 1)):
-        raise AssertionError("|S_r1| B_r[r1, r2] must be symmetric: distance classes are not a scheme")
-    sym = pairs.astype(float)
-    del pairs
-    sym /= np.sqrt(np.outer(sizes, sizes))  # exactly symmetric B~_r
-    w, u = np.linalg.eigh((np.cos(GOLDEN_ANGLE * np.array(radii)) @ sym.reshape(q, -1)).reshape(q, q))
+    sizes = scheme(ctx).sizes
+    counts = intersection_matrices(ctx)
+    root = np.sqrt(np.outer(sizes, sizes))
+    combined = np.zeros((q, q))
+    for block, c in zip(counts, np.cos(GOLDEN_ANGLE * np.array(radii))):
+        pairs = block * sizes[:, None]
+        if not np.array_equal(pairs, pairs.T):
+            raise AssertionError("|S_r1| B_r[r1, r2] must be symmetric: distance classes are not a scheme")
+        combined += c * (pairs / root)  # exactly symmetric B~_r
+    w, u = np.linalg.eigh(combined)
     gap = np.diff(w).min()
     if gap < MIN_RELATIVE_GAP * np.abs(w).max():
         raise AssertionError(f"radial eigenbasis ill-separated at q={q}: gap {gap:.3e}")
-    quotients = np.empty((q, q))  # [r, i]
-    for r, block in enumerate(sym):
-        quotients[r] = (block @ u * u).sum(axis=0)
+    quotients = np.array([(block * sizes[:, None] / root @ u * u).sum(axis=0) for block in counts])  # [r, i]
     omega = quotients.T / sizes / (u * u).sum(axis=0)[:, None]
     # each row of B_r sums to |S_r|, so the constant function is an exact row
     omega[np.abs(omega - 1.0).max(axis=1).argmin()] = 1.0

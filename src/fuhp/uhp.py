@@ -10,9 +10,10 @@ combinatorial Laplacian is (q+1)*I - A.
 Vertex encoding: vertex i is x + y*sqrt(delta) with x = i % q and
 y = i // q + 1, the lexicographic (y, x) order, so vertex 0 is sqrt(delta)
 and every matrix is bit-reproducible. Only this module knows it:
-``vertex_index`` encodes coordinates, ``translate`` is the affine product on
-indices, and ``scheme`` holds, once per (q, delta), the coordinate arrays and
-the distance classes (orbits) around sqrt(delta) that the other modules read.
+``vertex_index`` encodes coordinates, ``affine_product`` is the affine
+product on coordinates and ``translate`` on indices, and ``scheme`` holds,
+once per (q, delta), the coordinate arrays and the distance classes (orbits)
+around sqrt(delta) that the other modules read.
 """
 
 import functools
@@ -54,10 +55,15 @@ def point_index(ctx, z):
     return vertex_index(ctx.q, z.x, z.y)
 
 
+def affine_product(q, x, y, x2, y2):
+    """Index of (x, y).(x2, y2) = (y*x2 + x, y*y2) from coordinates (arrays broadcast)."""
+    return vertex_index(q, (y * x2 + x) % q, y * y2 % q)
+
+
 def translate(q, i, j):
     """Index of z_i . z_j = (y_i*x_j + x_i, y_i*y_j) for vertex indices i, j (arrays broadcast)."""
     (yi, xi), (yj, xj) = np.divmod(i, q), np.divmod(j, q)
-    return vertex_index(q, ((yi + 1) * xj + xi) % q, (yi + 1) * (yj + 1) % q)
+    return affine_product(q, xi, yi + 1, xj, yj + 1)
 
 
 def act(ctx, z, s):
@@ -132,10 +138,11 @@ class UhpGraph:
     """Cayley graph of H_q with generating sphere S_{r_s}; immutable once built.
 
     ``by_generator[k, i]`` is the vertex z_i . s_k, for the generators s_k in
-    sphere order: one C-contiguous row of n vertex indices per generator, so
-    a walk step sums q+1 contiguous gathers. ``neighbors`` is its [n, q+1]
-    transposed view (no copy), the neighbour list of each vertex; the dense
-    int8 ``adjacency`` and the ``points`` are built from it on first use only.
+    sphere order: one C-contiguous row of n indices, uint16 up to q = 256
+    (``unsigned_dtype``), per generator, so a walk step sums q+1 contiguous
+    ``take`` gathers; fancy indexing by a compact dtype is slower.
+    ``neighbors`` is its [n, q+1] transposed view (no copy), the neighbour
+    list of each vertex; ``adjacency`` and ``points`` are built on first use.
     """
 
     def __init__(self, ctx, r_s, by_generator):
@@ -171,9 +178,16 @@ class UhpGraph:
         no CLI or ``verify`` path calls it.
         """
         if self._eig is None:
-            w, v = np.linalg.eigh(self.adjacency.astype(float))
-            self._eig = (w, v)
+            self._eig = np.linalg.eigh(self.adjacency.astype(float))
         return self._eig
+
+
+REGULARITY_BLOCK = 1024  # vertices per sorted block of build_graph's regularity pass
+
+
+def unsigned_dtype(largest, floor=np.uint8):
+    """The smallest unsigned integer dtype, and at least ``floor``, that holds 0..largest."""
+    return np.promote_types(floor, np.min_scalar_type(largest))
 
 
 def build_graph(ctx, r_s):
@@ -182,17 +196,18 @@ def build_graph(ctx, r_s):
     Rejects the degenerate radii. Verifies (rather than assumes) that the
     generating sphere is closed under group inversion, and that the result
     is (q+1)-regular, loop-free, symmetric, and connected. The neighbour
-    array is built, and checked, one generator (a row of n vertices) at a
-    time, so besides the n(q+1) result the scratch is O(n) but for one sorted
-    copy of the result in the regularity check; no n x n matrix is built.
+    array is built and checked one generator (a row of n vertices) at a time,
+    and sorted REGULARITY_BLOCK vertices at a time, so besides the n(q+1)
+    result the scratch is O(n + REGULARITY_BLOCK*q); no n x n matrix is built.
     """
     q = ctx.q
     r_s = regular_radius(ctx, r_s)
+    x, y, labels, *_ = scheme(ctx)
     rows = np.arange(q * (q - 1))
-    gen = rows[scheme(ctx).labels == r_s]
-    by_gen = np.empty((len(gen), len(rows)), dtype=rows.dtype)
+    gen = rows[labels == r_s]
+    by_gen = np.empty((len(gen), len(rows)), dtype=unsigned_dtype(len(rows) - 1, np.uint16))
     for k, s in enumerate(gen):
-        by_gen[k] = translate(q, rows, s)
+        by_gen[k] = affine_product(q, x, y, x[s], y[s])  # z . s_k for every vertex z
 
     # column gen[k] holds s_k . s_l for every l, so s_k^(-1) is the s_l where it reads 0, the identity
     inv = np.argmax(by_gen[:, gen] == 0, axis=0)
@@ -201,12 +216,13 @@ def build_graph(ctx, r_s):
         raise AssertionError(f"generating sphere not closed under inversion at vertex {missing[0]}")
     if any(np.any(nbrs == rows) for nbrs in by_gen):
         raise AssertionError("self-loop produced by a regular radius")
-    ordered = by_gen.T.copy()  # C order, so that each row sorts in place and contiguously
-    ordered.sort(axis=1)
-    if np.any(ordered[:, 1:] == ordered[:, :-1]):
-        raise AssertionError("graph is not (q+1)-regular")
+    for start in range(0, len(rows), REGULARITY_BLOCK):
+        block = by_gen[:, start : start + REGULARITY_BLOCK].T.copy()  # C order, to sort rows in place
+        block.sort(axis=1)
+        if np.any(block[:, 1:] == block[:, :-1]):
+            raise AssertionError("graph is not (q+1)-regular")
     # every edge i -> z_i . s_k comes back through the row of s_k^(-1)
-    if any(np.any(by_gen[back][nbrs] != rows) for nbrs, back in zip(by_gen, inv)):
+    if any(np.any(by_gen[back].take(nbrs) != rows) for nbrs, back in zip(by_gen, inv)):
         raise AssertionError("adjacency not symmetric")
     if not _connected(by_gen.T):
         raise AssertionError("graph is not connected")
@@ -222,7 +238,7 @@ def _connected(neighbors):
     while frontier.size:
         reached = np.zeros_like(seen)
         for nbrs in neighbors.T:
-            reached[nbrs[frontier]] = True
+            reached[nbrs.take(frontier).astype(np.intp)] = True  # a scatter by uint16 is slower
         frontier = np.flatnonzero(reached & ~seen)
         seen |= reached
     return bool(seen.all())
@@ -230,8 +246,7 @@ def _connected(neighbors):
 
 def laplacian(graph):
     """Combinatorial Laplacian (q+1)*I - A as a dense float matrix."""
-    n = graph.n
-    return (graph.ctx.q + 1) * np.eye(n) - graph.adjacency.astype(float)
+    return (graph.ctx.q + 1) * np.eye(graph.n) - graph.adjacency.astype(float)
 
 
 def orbit_decomposition(ctx):

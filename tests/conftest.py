@@ -1,4 +1,51 @@
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+import pytest
+
+import fuhp
+
 _acceptance_outcomes = {}
+
+
+class ChildRun(NamedTuple):
+    exit_code: int
+    peak_mb: float  # the child's own peak RSS, from wait4
+    wall: float  # including the launcher's start-up
+    stdout: str  # captured only when asked for
+
+
+# Linux carries a process's RSS high-water mark through fork and exec, so wait4 reports
+# the larger of a child's own peak and its parent's RSS at the fork. A launcher of about
+# 14 MB, not this test process, therefore starts the measured child and reports its rusage.
+_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[2:])
+_, status, usage = os.wait4(proc.pid, 0)
+with open(sys.argv[1], "w") as report:
+    report.write(f"{os.waitstatus_to_exitcode(status)} {usage.ru_maxrss}")
+"""
+
+
+@pytest.fixture
+def run_child(tmp_path):
+    """Run ``python *args`` in a child process with this fuhp on its path; returns a ChildRun."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fuhp.__file__).parents[1]))
+    report = tmp_path / "child-rusage"
+
+    def run(args, capture=False):
+        start = time.perf_counter()
+        launcher = subprocess.run([sys.executable, "-c", _LAUNCHER, str(report), sys.executable, *args],
+                                  env=env, text=True, stdout=subprocess.PIPE if capture else None, check=True)
+        exit_code, max_rss = map(int, report.read_text().split())
+        # ru_maxrss is in kilobytes on Linux
+        return ChildRun(exit_code, max_rss / 1024, time.perf_counter() - start, launcher.stdout or "")
+
+    return run
 
 
 def pytest_runtest_logreport(report):

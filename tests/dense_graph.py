@@ -6,7 +6,9 @@ eigendecomposition, so O(n^3) time. Rows that share an adjacency eigenvalue
 at r_s are merged, which makes this the only source of an incomplete table.
 
 ``broadcast_radial_rows``: ``spherical._radial_rows`` as one broadcast over
-every orbit representative and vertex, with q x n and q^3 temporaries.
+every orbit representative and vertex, with q x n and q^3 temporaries; only
+the combination sum_r c_r B~_r adds the radius blocks one at a time, in the
+order of ``_radial_rows``.
 """
 
 import numpy as np
@@ -26,7 +28,10 @@ def broadcast_radial_rows(ctx):
     flat = (cols[None, :] * q + np.arange(q)[:, None]) * q + moved
     quotient = np.bincount(flat.ravel(), minlength=q**3).reshape(q, q, q)  # [r, r1, r2]
     sym = sizes[None, :, None] * quotient / np.sqrt(np.outer(sizes, sizes))
-    _, u = np.linalg.eigh((np.cos(GOLDEN_ANGLE * np.array(radii)) @ sym.reshape(q, -1)).reshape(q, q))
+    combined = np.zeros((q, q))
+    for c, block in zip(np.cos(GOLDEN_ANGLE * np.array(radii)), sym):  # the production order
+        combined += c * block
+    _, u = np.linalg.eigh(combined)
     omega = ((sym @ u) * u).sum(axis=1).T / sizes / (u * u).sum(axis=0)[:, None]
     omega[np.abs(omega - 1.0).max(axis=1).argmin()] = 1.0
     return omega, np.rint(n / (omega**2 @ sizes)).astype(np.int64)

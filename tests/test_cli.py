@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -80,18 +79,13 @@ def test_graph_csv_refused_above_cap(capsys):
     assert "cap" in capsys.readouterr().err
 
 
-def test_heat_q101_memory(tmp_path):
-    # a child process, so that its own peak RSS is measured by wait4
-    env = dict(os.environ, PYTHONPATH=str(Path(fuhp.__file__).parents[1]))
+def test_heat_q101_memory(tmp_path, run_child):
     out = tmp_path / "heat.json"
-    start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "fuhp.cli", "heat", "--q", "101", "--r-s", "1",
-                             "--t", "0,1", "--out", str(out)], env=env)
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - start
-    peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
-    assert os.waitstatus_to_exitcode(status) == EXIT_OK
-    assert peak_mb < 300, f"peak RSS {peak_mb:.0f} MB (wall {wall:.2f} s)"
+    child = run_child(["-m", "fuhp.cli", "heat", "--q", "101", "--r-s", "1", "--t", "0,1", "--out", str(out)])
+    assert child.exit_code == EXIT_OK
+    # the 64 MB ceiling: importing the package takes about 30 MB; the uint8 scheme counts, the uint16
+    # neighbour rows and the n-vector walk add about 7 MB at q=101 (an n x (q+1) float gather is 8 MB)
+    assert child.peak_mb <= 64, f"peak RSS {child.peak_mb:.1f} MB (wall {child.wall:.2f} s)"
     series = read_json(out)["data"]["series"]
     assert max(s["oracle_deviation"] for s in series) <= 1e-11 * 101 * 100
 
@@ -107,21 +101,13 @@ def test_heat_huge_time_is_bounded_by_the_mixing_time(tmp_path):
     assert series["oracle_deviation"] <= 1e-13
 
 
-def test_verify_q13_include_lift_memory():
-    # a child process, so that its own peak RSS is measured by wait4; the dense lift
-    # would need a |G| x |G| float matrix of 5.5 GB at q=13 (|G| = 26,208)
-    env = dict(os.environ, PYTHONPATH=str(Path(fuhp.__file__).parents[1]))
-    start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "fuhp.cli", "verify", "--q", "13", "--include-lift"],
-                            env=env, stdout=subprocess.PIPE, text=True)
-    out = proc.stdout.read()
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - start
-    peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
-    assert os.waitstatus_to_exitcode(status) == EXIT_OK
-    assert peak_mb < 300, f"peak RSS {peak_mb:.0f} MB (wall {wall:.2f} s)"
-    assert "[PASS] q=13 r_s=1 K-average = quotient kernel" in out
-    assert "skipped" not in out
+def test_verify_q13_include_lift_memory(run_child):
+    # the dense lift would need a |G| x |G| float matrix of 5.5 GB at q=13 (|G| = 26,208)
+    child = run_child(["-m", "fuhp.cli", "verify", "--q", "13", "--include-lift"], capture=True)
+    assert child.exit_code == EXIT_OK
+    assert child.peak_mb < 300, f"peak RSS {child.peak_mb:.0f} MB (wall {child.wall:.2f} s)"
+    assert "[PASS] q=13 r_s=1 K-average = quotient kernel" in child.stdout
+    assert "skipped" not in child.stdout
 
 
 def test_verify_does_not_load_numpy_random():
@@ -135,18 +121,12 @@ def test_verify_does_not_load_numpy_random():
     subprocess.run([sys.executable, "-c", script], env=env, check=True, stdout=subprocess.DEVNULL)
 
 
-def test_theta_q101_memory(tmp_path):
-    # a child process, so that its own peak RSS is measured by wait4
-    env = dict(os.environ, PYTHONPATH=str(Path(fuhp.__file__).parents[1]))
+def test_theta_q101_memory(tmp_path, run_child):
     out = tmp_path / "theta.json"
-    start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "fuhp.cli", "theta", "--q", "101", "--r-s", "2",
-                             "--t", "1", "--mode", "both", "--out", str(out)], env=env)
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - start
-    peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
-    assert os.waitstatus_to_exitcode(status) == EXIT_OK
-    assert peak_mb < 300, f"peak RSS {peak_mb:.0f} MB (wall {wall:.2f} s)"
+    child = run_child(["-m", "fuhp.cli", "theta", "--q", "101", "--r-s", "2", "--t", "1", "--mode", "both",
+                       "--out", str(out)])
+    assert child.exit_code == EXIT_OK
+    assert child.peak_mb < 300, f"peak RSS {child.peak_mb:.0f} MB (wall {child.wall:.2f} s)"
     rows = read_json(out)["data"]["rows"]
     assert len(rows) == 98  # every radius but 0, 4*delta and 1
     assert max(row["reconciled_deviation"] for row in rows) <= 1e-11 * 101 * 100

@@ -2,7 +2,9 @@
 
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from fuhp.export import (
@@ -36,6 +38,27 @@ def test_dumps_json_is_parseable_and_stable():
     parsed = json.loads(text)
     assert parsed["data"]["values"][2] == 2.0 / 3.0
     assert parsed["data"]["ok"] is True
+
+
+def test_dumps_json_text_of_nested_containers():
+    doc = {"a": [], "b": {}, "c": [[], {}], "d": [1, [2.0, (3,)]], "e": ({"x": [0.5]}, [None]),
+           "f": np.arange(4).reshape(2, 2), "g": [np.array([1.5])]}
+    assert dumps_json(doc) == ('{"a": [], "b": {}, "c": [[], {}], "d": [1, [2.0, [3]]], '
+                               '"e": [{"x": [0.5]}, [null]], "f": [[0, 1], [2, 3]], "g": [[1.5]]}\n')
+
+
+def test_dumps_json_holds_about_two_copies_of_the_text():
+    # the pieces and their one join: a recursive concatenation held three copies (3.0x traced)
+    rows = [{"index": i, "omega": [0.25] * 50} for i in range(20)]
+    runs = [{"r_s": r, "values": [r / 7.0] * 2000, "rows": rows} for r in range(50)]
+    doc = {"config": {"q": 3}, "version": "x", "data": {"runs": runs}}
+    tracemalloc.start()
+    try:
+        text = dumps_json(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text), f"traced peak {peak / len(text):.2f}x the text"
 
 
 def test_json_file_roundtrip(tmp_path):

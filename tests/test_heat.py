@@ -1,6 +1,7 @@
 """Heat kernel: closed forms, oracle equivalence, conservation, and the lift."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from fuhp.cli import EXIT_OK, main
 from fuhp.field import field_context
 from fuhp.heat import (
+    _uniformization,
     fourier_coefficient_check,
     heat_kernel_oracle,
     heat_kernel_spectral,
@@ -455,3 +457,31 @@ def test_oracle_bits_unchanged_by_the_shared_walk(q, r_s):
         _assert_stopped_walk_matches(graph, t, row, full_row, k_stop)
     ends = [len(poisson_weights(graph.degree * t)[0]) - 1 for t in t_grid]
     assert min(ends) <= k_stop < max(ends)  # both sides of the stop are covered
+
+
+@pytest.mark.parametrize("q", [5, 13, 53])
+def test_oracle_step_adds_the_generator_rows_in_the_order_of_the_axis_sum(q):
+    # one take per generator row, added into one n-vector, is the axis-0 sum of the gathered rows
+    graph = build_graph(field_context(q), 1)
+    t_grid = np.array([0.0, 0.1, 1.0, 10.0])
+    rows = graph.by_generator.astype(np.intp)
+    start = np.zeros(graph.n)
+    start[point_index(graph.ctx, base_point())] = 1.0
+    step = lambda walk: walk[rows].sum(axis=0) / (q + 1)
+    want = graph.n * _uniformization(step, start, (q + 1) * t_grid, q + 1)
+    assert np.array_equal(heat_kernel_oracle(graph, t_grid).by_vertex, want)
+
+
+def test_oracle_scratch_is_below_one_gathered_neighbour_array():
+    # gathering all q+1 generator rows at once made a (q+1) x n float array per step
+    q = 53
+    graph = build_graph(field_context(q), 1)
+    t_grid = [0.0, 0.1, 1.0, 10.0]
+    heat_kernel_oracle(graph, t_grid)  # warm the per-(q, delta) tables it reads
+    tracemalloc.start()
+    try:
+        heat_kernel_oracle(graph, t_grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (q + 1) * graph.n * 8, f"traced peak {peak / 1e6:.2f} MB"

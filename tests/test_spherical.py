@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fuhp.spherical
 from fuhp.characters import beta, nu, nu0, nu_equals_inverse
 from fuhp.field import ExtElement, field_context, is_odd_prime, norm_one_subgroup, quadratic_character
 from fuhp.heat import heat_kernel_spectral
@@ -15,13 +16,14 @@ from fuhp.spherical import (
     _radial_rows,
     closed_forms,
     cuspidal_spherical,
+    intersection_matrices,
     laplace_eigenvalue,
     match_formulas_to_oracle,
     principal_spherical,
     spherical_table,
 )
 from fuhp.theta import finite_theta, reconciled_kernel, theta_consistency_report
-from fuhp.uhp import base_point, build_graph, degenerate_radii, distance, radii_order, sphere
+from fuhp.uhp import base_point, build_graph, degenerate_radii, distance, radii_order, scheme, sphere
 
 from dense_graph import broadcast_radial_rows, radial_eigenbasis
 
@@ -386,19 +388,43 @@ def test_radial_rows_equal_the_broadcast_formula_bit_for_bit(q):
     assert np.array_equal(degrees, dense_degrees)
 
 
-def test_radial_rows_scratch_is_two_cubes():
-    # the int64 counts and their float copy B~ are the only q^3 arrays; the
-    # broadcast formula also held q x n and q^3 index temporaries (8.4 MB traced at q=53)
-    q = 53
+def test_radial_rows_scratch_is_one_byte_cube(monkeypatch):
+    # the uint8 counts B_r are the only q^3 array, and each float block B~_r is q x q; an
+    # int64 and a float cube of the counts peaked at 2.6 MB traced at q=53 and 16.6 MB at q=101
+    monkeypatch.setattr(fuhp.spherical, "intersection_matrices", intersection_matrices.__wrapped__)
+    for q in (53, 101):
+        ctx = field_context(q)
+        _radial_rows.__wrapped__(ctx)  # warm the per-(q, delta) tables it reads
+        tracemalloc.start()
+        try:
+            _radial_rows.__wrapped__(ctx)  # counts included, as the cache is bypassed
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= q**3 + 16 * q * q * 8, f"traced peak {peak / 1e6:.2f} MB at q={q}"
+
+
+def test_intersection_matrices_are_the_neighbour_counts_of_each_representative():
+    q = 13
     ctx = field_context(q)
-    _radial_rows.__wrapped__(ctx)  # warm the per-(q, delta) tables it reads
-    tracemalloc.start()
-    try:
+    vertices = scheme(ctx)
+    counts = intersection_matrices(ctx)
+    assert counts.dtype == np.uint8 and counts.shape == (q, q, q) and not counts.flags.writeable
+    for r_s in radii_order(ctx)[2:]:
+        graph = build_graph(ctx, r_s)
+        block = counts[radii_order(ctx).index(r_s)]
+        for r1, rep in enumerate(vertices.reps):
+            around = np.bincount(vertices.cols[graph.neighbors[rep]], minlength=q)
+            assert np.array_equal(block[r1], around)
+
+
+def test_an_asymmetric_count_fails_the_scheme_check(monkeypatch):
+    ctx = field_context(13)
+    counts = intersection_matrices(ctx).copy()
+    counts[4, 2, 3] += 1  # |S_2| B_4[2, 3] = |S_3| B_4[3, 2] no longer holds
+    monkeypatch.setattr(fuhp.spherical, "intersection_matrices", lambda c: counts)
+    with pytest.raises(AssertionError, match="not a scheme"):
         _radial_rows.__wrapped__(ctx)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * q**3 * 8, f"traced peak {peak / 1e6:.2f} MB"
 
 
 @pytest.mark.parametrize("q", [5, 7, 13, 29])

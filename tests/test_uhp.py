@@ -11,6 +11,7 @@ from fuhp.field import field_context
 from fuhp.uhp import (
     Point,
     _connected,
+    affine_product,
     act,
     base_point,
     build_graph,
@@ -25,6 +26,7 @@ from fuhp.uhp import (
     scheme,
     sphere,
     translate,
+    unsigned_dtype,
 )
 
 
@@ -218,8 +220,9 @@ def test_build_graph_rejects_a_generating_set_not_closed_under_inversion(monkeyp
         build_graph(ctx, 1)
 
 
-# build_graph translates every vertex by one generator at a time; each case corrupts
-# the base point's entry in the row of generator k (gen: the generators in sphere order)
+# build_graph forms the row z . s_k of every vertex z one generator s_k at a time; each
+# case corrupts the base point's entry in the row of generator k (gen: the generators in
+# sphere order), which is s_k itself before the corruption
 
 
 def _loop_at_the_base(row, k, gen):
@@ -246,14 +249,14 @@ def _one_way_edge(row, k, gen):
 def test_build_graph_rejects_a_corrupted_neighbour_array(monkeypatch, corrupt, error):
     ctx = field_context(7)
     gen = np.flatnonzero(scheme(ctx).labels == 1).tolist()
-    real = translate
+    real = affine_product
 
-    def corrupted(q, i, j):
-        row = real(q, i, j)
-        corrupt(row, gen.index(j), gen)
+    def corrupted(q, x, y, x2, y2):
+        row = real(q, x, y, x2, y2)
+        corrupt(row, gen.index(row[0]), gen)
         return row
 
-    monkeypatch.setattr(fuhp.uhp, "translate", corrupted)
+    monkeypatch.setattr(fuhp.uhp, "affine_product", corrupted)
     with pytest.raises(AssertionError, match=error):
         build_graph(ctx, 1)
 
@@ -267,11 +270,28 @@ def test_neighbors_are_the_translates_by_every_generator(q):
         graph = build_graph(ctx, r_s)
         assert np.array_equal(graph.neighbors, translate(q, rows[:, None], gen))
         assert graph.by_generator.flags.c_contiguous and graph.neighbors.base is graph.by_generator
+        assert graph.by_generator.dtype == np.uint16
+
+
+@pytest.mark.parametrize("largest, floor, dtype", [
+    (255, np.uint8, np.uint8), (256, np.uint8, np.uint16), (3, np.uint16, np.uint16),
+    (65535, np.uint16, np.uint16), (65536, np.uint16, np.uint32),
+])
+def test_unsigned_dtype_widens_past_its_range(largest, floor, dtype):
+    assert unsigned_dtype(largest, floor) == dtype
+
+
+@pytest.mark.parametrize("q, index, count", [(251, np.uint16, np.uint8), (257, np.uint32, np.uint16)])
+def test_compact_dtypes_at_the_primes_around_their_ranges(q, index, count):
+    # vertex indices reach q(q-1) - 1 and the scheme counts q + 1; both widen first at q = 257
+    assert unsigned_dtype(q * (q - 1) - 1, np.uint16) == index
+    assert unsigned_dtype(q + 1) == count
 
 
 def test_build_graph_scratch_is_one_neighbour_array():
-    # besides the n(q+1) result, only the regularity check's sorted copy is that large;
-    # the whole-array checks of the n x (q+1) layout peaked at 3.7 MB traced at q=53
+    # the uint16 n(q+1) result and O(n) scratch per generator, plus the regularity check's
+    # sorted block of REGULARITY_BLOCK rows (0.54 MB traced at q=53); the whole-array
+    # checks of the n x (q+1) layout peaked at 3.7 MB traced at q=53
     q = 53
     ctx = field_context(q)
     build_graph(ctx, 1)  # warm the per-(q, delta) tables it reads

@@ -1,20 +1,27 @@
 """The verify battery beyond the q the CLI tests cover."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 import fuhp
+import fuhp.heat
 import fuhp.spherical
 import fuhp.theta
 import fuhp.verify
 from fuhp.cli import DEFAULT_MAX_Q
 from fuhp.field import field_context
-from fuhp.verify import LIFT_MAX_Q, character_checks, field_checks, heat_test_functions, run_battery
+from fuhp.heat import initial_condition_check
+from fuhp.uhp import UhpGraph, build_graph, scheme
+from fuhp.verify import (
+    LIFT_MAX_Q,
+    character_checks,
+    field_checks,
+    graph_checks,
+    heat_checks,
+    heat_test_functions,
+    run_battery,
+    spherical_checks,
+)
 
 PRIMES_TO_THE_CAP = [
     q for q in range(3, DEFAULT_MAX_Q + 1, 2) if all(q % p for p in range(3, int(q**0.5) + 1, 2))
@@ -74,21 +81,17 @@ def test_norm_check_catches_a_non_multiplicative_norm(monkeypatch):
     assert not norm.passed
 
 
-def test_spherical_checks_memory_at_the_cap():
-    # a child process, so that its own peak RSS is measured by wait4; the neighbour-value
-    # array of the eigenfunction check alone was n(q+1)q floats (832 MB) at q=101
-    env = dict(os.environ, PYTHONPATH=str(Path(fuhp.__file__).parents[1]))
+def test_spherical_checks_memory_at_the_cap(run_child):
+    # the neighbour-value array of the eigenfunction check alone was n(q+1)q floats (832 MB) at q=101
     script = (
         "from fuhp.field import field_context; from fuhp.uhp import build_graph; "
         "from fuhp.verify import spherical_checks; "
         "results = spherical_checks(build_graph(field_context(101), 1)); "
         "assert not any(r.fatal for r in results), [r for r in results if r.fatal]"
     )
-    proc = subprocess.Popen([sys.executable, "-c", script], env=env)
-    _, status, usage = os.wait4(proc.pid, 0)
-    peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
-    assert os.waitstatus_to_exitcode(status) == 0
-    assert peak_mb < 300, f"peak RSS {peak_mb:.0f} MB"
+    child = run_child(["-c", script])
+    assert child.exit_code == 0
+    assert child.peak_mb < 300, f"peak RSS {child.peak_mb:.0f} MB"
 
 
 @pytest.mark.slow
@@ -106,3 +109,35 @@ def test_heat_test_functions_are_distinct_and_not_constant(n):
     assert np.all((f >= 0) & (f < 1))
     assert np.all(f.max(axis=1) > f.min(axis=1))
     assert len({row.tobytes() for row in f}) == 5
+
+
+def _with_one_neighbour_moved(graph):
+    """graph with the edge 5 -> z_5 . s_0 redirected to a vertex in another distance class."""
+    cols = scheme(graph.ctx).cols
+    by_generator = graph.by_generator.copy()
+    old = by_generator[0, 5]
+    by_generator[0, 5] = np.flatnonzero(cols != cols[old])[-1]
+    return UhpGraph(graph.ctx, graph.r_s, by_generator)
+
+
+@pytest.mark.parametrize("label", ["rows are eigenfunctions", "adjacency = distance sphere"])
+def test_a_corrupted_neighbour_row_fails_the_graph_level_checks(label):
+    graph = build_graph(field_context(7), 1)
+    name = f"q=7 r_s=1 {label}"
+    for g, passes in [(graph, True), (_with_one_neighbour_moved(graph), False)]:
+        (check,) = [r for r in graph_checks(g) + spherical_checks(g) if r.name == name]
+        assert check.passed is passes, check.detail
+
+
+def test_heat_checks_walk_once_for_all_initial_condition_functions(monkeypatch):
+    graph = build_graph(field_context(13), 1)
+    funcs = heat_test_functions(graph.n)
+    t_grid = [1e-2, 1e-4, 1e-6]
+    one_by_one = np.array([initial_condition_check(graph, f, t_grid) for f in funcs]).T
+    together = initial_condition_check(graph, funcs, t_grid)
+    np.testing.assert_allclose(together, one_by_one, rtol=1e-12, atol=1e-15)
+    walks = []
+    real = fuhp.heat.heat_kernel_oracle
+    monkeypatch.setattr(fuhp.heat, "heat_kernel_oracle", lambda *args: walks.append(args[1]) or real(*args))
+    assert not any(r.fatal for r in heat_checks(graph))
+    assert walks == [t_grid]
