@@ -28,7 +28,7 @@ def beta(ctx, j, a):
     a %= ctx.q
     if a == 0:
         raise ValueError("beta is only defined on F_q^x (a = 0 given)")
-    return cmath.exp(2j * cmath.pi * (j * ctx.dlog_q[a] % (ctx.q - 1)) / (ctx.q - 1))
+    return cmath.exp(2j * cmath.pi * (j * int(ctx.dlog[a]) % (ctx.q - 1)) / (ctx.q - 1))
 
 
 def ext_char(ctx, j, z):
@@ -36,7 +36,7 @@ def ext_char(ctx, j, z):
     if z.is_zero():
         raise ValueError("character undefined at zero")
     n2 = ctx.q * ctx.q - 1
-    return cmath.exp(2j * cmath.pi * (j * ctx.dlog_q2[z] % n2) / n2)
+    return cmath.exp(2j * cmath.pi * (j * int(ctx.dlog2[z.a * ctx.q + z.b]) % n2) / n2)
 
 
 def nu(ctx, j, u):
@@ -50,7 +50,7 @@ def u_index(ctx, u):
     """Position of u in the cyclic order of U generated by zeta^(q-1)."""
     if ext_norm(ctx, u) != 1:
         raise ValueError(f"element {u} is not in the norm-one subgroup")
-    m = ctx.dlog_q2[u]
+    m = int(ctx.dlog2[u.a * ctx.q + u.b])
     # N(zeta^m) = zeta^(m(q+1)) = 1 forces (q-1) | m
     assert m % (ctx.q - 1) == 0
     return m // (ctx.q - 1)

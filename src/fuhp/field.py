@@ -1,19 +1,19 @@
 """Exact arithmetic in F_q (q an odd prime) and its quadratic extension F_q(sqrt(delta)).
 
 A ``FieldCtx`` bundles the modulus q, a fixed non-square delta, deterministic
-generators of both multiplicative groups, and complete discrete-log tables.
-Generators are always the smallest candidates (lexicographic (a, b) order in
-the extension), so every index derived from them -- character labels, theta
-phases -- is reproducible across runs and machines.
+generators of both multiplicative groups, and complete power and
+discrete-log tables as read-only integer arrays. Generators are always the
+smallest candidates (lexicographic (a, b) order in the extension), so every
+index derived from them -- character labels, theta phases -- is reproducible
+across runs and machines.
 
 Elements of F_q are plain ints reduced mod q; elements of F_q(sqrt(delta))
-are ``ExtElement`` pairs (a, b) standing for a + b*sqrt(delta).
-``field_tables`` gives the same tables as integer arrays for array code.
+are ``ExtElement`` pairs (a, b) standing for a + b*sqrt(delta), the
+single-element API. The arithmetic functions read only the coordinates, so
+they also act elementwise on an ``ExtElement`` of integer arrays.
 """
 
-import functools
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -74,15 +74,25 @@ class FieldCtx:
     """Arithmetic context for F_q and F_q(sqrt(delta)).
 
     g generates F_q^x (order q-1), zeta generates F_q(sqrt(delta))^x
-    (order q^2-1); dlog_q and dlog_q2 are the full inverse power tables.
+    (order q^2-1). The tables are read-only int64 arrays:
+
+    power_a[m], power_b[m]: coordinates of zeta^m for m = 0..q^2-2;
+    dlog[a]: discrete log of a to base g, with dlog[0] = -1;
+    dlog2[a*q + b]: discrete log of a + b*sqrt(delta) to base zeta, with dlog2[0] = -1;
+    chi[x]: the quadratic character of x, with chi[0] = 0;
+    inverse[a]: the inverse of a in F_q^x, with inverse[0] = 0.
     """
 
     q: int
     delta: int
     g: int
     zeta: ExtElement
-    dlog_q: dict = field(repr=False, compare=False)
-    dlog_q2: dict = field(repr=False, compare=False)
+    power_a: np.ndarray = field(default=None, repr=False, compare=False)
+    power_b: np.ndarray = field(default=None, repr=False, compare=False)
+    dlog: np.ndarray = field(default=None, repr=False, compare=False)
+    dlog2: np.ndarray = field(default=None, repr=False, compare=False)
+    chi: np.ndarray = field(default=None, repr=False, compare=False)
+    inverse: np.ndarray = field(default=None, repr=False, compare=False)
 
     # -- base field helpers -------------------------------------------------
 
@@ -159,16 +169,10 @@ def field_context(q, delta=None):
             break
     assert g is not None, "cyclic group F_q^x must have a generator"
 
-    dlog_q = {}
-    acc = 1
-    for m in range(q - 1):
-        dlog_q[acc] = m
-        acc = acc * g % q
-
     # smallest generator of F_q(sqrt(delta))^x in lexicographic (a, b) order
     n2 = q * q - 1
     ext_factors = _prime_factors(n2)
-    ctx0 = FieldCtx(q=q, delta=delta, g=g, zeta=EXT_ONE, dlog_q=dlog_q, dlog_q2={})
+    ctx0 = FieldCtx(q=q, delta=delta, g=g, zeta=EXT_ONE)
     zeta = None
     for a in range(q):
         for b in range(q):
@@ -182,14 +186,27 @@ def field_context(q, delta=None):
             break
     assert zeta is not None, "cyclic group F_{q^2}^x must have a generator"
 
-    dlog_q2 = {}
-    accz = EXT_ONE
-    for m in range(n2):
-        dlog_q2[accz] = m
-        accz = ext_mul(ctx0, accz, zeta)
-    assert len(dlog_q2) == n2, "powers of zeta must exhaust the group"
-
-    return FieldCtx(q=q, delta=delta, g=g, zeta=zeta, dlog_q=dlog_q, dlog_q2=dlog_q2)
+    powers = np.array([pow(g, m, q) for m in range(q - 1)], dtype=np.int64)
+    dlog = np.full(q, -1, dtype=np.int64)
+    dlog[powers] = np.arange(q - 1)
+    inverse = np.zeros(q, dtype=np.int64)
+    inverse[powers] = powers[-np.arange(q - 1) % (q - 1)]
+    chi = 1 - 2 * (dlog % 2)
+    chi[0] = 0
+    # zeta^m for m in [k, 2k) is zeta^(m-k) * zeta^k: one vectorised product per doubling of k
+    power_a, power_b = np.ones(n2, dtype=np.int64), np.zeros(n2, dtype=np.int64)
+    k, step = 1, zeta
+    while k < n2:
+        block = ext_mul(ctx0, ExtElement(power_a[:k], power_b[:k]), step)
+        power_a[k : 2 * k], power_b[k : 2 * k] = block.a[: n2 - k], block.b[: n2 - k]
+        k, step = 2 * k, ext_mul(ctx0, step, step)
+    dlog2 = np.full(q * q, -1, dtype=np.int64)
+    dlog2[power_a * q + power_b] = np.arange(n2)
+    assert np.all(dlog2[1:] >= 0), "powers of zeta must exhaust the group"
+    for table in (power_a, power_b, dlog, dlog2, chi, inverse):
+        table.flags.writeable = False
+    return replace(ctx0, zeta=zeta, power_a=power_a, power_b=power_b, dlog=dlog, dlog2=dlog2, chi=chi,
+                   inverse=inverse)
 
 
 def quadratic_character(ctx, a):
@@ -223,35 +240,3 @@ def norm_one_subgroup(ctx):
         u = ext_mul(ctx, u, gen)
     assert u == EXT_ONE, "norm-one subgroup must close after q+1 steps"
     return out
-
-
-class FieldTables(NamedTuple):
-    """Array form of a context's tables (do not modify).
-
-    power_a[m], power_b[m]: coordinates of zeta^m for m = 0..q^2-2;
-    dlog[a]: discrete log of a in F_q^x, with dlog[0] = -1;
-    chi[x]: the quadratic character of x in F_q, with chi[0] = 0;
-    inv[a]: the inverse of a in F_q^x, with inv[0] = 0.
-    """
-
-    power_a: np.ndarray
-    power_b: np.ndarray
-    dlog: np.ndarray
-    chi: np.ndarray
-    inv: np.ndarray
-
-
-@functools.lru_cache(maxsize=8)
-def field_tables(ctx):
-    """The dlog tables of ctx as integer arrays, built once per (q, delta)."""
-    q, n2 = ctx.q, ctx.q * ctx.q - 1
-    power_a = np.empty(n2, dtype=np.int64)
-    power_b = np.empty(n2, dtype=np.int64)
-    exps = list(ctx.dlog_q2.values())
-    power_a[exps] = [z.a for z in ctx.dlog_q2]
-    power_b[exps] = [z.b for z in ctx.dlog_q2]
-    dlog = np.full(q, -1, dtype=np.int64)
-    dlog[list(ctx.dlog_q)] = list(ctx.dlog_q.values())
-    chi = np.array([quadratic_character(ctx, x) for x in range(q)], dtype=np.int64)
-    inv = np.array([0] + [ctx.inv(a) for a in range(1, q)], dtype=np.int64)
-    return FieldTables(power_a, power_b, dlog, chi, inv)

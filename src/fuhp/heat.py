@@ -40,7 +40,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import field_tables
 from .uhp import base_point, build_graph, point_index, radial_values, scheme, translate, vertex_index
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -262,7 +261,7 @@ def mobius_index(ctx, mats):
     """
     q = ctx.q
     a, b, c, d = np.moveaxis(mats, -1, 0)
-    inv_norm = field_tables(ctx).inv[(d * d - ctx.delta * c * c) % q]
+    inv_norm = ctx.inverse[(d * d - ctx.delta * c * c) % q]
     x = (b * d - ctx.delta * a * c) * inv_norm % q
     y = (a * d - b * c) * inv_norm % q
     assert np.all(y != 0), "the action must preserve the upper half-plane"
@@ -339,7 +338,7 @@ def method_of_images_check(ctx, r_s, t_grid, graph=None):
     lifted = np.isin(coset_of, gen_ix)
     assert lifted.sum() == (q + 1) * k_order, "lift of the sphere has |S_r| * |K| elements"
     a, b, c, d = group[lifted].T
-    det_inv = field_tables(ctx).inv[(a * d - b * c) % q]
+    det_inv = ctx.inverse[(a * d - b * c) % q]
     inverses = np.stack([d, -b, -c, a], axis=1) * det_inv[:, None] % q
     if not np.isin(mobius_index(ctx, inverses), gen_ix).all():
         raise AssertionError("lifted generating set not closed under inversion")

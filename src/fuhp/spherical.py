@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .characters import character_tables, nu_equals_inverse
-from .field import field_tables
 from .uhp import affine_product, degenerate_radii, radii_order, regular_radius, scheme, unsigned_dtype
 
 EIGENVALUE_CLUSTER_TOL = 1e-8
@@ -186,17 +185,17 @@ def closed_forms(ctx):
     ``principal_spherical`` and ``cuspidal_spherical`` for the definitions.
     """
     q, delta = ctx.q, ctx.delta
-    fields, chars = field_tables(ctx), character_tables(ctx)
+    chars = character_tables(ctx)
     deg0, deg1 = degenerate_radii(ctx)
 
     vertices = scheme(ctx)
-    hist = np.bincount(vertices.labels * (q - 1) + fields.dlog[vertices.y], minlength=q * (q - 1))
+    hist = np.bincount(vertices.labels * (q - 1) + ctx.dlog[vertices.y], minlength=q * (q - 1))
     principal = hist.reshape(q, q - 1) @ chars.base.T / (q + 1)
     principal[deg0] = 1.0
     principal[deg1] = chars.base[:, (q - 1) // 2]  # beta_j(-1), dlog(-1) = (q-1)/2
 
     k = np.arange(q + 1)
-    u_a = fields.power_a[(q - 1) * k]  # a-coordinates of U in norm_one_subgroup order
+    u_a = ctx.power_a[(q - 1) * k]  # a-coordinates of U in norm_one_subgroup order
     nu0 = np.where(k % 2, -1, 1)
     regular = [r for r in range(q) if r not in (deg0, deg1, 1)]
     two_c = {
@@ -206,7 +205,7 @@ def closed_forms(ctx):
     cuspidal = {}
     for variant, consts in two_c.items():
         signs = np.zeros((q, q + 1))
-        signs[regular] = fields.chi[(2 * u_a - np.array(consts, dtype=np.int64)[:, None]) % q] * nu0
+        signs[regular] = ctx.chi[(2 * u_a - np.array(consts, dtype=np.int64)[:, None]) % q] * nu0
         values = signs @ chars.norm_one.T / (q + 1)
         values[deg0] = 1.0
         values[[1, deg1]] = np.nan

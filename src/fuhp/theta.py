@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import field_tables
+from .field import ExtElement, ext_norm
 from .heat import _time_grid, heat_kernel_oracle, heat_kernel_spectral
 from .spherical import _table_matches, closed_forms, spherical_table
 from .uhp import build_graph, degenerate_radii, scheme
@@ -50,20 +50,22 @@ def _theta_tables(ctx):
     """The radius-independent phases of the verbatim sum, built once per (q, delta).
 
     Each argument is multiplied and divided in the order the printed sum
-    states it, as in ``character_tables``.
+    states it, as in ``character_tables``. ``u_phase`` is filled q+1 rows
+    at a time, so its (q^2-1) x (q+1) table is the only array of that size.
     """
     q, n2 = ctx.q, ctx.q * ctx.q - 1
-    fields = field_tables(ctx)
-    norm = (fields.power_a**2 - ctx.delta * fields.power_b**2) % q
+    norm = ext_norm(ctx, ExtElement(ctx.power_a, ctx.power_b))
     u_idx = np.arange(q - 1, n2 + 1, q - 1)
     # N(zeta^m) = N(zeta)^m and N(zeta) generates F_q^x, so N = 1 exactly on multiples of q-1
     if not np.array_equal(np.flatnonzero(norm[np.arange(1, n2 + 1) % n2] == 1) + 1, u_idx):
         raise AssertionError("the norm-one indices are not the multiples of q-1")
-    ls = np.arange(1, n2 + 1)
+    u_phase = np.empty((n2, q + 1), dtype=complex)
+    for ls, out in zip(np.arange(1, n2 + 1).reshape(q - 1, q + 1), u_phase.reshape(q - 1, q + 1, q + 1)):
+        np.exp(1j * (2 * np.pi * ls[:, None] * u_idx / n2), out=out)
     y = np.arange(1, q)
     return _ThetaTables(
         u_idx=u_idx,
-        u_phase=np.exp(1j * (2 * np.pi * ls[:, None] * u_idx / n2)),
+        u_phase=u_phase,
         base_alpha=np.exp(1j * (2 * np.pi * y[:, None] * y / (q - 1))),
         base_phase=np.exp(1j * (2 * np.pi * y[:, None] * y * (q + 2) / n2)),
     )
@@ -75,11 +77,10 @@ def _index_masks(ctx, r):
     r %= q
     if r == 1:
         raise ValueError("singular radius r=1: pole of (r+1)/(r-1)")
-    fields = field_tables(ctx)
     shift = (r + 1) * ctx.inv(r - 1) % q
     in_o = np.zeros(q * q, dtype=bool)
     # Tr(zeta^m) = 2a; the representative q^2-1 is zeta^0
-    in_o[1:] = fields.chi[(2 * np.roll(fields.power_a, -1) - shift) % q] == 1
+    in_o[1:] = ctx.chi[(2 * np.roll(ctx.power_a, -1) - shift) % q] == 1
     vertices = scheme(ctx)
     in_v = np.zeros(q * q, dtype=bool)
     in_v[vertices.y[vertices.labels == r]] = True

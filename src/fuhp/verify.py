@@ -17,7 +17,6 @@ from .field import (
     _prime_factors,
     ext_norm,
     field_context,
-    field_tables,
     norm_one_subgroup,
     quadratic_character,
 )
@@ -31,6 +30,7 @@ from .heat import (
 from .spherical import intersection_matrices, laplace_eigenvalue, match_formulas_to_oracle, spherical_table
 from .theta import classical_theta, reconciled_kernel, theta_consistency_report
 from .uhp import (
+    REGULARITY_BLOCK,
     build_graph,
     degenerate_radii,
     laplacian,
@@ -68,12 +68,15 @@ def field_checks(ctx):
     _check(out, f"q={q} generator order", order_g == q - 1, f"order(g)={order_g}")
     smaller = [c for c in range(2, ctx.g) if all(pow(c, (q - 1) // p, q) != 1 for p in _prime_factors(q - 1))]
     _check(out, f"q={q} generator minimal", not smaller, f"g={ctx.g}")
-    _check(out, f"q={q} dlog tables total", len(ctx.dlog_q) == q - 1 and len(ctx.dlog_q2) == q * q - 1,
-           f"{len(ctx.dlog_q)}/{q-1} base, {len(ctx.dlog_q2)}/{q*q-1} extension")
-    parity_ok = all(
-        quadratic_character(ctx, a) == (1 if ctx.dlog_q[a] % 2 == 0 else -1)
-        for a in range(1, q)
-    )
+    # the base logs are a permutation of 0..q-2; dlog2 inverts the power table and is -1 only at 0,
+    # so the q^2-1 powers of zeta are distinct and nonzero: the extension logs are a permutation too.
+    # (A numpy sort would page in about 200 KB more sorting code per process.)
+    n2 = q * q - 1
+    total = (sorted(ctx.dlog[1:].tolist()) == list(range(q - 1)) and ctx.dlog2[0] == -1
+             and np.array_equal(ctx.dlog2[ctx.power_a * q + ctx.power_b], np.arange(n2)))
+    _check(out, f"q={q} dlog tables total", total,
+           f"{np.count_nonzero(ctx.dlog[1:] >= 0)}/{q-1} base, {np.count_nonzero(ctx.dlog2[1:] >= 0)}/{n2} extension")
+    parity_ok = all(quadratic_character(ctx, a) == (1 if ctx.dlog[a] % 2 == 0 else -1) for a in range(1, q))
     _check(out, f"q={q} sign character = dlog parity", parity_ok, "exhaustive")
     u = norm_one_subgroup(ctx)
     _check(out, f"q={q} |U| = q+1", len(u) == q + 1 and len(set(u)) == q + 1, f"|U|={len(u)}")
@@ -83,13 +86,13 @@ def field_checks(ctx):
     # The dlog table is total, so every nonzero z is zeta^m for one m, and
     # zeta^m * zeta^k = zeta^(m+k). N(zw) = N(z)N(w) on all nonzero pairs thus
     # says that m -> N(zeta^m) is a homomorphism of the cyclic group, which holds
-    # exactly when N(zeta^m) = N(zeta)^m for every m; pairs with a zero need N(0) = 0.
-    n_zeta = ext_norm(ctx, ctx.zeta)
-    norm_ok = ext_norm(ctx, EXT_ZERO) == 0 and all(
-        ext_norm(ctx, z) == pow(n_zeta, m, q) for z, m in ctx.dlog_q2.items()
-    )
-    _check(out, f"q={q} norm multiplicative", norm_ok,
-           f"N(zeta^m) = N(zeta)^m for all {len(ctx.dlog_q2)} m, N(0) = 0")
+    # exactly when N(zeta^m) = N(zeta)^m for every m, that is when
+    # dlog N(zeta^m) = m dlog N(zeta) mod q-1 (a zero norm has dlog -1 and fails);
+    # pairs with a zero need N(0) = 0.
+    norms = ext_norm(ctx, ExtElement(ctx.power_a, ctx.power_b))
+    norm_ok = ext_norm(ctx, EXT_ZERO) == 0 and np.array_equal(
+        ctx.dlog[norms], np.arange(n2) * ctx.dlog[norms[1]] % (q - 1))
+    _check(out, f"q={q} norm multiplicative", norm_ok, f"N(zeta^m) = N(zeta)^m for all {n2} m, N(0) = 0")
     return out
 
 
@@ -99,13 +102,12 @@ def character_checks(ctx):
     rep = chars.character_orthogonality_check(ctx)
     _check(out, f"q={q} character orthogonality", rep.max_residual <= 1e-12,
            f"max residual {rep.max_residual:.2e}")
-    # beta_j(ab) against beta_j(a) beta_j(b) for all j, a, b: the multiplication
-    # table of F_q^x, read through dlog, picks columns of the character table
-    dlog, base = field_tables(ctx).dlog, chars.character_tables(ctx).base
+    # beta_j(ab) against beta_j(a) beta_j(b) for all j, a, b, one character row at a time:
+    # the multiplication table of F_q^x, read through dlog, picks entries of the row
     units = np.arange(1, q)
-    beta = base[:, dlog[units]]  # beta[j, a-1] = beta_j(a)
-    beta_ab = base[:, dlog[units[:, None] * units % q]]
-    mult_ok = bool(np.abs(beta_ab - beta[:, :, None] * beta[:, None, :]).max() < 1e-12)
+    dlog_a, dlog_ab = ctx.dlog[units], ctx.dlog[units[:, None] * units % q]
+    mult_ok = all(np.abs(row[dlog_ab] - np.outer(row[dlog_a], row[dlog_a])).max() < 1e-12
+                  for row in chars.character_tables(ctx).base)
     _check(out, f"q={q} beta multiplicative", mult_ok, "exhaustive")
     mags = max(
         abs(abs(chars.ext_char(ctx, j, z)) - 1.0)
@@ -113,17 +115,13 @@ def character_checks(ctx):
         for z in (ExtElement(1, 0), ctx.zeta, ExtElement(0, 1))
     )
     _check(out, f"q={q} character magnitudes", mags <= 1e-12, f"max |.|-1 = {mags:.1e}")
-    # restriction of nu_j to the base field depends only on the base dlog
-    restr_ok = True
-    for j in (1, 2, q + 1):
-        vals = {}
-        for a in range(1, q):
-            key = ctx.dlog_q[a]
-            v = chars.ext_char(ctx, j, ExtElement(a, 0))
-            if key in vals and abs(vals[key] - v) > 1e-12:
-                restr_ok = False
-            vals[key] = v
-    _check(out, f"q={q} extension characters restrict through dlog", restr_ok, "j in {1,2,q+1}")
+    # nu_j(a) = e^(2 pi i j dlog2(a)/(q^2-1)) on a in F_q^x is beta_(je)(a) for every j exactly
+    # when dlog2(a) = (q+1) e dlog(a) mod q^2-1, with e = dlog2(g)/(q+1); checked in integers
+    ext = ctx.dlog2[units * q]
+    e = int(ctx.dlog2[ctx.g * q]) // (q + 1)
+    restr_ok = np.all(ext % (q + 1) == 0) and np.array_equal(ext // (q + 1), e * ctx.dlog[units] % (q - 1))
+    _check(out, f"q={q} extension characters restrict through dlog", restr_ok,
+           f"dlog2(a) = (q+1)*{e}*dlog(a) on F_q^x: nu_j = beta_(j*{e})")
     return out
 
 
@@ -145,7 +143,7 @@ def graph_checks(graph):
         # the pseudo-distance N(z - w) / (y_z y_w) of every pair, from coordinates, not from translate
         x, y = scheme(ctx).x, scheme(ctx).y
         dx, dy = x[:, None] - x, y[:, None] - y
-        dist = (dx * dx - ctx.delta * dy * dy) * field_tables(ctx).inv[y[:, None] * y % q] % q
+        dist = (dx * dx - ctx.delta * dy * dy) * ctx.inverse[y[:, None] * y % q] % q
         consistent = np.array_equal(graph.adjacency == 1, dist == r_s)
         _check(out, f"q={q} r_s={r_s} adjacency = distance sphere", consistent, "all pairs")
 
@@ -192,13 +190,18 @@ def spherical_checks(graph):
     # lifted rows are adjacency eigenvectors: lift[x, i] = omega_i(d(x)), and (A lift)[x] = C[x] @ omega.T
     # with C[x, k] the number of neighbours of x in the orbit of column k (n x q counts). When C is
     # the row of B_{r_s} at the orbit of x for every x (integers), the n x q identity is the q x q
-    # one B_{r_s} omega_i' = a_i omega_i
+    # one B_{r_s} omega_i' = a_i omega_i. C is counted REGULARITY_BLOCK vertices at a time
     cols = scheme(ctx).cols
-    flat = (np.arange(n)[:, None] * q + cols.take(graph.neighbors)).ravel()
-    counts = np.bincount(flat, minlength=n * q).reshape(n, q)
     block = intersection_matrices(ctx)[table.radius_column(r_s)]
+    counts_ok = True
+    for start in range(0, n, REGULARITY_BLOCK):
+        rows = slice(start, start + REGULARITY_BLOCK)
+        nbrs = graph.neighbors[rows]
+        flat = (np.arange(len(nbrs))[:, None] * q + cols.take(nbrs)).ravel()
+        counts = np.bincount(flat, minlength=len(nbrs) * q).reshape(len(nbrs), q)
+        counts_ok = counts_ok and np.array_equal(counts, block[cols[rows]])
     eig_dev = float(np.abs(block @ table.omega.T - table.omega.T * table.adjacency_eigenvalues).max())
-    eig_dev = eig_dev if np.array_equal(counts, block[cols]) else math.inf
+    eig_dev = eig_dev if counts_ok else math.inf
     _check(out, f"q={q} r_s={r_s} rows are eigenfunctions", eig_dev <= 1e-9, f"{eig_dev:.2e}")
     return out
 

@@ -64,7 +64,7 @@ def test_character_tables_equal_scalar_characters(q):
     tables = character_tables(ctx)
     for j in range(q - 1):
         for a in range(1, q):
-            assert abs(tables.base[j, ctx.dlog_q[a]] - beta(ctx, j, a)) <= 2**-52
+            assert abs(tables.base[j, ctx.dlog[a]] - beta(ctx, j, a)) <= 2**-52
     for j in range(q + 1):
         for k, u in enumerate(norm_one_subgroup(ctx)):
             assert abs(tables.norm_one[j, k] - nu(ctx, j, u)) <= 2**-52
@@ -115,7 +115,7 @@ def test_nu_restricted_to_base_field_is_a_beta(q):
         by_dlog = {}
         for a in range(1, q):
             v = ext_char(ctx, j, ExtElement(a, 0))
-            key = ctx.dlog_q[a]
+            key = ctx.dlog[a]
             assert abs(by_dlog.setdefault(key, v) - v) < 1e-12
         matches = [
             k

@@ -1,5 +1,6 @@
 """Field and extension arithmetic, checked against exhaustive enumeration."""
 
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -71,7 +72,7 @@ def test_quadratic_character_matches_square_set(q):
 def test_quadratic_character_is_dlog_parity(q):
     ctx = field_context(q)
     for a in range(1, q):
-        assert quadratic_character(ctx, a) == (1 if ctx.dlog_q[a] % 2 == 0 else -1)
+        assert quadratic_character(ctx, a) == (1 if ctx.dlog[a] % 2 == 0 else -1)
 
 
 def test_ext_norm_trace_frozen():
@@ -209,9 +210,48 @@ def test_norm_one_subgroup_cyclic_order():
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_dlog_tables_are_bijections(q):
     ctx = field_context(q)
-    assert sorted(ctx.dlog_q.values()) == list(range(q - 1))
-    assert sorted(ctx.dlog_q2.values()) == list(range(q * q - 1))
-    for a, m in ctx.dlog_q.items():
-        assert pow(ctx.g, m, q) == a
-    for z, m in ctx.dlog_q2.items():
-        assert ext_pow(ctx, ctx.zeta, m) == z
+    assert ctx.dlog[0] == ctx.dlog2[0] == -1
+    assert sorted(ctx.dlog[1:]) == list(range(q - 1))
+    assert sorted(ctx.dlog2[1:]) == list(range(q * q - 1))
+    for a in range(1, q):
+        assert pow(ctx.g, int(ctx.dlog[a]), q) == a
+    for a, b in product(range(q), repeat=2):
+        if (a, b) != (0, 0):
+            assert ext_pow(ctx, ctx.zeta, int(ctx.dlog2[a * q + b])) == ExtElement(a, b)
+
+
+@pytest.mark.parametrize("q", [q for q in range(3, 102, 2) if is_odd_prime(q)])
+def test_power_table_is_the_scalar_walk(q):
+    ctx = field_context(q)
+    z = EXT_ONE
+    for m in range(q * q - 1):
+        assert (ctx.power_a[m], ctx.power_b[m]) == (z.a, z.b), m
+        z = ext_mul(ctx, z, ctx.zeta)
+    assert z == EXT_ONE
+    assert ext_pow(ctx, ctx.zeta, q * q - 2) == ExtElement(int(ctx.power_a[-1]), int(ctx.power_b[-1]))
+
+
+def test_small_tables_match_the_scalar_functions():
+    ctx = field_context(13)
+    assert ctx.chi.tolist() == [quadratic_character(ctx, a) for a in range(13)]
+    assert ctx.inverse.tolist() == [0] + [ctx.inv(a) for a in range(1, 13)]
+
+
+def test_tables_are_read_only():
+    ctx = field_context(5)
+    for table in (ctx.power_a, ctx.power_b, ctx.dlog, ctx.dlog2, ctx.chi, ctx.inverse):
+        with pytest.raises(ValueError):
+            table[1] = 0
+
+
+def test_field_context_retains_only_the_integer_tables():
+    # four q^2 int64 arrays at most: the ExtElement dict of the extension logs kept 1.5 MB at q=101
+    q = 101
+    tracemalloc.start()
+    try:
+        ctx = field_context(q)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ctx.dlog2.size == q * q
+    assert retained <= 4 * q * q * 8, f"{retained} B retained"

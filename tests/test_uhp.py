@@ -290,7 +290,7 @@ def test_compact_dtypes_at_the_primes_around_their_ranges(q, index, count):
 
 def test_build_graph_scratch_is_one_neighbour_array():
     # the uint16 n(q+1) result and O(n) scratch per generator, plus the regularity check's
-    # sorted block of REGULARITY_BLOCK rows (0.54 MB traced at q=53); the whole-array
+    # sorted block of REGULARITY_BLOCK rows (0.41 MB traced at q=53); the whole-array
     # checks of the n x (q+1) layout peaked at 3.7 MB traced at q=53
     q = 53
     ctx = field_context(q)

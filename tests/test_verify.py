@@ -1,5 +1,7 @@
 """The verify battery beyond the q the CLI tests cover."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -76,9 +78,44 @@ def test_field_checks_and_beta_multiplicative_at_the_cap():
 def test_norm_check_catches_a_non_multiplicative_norm(monkeypatch):
     # a^2 + delta*b^2 agrees with the norm on F_q but is not multiplicative on the extension
     ctx = field_context(7)
-    monkeypatch.setattr(fuhp.verify, "ext_norm", lambda c, z: (z.a * z.a + c.delta * z.b * z.b) % c.q)
+    seen = []
+
+    def wrong_norm(c, z):
+        seen.append(np.shape(z.a))
+        return (z.a * z.a + c.delta * z.b * z.b) % c.q
+
+    (norm,) = [r for r in field_checks(ctx) if r.name == "q=7 norm multiplicative"]
+    assert norm.passed
+    monkeypatch.setattr(fuhp.verify, "ext_norm", wrong_norm)
     (norm,) = [r for r in field_checks(ctx) if r.name == "q=7 norm multiplicative"]
     assert not norm.passed
+    assert (48,) in seen  # the check reads the norm of the whole power table
+
+
+def test_dlog_total_check_catches_corrupted_tables():
+    ctx = field_context(3)
+    dlog, dlog2, power_a = ctx.dlog.copy(), ctx.dlog2.copy(), ctx.power_a.copy()
+    dlog[1] = dlog[2]  # two base elements with one log
+    dlog2[[3, 6]] = dlog2[[6, 3]]  # the logs of 1 and 2 swapped
+    power_a[5] = power_a[6]  # a repeated power
+    for corrupted in (ctx, replace(ctx, dlog=dlog), replace(ctx, dlog2=dlog2), replace(ctx, power_a=power_a)):
+        (total,) = [r for r in field_checks(corrupted) if r.name == "q=3 dlog tables total"]
+        assert total.passed is (corrupted is ctx)
+
+
+@pytest.mark.parametrize("q", [3, 7, 13])
+def test_restriction_check_catches_two_swapped_base_field_logs(q):
+    ctx = field_context(q)
+    name = f"q={q} extension characters restrict through dlog"
+    (check,) = [r for r in character_checks(ctx) if r.name == name]
+    assert check.passed, check.detail
+    for a, b in [(1, q - 1), (ctx.g, q - 1), (2, ctx.g)]:
+        if a == b:
+            continue
+        dlog2 = ctx.dlog2.copy()
+        dlog2[[a * q, b * q]] = dlog2[[b * q, a * q]]
+        (check,) = [r for r in character_checks(replace(ctx, dlog2=dlog2)) if r.name == name]
+        assert not check.passed, (a, b)
 
 
 def test_spherical_checks_memory_at_the_cap(run_child):
@@ -91,7 +128,17 @@ def test_spherical_checks_memory_at_the_cap(run_child):
     )
     child = run_child(["-c", script])
     assert child.exit_code == 0
-    assert child.peak_mb < 300, f"peak RSS {child.peak_mb:.0f} MB"
+    # the 64 MB ceiling: the n x (q+1) index array and the n x q counts are formed in vertex blocks
+    assert child.peak_mb <= 64, f"peak RSS {child.peak_mb:.1f} MB"
+
+
+@pytest.mark.slow
+def test_verify_at_the_cap_fits_the_memory_ceiling(run_child):
+    # 90.7 MB when beta multiplicative formed three (q-1)^3 complex cubes and the eigenfunction check
+    # an n x (q+1) index array at once
+    child = run_child(["-m", "fuhp.cli", "verify", "--q", "101"], capture=True)
+    assert child.exit_code == 0, child.stdout[-2000:]
+    assert child.peak_mb <= 64, f"peak RSS {child.peak_mb:.1f} MB (wall {child.wall:.2f} s)"
 
 
 @pytest.mark.slow
