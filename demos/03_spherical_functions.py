@@ -16,7 +16,7 @@ for q in (5, 7):
     ctx = field_context(q)
     table = spherical_table(ctx, r_s)
     print(f"=== q={q}: eigenvalues read at generating radius r_s={r_s}")
-    print(f"radii (canonical order): {table.radii}")
+    print(f"omega[i, r], row i at radius r = 0..{q - 1}:")
     with np.printoptions(precision=6, suppress=True):
         print(table.omega)
     print("multiplicities d_i:", table.degrees.tolist(),

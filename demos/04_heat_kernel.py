@@ -28,15 +28,14 @@ print("                 E(t;1) = 1 - e^(-6t)")
 print("                 E(t;2) = 1 - 3e^(-4t) + 2e^(-6t)\n")
 print(f"{'t':>6} {'E(t;0)':>12} {'E(t;1)':>12} {'E(t;2)':>12} {'closed-form dev':>16} {'oracle dev':>12}")
 t_grid = (0.0, 0.1, 0.5, 1.0, 5.0)
-spec = heat_kernel_spectral(table, t_grid)  # [t, radius column], columns in table.radii
+spec = heat_kernel_spectral(table, t_grid)  # [t, r], column r for radius r
 orac = heat_kernel_oracle(graph, t_grid).by_radius  # one walk for the whole grid
-for t, row, orac_row in zip(t_grid, spec, orac):
+for t, kern, orac_row in zip(t_grid, spec, orac):
     e4, e6 = math.exp(-4 * t), math.exp(-6 * t)
     closed = {0: 1 + 3 * e4 + 2 * e6, 1: 1 - e6, 2: 1 - 3 * e4 + 2 * e6}
-    kern = dict(zip(table.radii, row))
     dev_c = max(abs(kern[r] - closed[r]) for r in closed)
     print(f"{t:6.2f} {kern[0]:12.8f} {kern[1]:12.8f} {kern[2]:12.8f} "
-          f"{dev_c:16.2e} {np.abs(row - orac_row).max():12.2e}")
+          f"{dev_c:16.2e} {np.abs(kern - orac_row).max():12.2e}")
 
 print("\nmass and positivity at q=7, r_s=1:")
 ctx7 = field_context(7)

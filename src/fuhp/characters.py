@@ -104,12 +104,12 @@ class OrthogonalityReport:
         return max(self.base_residual, self.u_residual)
 
 
-def character_orthogonality_check(ctx, tol=1e-12):
+def character_orthogonality_check(ctx):
     """Verify sum_a beta_j(a) conj(beta_k(a)) = (q-1)[j=k] and the analogue on U.
 
     Both sums are Gram matrices of the character tables. Returns the report
-    with the largest residual over all index pairs; the tol argument is only
-    advisory (callers compare against it).
+    with the largest residual over all index pairs; callers compare it with
+    their own tolerance.
     """
     q = ctx.q
     tables = character_tables(ctx)

@@ -207,19 +207,20 @@ def cmd_spectrum(args):
 
 def _spherical_block(ctx, r_s):
     table = spherical_table(ctx, r_s)
+    radii = radii_order(ctx)  # the output order of every radius-indexed array
     return {
         "r_s": r_s,
-        "radii": table.radii,
-        "orbit_sizes": [int(s) for s in table.orbit_sizes],
+        "radii": radii,
+        "orbit_sizes": table.orbit_sizes[radii].tolist(),
         "rows": [
             {
                 "index": i,
                 "degree": int(table.degrees[i]),
                 "adjacency_eigenvalue": float(table.adjacency_eigenvalues[i]),
                 "laplacian_eigenvalue": float(table.laplacian_eigenvalues[i]),
-                "omega": [float(x) for x in table.omega[i]],
+                "omega": omega,
             }
-            for i in range(table.num_rows)
+            for i, omega in enumerate(table.omega[:, radii].tolist())
         ],
         "complete": table.is_complete,
     }
@@ -246,7 +247,7 @@ def cmd_heat(args):
         deviation = np.abs(spec - oracle).max(axis=1)
         series = [
             {"t": t, "values": values, "oracle_deviation": dev}
-            for t, values, dev in zip(t_grid, spec.tolist(), deviation.tolist())
+            for t, values, dev in zip(t_grid, spec[:, radii].tolist(), deviation.tolist())
         ]
         blocks.append({"r_s": r_s, "radii": radii, "series": series})
     header = ["t"] + [f"E_r{r}" for r in radii] + ["oracle_deviation"]

@@ -23,8 +23,8 @@ t. Every term is non-negative, so nothing cancels: each entry carries the
 truncated tail (<= u), rounding of about min(K, k*)*u relative, and the
 stop's n*delta*T <= 4(q+1)u.
 
-Both kernels take a grid of times and return arrays [t, radius column]; the
-oracle walks once, to the largest t of the grid, and also returns [t, vertex].
+Both kernels take a grid of times and return arrays [t, r] (r the radius);
+the oracle walks once, to the largest t of the grid, and also returns [t, vertex].
 
 The module also lifts the problem to the full group of invertible 2x2
 matrices and verifies that averaging the lifted kernel over the point
@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .uhp import base_point, build_graph, point_index, radial_values, scheme, translate, vertex_index
+from .uhp import base_point, build_graph, point_index, radial_values, scheme, vertex_index
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
@@ -58,7 +58,7 @@ def _time_grid(t_grid):
 def heat_kernel_spectral(table, t_grid):
     """Spectral expansion E(t; r) = sum_i d_i * exp(-lambda_i * t) * omega_i(r).
 
-    One array [t, radius column] for the whole grid, columns in ``table.radii``.
+    One array [t, r] for the whole grid, column r for radius r.
     """
     weights = table.degrees * np.exp(-np.outer(_time_grid(t_grid), table.laplacian_eigenvalues))
     return weights @ table.omega
@@ -113,9 +113,9 @@ def poisson_weights(rate):
 
 
 class OracleKernel(NamedTuple):
-    """E(t; .) of the oracle for a grid of times: [t, radius column] and [t, vertex]."""
+    """E(t; .) of the oracle for a grid of times: [t, r] and [t, vertex]."""
 
-    by_radius: np.ndarray  # columns in radii_order
+    by_radius: np.ndarray  # column r for radius r
     by_vertex: np.ndarray  # columns in the graph's vertex order
 
 
@@ -172,27 +172,26 @@ def _uniformization(step, start, rates, terms):
     return acc + rest[:, None] / m
 
 
-def heat_kernel_oracle(graph, t_grid, base=None):
-    """Matrix-exponential oracle E(t; .) = q(q-1) * exp(-t*Laplacian) e_base for every t in t_grid.
+def heat_kernel_oracle(graph, t_grid):
+    """Matrix-exponential oracle E(t; .) = q(q-1) * exp(-t*Laplacian) e_0 for every t in t_grid.
 
-    Uniformization, with no eigendecomposition: n * sum_{k<=K} w_k P^k e_base,
+    Uniformization, with no eigendecomposition: n * sum_{k<=K} w_k P^k e_0,
     where w = poisson_weights((q+1)t) and P = A/(q+1) is applied as a sum over
     the generator rows; one walk serves the whole grid, and it stops at the
-    first step k* where ||P^k* e_base - 1/n||_inf <= delta = 4(q+1)u/n (see
+    first step k* where ||P^k* e_0 - 1/n||_inf <= delta = 4(q+1)u/n (see
     ``_uniformization``). Cost O(min(K, k*) * n(q+1)), with K ~ (q+1)t +
     O(sqrt((q+1)t)) for the largest t. Error per entry: the dropped Poisson
     tail (<= u), about min(K, k*)*u relative, as every term is non-negative,
     and at most n*delta*T = 4(q+1)u*T for the times still running at k*, T
-    being their Poisson mass past k*. Radius values are read off the orbits
-    around the base point, asserting constancy on each orbit.
+    being their Poisson mass past k*. e_0 is the indicator of sqrt(delta);
+    radius values are read off its orbits, asserting constancy on each orbit.
     """
     t_grid = _time_grid(t_grid)
     ctx = graph.ctx
     q = ctx.q
     n = graph.n
-    base_ix = point_index(ctx, base_point() if base is None else base)
     start = np.zeros(n)
-    start[base_ix] = 1.0
+    start[point_index(ctx, base_point())] = 1.0
 
     def step(walk):  # one take per generator row, added in the order of walk[by_generator].sum(axis=0)
         out = walk.take(graph.by_generator[0])
@@ -201,9 +200,7 @@ def heat_kernel_oracle(graph, t_grid, base=None):
         return out / (q + 1)
 
     by_vertex = n * _uniformization(step, start, (q + 1) * t_grid, q + 1)
-    # distance is invariant under left translation: d(base . z, base) = d(z, sqrt(delta))
-    around_base = by_vertex[:, translate(q, base_ix, np.arange(n))]
-    return OracleKernel(radial_values(ctx, around_base, "oracle kernel"), by_vertex)
+    return OracleKernel(radial_values(ctx, by_vertex, "oracle kernel"), by_vertex)
 
 
 def initial_condition_check(graph, f, t_grid):

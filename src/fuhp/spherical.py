@@ -39,15 +39,14 @@ MATCH_TOL = 1e-9
 class SphericalTable:
     """Spherical functions as radius-indexed rows, ordered by Laplacian eigenvalue.
 
-    omega[i, k] is the value of row i at radii[k]; degrees[i] is the eigenvalue
-    multiplicity d_i, adjacency_eigenvalues[i] = (q+1)*omega_i(r_s) and
-    laplacian_eigenvalues[i] = (q+1) - adjacency_eigenvalues[i].
+    omega[i, r] is the value of row i at radius r and orbit_sizes[r] = |S_r|;
+    degrees[i] is the eigenvalue multiplicity d_i, adjacency_eigenvalues[i] =
+    (q+1)*omega_i(r_s) and laplacian_eigenvalues[i] = (q+1) - adjacency_eigenvalues[i].
     """
 
     q: int
     delta: int
     r_s: int
-    radii: list
     orbit_sizes: np.ndarray
     omega: np.ndarray
     degrees: np.ndarray
@@ -62,9 +61,6 @@ class SphericalTable:
     def is_complete(self):
         """True when no eigenvalue collision merged distinct orbits."""
         return self.num_rows == self.q
-
-    def radius_column(self, r):
-        return self.radii.index(r % self.q)
 
     def spectrum(self):
         """Descending [eigenvalue, multiplicity] pairs, merging rows within EIGENVALUE_CLUSTER_TOL."""
@@ -81,40 +77,45 @@ class SphericalTable:
 def intersection_matrices(ctx):
     """B_r[r1, r2] = #{s in S_r : d(z_r1 . s, sqrt(delta)) = r2} as one read-only array [r, r1, r2].
 
-    Indices are columns of ``radii_order``; the counts are at most q+1, so uint8 up to
-    q = 254. Filled one orbit representative z_r1 (a bincount over n vertices) at a time.
+    The counts are at most q+1, so uint8 up to q = 254. Filled one orbit
+    representative z_r1 (a bincount over n vertices) at a time.
     """
     q = ctx.q
-    x, y, _, cols, _, reps = scheme(ctx)
+    x, y, labels, _, reps = scheme(ctx)
     counts = np.empty((q, q, q), dtype=unsigned_dtype(q + 1))
     for r1, rep in enumerate(reps):
-        # the column of z_r1 . w for every vertex w, counted by the column of w
-        moved = cols[affine_product(q, x[rep], y[rep], x, y)]
-        counts[:, r1] = np.bincount(cols * q + moved, minlength=q * q).reshape(q, q)
+        # the radius of z_r1 . w for every vertex w, counted by the radius of w
+        moved = labels[affine_product(q, x[rep], y[rep], x, y)]
+        counts[:, r1] = np.bincount(labels * q + moved, minlength=q * q).reshape(q, q)
     counts.flags.writeable = False
     return counts
 
 
 @functools.lru_cache(maxsize=8)
 def _radial_rows(ctx):
-    """Radii, orbit sizes D, spherical rows and degrees of (q, delta); do not modify.
+    """Spherical rows omega[i, r] and degrees of (q, delta); do not modify.
 
-    The symmetric B~_r = D^(1/2) B_r D^(-1/2) (B_r: ``intersection_matrices``)
-    share eigenvectors u_i, found by one eigh of sum_r c_r B~_r; B_r omega_i =
-    |S_r| omega_i(r) omega_i, so omega_i(r) is the Rayleigh quotient u_i' B~_r
-    u_i / (|S_r| u_i' u_i). Each q x q block B~_r is formed from the integers
-    twice, for the scheme check and the sum and for the quotients, so beyond
-    the q^3 bytes of B_r the scratch is O(q^2) and no q^3 float array is made.
+    The symmetric B~_r = D^(1/2) B_r D^(-1/2) (B_r: ``intersection_matrices``,
+    D: orbit sizes) share eigenvectors u_i, found by one eigh of sum_r c_r B~_r;
+    B_r omega_i = |S_r| omega_i(r) omega_i, so omega_i(r) is the Rayleigh
+    quotient u_i' B~_r u_i / (|S_r| u_i' u_i). Each q x q block B~_r is formed
+    from the integers twice, for the scheme check and the sum and for the
+    quotients, so beyond the q^3 bytes of B_r the scratch is O(q^2) and no q^3
+    float array is made.
     """
     q = ctx.q
     n = q * (q - 1)
+    # The solve runs in radii_order, each block gathered into it as it is formed, and omega
+    # returns to radius order at the end: solving in radius order moves omega by up to 1.3e-15
+    # (primes q <= 101), which changes the last digits of the spherical and heat output.
     radii = radii_order(ctx)
-    sizes = scheme(ctx).sizes
+    sizes = scheme(ctx).sizes[radii]
     counts = intersection_matrices(ctx)
+    square = np.ix_(radii, radii)
     root = np.sqrt(np.outer(sizes, sizes))
     combined = np.zeros((q, q))
-    for block, c in zip(counts, np.cos(GOLDEN_ANGLE * np.array(radii))):
-        pairs = block * sizes[:, None]
+    for r, c in zip(radii, np.cos(GOLDEN_ANGLE * np.array(radii))):
+        pairs = counts[r][square] * sizes[:, None]
         if not np.array_equal(pairs, pairs.T):
             raise AssertionError("|S_r1| B_r[r1, r2] must be symmetric: distance classes are not a scheme")
         combined += c * (pairs / root)  # exactly symmetric B~_r
@@ -122,7 +123,7 @@ def _radial_rows(ctx):
     gap = np.diff(w).min()
     if gap < MIN_RELATIVE_GAP * np.abs(w).max():
         raise AssertionError(f"radial eigenbasis ill-separated at q={q}: gap {gap:.3e}")
-    quotients = np.array([(block * sizes[:, None] / root @ u * u).sum(axis=0) for block in counts])  # [r, i]
+    quotients = np.array([(counts[r][square] * sizes[:, None] / root @ u * u).sum(axis=0) for r in radii])
     omega = quotients.T / sizes / (u * u).sum(axis=0)[:, None]
     # each row of B_r sums to |S_r|, so the constant function is an exact row
     omega[np.abs(omega - 1.0).max(axis=1).argmin()] = 1.0
@@ -130,13 +131,13 @@ def _radial_rows(ctx):
     degrees = np.rint(raw).astype(np.int64)
     if np.abs(raw - degrees).max() > DEGREE_INTEGRALITY_TOL:
         raise AssertionError(f"multiplicities not integral at q={q}: {raw}")
-    return tuple(radii), sizes, omega, degrees
+    return omega[:, np.argsort(radii)], degrees
 
 
 def _row_order(ctx, r_s):
     """a_i = (q+1)*omega_i(r_s) for the rows of ``_radial_rows``, and their order by ascending lambda_i."""
-    radii, _, omega, _ = _radial_rows(ctx)
-    adj = (ctx.q + 1) * omega[:, radii.index(r_s)]
+    omega, _ = _radial_rows(ctx)
+    adj = (ctx.q + 1) * omega[:, r_s]
     return adj, np.argsort((ctx.q + 1) - adj, kind="stable")
 
 
@@ -144,14 +145,13 @@ def spherical_table(ctx, r_s):
     """All q rows (cached per (q, delta)) with a_i = (q+1)*omega_i(r_s), by ascending lambda_i."""
     q = ctx.q
     r_s = regular_radius(ctx, r_s)
-    radii, sizes, omega, degrees = _radial_rows(ctx)
+    omega, degrees = _radial_rows(ctx)
     adj, order = _row_order(ctx, r_s)
     return SphericalTable(
         q=q,
         delta=ctx.delta,
         r_s=r_s,
-        radii=list(radii),
-        orbit_sizes=sizes.copy(),
+        orbit_sizes=scheme(ctx).sizes.copy(),
         omega=omega[order],
         degrees=degrees[order],
         adjacency_eigenvalues=adj[order],
@@ -268,8 +268,7 @@ def laplace_eigenvalue(table, i, r_s):
     """(q+1)*(1 - omega_i(r_s)); must reproduce the table's lambda_i."""
     if r_s % table.q != table.r_s:
         raise ValueError(f"table was built with r_s={table.r_s}, got {r_s}")
-    col = table.radius_column(r_s)
-    return (table.q + 1) * (1.0 - table.omega[i, col])
+    return (table.q + 1) * (1.0 - table.omega[i, table.r_s])
 
 
 def principal_class_indices(q):
@@ -324,8 +323,7 @@ def _class_matches(ctx):
     recorded per class. Returns (matches, max_imag); do not modify.
     """
     q = ctx.q
-    radii, _, omega, _ = _radial_rows(ctx)
-    radii = list(radii)
+    omega, _ = _radial_rows(ctx)
     deg1 = degenerate_radii(ctx)[1]
     forms = closed_forms(ctx)
     taken = np.zeros(q, dtype=bool)
@@ -342,22 +340,20 @@ def _class_matches(ctx):
         return row
 
     for j in principal_class_indices(q):
-        values = forms.principal[radii, j]
+        values = forms.principal[:, j]
         max_imag = max(max_imag, float(np.abs(values.imag).max()))
-        devs = np.abs(omega - values.real[None, :]).max(axis=1)
+        devs = np.abs(omega - values.real).max(axis=1)
         row = take(devs, f"principal class beta_{j}")
         matches.append(CharacterMatch("principal", j, row, float(devs[row])))
 
-    defined = [r for r in radii if r != 1 and r != deg1]
-    cols = [radii.index(r) for r in defined]
-    inf_col = radii.index(deg1)
+    defined = [r for r in range(q) if r != 1 and r != deg1]
     for j in cuspidal_class_indices(q):
         values = forms.cuspidal["reconciled"][defined, j]
         verbatim = forms.cuspidal["verbatim"][defined, j]
         inf_values = [forms.antipodal[reading][j] for reading in CUSPIDAL_INFINITY_READINGS]
         max_imag = max(max_imag, float(np.abs(values.imag).max()))
-        inf_devs = np.array([np.abs(omega[:, inf_col] - v) for v in inf_values])
-        devs = np.maximum(np.abs(omega[:, cols] - values).max(axis=1), inf_devs.min(axis=0))
+        inf_devs = np.array([np.abs(omega[:, deg1] - v) for v in inf_values])
+        devs = np.maximum(np.abs(omega[:, defined] - values).max(axis=1), inf_devs.min(axis=0))
         # with only the normalization radius defined (q=3), the last row is the match
         by_elimination = len(defined) == 1 and taken.sum() == q - 1
         row = take(devs, f"cuspidal class nu_{j}")
@@ -374,7 +370,7 @@ def _class_matches(ctx):
                 excluded_radii=(1,),
                 by_elimination=by_elimination,
                 infinity_reading=reading,
-                verbatim_deviation=float(np.abs(omega[row, cols] - verbatim).max()),
+                verbatim_deviation=float(np.abs(omega[row, defined] - verbatim).max()),
             )
         )
     return tuple(matches), max_imag

@@ -119,25 +119,25 @@ def _finite_theta_verbatim(ctx, r, t_grid):
 
 
 def reconciled_kernel(ctx, table, t_grid):
-    """Reconciled theta sums sum_i d_i e^(-lambda_i t) omega_i(r) as an array [t, radius column].
+    """Reconciled theta sums sum_i d_i e^(-lambda_i t) omega_i(r) as an array [t, r].
 
     The spectral kernel of ``table``, a ``spherical_table``, with each row
     replaced by the character-sum omega of its matched class, an assignment
     made once per (q, delta): the true decay rates and degrees stay. The
-    antipodal column takes the adjudicated reading; column r=1, excluded
-    from the cuspidal sum, keeps the spectral row.
+    antipodal radius takes the adjudicated reading; radius 1, excluded from
+    the cuspidal sum, keeps the spectral row.
     """
     forms = closed_forms(ctx)
-    deg1_col, one_col = table.radius_column(degenerate_radii(ctx)[1]), table.radius_column(1)
+    deg1 = degenerate_radii(ctx)[1]
     omega = table.omega.copy()
     for m in _table_matches(ctx, table.r_s):
         if m.kind == "principal":
-            omega[m.row] = forms.principal[table.radii, m.index].real
+            omega[m.row] = forms.principal[:, m.index].real
             continue
-        omega[m.row] = forms.cuspidal["reconciled"][table.radii, m.index].real
+        omega[m.row] = forms.cuspidal["reconciled"][:, m.index].real
         reading = "minus_nu" if m.infinity_reading.startswith("both") else m.infinity_reading
-        omega[m.row, deg1_col] = forms.antipodal[reading][m.index].real
-        omega[m.row, one_col] = table.omega[m.row, one_col]
+        omega[m.row, deg1] = forms.antipodal[reading][m.index].real
+        omega[m.row, 1] = table.omega[m.row, 1]
     return heat_kernel_spectral(replace(table, omega=omega), t_grid)
 
 
@@ -150,7 +150,7 @@ def finite_theta(ctx, table, r, t, mode="reconciled"):
     """
     _time_grid([t])
     if mode == "reconciled":
-        return float(reconciled_kernel(ctx, table, [t])[0, table.radius_column(r)])
+        return float(reconciled_kernel(ctx, table, [t])[0, r % ctx.q])
     if mode == "verbatim":
         return float(_finite_theta_verbatim(ctx, r, [t])[0].real)
     raise ValueError(f"mode must be one of {THETA_MODES}, got {mode!r}")
@@ -223,13 +223,12 @@ def theta_consistency_report(ctx, r_s, t_grid, graph=None):
     oracle = heat_kernel_oracle(graph, t_grid).by_radius
     kernel = reconciled_kernel(ctx, table, t_grid)
     deg0, deg1 = degenerate_radii(ctx)
-    radii = [r for r in table.radii if r not in (deg0, deg1, 1)]
+    radii = [r for r in range(q) if r not in (deg0, deg1, 1)]
 
     report = ThetaReport(q=q, delta=ctx.delta, r_s=table.r_s, t_grid=list(t_grid))
     for r in radii:
         verbatim = _finite_theta_verbatim(ctx, r, t_grid)
-        col = table.radius_column(r)
-        for t, oracle_val, rec, verb in zip(t_grid, oracle[:, col].tolist(), kernel[:, col].tolist(),
+        for t, oracle_val, rec, verb in zip(t_grid, oracle[:, r].tolist(), kernel[:, r].tolist(),
                                             verbatim.tolist()):
             report.rows.append(
                 ThetaReportRow(

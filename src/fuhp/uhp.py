@@ -75,14 +75,12 @@ class Scheme(NamedTuple):
     """The vertex encoding of (q, delta) and its distance classes around sqrt(delta); read-only.
 
     x[i], y[i]: coordinates of vertex i; labels[i]: its distance to sqrt(delta);
-    cols[i]: the column of that radius in ``radii_order``; sizes[k]: the size
-    of the orbit of column k; reps[k]: its first vertex.
+    sizes[r]: the size of the orbit of radius r; reps[r]: its first vertex.
     """
 
     x: np.ndarray
     y: np.ndarray
     labels: np.ndarray
-    cols: np.ndarray
     sizes: np.ndarray
     reps: np.ndarray
 
@@ -93,10 +91,9 @@ def scheme(ctx):
     q = ctx.q
     y, x = np.divmod(np.arange(q, q * q), q)  # vertex i is y*q + x - q
     labels = (x * x - ctx.delta * (y - 1) ** 2) * ctx.inverse[y] % q
-    cols = np.argsort(radii_order(ctx))[labels]
-    sizes = np.bincount(cols, minlength=q)
-    reps = np.argsort(cols, kind="stable")[np.cumsum(sizes) - sizes]
-    out = Scheme(x, y, labels, cols, sizes, reps)
+    sizes = np.bincount(labels, minlength=q)
+    reps = np.argsort(labels, kind="stable")[np.cumsum(sizes) - sizes]
+    out = Scheme(x, y, labels, sizes, reps)
     for array in out:
         array.flags.writeable = False
     return out
@@ -260,23 +257,22 @@ def orbit_decomposition(ctx):
 
 
 def radial_values(ctx, vecs, what):
-    """Values by radius (radii_order) of the vertex function ``what``, asserted constant on orbits.
+    """Values by radius of the vertex function ``what``, asserted constant on orbits.
 
     ``vecs`` is one function (shape [n]) or one per row (shape [rows, n]); the
-    result has the same leading shape, with one column per radius.
+    result has the same leading shape, with column r for radius r.
     """
-    cols = scheme(ctx).cols
-    radii = radii_order(ctx)
-    out = np.empty(vecs.shape[:-1] + (len(radii),))
-    for k, r in enumerate(radii):
+    labels = scheme(ctx).labels
+    out = np.empty(vecs.shape[:-1] + (ctx.q,))
+    for r in range(ctx.q):
         # contiguous rows, so that each row mean adds in the order of a 1-D vector's mean
-        vals = np.ascontiguousarray(vecs[..., cols == k])
+        vals = np.ascontiguousarray(vecs[..., labels == r])
         spread = vals.max(axis=-1) - vals.min(axis=-1)
         scale = np.maximum(1.0, np.abs(vals).max(axis=-1))
         assert np.all(spread <= ORBIT_CONSTANCY_TOL * scale), (
             f"{what} not constant on orbit r={r} (spread {np.max(spread):.3e})"
         )
-        out[..., k] = vals.mean(axis=-1)
+        out[..., r] = vals.mean(axis=-1)
     return out
 
 

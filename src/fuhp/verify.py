@@ -125,19 +125,25 @@ def character_checks(ctx):
     return out
 
 
+def orbit_checks(ctx):
+    """Orbit and sphere sizes, which depend on q alone."""
+    q = ctx.q
+    out = []
+    sizes = orbit_sizes(ctx)
+    deg0, deg1 = degenerate_radii(ctx)
+    expected = {r: (1 if r in (deg0, deg1) else q + 1) for r in range(q)}
+    _check(out, f"q={q} orbit sizes", sizes == expected, f"{sizes}")
+    sphere_ok = all(len(sphere(ctx, r)) == expected[r] for r in range(q))
+    _check(out, f"q={q} sphere sizes", sphere_ok, "|S_r| = q+1 off the degenerate radii")
+    return out
+
+
 def graph_checks(graph):
     """Checks on a built graph (build_graph asserts regularity, symmetry and connectivity)."""
     ctx, r_s, q = graph.ctx, graph.r_s, graph.ctx.q
     out = []
     _check(out, f"q={q} r_s={r_s} graph built", True,
            f"{graph.n} vertices, degree {q + 1}, connected")
-    if r_s == radii_order(ctx)[2]:  # orbit and sphere sizes depend on q alone: once per q
-        sizes = orbit_sizes(ctx)
-        deg0, deg1 = degenerate_radii(ctx)
-        expected = {r: (1 if r in (deg0, deg1) else q + 1) for r in range(q)}
-        _check(out, f"q={q} orbit sizes", sizes == expected, f"{sizes}")
-        sphere_ok = all(len(sphere(ctx, r)) == expected[r] for r in range(q))
-        _check(out, f"q={q} sphere sizes", sphere_ok, "|S_r| = q+1 off the degenerate radii")
 
     if q <= 7:
         # the pseudo-distance N(z - w) / (y_z y_w) of every pair, from coordinates, not from translate
@@ -177,7 +183,7 @@ def spherical_checks(graph):
     orth_dev = float(np.abs(gram - np.diag(n / table.degrees)).max())
     _check(out, f"q={q} r_s={r_s} weighted orthogonality", orth_dev <= 1e-10, f"{orth_dev:.2e}")
     recon = (table.degrees[:, None] * table.omega).sum(axis=0)
-    target = np.array([n if r == 0 else 0.0 for r in table.radii])
+    target = np.where(np.arange(q) == 0, n, 0.0)
     delta_dev = float(np.abs(recon - target).max())
     _check(out, f"q={q} r_s={r_s} delta reconstruction", delta_dev <= 1e-9, f"{delta_dev:.2e}")
     lam_dev = max(
@@ -188,18 +194,18 @@ def spherical_checks(graph):
            f"(q+1)(1 - omega(r_s)) vs lambda: {lam_dev:.2e}")
 
     # lifted rows are adjacency eigenvectors: lift[x, i] = omega_i(d(x)), and (A lift)[x] = C[x] @ omega.T
-    # with C[x, k] the number of neighbours of x in the orbit of column k (n x q counts). When C is
+    # with C[x, r] the number of neighbours of x in the orbit of radius r (n x q counts). When C is
     # the row of B_{r_s} at the orbit of x for every x (integers), the n x q identity is the q x q
     # one B_{r_s} omega_i' = a_i omega_i. C is counted REGULARITY_BLOCK vertices at a time
-    cols = scheme(ctx).cols
-    block = intersection_matrices(ctx)[table.radius_column(r_s)]
+    labels = scheme(ctx).labels
+    block = intersection_matrices(ctx)[r_s]
     counts_ok = True
     for start in range(0, n, REGULARITY_BLOCK):
         rows = slice(start, start + REGULARITY_BLOCK)
         nbrs = graph.neighbors[rows]
-        flat = (np.arange(len(nbrs))[:, None] * q + cols.take(nbrs)).ravel()
+        flat = (np.arange(len(nbrs))[:, None] * q + labels.take(nbrs)).ravel()
         counts = np.bincount(flat, minlength=len(nbrs) * q).reshape(len(nbrs), q)
-        counts_ok = counts_ok and np.array_equal(counts, block[cols[rows]])
+        counts_ok = counts_ok and np.array_equal(counts, block[labels[rows]])
     eig_dev = float(np.abs(block @ table.omega.T - table.omega.T * table.adjacency_eigenvalues).max())
     eig_dev = eig_dev if counts_ok else math.inf
     _check(out, f"q={q} r_s={r_s} rows are eigenfunctions", eig_dev <= 1e-9, f"{eig_dev:.2e}")
@@ -350,6 +356,7 @@ def run_battery(q_list, include_lift=False):
         ctx = field_context(q)
         results += field_checks(ctx)
         results += character_checks(ctx)
+        results += orbit_checks(ctx)
         regular = radii_order(ctx)[2:]
         # one graph per (q, r_s); the first radius's graph serves the later groups
         first = build_graph(ctx, regular[0])

@@ -7,8 +7,8 @@ at r_s are merged, which makes this the only source of an incomplete table.
 
 ``broadcast_radial_rows``: ``spherical._radial_rows`` as one broadcast over
 every orbit representative and vertex, with q x n and q^3 temporaries; only
-the combination sum_r c_r B~_r adds the radius blocks one at a time, in the
-order of ``_radial_rows``.
+the combination sum_r c_r B~_r adds the radius blocks one at a time, and
+like ``_radial_rows`` it solves in ``radii_order``.
 """
 
 import numpy as np
@@ -23,10 +23,11 @@ def broadcast_radial_rows(ctx):
     n = q * (q - 1)
     radii = radii_order(ctx)
     vertices = scheme(ctx)
-    cols, sizes = vertices.cols, vertices.sizes
-    moved = cols[translate(q, vertices.reps[:, None], np.arange(n))]
-    flat = (cols[None, :] * q + np.arange(q)[:, None]) * q + moved
+    labels = vertices.labels
+    moved = labels[translate(q, vertices.reps[:, None], np.arange(n))]
+    flat = (labels[None, :] * q + np.arange(q)[:, None]) * q + moved
     quotient = np.bincount(flat.ravel(), minlength=q**3).reshape(q, q, q)  # [r, r1, r2]
+    quotient, sizes = quotient[np.ix_(radii, radii, radii)], vertices.sizes[radii]
     sym = sizes[None, :, None] * quotient / np.sqrt(np.outer(sizes, sizes))
     combined = np.zeros((q, q))
     for c, block in zip(np.cos(GOLDEN_ANGLE * np.array(radii)), sym):  # the production order
@@ -34,7 +35,7 @@ def broadcast_radial_rows(ctx):
     _, u = np.linalg.eigh(combined)
     omega = ((sym @ u) * u).sum(axis=1).T / sizes / (u * u).sum(axis=0)[:, None]
     omega[np.abs(omega - 1.0).max(axis=1).argmin()] = 1.0
-    return omega, np.rint(n / (omega**2 @ sizes)).astype(np.int64)
+    return omega[:, np.argsort(radii)], np.rint(n / (omega**2 @ sizes)).astype(np.int64)
 
 
 def radial_eigenbasis(graph):
@@ -57,7 +58,6 @@ def radial_eigenbasis(graph):
         if i == n or w[i] - w[i - 1] > EIGENVALUE_CLUSTER_TOL:
             clusters.append((start, i))
             start = i
-    radii = radii_order(ctx)
     sizes = scheme(ctx).sizes.copy()
 
     base = 0  # canonical (y, x) order puts sqrt(delta) first
@@ -81,7 +81,6 @@ def radial_eigenbasis(graph):
         q=q,
         delta=ctx.delta,
         r_s=graph.r_s,
-        radii=radii,
         orbit_sizes=sizes,
         omega=omega,
         degrees=degrees,

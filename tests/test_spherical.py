@@ -49,18 +49,14 @@ def test_q3_table_matches_quotient_matrix_oracle():
         oracle[round(w[i].real, 9)] = vec.real
 
     ctx, graph, table = table_for(3, r_s=1)
-    assert table.radii == [0, 2, 1]
     assert table.num_rows == 3
-    by_radius_012 = {0: 0, 1: 2, 2: 1}  # column of each radius in the table
     for i in range(3):
         a = round(table.adjacency_eigenvalues[i], 9)
-        expected = oracle[a]
-        got = [table.omega[i, by_radius_012[r]] for r in (0, 1, 2)]
-        np.testing.assert_allclose(got, expected, atol=1e-10)
+        np.testing.assert_allclose(table.omega[i], oracle[a], atol=1e-10)
 
     # frozen: rows over radii (0,1,2) with (d, lambda)
     rows = {
-        tuple(np.round([table.omega[i, by_radius_012[r]] for r in (0, 1, 2)], 6)): (
+        tuple(np.round(table.omega[i], 6)): (
             int(table.degrees[i]),
             round(float(table.laplacian_eigenvalues[i]), 6),
         )
@@ -100,8 +96,7 @@ def test_table_invariants_all_regular_radii(q):
         gram = (table.omega * table.orbit_sizes[None, :]) @ table.omega.T
         np.testing.assert_allclose(gram, np.diag(n / table.degrees), atol=1e-10)
         recon = (table.degrees[:, None] * table.omega).sum(axis=0)
-        target = [n if r == 0 else 0.0 for r in table.radii]
-        np.testing.assert_allclose(recon, target, atol=1e-9)
+        np.testing.assert_allclose(recon, np.where(np.arange(q) == 0, n, 0.0), atol=1e-9)
 
 
 def test_eigenvalue_collisions_merge_rows_but_keep_invariants():
@@ -203,7 +198,7 @@ def test_cuspidal_matches_oracle_rows_q5():
         row = m.row
         for r in (0, 2, 4):  # radii where the sum form applies (3 = 4*delta)
             assert cuspidal_spherical(ctx, m.index, r).real == pytest.approx(
-                table.omega[row, table.radius_column(r)], abs=1e-10
+                table.omega[row, r], abs=1e-10
             )
 
 
@@ -293,10 +288,9 @@ def test_conjugate_character_gives_equal_principal_function():
 def test_rows_lift_to_adjacency_eigenvectors(q, r_s):
     ctx, graph, table = table_for(q, r_s=r_s)
     base = base_point()
-    col = {r: k for k, r in enumerate(table.radii)}
     adj = graph.adjacency.astype(float)
     for i in range(table.num_rows):
-        vec = np.array([table.omega[i, col[distance(ctx, z, base)]] for z in graph.points])
+        vec = np.array([table.omega[i, distance(ctx, z, base)] for z in graph.points])
         np.testing.assert_allclose(
             adj @ vec, table.adjacency_eigenvalues[i] * vec, atol=1e-9
         )
@@ -311,7 +305,6 @@ def test_radial_table_matches_dense_oracle(q):
         if not dense.is_complete:
             continue
         table = spherical_table(ctx, r_s)
-        assert table.radii == dense.radii
         np.testing.assert_array_equal(table.orbit_sizes, dense.orbit_sizes)
         np.testing.assert_array_equal(table.degrees, dense.degrees)
         np.testing.assert_allclose(table.omega, dense.omega, rtol=0, atol=1e-10)
@@ -374,7 +367,7 @@ def test_radial_table_builds_at_every_prime_up_to_the_default_cap():
         n = q * (q - 1)
         assert table.num_rows == q
         assert int(table.degrees.sum()) == n
-        delta = np.array([n if r == 0 else 0.0 for r in table.radii])
+        delta = np.where(np.arange(q) == 0, n, 0.0)
         assert np.abs(table.degrees @ table.omega - delta).max() <= 4 * np.finfo(float).eps * n
 
 
@@ -382,7 +375,7 @@ def test_radial_table_builds_at_every_prime_up_to_the_default_cap():
 def test_radial_rows_equal_the_broadcast_formula_bit_for_bit(q):
     # per-representative counts and per-radius quotients add in the broadcast's order
     ctx = field_context(q)
-    _, _, omega, degrees = _radial_rows.__wrapped__(ctx)
+    omega, degrees = _radial_rows.__wrapped__(ctx)
     dense_omega, dense_degrees = broadcast_radial_rows(ctx)
     assert np.array_equal(omega, dense_omega)
     assert np.array_equal(degrees, dense_degrees)
@@ -412,10 +405,9 @@ def test_intersection_matrices_are_the_neighbour_counts_of_each_representative()
     assert counts.dtype == np.uint8 and counts.shape == (q, q, q) and not counts.flags.writeable
     for r_s in radii_order(ctx)[2:]:
         graph = build_graph(ctx, r_s)
-        block = counts[radii_order(ctx).index(r_s)]
         for r1, rep in enumerate(vertices.reps):
-            around = np.bincount(vertices.cols[graph.neighbors[rep]], minlength=q)
-            assert np.array_equal(block[r1], around)
+            around = np.bincount(vertices.labels[graph.neighbors[rep]], minlength=q)
+            assert np.array_equal(counts[r_s, r1], around)
 
 
 def test_an_asymmetric_count_fails_the_scheme_check(monkeypatch):
@@ -433,14 +425,14 @@ def test_match_is_the_same_at_every_generating_radius(q):
     # rows' own order, is one assignment with bit-equal deviations and readings
     ctx = field_context(q)
     forms = closed_forms(ctx)
-    own_row = {row.tobytes(): i for i, row in enumerate(_radial_rows(ctx)[2])}
+    own_row = {row.tobytes(): i for i, row in enumerate(_radial_rows(ctx)[0])}
     seen = None
     for r_s in radii_order(ctx)[2:]:
         report = match_formulas_to_oracle(ctx, r_s)
         table = report.table
         assert table.r_s == r_s
         for m in report.principal:
-            values = forms.principal[table.radii, m.index].real
+            values = forms.principal[:, m.index].real
             assert np.abs(table.omega[m.row] - values).max() == m.max_deviation
         summary = {
             (m.kind, m.index): (own_row[table.omega[m.row].tobytes()], m.max_deviation,
@@ -460,16 +452,16 @@ def test_reconciled_kernel_substitutes_the_matched_rows(q):
     for r_s in radii_order(ctx)[2:]:
         report = match_formulas_to_oracle(ctx, r_s)
         table = report.table
-        deg1_col = table.radius_column(degenerate_radii(ctx)[1])
+        deg1 = degenerate_radii(ctx)[1]
         omega = table.omega.copy()
         for m in report.matches:
             if m.kind == "principal":
-                omega[m.row] = forms.principal[table.radii, m.index].real
+                omega[m.row] = forms.principal[:, m.index].real
             else:
                 reading = "minus_nu" if m.infinity_reading.startswith("both") else m.infinity_reading
-                keep = table.omega[m.row, table.radius_column(1)]
-                omega[m.row] = forms.cuspidal["reconciled"][table.radii, m.index].real
-                omega[m.row, deg1_col] = forms.antipodal[reading][m.index].real
-                omega[m.row, table.radius_column(1)] = keep
+                keep = table.omega[m.row, 1]
+                omega[m.row] = forms.cuspidal["reconciled"][:, m.index].real
+                omega[m.row, deg1] = forms.antipodal[reading][m.index].real
+                omega[m.row, 1] = keep
         want = heat_kernel_spectral(replace(table, omega=omega), t_grid)
         np.testing.assert_array_equal(reconciled_kernel(ctx, table, t_grid), want)

@@ -167,7 +167,7 @@ def test_reconciled_equals_spectral(q):
     table = spherical_table(ctx, 1)
     t_grid = (0.0, 0.01, 0.1, 1.0)
     for t, row in zip(t_grid, heat_kernel_spectral(table, t_grid)):
-        for r, spec in zip(table.radii, row):
+        for r, spec in enumerate(row):
             assert finite_theta(ctx, table, r, t, mode="reconciled") == pytest.approx(spec, abs=1e-12)
 
 

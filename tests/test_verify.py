@@ -160,10 +160,10 @@ def test_heat_test_functions_are_distinct_and_not_constant(n):
 
 def _with_one_neighbour_moved(graph):
     """graph with the edge 5 -> z_5 . s_0 redirected to a vertex in another distance class."""
-    cols = scheme(graph.ctx).cols
+    labels = scheme(graph.ctx).labels
     by_generator = graph.by_generator.copy()
     old = by_generator[0, 5]
-    by_generator[0, 5] = np.flatnonzero(cols != cols[old])[-1]
+    by_generator[0, 5] = np.flatnonzero(labels != labels[old])[-1]
     return UhpGraph(graph.ctx, graph.r_s, by_generator)
 
 
