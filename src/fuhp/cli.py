@@ -277,25 +277,22 @@ def cmd_theta(args):
         raise ValueError("theta reports need a single generating radius")
     (r_s,) = _radii_arg(ctx, args.r_s)
     report = theta_consistency_report(ctx, r_s, t_grid)
-    include_verbatim = args.mode in ("verbatim", "both")
-    include_reconciled = args.mode in ("reconciled", "both")
-    rows_out = []
-    for row in report.rows:
-        entry = {"r": row.r, "t": row.t, "oracle": row.oracle}
-        if include_reconciled:
-            entry["reconciled"] = row.reconciled
-            entry["reconciled_deviation"] = row.reconciled_deviation
-        if include_verbatim:
-            entry["verbatim"] = row.verbatim
-            entry["verbatim_imag"] = row.verbatim_imag
-            entry["verbatim_deviation"] = row.verbatim_deviation
-        rows_out.append(entry)
+    columns = {"oracle": report.oracle}
+    if args.mode in ("reconciled", "both"):
+        columns.update(reconciled=report.reconciled, reconciled_deviation=report.reconciled_deviation)
+    if args.mode in ("verbatim", "both"):
+        columns.update(verbatim=report.verbatim.real, verbatim_imag=np.abs(report.verbatim.imag),
+                       verbatim_deviation=report.verbatim_deviation)
+    cells = {k: v[:, report.radii].T.tolist() for k, v in columns.items()}  # [radius][time]
+    rows_out = [  # r-major, over the audited radii
+        {"r": r, "t": t, **{k: cells[k][i][j] for k in columns}}
+        for i, r in enumerate(report.radii) for j, t in enumerate(t_grid)
+    ]
     data = {"rows": rows_out, "mode": args.mode}
     doc = _document(_config_doc(ctx, args, r_s=r_s, extra={"mode": args.mode}), data)
 
     def csv_maker(doc):
-        header = list(rows_out[0].keys()) if rows_out else ["r", "t", "oracle"]
-        return header, [[row[k] for k in header] for row in rows_out]
+        return ["r", "t", *columns], [list(row.values()) for row in rows_out]
 
     _emit(args, doc, csv_maker)
     return EXIT_OK
@@ -384,7 +381,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, AssertionError) as exc:
+    except (ValueError, ZeroDivisionError, AssertionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

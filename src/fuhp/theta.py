@@ -25,7 +25,7 @@ the circle-domain analogue the finite sums imitate.
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -179,67 +179,53 @@ def classical_theta(z, t, n_max=25):
     return ClassicalTheta(value=total, truncation_bound=bound)
 
 
-@dataclass
-class ThetaReportRow:
-    r: int
-    t: float
-    oracle: float
-    reconciled: float
-    verbatim: float
-    verbatim_imag: float
-    reconciled_deviation: float  # |reconciled - oracle|
-    verbatim_deviation: float  # |verbatim sum - reconciled|
+class ThetaReport(NamedTuple):
+    """The theta audit as arrays [t, r], column r for radius r.
 
+    ``radii`` are the audited radii, every r outside {0, 4 delta, 1}.
+    ``verbatim`` is the complex printed sum, NaN at the other radii, as in
+    ``closed_forms``; the maximum deviations are taken over ``radii``.
+    """
 
-@dataclass
-class ThetaReport:
-    q: int
-    delta: int
-    r_s: int
-    t_grid: list
-    rows: list = field(default_factory=list)
+    radii: list
+    oracle: np.ndarray
+    reconciled: np.ndarray
+    verbatim: np.ndarray
+
+    @property
+    def reconciled_deviation(self):
+        return np.abs(self.reconciled - self.oracle)
+
+    @property
+    def verbatim_deviation(self):
+        # libm hypot, as Python's abs(complex); numpy's complex abs can differ in the last digit
+        gap = self.verbatim - self.reconciled
+        return np.hypot(gap.real, gap.imag)
 
     @property
     def max_reconciled_deviation(self):
-        return max((row.reconciled_deviation for row in self.rows), default=0.0)
+        return float(self.reconciled_deviation[:, self.radii].max(initial=0.0))
 
     @property
     def max_verbatim_deviation(self):
-        return max((row.verbatim_deviation for row in self.rows), default=0.0)
+        return float(self.verbatim_deviation[:, self.radii].max(initial=0.0))
 
 
 def theta_consistency_report(ctx, r_s, t_grid, graph=None):
     """Audit the two theta modes against the matrix-exponential oracle.
 
-    For every regular radius r != 1 and every t: the oracle kernel value,
-    the reconciled value (required to agree), and the verbatim value with
-    its deviation (a finding, expected nonzero). ``graph`` is built for r_s
-    when not given.
+    For every time and every audited radius: the oracle kernel value, the
+    reconciled value (required to agree), and the verbatim value with its
+    deviation (a finding, expected nonzero). The times are checked before
+    any sum runs. ``graph`` is built for r_s when not given.
     """
-    q = ctx.q
+    t_grid = _time_grid(t_grid)
     if graph is None:
         graph = build_graph(ctx, r_s)
-    table = spherical_table(ctx, r_s)
-    oracle = heat_kernel_oracle(graph, t_grid).by_radius
-    kernel = reconciled_kernel(ctx, table, t_grid)
     deg0, deg1 = degenerate_radii(ctx)
-    radii = [r for r in range(q) if r not in (deg0, deg1, 1)]
-
-    report = ThetaReport(q=q, delta=ctx.delta, r_s=table.r_s, t_grid=list(t_grid))
+    radii = [r for r in range(ctx.q) if r not in (deg0, deg1, 1)]
+    verbatim = np.full((len(t_grid), ctx.q), np.nan, dtype=complex)
     for r in radii:
-        verbatim = _finite_theta_verbatim(ctx, r, t_grid)
-        for t, oracle_val, rec, verb in zip(t_grid, oracle[:, r].tolist(), kernel[:, r].tolist(),
-                                            verbatim.tolist()):
-            report.rows.append(
-                ThetaReportRow(
-                    r=r,
-                    t=float(t),
-                    oracle=oracle_val,
-                    reconciled=rec,
-                    verbatim=verb.real,
-                    verbatim_imag=abs(verb.imag),
-                    reconciled_deviation=abs(rec - oracle_val),
-                    verbatim_deviation=abs(verb - rec),
-                )
-            )
-    return report
+        verbatim[:, r] = _finite_theta_verbatim(ctx, r, t_grid)
+    oracle = heat_kernel_oracle(graph, t_grid).by_radius
+    return ThetaReport(radii, oracle, reconciled_kernel(ctx, spherical_table(ctx, r_s), t_grid), verbatim)

@@ -159,6 +159,43 @@ def test_heat_rejects_negative_time(command, times, capsys):
     assert "time" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("times", ["-1", "nan", "inf", "-1000"])
+def test_theta_rejects_bad_time_before_any_verbatim_sum(times, capsys):
+    # at q=5 the audited radii are 2 and 4; a verbatim sum at such a time overflows first
+    assert main(["theta", "--q", "5", "--t", times]) == EXIT_BAD_INPUT
+    assert "error: times must be finite and nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["both", "reconciled", "verbatim"])
+def test_theta_overflow_is_invalid_input(mode, capsys):
+    # the report sums the verbatim theta in every mode; past the float range it exits 2, not 1
+    assert main(["theta", "--q", "5", "--t", "1000", "--mode", mode]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: verbatim theta overflows") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode, width", [("both", 8), ("reconciled", 5), ("verbatim", 6)])
+def test_theta_q3_csv_header_follows_the_mode(mode, width, tmp_path):
+    # q=3 has no audited radius, so the report has no rows, only the header
+    out = tmp_path / "theta.csv"
+    assert main(["theta", "--q", "3", "--t", "1", "--mode", mode, "--format", "csv",
+                 "--out", str(out)]) == EXIT_OK
+    _, header, rows = read_csv(out)
+    assert rows == []
+    assert header[:3] == ["r", "t", "oracle"] and len(header) == width
+    assert ("reconciled" in header) == (mode != "verbatim")
+    assert ("verbatim" in header) == (mode != "reconciled")
+
+
+@pytest.mark.parametrize("q", [5, 13, 29])
+def test_theta_cli_verbatim_deviation_is_python_abs_bit_for_bit(q, tmp_path):
+    out = tmp_path / "theta.json"
+    assert main(["theta", "--q", str(q), "--r-s", "2", "--t", "0,0.05,0.5,2", "--out", str(out)]) == EXIT_OK
+    for row in read_json(out)["data"]["rows"]:
+        verbatim = complex(row["verbatim"], row["verbatim_imag"])
+        assert row["verbatim_deviation"] == abs(verbatim - row["reconciled"])
+
+
 def test_theta_report_both_modes(tmp_path):
     out = tmp_path / "theta.json"
     assert main(["theta", "--q", "5", "--r-s", "1", "--mode", "both",

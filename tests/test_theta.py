@@ -146,13 +146,14 @@ def test_verbatim_matches_scalar_oracle(q):
         got = finite_theta(ctx, table, r, t, mode="verbatim")
         assert abs(got - v.real) <= 1e-12 * max(abs(v), n)
     report = theta_consistency_report(ctx, 1, t_grid)
-    assert len(report.rows) == (q - 3) * len(t_grid)
-    for row in report.rows:
-        v = oracle[row.r, row.t]
-        scale = 1e-12 * max(abs(v), n)
-        assert abs(row.verbatim - v.real) <= scale
-        assert abs(row.verbatim_imag - abs(v.imag)) <= scale
-        assert abs(row.verbatim_deviation - abs(v - row.reconciled)) <= scale
+    assert len(report.radii) == q - 3
+    assert np.isnan(np.delete(report.verbatim, report.radii, axis=1)).all()
+    for r in report.radii:
+        for i, t in enumerate(t_grid):
+            v = oracle[r, t]
+            scale = 1e-12 * max(abs(v), n)
+            assert abs(report.verbatim[i, r] - v) <= scale
+            assert abs(report.verbatim_deviation[i, r] - abs(v - report.reconciled[i, r])) <= scale
 
 
 def test_index_sets_pole():
@@ -212,14 +213,21 @@ def test_consistency_report(q):
     ctx = field_context(q)
     report = theta_consistency_report(ctx, 1, [0.0, 0.1, 1.0])
     deg0, deg1 = degenerate_radii(ctx)
-    expected_radii = {r for r in range(q) if r not in (deg0, deg1, 1)}
-    assert {row.r for row in report.rows} == expected_radii
+    assert report.radii == [r for r in range(q) if r not in (deg0, deg1, 1)]
+    assert report.oracle.shape == report.reconciled.shape == report.verbatim.shape == (3, q)
     assert report.max_reconciled_deviation <= 1e-9
-    for row in report.rows:
-        if row.t == 0.0:
-            assert row.reconciled == pytest.approx(0.0 if row.r != 0 else q * (q - 1), abs=1e-9)
-        assert math.isfinite(row.verbatim)
-        assert math.isfinite(row.verbatim_imag)
+    delta_0 = np.where(np.arange(q) == 0, q * (q - 1), 0.0)
+    np.testing.assert_allclose(report.reconciled[0], delta_0, rtol=0, atol=1e-9)
+    assert np.isfinite(report.verbatim[:, report.radii]).all()
+
+
+@pytest.mark.parametrize("q", [5, 13, 29])
+def test_verbatim_deviation_is_python_abs_bit_for_bit(q):
+    # the deviation is libm hypot, as Python's abs(complex); numpy's complex abs moves last digits
+    report = theta_consistency_report(field_context(q), 2, [0.0, 0.05, 0.5, 2.0])
+    for r in report.radii:
+        for i, (v, rec) in enumerate(zip(report.verbatim[:, r].tolist(), report.reconciled[:, r].tolist())):
+            assert report.verbatim_deviation[i, r] == abs(v - rec)
 
 
 def test_classical_theta_value():
