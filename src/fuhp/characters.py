@@ -15,7 +15,6 @@ rounding does not grow with |j*m|.
 
 import cmath
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -92,8 +91,7 @@ def character_tables(ctx):
     return CharacterTables(base, norm_one)
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(NamedTuple):
     """Maximum residuals of the character orthogonality sums."""
 
     base_residual: float

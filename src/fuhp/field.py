@@ -13,7 +13,7 @@ single-element API. The arithmetic functions read only the coordinates, so
 they also act elementwise on an ``ExtElement`` of integer arrays.
 """
 
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ def find_nonsquare(q):
     raise AssertionError("odd prime field always has a non-square")
 
 
-@dataclass(frozen=True)
-class ExtElement:
+class ExtElement(NamedTuple):
     """a + b*sqrt(delta), both coordinates reduced mod q."""
 
     a: int
@@ -69,8 +68,7 @@ EXT_ONE = ExtElement(1, 0)
 EXT_ZERO = ExtElement(0, 0)
 
 
-@dataclass(frozen=True)
-class FieldCtx:
+class FieldCtx(NamedTuple):
     """Arithmetic context for F_q and F_q(sqrt(delta)).
 
     g generates F_q^x (order q-1), zeta generates F_q(sqrt(delta))^x
@@ -81,18 +79,33 @@ class FieldCtx:
     dlog2[a*q + b]: discrete log of a + b*sqrt(delta) to base zeta, with dlog2[0] = -1;
     chi[x]: the quadratic character of x, with chi[0] = 0;
     inverse[a]: the inverse of a in F_q^x, with inverse[0] = 0.
+
+    Equality and hash read (q, delta, g, zeta) only: the tables follow from
+    them, and every per-(q, delta) cache is keyed on the context.
     """
 
     q: int
     delta: int
     g: int
     zeta: ExtElement
-    power_a: np.ndarray = field(default=None, repr=False, compare=False)
-    power_b: np.ndarray = field(default=None, repr=False, compare=False)
-    dlog: np.ndarray = field(default=None, repr=False, compare=False)
-    dlog2: np.ndarray = field(default=None, repr=False, compare=False)
-    chi: np.ndarray = field(default=None, repr=False, compare=False)
-    inverse: np.ndarray = field(default=None, repr=False, compare=False)
+    power_a: np.ndarray = None
+    power_b: np.ndarray = None
+    dlog: np.ndarray = None
+    dlog2: np.ndarray = None
+    chi: np.ndarray = None
+    inverse: np.ndarray = None
+
+    def __eq__(self, other):
+        if not isinstance(other, FieldCtx):
+            return NotImplemented
+        return self[:4] == other[:4]
+
+    def __ne__(self, other):  # tuple's own __ne__ would compare the tables
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        return hash(self[:4])
 
     # -- base field helpers -------------------------------------------------
 
@@ -205,8 +218,8 @@ def field_context(q, delta=None):
     assert np.all(dlog2[1:] >= 0), "powers of zeta must exhaust the group"
     for table in (power_a, power_b, dlog, dlog2, chi, inverse):
         table.flags.writeable = False
-    return replace(ctx0, zeta=zeta, power_a=power_a, power_b=power_b, dlog=dlog, dlog2=dlog2, chi=chi,
-                   inverse=inverse)
+    return ctx0._replace(zeta=zeta, power_a=power_a, power_b=power_b, dlog=dlog, dlog2=dlog2, chi=chi,
+                        inverse=inverse)
 
 
 def quadratic_character(ctx, a):

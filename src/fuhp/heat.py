@@ -35,7 +35,6 @@ array of cosets, so no |G| x |G| matrix is built there either.
 
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -218,8 +217,7 @@ def initial_condition_check(graph, f, t_grid):
     return np.abs(kernel @ f.T / n - f[..., point_index(graph.ctx, base_point())]).tolist()
 
 
-@dataclass
-class FourierCoefficientReport:
+class FourierCoefficientReport(NamedTuple):
     t_grid: list
     coefficients: np.ndarray  # [t, row]
     expected: np.ndarray  # [t, row]
@@ -265,8 +263,7 @@ def mobius_index(ctx, mats):
     return vertex_index(q, x, y)
 
 
-@dataclass
-class ImagesReport:
+class ImagesReport(NamedTuple):
     """Outcome of the method-of-images verification."""
 
     q: int
@@ -277,7 +274,7 @@ class ImagesReport:
     intertwining_exact: bool
     measured_scaling: float
     deviation_by_t: dict
-    averaged: np.ndarray = field(repr=False)  # [t, vertex]: K-average of the lifted kernel
+    averaged: np.ndarray  # [t, vertex]: K-average of the lifted kernel
 
     @property
     def max_deviation(self):

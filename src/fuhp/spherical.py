@@ -15,7 +15,6 @@ rows in their own order, and ``match_formulas_to_oracle`` only renumbers it.
 """
 
 import functools
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -35,8 +34,7 @@ DEGREE_INTEGRALITY_TOL = 1e-6
 MATCH_TOL = 1e-9
 
 
-@dataclass
-class SphericalTable:
+class SphericalTable(NamedTuple):
     """Spherical functions as radius-indexed rows, ordered by Laplacian eigenvalue.
 
     omega[i, r] is the value of row i at radius r and orbit_sizes[r] = |S_r|;
@@ -281,8 +279,7 @@ def cuspidal_class_indices(q):
     return list(range(1, (q + 1) // 2))
 
 
-@dataclass(frozen=True)
-class CharacterMatch:
+class CharacterMatch(NamedTuple):
     """One character class matched to one spectral row."""
 
     kind: str  # "principal" | "cuspidal"
@@ -295,8 +292,7 @@ class CharacterMatch:
     verbatim_deviation: float = 0.0  # cuspidal only: gap of the as-stated constant
 
 
-@dataclass
-class MatchReport:
+class MatchReport(NamedTuple):
     table: SphericalTable
     matches: list
     max_imag: float
@@ -380,7 +376,7 @@ def _table_matches(ctx, r_s):
     """The matches of ``_class_matches`` with each row renumbered into ``spherical_table(ctx, r_s)``."""
     matches, _ = _class_matches(ctx)
     position = np.argsort(_row_order(ctx, r_s)[1])
-    return [replace(m, row=int(position[m.row])) for m in matches]
+    return [m._replace(row=int(position[m.row])) for m in matches]
 
 
 def match_formulas_to_oracle(ctx, r_s):

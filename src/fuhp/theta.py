@@ -25,7 +25,6 @@ the circle-domain analogue the finite sums imitate.
 import cmath
 import functools
 import math
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -138,7 +137,7 @@ def reconciled_kernel(ctx, table, t_grid):
         reading = "minus_nu" if m.infinity_reading.startswith("both") else m.infinity_reading
         omega[m.row, deg1] = forms.antipodal[reading][m.index].real
         omega[m.row, 1] = table.omega[m.row, 1]
-    return heat_kernel_spectral(replace(table, omega=omega), t_grid)
+    return heat_kernel_spectral(table._replace(omega=omega), t_grid)
 
 
 def finite_theta(ctx, table, r, t, mode="reconciled"):
@@ -211,21 +210,27 @@ class ThetaReport(NamedTuple):
         return float(self.verbatim_deviation[:, self.radii].max(initial=0.0))
 
 
-def theta_consistency_report(ctx, r_s, t_grid, graph=None):
+def theta_consistency_report(ctx, r_s, t_grid, graph=None, mode="both"):
     """Audit the two theta modes against the matrix-exponential oracle.
 
     For every time and every audited radius: the oracle kernel value, the
     reconciled value (required to agree), and the verbatim value with its
-    deviation (a finding, expected nonzero). The times are checked before
-    any sum runs. ``graph`` is built for r_s when not given.
+    deviation (a finding, expected nonzero). With ``mode="reconciled"`` no
+    verbatim sum is evaluated and ``verbatim`` stays NaN; "verbatim" and
+    "both" evaluate every array, as the verbatim deviation needs the
+    reconciled kernel. The times are checked before any sum runs. ``graph``
+    is built for r_s when not given.
     """
+    if mode not in (*THETA_MODES, "both"):
+        raise ValueError(f"mode must be one of {(*THETA_MODES, 'both')}, got {mode!r}")
     t_grid = _time_grid(t_grid)
     if graph is None:
         graph = build_graph(ctx, r_s)
     deg0, deg1 = degenerate_radii(ctx)
     radii = [r for r in range(ctx.q) if r not in (deg0, deg1, 1)]
     verbatim = np.full((len(t_grid), ctx.q), np.nan, dtype=complex)
-    for r in radii:
-        verbatim[:, r] = _finite_theta_verbatim(ctx, r, t_grid)
+    if mode != "reconciled":
+        for r in radii:
+            verbatim[:, r] = _finite_theta_verbatim(ctx, r, t_grid)
     oracle = heat_kernel_oracle(graph, t_grid).by_radius
     return ThetaReport(radii, oracle, reconciled_kernel(ctx, spherical_table(ctx, r_s), t_grid), verbatim)

@@ -17,7 +17,6 @@ around sqrt(delta) that the other modules read.
 """
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -27,8 +26,7 @@ from .field import ExtElement, ext_norm
 ORBIT_CONSTANCY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     """x + y*sqrt(delta) with y != 0, alias the affine matrix [[y, x], [0, 1]]."""
 
     x: int

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fuhp
+import fuhp.theta
 from fuhp.cli import EXIT_BAD_INPUT, EXIT_OK, main
 from fuhp.export import read_csv, read_json
 
@@ -121,6 +122,53 @@ def test_verify_does_not_load_numpy_random():
     subprocess.run([sys.executable, "-c", script], env=env, check=True, stdout=subprocess.DEVNULL)
 
 
+ENTRY = "import sys; from fuhp.cli import main; sys.exit(main())"  # the console script's entry form
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(fuhp.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
+
+
+def test_exit_path_keeps_streams_files_and_exit_codes(tmp_path, capsys):
+    # main() freezes the collector at exit: what a process prints, writes and returns comes through whole
+    child = _python("-c", ENTRY, "verify", "--q", "3")
+    assert main(["verify", "--q", "3"]) == EXIT_OK
+    assert child.returncode == EXIT_OK and child.stdout == capsys.readouterr().out.encode()
+    child = _python("-c", ENTRY, "theta", "--q", "5", "--t", "-1")
+    assert child.returncode == EXIT_BAD_INPUT
+    assert child.stderr.decode().startswith("error: times must be finite and nonnegative")
+    child = _python("-c", ENTRY, "--version")  # SystemExit raised inside parse_args
+    assert child.returncode == EXIT_OK and child.stdout == f"fuhp {fuhp.__version__}\n".encode()
+    there, here = tmp_path / "child.json", tmp_path / "here.json"
+    assert _python("-c", ENTRY, "spherical", "--q", "13", "--r-s", "2", "--out", str(there)).returncode == EXIT_OK
+    assert main(["spherical", "--q", "13", "--r-s", "2", "--out", str(here)]) == EXIT_OK
+    assert there.read_bytes() == here.read_bytes()
+
+
+def test_exit_freezes_the_collector(tmp_path):
+    # atexit runs the last-registered handler first, so this report runs after main()'s gc.freeze
+    out = tmp_path / "info.json"
+    script = (
+        "import atexit, gc, sys; atexit.register(lambda: print('frozen', gc.get_freeze_count())); "
+        "from fuhp.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    child = _python("-c", script, "info", "--q", "3", "--out", str(out))
+    assert child.returncode == EXIT_OK, child.stderr.decode()
+    label, count = child.stdout.split()
+    assert label == b"frozen" and int(count) > 1000  # numpy alone leaves ~20,000 objects tracked
+
+
+def test_cli_import_generates_no_dataclasses():
+    # @dataclass code generation was half of fuhp's own import time; its records are NamedTuples
+    script = ("import sys, argparse, json, numpy; before = 'dataclasses' in sys.modules; "
+              "import fuhp.cli; print(before, 'dataclasses' in sys.modules)")
+    before, after = _python("-c", script).stdout.split()
+    if before == b"True":
+        pytest.skip("numpy, argparse or json imports dataclasses on this interpreter")
+    assert after == b"False"
+
+
 def test_theta_q101_memory(tmp_path, run_child):
     out = tmp_path / "theta.json"
     child = run_child(["-m", "fuhp.cli", "theta", "--q", "101", "--r-s", "2", "--t", "1", "--mode", "both",
@@ -168,10 +216,29 @@ def test_theta_rejects_bad_time_before_any_verbatim_sum(times, capsys):
 
 @pytest.mark.parametrize("mode", ["both", "reconciled", "verbatim"])
 def test_theta_overflow_is_invalid_input(mode, capsys):
-    # the report sums the verbatim theta in every mode; past the float range it exits 2, not 1
-    assert main(["theta", "--q", "5", "--t", "1000", "--mode", mode]) == EXIT_BAD_INPUT
-    err = capsys.readouterr().err
-    assert err.startswith("error: verbatim theta overflows") and "Traceback" not in err
+    # past the float range the verbatim sum exits 2, not 1; --mode reconciled evaluates none
+    code = main(["theta", "--q", "5", "--t", "1000", "--mode", mode])
+    out, err = capsys.readouterr()
+    if mode == "reconciled":
+        assert code == EXIT_OK and err == ""
+        rows = json.loads(out)["data"]["rows"]
+        assert [row["r"] for row in rows] == [2, 4]
+        assert all(np.isfinite(row[k]) for row in rows for k in ("oracle", "reconciled", "reconciled_deviation"))
+    else:
+        assert code == EXIT_BAD_INPUT
+        assert err.startswith("error: verbatim theta overflows") and "Traceback" not in err
+
+
+def test_theta_reconciled_evaluates_no_verbatim_sum(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("verbatim sum evaluated")
+
+    monkeypatch.setattr(fuhp.theta, "_finite_theta_verbatim", refuse)
+    assert main(["theta", "--q", "29", "--r-s", "2", "--t", "50", "--mode", "reconciled"]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["data"]["rows"]
+    assert len(rows) == 26 and all(np.isfinite(row["reconciled"]) for row in rows)
+    assert main(["theta", "--q", "29", "--r-s", "2", "--t", "50", "--mode", "both"]) == EXIT_BAD_INPUT
+    assert "verbatim sum evaluated" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode, width", [("both", 8), ("reconciled", 5), ("verbatim", 6)])

@@ -23,6 +23,7 @@ from fuhp.field import (
     norm_one_subgroup,
     quadratic_character,
 )
+from fuhp.uhp import scheme
 
 
 def squares_mod(q):
@@ -242,6 +243,18 @@ def test_tables_are_read_only():
     for table in (ctx.power_a, ctx.power_b, ctx.dlog, ctx.dlog2, ctx.chi, ctx.inverse):
         with pytest.raises(ValueError):
             table[1] = 0
+
+
+def test_field_context_compares_and_hashes_on_its_parameters_only():
+    # the tables follow from (q, delta, g, zeta), and every per-(q, delta) cache is keyed on the context
+    ctx = field_context(7)
+    corrupted = ctx._replace(dlog=ctx.dlog[::-1].copy(), power_a=None)
+    assert corrupted == ctx and not corrupted != ctx
+    assert hash(corrupted) == hash(ctx)
+    other = field_context(7, 5)
+    assert other != ctx and not other == ctx
+    assert ctx != tuple(ctx)[:4]  # a tuple with the same parameters is not a context
+    assert scheme(field_context(7)) is scheme(field_context(7))
 
 
 def test_field_context_retains_only_the_integer_tables():

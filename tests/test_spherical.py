@@ -1,7 +1,6 @@
 """Spherical tables (radial core and dense oracle), and the closed-form families."""
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -463,5 +462,5 @@ def test_reconciled_kernel_substitutes_the_matched_rows(q):
                 omega[m.row] = forms.cuspidal["reconciled"][:, m.index].real
                 omega[m.row, deg1] = forms.antipodal[reading][m.index].real
                 omega[m.row, 1] = keep
-        want = heat_kernel_spectral(replace(table, omega=omega), t_grid)
+        want = heat_kernel_spectral(table._replace(omega=omega), t_grid)
         np.testing.assert_array_equal(reconciled_kernel(ctx, table, t_grid), want)

@@ -221,6 +221,18 @@ def test_consistency_report(q):
     assert np.isfinite(report.verbatim[:, report.radii]).all()
 
 
+def test_reconciled_report_skips_the_verbatim_sums():
+    ctx = field_context(7)
+    both = theta_consistency_report(ctx, 1, [0.0, 0.1, 1.0])
+    reconciled = theta_consistency_report(ctx, 1, [0.0, 0.1, 1.0], mode="reconciled")
+    assert reconciled.radii == both.radii
+    assert np.array_equal(reconciled.oracle, both.oracle)
+    assert np.array_equal(reconciled.reconciled, both.reconciled)
+    assert np.isnan(reconciled.verbatim).all()
+    with pytest.raises(ValueError, match="mode"):
+        theta_consistency_report(ctx, 1, [0.1], mode="classical")
+
+
 @pytest.mark.parametrize("q", [5, 13, 29])
 def test_verbatim_deviation_is_python_abs_bit_for_bit(q):
     # the deviation is libm hypot, as Python's abs(complex); numpy's complex abs moves last digits

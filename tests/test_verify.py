@@ -1,7 +1,5 @@
 """The verify battery beyond the q the CLI tests cover."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -98,7 +96,7 @@ def test_dlog_total_check_catches_corrupted_tables():
     dlog[1] = dlog[2]  # two base elements with one log
     dlog2[[3, 6]] = dlog2[[6, 3]]  # the logs of 1 and 2 swapped
     power_a[5] = power_a[6]  # a repeated power
-    for corrupted in (ctx, replace(ctx, dlog=dlog), replace(ctx, dlog2=dlog2), replace(ctx, power_a=power_a)):
+    for corrupted in (ctx, ctx._replace(dlog=dlog), ctx._replace(dlog2=dlog2), ctx._replace(power_a=power_a)):
         (total,) = [r for r in field_checks(corrupted) if r.name == "q=3 dlog tables total"]
         assert total.passed is (corrupted is ctx)
 
@@ -114,7 +112,7 @@ def test_restriction_check_catches_two_swapped_base_field_logs(q):
             continue
         dlog2 = ctx.dlog2.copy()
         dlog2[[a * q, b * q]] = dlog2[[b * q, a * q]]
-        (check,) = [r for r in character_checks(replace(ctx, dlog2=dlog2)) if r.name == name]
+        (check,) = [r for r in character_checks(ctx._replace(dlog2=dlog2)) if r.name == name]
         assert not check.passed, (a, b)
 
 
