@@ -1,6 +1,7 @@
 """Finite upper half-plane graphs over F_q: spectra, zonal spherical
 functions, combinatorial-Laplacian heat kernels, and finite theta sums,
-with every closed form cross-checked against a matrix-exponential oracle.
+with every closed form cross-checked against independent oracles: Fourier
+inversion on the affine group, and a matrix exponential over the graph.
 """
 
 __version__ = "0.1.0"
@@ -39,6 +40,7 @@ from .spherical import (
 )
 from .heat import (
     fourier_coefficient_check,
+    heat_kernel_affine,
     heat_kernel_oracle,
     heat_kernel_spectral,
     initial_condition_check,
@@ -73,6 +75,7 @@ __all__ = [
     "find_nonsquare",
     "finite_theta",
     "fourier_coefficient_check",
+    "heat_kernel_affine",
     "heat_kernel_oracle",
     "heat_kernel_spectral",
     "initial_condition_check",

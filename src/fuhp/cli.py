@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .export import dumps_csv, dumps_json
 from .field import field_context, find_nonsquare
-from .heat import heat_kernel_oracle, heat_kernel_spectral
+from .heat import heat_kernel_affine, heat_kernel_spectral
 from .spherical import spherical_table
 from .theta import theta_consistency_report
 from .uhp import build_graph, degenerate_radii, orbit_sizes, radii_order, scheme
@@ -245,7 +245,7 @@ def cmd_heat(args):
     blocks = []
     for r_s in _radii_arg(ctx, args.r_s):
         spec = heat_kernel_spectral(spherical_table(ctx, r_s), t_grid)
-        oracle = heat_kernel_oracle(build_graph(ctx, r_s), t_grid).by_radius
+        oracle = heat_kernel_affine(ctx, r_s, t_grid)
         deviation = np.abs(spec - oracle).max(axis=1)
         series = [
             {"t": t, "values": values, "oracle_deviation": dev}
@@ -300,8 +300,15 @@ def cmd_theta(args):
     return EXIT_OK
 
 
+def _parse_q_list(text):
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--q expects a comma-separated list of primes, got {text!r}")
+
+
 def cmd_verify(args):
-    q_list = [int(s) for s in (args.q_list or args.q).split(",")]
+    q_list = _parse_q_list(args.q_list or args.q)
     cap = _max_q()
     for q in q_list:
         if q > cap:

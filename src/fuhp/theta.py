@@ -30,9 +30,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .field import ExtElement, ext_norm
-from .heat import _time_grid, heat_kernel_oracle, heat_kernel_spectral
+from .heat import _time_grid, heat_kernel_affine, heat_kernel_spectral
 from .spherical import _table_matches, closed_forms, spherical_table
-from .uhp import build_graph, degenerate_radii, scheme
+from .uhp import degenerate_radii, scheme
 
 THETA_MODES = ("verbatim", "reconciled")
 
@@ -210,27 +210,25 @@ class ThetaReport(NamedTuple):
         return float(self.verbatim_deviation[:, self.radii].max(initial=0.0))
 
 
-def theta_consistency_report(ctx, r_s, t_grid, graph=None, mode="both"):
-    """Audit the two theta modes against the matrix-exponential oracle.
+def theta_consistency_report(ctx, r_s, t_grid, mode="both"):
+    """Audit the two theta modes against the affine oracle, ``heat_kernel_affine``.
 
     For every time and every audited radius: the oracle kernel value, the
     reconciled value (required to agree), and the verbatim value with its
     deviation (a finding, expected nonzero). With ``mode="reconciled"`` no
     verbatim sum is evaluated and ``verbatim`` stays NaN; "verbatim" and
     "both" evaluate every array, as the verbatim deviation needs the
-    reconciled kernel. The times are checked before any sum runs. ``graph``
-    is built for r_s when not given.
+    reconciled kernel. The times and r_s are checked before any theta sum
+    runs. No vertex graph is built.
     """
     if mode not in (*THETA_MODES, "both"):
         raise ValueError(f"mode must be one of {(*THETA_MODES, 'both')}, got {mode!r}")
     t_grid = _time_grid(t_grid)
-    if graph is None:
-        graph = build_graph(ctx, r_s)
+    oracle = heat_kernel_affine(ctx, r_s, t_grid)
     deg0, deg1 = degenerate_radii(ctx)
     radii = [r for r in range(ctx.q) if r not in (deg0, deg1, 1)]
     verbatim = np.full((len(t_grid), ctx.q), np.nan, dtype=complex)
     if mode != "reconciled":
         for r in radii:
             verbatim[:, r] = _finite_theta_verbatim(ctx, r, t_grid)
-    oracle = heat_kernel_oracle(graph, t_grid).by_radius
     return ThetaReport(radii, oracle, reconciled_kernel(ctx, spherical_table(ctx, r_s), t_grid), verbatim)

@@ -229,6 +229,55 @@ def build_graph(ctx, r_s):
     return UhpGraph(ctx, r_s, by_gen)
 
 
+def cayley_certificate(ctx, r_s):
+    """The generators S_{r_s} (vertex indices, sphere order), once the Cayley graph on them is proven sound.
+
+    The graph is Cay(Aff(F_q), S), so each fact ``build_graph`` asserts of it
+    is a fact about the q+1 points of S, checked here without the graph in
+    O(q), and a failure raises AssertionError with build_graph's message:
+
+    - symmetric: S = S^(-1), with (x, y)^(-1) = (-x/y, 1/y);
+    - loop-free: the identity sqrt(delta) is not in S;
+    - connected: S generates Aff(F_q) (``_generates``);
+    - (q+1)-regular: |S| = q+1, as distinct generators give distinct neighbours z.s.
+    """
+    q = ctx.q
+    r_s = regular_radius(ctx, r_s)
+    x, y, labels, *_ = scheme(ctx)
+    in_s = labels == r_s
+    gen = np.flatnonzero(in_s)
+    xs, ys = x[gen], y[gen]
+    inv_y = ctx.inverse[ys]
+    missing = gen[~in_s[vertex_index(q, -xs * inv_y % q, inv_y)]]
+    if missing.size:
+        raise AssertionError(f"generating sphere not closed under inversion at vertex {missing[0]}")
+    if in_s[vertex_index(q, 0, 1)]:
+        raise AssertionError("self-loop produced by a regular radius")
+    if not _generates(ctx, xs, ys):
+        raise AssertionError("graph is not connected")
+    if gen.size != q + 1:
+        raise AssertionError("graph is not (q+1)-regular")
+    return gen
+
+
+def _generates(ctx, xs, ys):
+    """True when the elements (x_s, y_s) generate Aff(F_q) = F_q x| F_q^x.
+
+    The subgroup <S> maps onto F_q^x exactly when the dlogs of the y_s and
+    q-1 have gcd 1. Such a subgroup either contains the normal translation
+    subgroup, of prime order q, and is then everything, or meets it trivially
+    and is a complement, which fixes a point p of F_q (Schur-Zassenhaus): then
+    x_s = p(1 - y_s) for every s, so S holds no translation (x, 1), x != 0,
+    and every s with y_s != 1 fixes the same p = x_s / (1 - y_s).
+    """
+    q = ctx.q
+    if np.gcd.reduce(np.append(ctx.dlog[ys], q - 1)) != 1:
+        return False
+    moves = ys != 1
+    fixed = xs[moves] * ctx.inverse[(1 - ys[moves]) % q] % q
+    return bool(np.any(xs[~moves] != 0) or np.any(fixed != fixed[0]))
+
+
 def _connected(neighbors):
     """Breadth-first search from vertex 0 over the [n, degree] neighbour array, one column at a time."""
     seen = np.zeros(neighbors.shape[0], dtype=bool)

@@ -21,7 +21,10 @@ from .field import (
     quadratic_character,
 )
 from .heat import (
+    UNIT_ROUNDOFF,
+    affine_spectrum,
     fourier_coefficient_check,
+    heat_kernel_affine,
     heat_kernel_oracle,
     heat_kernel_spectral,
     initial_condition_check,
@@ -42,6 +45,10 @@ from .uhp import (
 )
 
 HEAT_T_GRID = (0.0, 0.01, 0.1, 1.0, 10.0)
+# Each adjacency eigenvalue of either side comes from one symmetric eigh, backward stable to a few u of
+# the matrix norm q+1 (the spherical side through a Rayleigh quotient of the same size); measured
+# at most 4.8u(q+1) apart over every regular radius of every prime q <= 101
+SPECTRUM_AGREEMENT = 32
 LIFT_MAX_Q = 13  # |G| = q(q-1)^2(q+1) = 26,208 group elements at q=13
 
 
@@ -297,6 +304,44 @@ def heat_checks(graph):
     return out
 
 
+def _sorted(values):
+    """``values`` in ascending order, by the stable argsort the spherical table already pages in.
+
+    np.sort's default float kernel would page in about 250 KB more per process.
+    """
+    return values[np.argsort(values, kind="stable")]
+
+
+def affine_checks(ctx, r_s):
+    """The Aff(F_q) oracle at r_s against the spherical table: spectrum and heat kernel.
+
+    The spectrum of the Cayley graph is the union over the irreducible
+    representations rho of the eigenvalues of sum_s rho(s), each d_rho times:
+    the q-1 character sums c_j, and the q-1 eigenvalues w_i of pi, each q-1
+    times. It must equal the table's a_i, each d_i times, as multisets.
+    ``affine_spectrum`` raises if S_{r_s} fails its Cayley certificate; a
+    kernel not constant on an orbit fails its check.
+    """
+    q = ctx.q
+    out = []
+    table = spherical_table(ctx, r_s)
+    spec = affine_spectrum(ctx, r_s)
+    ours = _sorted(np.concatenate([spec.characters, np.repeat(spec.eigenvalues, q - 1)]))
+    theirs = _sorted(np.repeat(table.adjacency_eigenvalues, table.degrees))
+    gap = float(np.abs(ours - theirs).max()) if ours.size == theirs.size else math.inf
+    _check(out, f"q={q} r_s={r_s} spectrum = Aff(F_q) decomposition",
+           gap <= SPECTRUM_AGREEMENT * UNIT_ROUNDOFF * (q + 1),
+           f"max gap {gap:.2e} over {ours.size} eigenvalues")
+    try:
+        affine = heat_kernel_affine(ctx, r_s, HEAT_T_GRID)
+    except AssertionError as exc:
+        _check(out, f"q={q} r_s={r_s} spectral = affine oracle", False, str(exc))
+        return out
+    dev = float(np.abs(affine - heat_kernel_spectral(table, HEAT_T_GRID)).max())
+    _check(out, f"q={q} r_s={r_s} spectral = affine oracle", dev <= 1e-9, f"max dev {dev:.2e}")
+    return out
+
+
 def lift_checks(graph):
     ctx, r_s, q = graph.ctx, graph.r_s, graph.ctx.q
     out = []
@@ -312,17 +357,17 @@ def lift_checks(graph):
     return out
 
 
-def theta_checks(graph):
-    """Theta checks on graph's radius."""
-    ctx, q = graph.ctx, graph.ctx.q
+def theta_checks(ctx, r_s):
+    """Theta checks at the radius r_s."""
+    q = ctx.q
     out = []
-    table = spherical_table(ctx, graph.r_s)
+    table = spherical_table(ctx, r_s)
     t_grid = (0.0, 0.1, 1.0)
     reconciled = reconciled_kernel(ctx, table, t_grid)
     dev = float(np.abs(reconciled - heat_kernel_spectral(table, t_grid)).max())
     _check(out, f"q={q} reconciled theta = spectral kernel", dev <= 1e-12, f"{dev:.2e}")
 
-    report = theta_consistency_report(ctx, graph.r_s, [0.1, 1.0], graph=graph)
+    report = theta_consistency_report(ctx, r_s, [0.1, 1.0])
     _check(out, f"q={q} theta report reconciled column", report.max_reconciled_deviation <= 1e-9,
            f"{report.max_reconciled_deviation:.2e}")
     _check(out, f"q={q} verbatim theta gap", report.max_verbatim_deviation <= 1e-9,
@@ -363,9 +408,10 @@ def run_battery(q_list, include_lift=False):
             graph = first if r_s == regular[0] else build_graph(ctx, r_s)
             results += graph_checks(graph)
             results += spherical_checks(graph)
+            results += affine_checks(ctx, r_s)
         results += formula_match_checks(match_formulas_to_oracle(ctx, first.r_s))
         results += heat_checks(first)
-        results += theta_checks(first)
+        results += theta_checks(ctx, first.r_s)
         if include_lift:
             results += lift_checks(first)
     return results

@@ -84,8 +84,9 @@ def test_heat_q101_memory(tmp_path, run_child):
     out = tmp_path / "heat.json"
     child = run_child(["-m", "fuhp.cli", "heat", "--q", "101", "--r-s", "1", "--t", "0,1", "--out", str(out)])
     assert child.exit_code == EXIT_OK
-    # the 64 MB ceiling: importing the package takes about 30 MB; the uint8 scheme counts, the uint16
-    # neighbour rows and the n-vector walk add about 7 MB at q=101 (an n x (q+1) float gather is 8 MB)
+    # the 64 MB ceiling: importing the package takes about 30 MB; the uint8 scheme counts (1 MB) and
+    # the q x q tables of the spherical rows and the affine oracle add a few MB at q=101; no n-sized
+    # array beyond the scheme's coordinates and labels is built
     assert child.peak_mb <= 64, f"peak RSS {child.peak_mb:.1f} MB (wall {child.wall:.2f} s)"
     series = read_json(out)["data"]["series"]
     assert max(s["oracle_deviation"] for s in series) <= 1e-11 * 101 * 100
@@ -298,6 +299,13 @@ def test_verify_exit_codes(capsys):
     captured = capsys.readouterr().out
     assert "[PASS]" in captured and "failures" in captured
     assert main(["verify", "--q", "2"]) == EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize("q_list", ["", "3,x", "3,,5"])
+def test_verify_names_the_flag_of_a_malformed_q_list(q_list, capsys):
+    assert main(["verify", "--q", q_list]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err == f"error: --q expects a comma-separated list of primes, got {q_list!r}\n"
 
 
 def test_verify_include_lift(capsys):

@@ -9,9 +9,14 @@ import pytest
 
 from fuhp.cli import EXIT_OK, main
 from fuhp.field import field_context
+import fuhp
+import fuhp.heat
 from fuhp.heat import (
+    AFFINE_AGREEMENT,
     _uniformization,
+    affine_spectrum,
     fourier_coefficient_check,
+    heat_kernel_affine,
     heat_kernel_oracle,
     heat_kernel_spectral,
     initial_condition_check,
@@ -21,7 +26,18 @@ from fuhp.heat import (
 )
 from fuhp.spherical import spherical_table
 from fuhp.theta import theta_consistency_report
-from fuhp.uhp import Point, UhpGraph, act, base_point, build_graph, laplacian, point_index, radii_order
+from fuhp.field import is_odd_prime
+from fuhp.uhp import (
+    Point,
+    UhpGraph,
+    act,
+    base_point,
+    build_graph,
+    laplacian,
+    point_index,
+    radii_order,
+    scheme,
+)
 from fuhp.verify import heat_checks, lift_checks
 
 from dense_lift import build_group_graph, dense_images, mobius_action
@@ -214,6 +230,100 @@ def test_heat_path_uses_no_eigendecomposition(monkeypatch, tmp_path):
     report = theta_consistency_report(ctx, 1, [0.1, 1.0])
     assert report.max_reconciled_deviation <= 1e-9
     assert not any(r.fatal for r in heat_checks(build_graph(ctx, 1)))
+
+
+# -- the affine oracle: Fourier inversion on Aff(F_q) ---------------------------
+
+AFFINE_TIMES = (0.0, 1e-6, 0.1, 1.0, 10.0, 1e8)
+
+
+def _affine_at_every_vertex(ctx, r_s, t_grid):
+    """The affine kernel's formula at every vertex g = (x, y), read straight off ``affine_spectrum``."""
+    q = ctx.q
+    spec = affine_spectrum(ctx, r_s)
+    x, y = scheme(ctx).x, scheme(ctx).y
+    characters = np.cos(2 * np.pi * np.outer(np.arange(q - 1), ctx.dlog[y]) / (q - 1))  # [j, g]
+    moved = (y[:, None] * np.arange(q) + x[:, None]) % q  # g.v
+    out = []
+    for t in t_grid:
+        heat = spec.basis @ np.diag(np.exp(-t * (q + 1 - spec.eigenvalues))) @ spec.basis.T
+        trace = heat[np.arange(q), moved].sum(axis=1)
+        out.append(np.exp(-t * (q + 1 - spec.characters)) @ characters + (q - 1) * trace)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+def test_walk_affine_and_spectral_kernels_agree(q):
+    # the walk at every vertex, the affine formula at every vertex, and the spectral kernel by radius
+    ctx = field_context(q)
+    n = q * (q - 1)
+    bound = AFFINE_AGREEMENT * U * n
+    labels = scheme(ctx).labels
+    for r_s in radii_order(ctx)[2:]:
+        walk = heat_kernel_oracle(build_graph(ctx, r_s), AFFINE_TIMES).by_vertex
+        every = _affine_at_every_vertex(ctx, r_s, AFFINE_TIMES)
+        spectral = heat_kernel_spectral(spherical_table(ctx, r_s), AFFINE_TIMES)
+        affine = heat_kernel_affine(ctx, r_s, AFFINE_TIMES)
+        assert np.abs(every - walk).max() <= bound
+        assert np.abs(every - affine[:, labels]).max() <= bound
+        assert np.abs(affine - spectral).max() <= bound
+        assert np.abs(spectral[:, labels] - walk).max() <= bound
+
+
+def _affine_spectral_gap(q):
+    """max |affine - spectral| / (u n) over every regular radius of q and AFFINE_TIMES."""
+    ctx = field_context(q)
+    gaps = [np.abs(heat_kernel_affine(ctx, r_s, AFFINE_TIMES)
+                   - heat_kernel_spectral(spherical_table(ctx, r_s), AFFINE_TIMES)).max()
+            for r_s in radii_order(ctx)[2:]]
+    return max(gaps) / (U * q * (q - 1))
+
+
+@pytest.mark.parametrize("q", [17, 19, 23, 29, 31])
+def test_affine_kernel_within_the_stated_bound_of_the_spectral(q):
+    assert _affine_spectral_gap(q) <= AFFINE_AGREEMENT
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q", [q for q in range(37, 102, 2) if is_odd_prime(q)])
+def test_affine_kernel_within_the_stated_bound_of_the_spectral_to_the_cap(q):
+    assert _affine_spectral_gap(q) <= AFFINE_AGREEMENT
+
+
+def test_affine_kernel_asserts_constancy_on_orbits(monkeypatch):
+    # the last vertex relabelled into another orbit of q+1 points, as that orbit's last member
+    ctx = field_context(7)
+    real = scheme(ctx)
+    labels = real.labels.copy()
+    assert real.sizes[labels[-1]] == 8
+    labels[-1] = 3 if labels[-1] != 3 else 2
+    patched = real._replace(labels=labels, sizes=np.bincount(labels, minlength=7))
+    monkeypatch.setattr(fuhp.heat, "scheme", lambda c: patched)
+    with pytest.raises(AssertionError, match=f"not constant on orbit r={labels[-1]}"):
+        heat_kernel_affine(ctx, 1, [0.5])
+
+
+def _refuse_graph_and_walk(monkeypatch):
+    """Patch every binding of build_graph and heat_kernel_oracle in fuhp to raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("vertex graph or walk on the heat and theta path")
+
+    for module in vars(fuhp).values():
+        for name in ("build_graph", "heat_kernel_oracle"):
+            if getattr(module, "__name__", "").startswith("fuhp.") and hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
+def test_heat_and_theta_build_no_graph_and_walk_none(monkeypatch, tmp_path):
+    _refuse_graph_and_walk(monkeypatch)
+    out = tmp_path / "heat.json"
+    assert main(["heat", "--q", "13", "--r-s", "all-regular", "--t", "0,0.1,1", "--out", str(out)]) == EXIT_OK
+    ctx = field_context(13)
+    report = theta_consistency_report(ctx, 1, [0.1, 1.0])
+    assert report.max_reconciled_deviation <= AFFINE_AGREEMENT * U * 13 * 12
+    assert main(["theta", "--q", "13", "--r-s", "2", "--t", "0.1", "--out", str(tmp_path / "t.json")]) == EXIT_OK
+    with pytest.raises(AssertionError, match="vertex graph or walk"):
+        heat_checks(fuhp.uhp.build_graph(ctx, 1))
 
 
 def test_initial_condition_constant_function(q3):

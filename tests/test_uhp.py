@@ -11,10 +11,12 @@ from fuhp.field import field_context
 from fuhp.uhp import (
     Point,
     _connected,
+    _generates,
     affine_product,
     act,
     base_point,
     build_graph,
+    cayley_certificate,
     degenerate_radii,
     distance,
     enumerate_points,
@@ -27,6 +29,7 @@ from fuhp.uhp import (
     sphere,
     translate,
     unsigned_dtype,
+    vertex_index,
 )
 
 
@@ -357,3 +360,110 @@ def test_point_index_matches_enumeration_order():
     for i, z in enumerate(enumerate_points(ctx)):
         assert point_index(ctx, z) == i
     assert radii_order(ctx) == [0, 3, 1, 2, 4]
+
+
+# -- the Cayley certificate: build_graph's facts from the generating set alone ----
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+def test_cayley_certificate_accepts_what_build_graph_and_the_search_accept(q):
+    ctx = field_context(q)
+    x, y = scheme(ctx).x, scheme(ctx).y
+    for r_s in radii_order(ctx)[2:]:
+        graph = build_graph(ctx, r_s)
+        gen = cayley_certificate(ctx, r_s)
+        # the base point sqrt(delta) is vertex 0, the identity, so its neighbours z_0 . s_k are the s_k
+        assert np.array_equal(gen, graph.by_generator[:, 0])
+        assert _generates(ctx, x[gen], y[gen]) and _connected(graph.neighbors)
+
+
+def _cayley_neighbors(ctx, gen):
+    """The [n, |S|] neighbour array z . s of the Cayley graph on the vertex indices ``gen``."""
+    vertices = scheme(ctx)
+    return affine_product(ctx.q, vertices.x[:, None], vertices.y[:, None], vertices.x[gen], vertices.y[gen])
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13])
+def test_generation_criterion_agrees_with_breadth_first_search(q):
+    # small inverse-closed sets, so that many generate a proper subgroup: F_q, a point stabiliser,
+    # a subgroup of index > 1 over F_q^x, or the identity alone
+    ctx = field_context(q)
+    vertices = scheme(ctx)
+    x, y = vertices.x, vertices.y
+    inverse = vertex_index(q, -x * ctx.inverse[y] % q, ctx.inverse[y])  # (x, y)^(-1) = (-x/y, 1/y)
+    rng = np.random.default_rng(q)
+    subgroup_picks = [
+        np.flatnonzero(y == 1),  # translations
+        np.flatnonzero(x == 3 * (1 - y) % q),  # the stabiliser of p = 3
+        np.flatnonzero(ctx.dlog[y] % 2 == 0),  # F_q x| squares
+    ]
+    verdicts = set()
+    for trial in range(150):
+        pool = subgroup_picks[trial % 3] if trial % 2 else np.arange(len(x))
+        picked = rng.choice(pool, size=rng.integers(1, 4))
+        gen = np.union1d(picked, inverse[picked])
+        verdict = _generates(ctx, x[gen], y[gen])
+        assert verdict == _connected(_cayley_neighbors(ctx, gen)), gen
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def _with_generators(monkeypatch, ctx, r_s, gen):
+    """Patch uhp's scheme so that the sphere of radius r_s != 1 is the vertex set ``gen``."""
+    real = scheme(ctx)
+    labels = np.where(real.labels == r_s, 1, real.labels)
+    labels[gen] = r_s
+    monkeypatch.setattr(fuhp.uhp, "scheme", lambda c: real._replace(labels=labels))
+
+
+def _mutated_sets(ctx, r_s):
+    """Sets of vertices that differ from S_{r_s} in one way each, and the build_graph message they draw."""
+    q = ctx.q
+    x, y, labels, *_ = scheme(ctx)
+    gen = np.flatnonzero(labels == r_s)
+    identity = 0
+    outside = np.setdiff1d(np.arange(1, len(labels)), gen)
+    involutions = gen[y[gen] == q - 1]  # (x, -1) is its own inverse
+    stabiliser = np.flatnonzero((x == 2 * (1 - y) % q) & (y != 1))  # of the point 2, less the identity
+    cases = [
+        ("one point replaced", np.append(gen[1:], outside[0]), "not closed under inversion"),
+        ("identity added", np.append(gen, identity), "self-loop"),
+        ("translations only", np.flatnonzero((y == 1) & (x != 0)), "not connected"),
+        ("stabiliser of a point", stabiliser, "not connected"),
+    ]
+    if involutions.size:
+        cases.append(("identity for an involution", np.append(np.setdiff1d(gen, involutions[:1]), identity),
+                      "self-loop"))
+    return cases
+
+
+@pytest.mark.parametrize("q", [5, 7, 13])
+def test_cayley_certificate_refuses_mutated_sets_as_build_graph_does(monkeypatch, q):
+    ctx = field_context(q)
+    r_s = 2
+    x, y = scheme(ctx).x, scheme(ctx).y
+    for name, gen, message in _mutated_sets(ctx, r_s):
+        if message == "not connected":
+            assert not _generates(ctx, x[gen], y[gen]), name
+        with monkeypatch.context() as patch:
+            _with_generators(patch, ctx, r_s, gen)
+            with pytest.raises(AssertionError, match=message):
+                cayley_certificate(ctx, r_s)
+            with pytest.raises(AssertionError, match=message):
+                build_graph(ctx, r_s)
+
+
+def test_cayley_certificate_requires_q_plus_1_generators(monkeypatch):
+    # two spheres together: inverse-closed, loop-free and generating, but 2(q+1)-regular
+    ctx = field_context(7)
+    labels = scheme(ctx).labels
+    _with_generators(monkeypatch, ctx, 2, np.flatnonzero((labels == 2) | (labels == 3)))
+    with pytest.raises(AssertionError, match="not \\(q\\+1\\)-regular"):
+        cayley_certificate(ctx, 2)
+
+
+def test_cayley_certificate_rejects_degenerate_radii():
+    ctx = field_context(7)
+    for r in degenerate_radii(ctx):
+        with pytest.raises(ValueError, match="degenerate"):
+            cayley_certificate(ctx, r)

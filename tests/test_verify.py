@@ -11,9 +11,10 @@ import fuhp.verify
 from fuhp.cli import DEFAULT_MAX_Q
 from fuhp.field import field_context
 from fuhp.heat import initial_condition_check
-from fuhp.uhp import UhpGraph, build_graph, scheme
+from fuhp.uhp import UhpGraph, build_graph, cayley_certificate, scheme, vertex_index
 from fuhp.verify import (
     LIFT_MAX_Q,
+    affine_checks,
     character_checks,
     field_checks,
     graph_checks,
@@ -46,12 +47,12 @@ def test_battery_builds_one_graph_per_radius_and_one_match(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module in (fuhp.verify, fuhp.theta):
-        counted(module, "build_graph")
+    counted(fuhp.verify, "build_graph")
     counted(fuhp.verify, "match_formulas_to_oracle")
     fuhp.spherical._class_matches.cache_clear()
     assert not any(r.fatal for r in run_battery([7]))
     assert calls.count("build_graph") == 5  # the regular radii of q=7
+    assert not hasattr(fuhp.theta, "build_graph")  # the theta report's affine oracle needs no graph
     assert calls.count("match_formulas_to_oracle") == 1
     # the reconciled theta kernels read the same assignment: it is computed once
     assert fuhp.spherical._class_matches.cache_info().misses == 1
@@ -186,3 +187,48 @@ def test_heat_checks_walk_once_for_all_initial_condition_functions(monkeypatch):
     monkeypatch.setattr(fuhp.heat, "heat_kernel_oracle", lambda *args: walks.append(args[1]) or real(*args))
     assert not any(r.fatal for r in heat_checks(graph))
     assert walks == [t_grid]
+
+
+def _sphere_with(monkeypatch, ctx, r_s, out, into):
+    """Patch uhp's scheme so that S_{r_s} holds the vertices ``into`` in place of ``out``."""
+    real = scheme(ctx)
+    labels = real.labels.copy()
+    labels[out] = 1 if r_s != 1 else 2
+    labels[into] = r_s
+    monkeypatch.setattr(fuhp.uhp, "scheme", lambda c: real._replace(labels=labels))
+    fuhp.heat.affine_spectrum.cache_clear()
+
+
+@pytest.fixture
+def affine_cache():
+    """Clear the cached affine spectrum before and after a test that patches the spheres."""
+    fuhp.heat.affine_spectrum.cache_clear()
+    yield
+    fuhp.heat.affine_spectrum.cache_clear()
+
+
+def _inverse(ctx, i):
+    x, y = scheme(ctx).x[i], scheme(ctx).y[i]
+    return vertex_index(ctx.q, -x * ctx.inverse[y] % ctx.q, ctx.inverse[y])
+
+
+@pytest.mark.parametrize("q", [7, 13])
+def test_a_replaced_generator_is_refused_or_fails_the_decomposition(monkeypatch, affine_cache, q):
+    ctx, r_s = field_context(q), 2
+    labels = scheme(ctx).labels
+    gen = np.flatnonzero(labels == r_s)
+    names = {r.name: r.passed for r in affine_checks(ctx, r_s)}
+    assert all(names.values()) and len(names) == 2
+    decomposition = f"q={q} r_s={r_s} spectrum = Aff(F_q) decomposition"
+    # a generator s whose inverse is another generator, and a point t of radius 3 with its inverse
+    s = next(i for i in gen if _inverse(ctx, i) != i)
+    t = next(i for i in np.flatnonzero(labels == 3) if _inverse(ctx, i) != i)
+    with monkeypatch.context() as patch:  # s alone replaced by t: S is no longer inverse-closed
+        _sphere_with(patch, ctx, r_s, [s], [t])
+        with pytest.raises(AssertionError, match="not closed under inversion"):
+            affine_checks(ctx, r_s)
+    with monkeypatch.context() as patch:  # s and s^-1 replaced by t and t^-1: a sound connection set
+        _sphere_with(patch, ctx, r_s, [s, _inverse(ctx, s)], [t, _inverse(ctx, t)])
+        assert cayley_certificate(ctx, r_s).size == q + 1
+        results = {r.name: r for r in affine_checks(ctx, r_s)}
+        assert not results[decomposition].passed and not results[decomposition].finding_only
