@@ -111,14 +111,19 @@ class AffineSpectrum(NamedTuple):
     basis: np.ndarray
 
 
-def _cosines(q):
-    """cos(2 pi m/(q-1)) for m = 0..q-2: a character value read by an exact integer index."""
-    return np.cos(2 * np.pi * np.arange(q - 1) / (q - 1))
+def _character_cosines(ctx, y):
+    """cos(2 pi j dlog(y)/(q-1)), the real part of chi_j, as an array [j, element of y].
+
+    Read off the q-1 cosines by the exact integer index j*dlog(y) mod q-1.
+    """
+    q = ctx.q
+    cosines = np.cos(2 * np.pi * np.arange(q - 1) / (q - 1))
+    return cosines[np.outer(np.arange(q - 1), ctx.dlog[y]) % (q - 1)]
 
 
 @functools.lru_cache(maxsize=1)
 def affine_spectrum(ctx, r_s):
-    """The AffineSpectrum of S_{r_s}, proven a sound connection set by ``cayley_certificate``; do not modify.
+    """The AffineSpectrum of S_{r_s}, proven a sound connection set by ``cayley_certificate``; read-only.
 
     H is Helmert's q x (q-1) orthonormal basis of the sum-zero vectors, so the
     trivial part of B, which the eigh would otherwise carry and a subtraction
@@ -131,7 +136,7 @@ def affine_spectrum(ctx, r_s):
     gen = cayley_certificate(ctx, r_s)
     vertices = scheme(ctx)
     xs, ys = vertices.x[gen], vertices.y[gen]
-    characters = _cosines(q)[np.outer(np.arange(q - 1), ctx.dlog[ys]) % (q - 1)].sum(axis=1)
+    characters = _character_cosines(ctx, ys).sum(axis=1)
     v = np.arange(q)
     moved = (ys[:, None] * v + xs[:, None]) % q  # s.v for every generator s and point v
     counts = np.bincount((moved * q + v).ravel(), minlength=q * q).reshape(q, q)  # B[s.v, v] += 1
@@ -140,7 +145,10 @@ def affine_spectrum(ctx, r_s):
     eigenvalues, vectors = np.linalg.eigh(helmert.T @ counts @ helmert)
     basis = helmert @ vectors
     basis /= np.sqrt((basis * basis).sum(axis=0))
-    return AffineSpectrum(characters, eigenvalues, basis)
+    out = AffineSpectrum(characters, eigenvalues, basis)
+    for array in out:
+        array.flags.writeable = False
+    return out
 
 
 def heat_kernel_affine(ctx, r_s, t_grid):
@@ -165,8 +173,7 @@ def heat_kernel_affine(ctx, r_s, t_grid):
     last = np.argsort(vertices.labels, kind="stable")[np.cumsum(vertices.sizes) - 1]
     at = np.concatenate([vertices.reps, last])
     xs, ys = vertices.x[at], vertices.y[at]
-    characters = _cosines(q)[np.outer(np.arange(q - 1), ctx.dlog[ys]) % (q - 1)]  # [j, g]
-    kernel = np.exp(-np.outer(t_grid, q + 1 - spec.characters)) @ characters
+    kernel = np.exp(-np.outer(t_grid, q + 1 - spec.characters)) @ _character_cosines(ctx, ys)
     v = np.arange(q)
     moved = (ys[:, None] * v + xs[:, None]) % q  # g.v for every evaluated g and point v
     for row, t in zip(kernel, t_grid):
@@ -174,7 +181,7 @@ def heat_kernel_affine(ctx, r_s, t_grid):
         row += (q - 1) * heat[v, moved].sum(axis=1)
     first, second = kernel[:, :q], kernel[:, q:]
     spread = np.abs(first - second)
-    bad = spread > ORBIT_CONSTANCY_TOL * np.maximum(1.0, np.abs(kernel).reshape(-1, 2, q).max(axis=1))
+    bad = spread > ORBIT_CONSTANCY_TOL * np.maximum(1.0, np.maximum(np.abs(first), np.abs(second)))
     if bad.any():
         raise AssertionError(f"affine kernel not constant on orbit r={np.flatnonzero(bad.any(axis=0))[0]} "
                              f"(spread {spread.max():.3e})")

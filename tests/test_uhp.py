@@ -124,6 +124,8 @@ def test_degenerate_radius_rejected(q):
     for r in (deg0, deg1):
         with pytest.raises(ValueError, match=str(deg1)):
             build_graph(ctx, r)
+        with pytest.raises(ValueError, match=str(deg1)):
+            cayley_certificate(ctx, r)
 
 
 def test_generating_sphere_closed_under_inversion():
@@ -460,10 +462,3 @@ def test_cayley_certificate_requires_q_plus_1_generators(monkeypatch):
     _with_generators(monkeypatch, ctx, 2, np.flatnonzero((labels == 2) | (labels == 3)))
     with pytest.raises(AssertionError, match="not \\(q\\+1\\)-regular"):
         cayley_certificate(ctx, 2)
-
-
-def test_cayley_certificate_rejects_degenerate_radii():
-    ctx = field_context(7)
-    for r in degenerate_radii(ctx):
-        with pytest.raises(ValueError, match="degenerate"):
-            cayley_certificate(ctx, r)
