@@ -23,7 +23,6 @@ from .uhp import (
     base_point,
     build_graph,
     degenerate_radii,
-    distance,
     laplacian,
     orbit_decomposition,
     orbit_sizes,
@@ -66,7 +65,6 @@ __all__ = [
     "classical_theta",
     "cuspidal_spherical",
     "degenerate_radii",
-    "distance",
     "ext_char",
     "ext_norm",
     "ext_trace",

@@ -7,21 +7,24 @@ sqrt(delta) is cut out by x^2 = r*y + delta*(y-1)^2; using it as a Cayley
 generating set gives a (q+1)-regular graph on the q(q-1) points, whose
 combinatorial Laplacian is (q+1)*I - A.
 
+The graph is Cay(Aff(F_q), S_{r_s}): ``cayley_certificate`` proves its
+facts from the q+1 points of S_{r_s} alone, and ``build_graph`` forms the
+vertex graph, which only the walk and the CLI's graph export need.
+
 Vertex encoding: vertex i is x + y*sqrt(delta) with x = i % q and
-y = i // q + 1, the lexicographic (y, x) order, so vertex 0 is sqrt(delta)
-and every matrix is bit-reproducible. Only this module knows it:
-``vertex_index`` encodes coordinates, ``affine_product`` is the affine
-product on coordinates and ``translate`` on indices, and ``scheme`` holds,
-once per (q, delta), the coordinate arrays and the distance classes (orbits)
-around sqrt(delta) that the other modules read.
+y = i // q + 1, the lexicographic (y, x) order: vertex 0 is sqrt(delta), the
+labels in vertex order are a (q-1) x q table [y - 1, x], and every matrix is
+bit-reproducible. Only this module builds indices: ``vertex_index`` encodes
+coordinates, ``affine_product`` is the affine product on coordinates and
+``translate`` on indices, and ``scheme`` holds, once per (q, delta), the
+coordinate arrays and the distance classes (orbits) around sqrt(delta) that
+the other modules read.
 """
 
 import functools
 from typing import NamedTuple
 
 import numpy as np
-
-from .field import ExtElement, ext_norm
 
 ORBIT_CONSTANCY_TOL = 1e-10
 
@@ -36,11 +39,6 @@ class Point(NamedTuple):
 def base_point():
     """sqrt(delta) itself, the identity of the affine group."""
     return Point(0, 1)
-
-
-def enumerate_points(ctx):
-    """All q(q-1) points of H_q in the canonical (y, x) order."""
-    return [Point(x, y) for y in range(1, ctx.q) for x in range(ctx.q)]
 
 
 def vertex_index(q, x, y):
@@ -62,11 +60,6 @@ def translate(q, i, j):
     """Index of z_i . z_j = (y_i*x_j + x_i, y_i*y_j) for vertex indices i, j (arrays broadcast)."""
     (yi, xi), (yj, xj) = np.divmod(i, q), np.divmod(j, q)
     return affine_product(q, xi, yi + 1, xj, yj + 1)
-
-
-def act(ctx, z, s):
-    """Right action of the affine group: (x,y).(x_s,y_s) = (y*x_s + x, y*y_s)."""
-    return Point((z.y * s.x + z.x) % ctx.q, (z.y * s.y) % ctx.q)
 
 
 class Scheme(NamedTuple):
@@ -109,12 +102,6 @@ def sphere(ctx, r):
     return [Point(x, y) for x, y in zip(vertices.x[ix].tolist(), vertices.y[ix].tolist())]
 
 
-def distance(ctx, z, w):
-    """Pseudo-distance N(z - w) / (I(z) * I(w)) in F_q, with I(z) = y."""
-    diff = ExtElement((z.x - w.x) % ctx.q, (z.y - w.y) % ctx.q)
-    return ext_norm(ctx, diff) * ctx.inv(z.y * w.y) % ctx.q
-
-
 def degenerate_radii(ctx):
     """The two radii at which the sphere collapses to a single point."""
     return (0, 4 * ctx.delta % ctx.q)
@@ -137,7 +124,7 @@ class UhpGraph:
     (``unsigned_dtype``), per generator, so a walk step sums q+1 contiguous
     ``take`` gathers; fancy indexing by a compact dtype is slower.
     ``neighbors`` is its [n, q+1] transposed view (no copy), the neighbour
-    list of each vertex; ``adjacency`` and ``points`` are built on first use.
+    list of each vertex; ``adjacency`` is built on first use.
     """
 
     def __init__(self, ctx, r_s, by_generator):
@@ -154,10 +141,6 @@ class UhpGraph:
     @property
     def degree(self):
         return self.ctx.q + 1
-
-    @functools.cached_property
-    def points(self):
-        return enumerate_points(self.ctx)
 
     @functools.cached_property
     def adjacency(self):
@@ -177,10 +160,9 @@ class UhpGraph:
         return self._eig
 
 
-# Vertices per block of build_graph's regularity pass and of verify's neighbour-class counts. At
-# q=101 a block's int64 [block, q+1] scratch (104 KB) stays under glibc's default 128 KB mmap
-# threshold, so it reuses heap pages; 1024-vertex blocks took fresh pages, about 100,000 more minor
-# faults over `verify --q 101`.
+# Vertices per block of build_graph's regularity pass. At q=101 a block's int64 [block, q+1] scratch
+# (104 KB) stays under glibc's default 128 KB mmap threshold, so it reuses heap pages; 1024-vertex
+# blocks took fresh pages, about 100,000 more minor faults over `verify --q 101`.
 REGULARITY_BLOCK = 128
 
 

@@ -33,8 +33,8 @@ from .heat import (
 from .spherical import intersection_matrices, laplace_eigenvalue, match_formulas_to_oracle, spherical_table
 from .theta import classical_theta, reconciled_kernel, theta_consistency_report
 from .uhp import (
-    REGULARITY_BLOCK,
     build_graph,
+    cayley_certificate,
     degenerate_radii,
     laplacian,
     orbit_sizes,
@@ -144,22 +144,28 @@ def orbit_checks(ctx):
     return out
 
 
-def graph_checks(graph):
-    """Checks on a built graph (build_graph asserts regularity, symmetry and connectivity)."""
-    ctx, r_s, q = graph.ctx, graph.r_s, graph.ctx.q
+def graph_checks(ctx, r_s):
+    """Checks on Cay(Aff(F_q), S_{r_s}) from the Cayley certificate of S_{r_s}; no vertex graph is built."""
+    q = ctx.q
     out = []
-    _check(out, f"q={q} r_s={r_s} graph built", True,
-           f"{graph.n} vertices, degree {q + 1}, connected")
+    try:  # S_{r_s} inverse-closed, without the identity, generating, of size q+1
+        gen = cayley_certificate(ctx, r_s)
+    except AssertionError as exc:  # the only check of a refused S_{r_s}; its message is the detail
+        return [CheckResult(f"q={q} r_s={r_s} graph built", False, str(exc))]
+    _check(out, f"q={q} r_s={r_s} graph built", True, f"{q * (q - 1)} vertices, degree {q + 1}, connected")
 
     if q <= 7:
-        # the pseudo-distance N(z - w) / (y_z y_w) of every pair, from coordinates, not from translate
+        # the pseudo-distance N(z - w) / (y_z y_w) of every pair, from coordinates, against the
+        # neighbours z.s of every vertex z through the certified generators s
         x, y = scheme(ctx).x, scheme(ctx).y
         dx, dy = x[:, None] - x, y[:, None] - y
         dist = (dx * dx - ctx.delta * dy * dy) * ctx.inverse[y[:, None] * y % q] % q
-        consistent = np.array_equal(graph.adjacency == 1, dist == r_s)
+        adjacency = np.zeros(dist.shape, dtype=bool)
+        np.put_along_axis(adjacency, translate(q, np.arange(len(x))[:, None], gen), True, axis=1)
+        consistent = np.array_equal(adjacency, dist == r_s)
         _check(out, f"q={q} r_s={r_s} adjacency = distance sphere", consistent, "all pairs")
 
-    # every 0/1 adjacency row has the multiset {1^(q+1), 0^(n-q-1)}: build_graph asserts q+1 distinct neighbours
+    # every 0/1 adjacency row has the multiset {1^(q+1), 0^(n-q-1)}: the certificate proves q+1 neighbours
     _check(out, f"q={q} r_s={r_s} row multisets equal", True, "vertex-transitivity")
 
     w = spherical_table(ctx, r_s).adjacency_eigenvalues
@@ -171,9 +177,9 @@ def graph_checks(graph):
     return out
 
 
-def spherical_checks(graph):
-    ctx, r_s, q = graph.ctx, graph.r_s, graph.ctx.q
-    n = graph.n
+def spherical_checks(ctx, r_s):
+    q = ctx.q
+    n = q * (q - 1)
     out = []
     table = spherical_table(ctx, r_s)
     distinct = len(table.spectrum())
@@ -199,19 +205,21 @@ def spherical_checks(graph):
     _check(out, f"q={q} r_s={r_s} eigenvalue relation", lam_dev <= 1e-10,
            f"(q+1)(1 - omega(r_s)) vs lambda: {lam_dev:.2e}")
 
-    # lifted rows are adjacency eigenvectors: lift[x, i] = omega_i(d(x)), and (A lift)[x] = C[x] @ omega.T
-    # with C[x, r] the number of neighbours of x in the orbit of radius r (n x q counts). When C is
-    # the row of B_{r_s} at the orbit of x for every x (integers), the n x q identity is the q x q
-    # one B_{r_s} omega_i' = a_i omega_i. C is counted REGULARITY_BLOCK vertices at a time
-    labels = scheme(ctx).labels
+    # lifted rows are adjacency eigenvectors: lift[z, i] = omega_i(d(z)), and (A lift)[z] = C[z] @ omega.T
+    # with C[z, r] the number of neighbours z.s, s in S_{r_s}, in the orbit of radius r (n x q counts).
+    # When C is the row of B_{r_s} at the orbit of z for every z (integers), the n x q identity is the
+    # q x q one B_{r_s} omega_i' = a_i omega_i. z.s for z = (x, y) is (x + y*x_s, y*y_s): its label is
+    # entry x of the window at y*x_s of row y*y_s of the (q-1) x q label table, doubled so that every
+    # window is a slice. C is counted one table row, q vertices, at a time
+    x, y, labels, *_ = scheme(ctx)
+    gen = cayley_certificate(ctx, r_s)
+    windows = np.lib.stride_tricks.sliding_window_view(np.tile(labels.reshape(q - 1, q), 2), q, axis=1)
     block = intersection_matrices(ctx)[r_s]
     counts_ok = True
-    for start in range(0, n, REGULARITY_BLOCK):
-        rows = slice(start, start + REGULARITY_BLOCK)
-        nbrs = graph.neighbors[rows]
-        flat = (np.arange(len(nbrs))[:, None] * q + labels.take(nbrs)).ravel()
-        counts = np.bincount(flat, minlength=len(nbrs) * q).reshape(len(nbrs), q)
-        counts_ok = counts_ok and np.array_equal(counts, block[labels[rows]])
+    for y_z in range(1, q):
+        flat = windows[y_z * y[gen] % q - 1, y_z * x[gen] % q] + np.arange(q) * q  # [s, x]: q*x + label
+        counts = np.bincount(flat.ravel(), minlength=q * q).reshape(q, q)
+        counts_ok = counts_ok and np.array_equal(counts, block[labels[(y_z - 1) * q : y_z * q]])
     eig_dev = float(np.abs(block @ table.omega.T - table.omega.T * table.adjacency_eigenvalues).max())
     eig_dev = eig_dev if counts_ok else math.inf
     _check(out, f"q={q} r_s={r_s} rows are eigenfunctions", eig_dev <= 1e-9, f"{eig_dev:.2e}")
@@ -256,7 +264,10 @@ def heat_checks(graph):
     table = spherical_table(ctx, r_s)
 
     spec = heat_kernel_spectral(table, HEAT_T_GRID)
-    orac = heat_kernel_oracle(graph, HEAT_T_GRID)
+    try:
+        orac = heat_kernel_oracle(graph, HEAT_T_GRID)
+    except AssertionError as exc:  # a walk not constant on an orbit: the orbits are not distance classes
+        return [CheckResult(f"q={q} r_s={r_s} spectral = oracle", False, str(exc))]
     dev = float(np.abs(spec - orac.by_radius).max())
     mass_dev = float(np.abs(orac.by_vertex.mean(axis=1) - 1.0).max())
     min_val = float(spec.min())
@@ -401,17 +412,21 @@ def run_battery(q_list, include_lift=False):
         results += field_checks(ctx)
         results += character_checks(ctx)
         results += orbit_checks(ctx)
-        regular = radii_order(ctx)[2:]
-        # one graph per (q, r_s); the first radius's graph serves the later groups
-        first = build_graph(ctx, regular[0])
-        for r_s in regular:
-            graph = first if r_s == regular[0] else build_graph(ctx, r_s)
-            results += graph_checks(graph)
-            results += spherical_checks(graph)
-            results += affine_checks(ctx, r_s)
-        results += formula_match_checks(match_formulas_to_oracle(ctx, first.r_s))
-        results += heat_checks(first)
-        results += theta_checks(ctx, first.r_s)
+        # each radius is checked through its certified connection set; one vertex graph per q, at the
+        # first radius whose set passes, serves the walk of the heat and lift checks
+        sound = []
+        for r_s in radii_order(ctx)[2:]:
+            checks = graph_checks(ctx, r_s)
+            results += checks
+            if checks[0].passed:
+                sound.append(r_s)
+                results += spherical_checks(ctx, r_s) + affine_checks(ctx, r_s)
+        if not sound:
+            continue
+        graph = build_graph(ctx, sound[0])
+        results += formula_match_checks(match_formulas_to_oracle(ctx, graph.r_s))
+        results += heat_checks(graph)
+        results += theta_checks(ctx, graph.r_s)
         if include_lift:
-            results += lift_checks(first)
+            results += lift_checks(graph)
     return results

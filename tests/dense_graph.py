@@ -1,4 +1,9 @@
-"""Dense references for the radial core.
+"""Dense references for the radial core, and the point-by-point vertex API.
+
+``enumerate_points``, ``act`` and ``distance``: the points of H_q as
+``Point``s in the canonical (y, x) order, the affine product and the
+pseudo-distance, one point at a time, for tests that check the library's
+vectorised index arrays against them.
 
 ``radial_eigenbasis``: the spherical table for small q from adjacency
 eigenprojections of the base-point indicator, one dense n x n
@@ -13,8 +18,25 @@ like ``_radial_rows`` it solves in ``radii_order``.
 
 import numpy as np
 
+from fuhp.field import ExtElement, ext_norm
 from fuhp.spherical import EIGENVALUE_CLUSTER_TOL, GOLDEN_ANGLE, SphericalTable
-from fuhp.uhp import radial_values, radii_order, scheme, translate
+from fuhp.uhp import Point, radial_values, radii_order, scheme, translate
+
+
+def enumerate_points(ctx):
+    """All q(q-1) points of H_q in the canonical (y, x) order."""
+    return [Point(x, y) for y in range(1, ctx.q) for x in range(ctx.q)]
+
+
+def act(ctx, z, s):
+    """Right action of the affine group: (x,y).(x_s,y_s) = (y*x_s + x, y*y_s)."""
+    return Point((z.y * s.x + z.x) % ctx.q, (z.y * s.y) % ctx.q)
+
+
+def distance(ctx, z, w):
+    """Pseudo-distance N(z - w) / (I(z) * I(w)) in F_q, with I(z) = y."""
+    diff = ExtElement((z.x - w.x) % ctx.q, (z.y - w.y) % ctx.q)
+    return ext_norm(ctx, diff) * ctx.inv(z.y * w.y) % ctx.q
 
 
 def broadcast_radial_rows(ctx):

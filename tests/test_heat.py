@@ -29,7 +29,6 @@ from fuhp.theta import theta_consistency_report
 from fuhp.uhp import (
     Point,
     UhpGraph,
-    act,
     base_point,
     build_graph,
     laplacian,
@@ -39,6 +38,7 @@ from fuhp.uhp import (
 )
 from fuhp.verify import heat_checks, lift_checks
 
+from dense_graph import act, distance, enumerate_points
 from dense_lift import build_group_graph, dense_images, mobius_action
 
 U = np.finfo(float).eps / 2  # unit roundoff
@@ -320,8 +320,9 @@ def test_heat_and_theta_build_no_graph_and_walk_none(monkeypatch, tmp_path):
     assert report.max_reconciled_deviation <= AFFINE_AGREEMENT * U * 13 * 12
     theta = ["theta", "--q", "13", "--r-s", "2", "--t", "0.1", "--out", str(tmp_path / "theta.json")]
     assert main(theta) == EXIT_OK
-    with pytest.raises(AssertionError, match="vertex graph or walk"):  # the patch reaches verify's walk
-        heat_checks(graph)
+    walk = heat_checks(graph)[0]  # the patch reaches verify's walk, which reports what it raised
+    assert walk.name == "q=13 r_s=1 spectral = oracle" and walk.fatal
+    assert walk.detail == "vertex graph or walk on the heat and theta path"
 
 
 def test_initial_condition_constant_function(q3):
@@ -382,8 +383,9 @@ def test_left_invariance_q3(q3):
     ctx, graph, _ = q3
     w, v = np.linalg.eigh(laplacian(graph))
     kernel = graph.n * (v @ (np.exp(-w * 1.0)[:, None] * v.T))
-    for p in graph.points:  # the affine group acting on itself from the left
-        perm = np.array([point_index(ctx, act(ctx, p, z)) for z in graph.points])
+    points = enumerate_points(ctx)
+    for p in points:  # the affine group acting on itself from the left
+        perm = np.array([point_index(ctx, act(ctx, p, z)) for z in points])
         np.testing.assert_allclose(kernel[np.ix_(perm, perm)], kernel, atol=1e-10)
 
 
@@ -423,8 +425,6 @@ def test_mobius_action_stabilizer():
 def test_mobius_action_preserves_distance():
     # the fractional-linear action is an isometry of the pseudo-distance,
     # which is what makes the lifted generating set inversion-closed
-    from fuhp.uhp import distance, enumerate_points
-
     ctx = field_context(5)
     pts = enumerate_points(ctx)
     rng = np.random.default_rng(3)
@@ -442,8 +442,6 @@ def test_mobius_action_preserves_distance():
 
 
 def test_array_action_matches_scalar_action_q5():
-    from fuhp.uhp import enumerate_points
-
     ctx = field_context(5)
     group = build_group_graph(ctx, 1).elements
     for z in enumerate_points(ctx)[::3]:

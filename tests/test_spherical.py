@@ -22,9 +22,9 @@ from fuhp.spherical import (
     spherical_table,
 )
 from fuhp.theta import finite_theta, reconciled_kernel, theta_consistency_report
-from fuhp.uhp import base_point, build_graph, degenerate_radii, distance, radii_order, scheme, sphere
+from fuhp.uhp import base_point, build_graph, degenerate_radii, radii_order, scheme, sphere
 
-from dense_graph import broadcast_radial_rows, radial_eigenbasis
+from dense_graph import broadcast_radial_rows, distance, enumerate_points, radial_eigenbasis
 
 
 def table_for(q, r_s=None, delta=None):
@@ -289,7 +289,7 @@ def test_rows_lift_to_adjacency_eigenvectors(q, r_s):
     base = base_point()
     adj = graph.adjacency.astype(float)
     for i in range(table.num_rows):
-        vec = np.array([table.omega[i, distance(ctx, z, base)] for z in graph.points])
+        vec = np.array([table.omega[i, distance(ctx, z, base)] for z in enumerate_points(ctx)])
         np.testing.assert_allclose(
             adj @ vec, table.adjacency_eigenvalues[i] * vec, atol=1e-9
         )

@@ -13,13 +13,10 @@ from fuhp.uhp import (
     _connected,
     _generates,
     affine_product,
-    act,
     base_point,
     build_graph,
     cayley_certificate,
     degenerate_radii,
-    distance,
-    enumerate_points,
     laplacian,
     orbit_decomposition,
     orbit_sizes,
@@ -31,6 +28,8 @@ from fuhp.uhp import (
     unsigned_dtype,
     vertex_index,
 )
+
+from dense_graph import act, distance, enumerate_points
 
 
 def brute_sphere(ctx, r):
@@ -312,7 +311,7 @@ def test_adjacency_iff_distance(q):
     ctx = field_context(q)
     r_s = 2 if q == 7 else 1
     g = build_graph(ctx, r_s)
-    pts = g.points
+    pts = enumerate_points(ctx)
     for i in range(g.n):
         for j in range(g.n):
             assert bool(g.adjacency[i, j]) == (distance(ctx, pts[i], pts[j]) == r_s)
@@ -324,9 +323,9 @@ def test_lazy_adjacency_is_distance_sphere_at_every_radius(q):
     for r_s in radii_order(ctx)[2:]:
         g = build_graph(ctx, r_s)
         assert "adjacency" not in vars(g)  # built on first use only
-        assert "points" not in vars(g)
         assert g.neighbors.shape == (g.n, q + 1)
-        expect = [[distance(ctx, z, w) == r_s for w in g.points] for z in g.points]
+        pts = enumerate_points(ctx)
+        expect = [[distance(ctx, z, w) == r_s for w in pts] for z in pts]
         assert np.array_equal(g.adjacency, np.array(expect, dtype=np.int8))
 
 

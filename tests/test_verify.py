@@ -8,10 +8,10 @@ import fuhp.heat
 import fuhp.spherical
 import fuhp.theta
 import fuhp.verify
-from fuhp.cli import DEFAULT_MAX_Q
+from fuhp.cli import DEFAULT_MAX_Q, main
 from fuhp.field import field_context
 from fuhp.heat import initial_condition_check
-from fuhp.uhp import UhpGraph, build_graph, cayley_certificate, scheme, vertex_index
+from fuhp.uhp import build_graph, cayley_certificate, scheme, vertex_index
 from fuhp.verify import (
     LIFT_MAX_Q,
     affine_checks,
@@ -35,14 +35,14 @@ def test_battery_q19_has_no_failures():
     assert not fatal, [f"{r.name}: {r.detail}" for r in fatal]
 
 
-def test_battery_builds_one_graph_per_radius_and_one_match(monkeypatch):
+def test_battery_builds_one_graph_per_q_and_one_match(monkeypatch):
     calls = []
 
     def counted(module, name):
         func = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls.append(name)
+            calls.append((name, args[1:]))
             return func(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -51,9 +51,10 @@ def test_battery_builds_one_graph_per_radius_and_one_match(monkeypatch):
     counted(fuhp.verify, "match_formulas_to_oracle")
     fuhp.spherical._class_matches.cache_clear()
     assert not any(r.fatal for r in run_battery([7]))
-    assert calls.count("build_graph") == 5  # the regular radii of q=7
+    # the walk's graph, at the first regular radius; the per-radius checks read the certificate
+    assert [args for name, args in calls if name == "build_graph"] == [(1,)]
     assert not hasattr(fuhp.theta, "build_graph")  # the theta report's affine oracle needs no graph
-    assert calls.count("match_formulas_to_oracle") == 1
+    assert [name for name, _ in calls].count("match_formulas_to_oracle") == 1
     # the reconciled theta kernels read the same assignment: it is computed once
     assert fuhp.spherical._class_matches.cache_info().misses == 1
 
@@ -120,14 +121,13 @@ def test_restriction_check_catches_two_swapped_base_field_logs(q):
 def test_spherical_checks_memory_at_the_cap(run_child):
     # the neighbour-value array of the eigenfunction check alone was n(q+1)q floats (832 MB) at q=101
     script = (
-        "from fuhp.field import field_context; from fuhp.uhp import build_graph; "
-        "from fuhp.verify import spherical_checks; "
-        "results = spherical_checks(build_graph(field_context(101), 1)); "
+        "from fuhp.field import field_context; from fuhp.verify import spherical_checks; "
+        "results = spherical_checks(field_context(101), 1); "
         "assert not any(r.fatal for r in results), [r for r in results if r.fatal]"
     )
     child = run_child(["-c", script])
     assert child.exit_code == 0
-    # the 64 MB ceiling: the n x (q+1) index array and the n x q counts are formed in vertex blocks
+    # the 64 MB ceiling: the neighbour labels and the n x q counts are formed in vertex blocks
     assert child.peak_mb <= 64, f"peak RSS {child.peak_mb:.1f} MB"
 
 
@@ -157,22 +157,19 @@ def test_heat_test_functions_are_distinct_and_not_constant(n):
     assert len({row.tobytes() for row in f}) == 5
 
 
-def _with_one_neighbour_moved(graph):
-    """graph with the edge 5 -> z_5 . s_0 redirected to a vertex in another distance class."""
-    labels = scheme(graph.ctx).labels
-    by_generator = graph.by_generator.copy()
-    old = by_generator[0, 5]
-    by_generator[0, 5] = np.flatnonzero(labels != labels[old])[-1]
-    return UhpGraph(graph.ctx, graph.r_s, by_generator)
-
-
 @pytest.mark.parametrize("label", ["rows are eigenfunctions", "adjacency = distance sphere"])
-def test_a_corrupted_neighbour_row_fails_the_graph_level_checks(label):
-    graph = build_graph(field_context(7), 1)
+def test_a_corrupted_neighbour_row_fails_the_graph_level_checks(monkeypatch, label):
+    # the neighbours z . s come from the certified generators: one of them replaced by a point of
+    # another distance class moves one neighbour of every vertex
+    ctx = field_context(7)
     name = f"q=7 r_s=1 {label}"
-    for g, passes in [(graph, True), (_with_one_neighbour_moved(graph), False)]:
-        (check,) = [r for r in graph_checks(g) + spherical_checks(g) if r.name == name]
+    gen = cayley_certificate(ctx, 1).copy()
+    labels = scheme(ctx).labels
+    gen[0] = np.flatnonzero(labels != 1)[-1]
+    for passes in (True, False):
+        (check,) = [r for r in graph_checks(ctx, 1) + spherical_checks(ctx, 1) if r.name == name]
         assert check.passed is passes, check.detail
+        monkeypatch.setattr(fuhp.verify, "cayley_certificate", lambda c, r_s: gen)
 
 
 def test_heat_checks_walk_once_for_all_initial_condition_functions(monkeypatch):
@@ -189,14 +186,18 @@ def test_heat_checks_walk_once_for_all_initial_condition_functions(monkeypatch):
     assert walks == [t_grid]
 
 
-def _sphere_with(monkeypatch, ctx, r_s, out, into):
-    """Patch uhp's scheme so that S_{r_s} holds the vertices ``into`` in place of ``out``."""
+def _with_labels(monkeypatch, ctx, labels):
+    """Patch uhp's scheme, which picks every S_r, to read ``labels`` as the distance classes."""
     real = scheme(ctx)
-    labels = real.labels.copy()
-    labels[out] = 1 if r_s != 1 else 2
-    labels[into] = r_s
     monkeypatch.setattr(fuhp.uhp, "scheme", lambda c: real._replace(labels=labels))
     fuhp.heat.affine_spectrum.cache_clear()
+
+
+def _sphere_with(monkeypatch, ctx, r_s, out, into):
+    """Patch uhp's scheme so that S_{r_s} holds ``into`` in place of ``out``, which take their labels."""
+    labels = scheme(ctx).labels.copy()
+    labels[out], labels[into] = labels[into], r_s
+    _with_labels(monkeypatch, ctx, labels)
 
 
 @pytest.fixture
@@ -232,3 +233,51 @@ def test_a_replaced_generator_is_refused_or_fails_the_decomposition(monkeypatch,
         assert cayley_certificate(ctx, r_s).size == q + 1
         results = {r.name: r for r in affine_checks(ctx, r_s)}
         assert not results[decomposition].passed and not results[decomposition].finding_only
+
+
+def _minus_sqrt_delta(ctx):
+    """-sqrt(delta), alone at the degenerate radius 4*delta: a replacement that changes no other S_r."""
+    return vertex_index(ctx.q, 0, ctx.q - 1)
+
+
+def test_a_sphere_with_one_point_replaced_fails_graph_built_at_that_radius_only(monkeypatch, affine_cache):
+    ctx = field_context(7)
+    s = np.flatnonzero(scheme(ctx).labels == 2)[0]
+    _sphere_with(monkeypatch, ctx, 2, [s], [_minus_sqrt_delta(ctx)])
+    results = run_battery([7])
+    built = {r.name: r for r in results if r.name.endswith("graph built")}
+    assert [name for name, r in built.items() if not r.passed] == ["q=7 r_s=2 graph built"]
+    assert "not closed under inversion" in built["q=7 r_s=2 graph built"].detail
+    assert not [r for r in results if r.name.startswith("q=7 r_s=2 ") and not r.name.endswith("graph built")]
+    assert "q=7 r_s=3 rows are eigenfunctions" in {r.name for r in results}
+
+
+def test_a_point_stabiliser_fails_graph_built_as_not_connected(monkeypatch, affine_cache):
+    # S_3 := the stabiliser of the point 0 of F_q less the identity, {(0, y) : y != 0, 1}:
+    # closed under inversion and loop-free, but its q-2 elements generate only the stabiliser
+    ctx = field_context(7)
+    labels = scheme(ctx).labels.copy()
+    stabiliser = vertex_index(7, 0, np.arange(2, 7))
+    labels[labels == 3] = 0  # S_3 leaves for the degenerate radius 0, which builds no graph
+    labels[stabiliser] = 3
+    _with_labels(monkeypatch, ctx, labels)
+    results = {r.name: r for r in run_battery([7])}
+    assert not results["q=7 r_s=3 graph built"].passed
+    assert results["q=7 r_s=3 graph built"].detail == "graph is not connected"
+
+
+def test_verify_reports_a_refused_connection_set_and_runs_on(monkeypatch, affine_cache, capsys):
+    # a refused S_2 was once an AssertionError out of the battery: exit 2 and no check lines
+    ctx = field_context(7)
+    assert main(["verify", "--q", "7"]) == 0
+    clean = capsys.readouterr().out.splitlines()
+    s = np.flatnonzero(scheme(ctx).labels == 2)[0]
+    _sphere_with(monkeypatch, ctx, 2, [s], [_minus_sqrt_delta(ctx)])
+    assert main(["verify", "--q", "7"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    refused = f"generating sphere not closed under inversion at vertex {_inverse(ctx, s)}"
+    assert [line for line in lines if " r_s=2 " in line] == [f"[FAIL] q=7 r_s=2 graph built: {refused}"]
+    # every line of the other radii's checks, as in the unpatched run
+    per_radius = clean[: next(i for i, line in enumerate(clean) if "formulas match" in line)]
+    others = [line for line in per_radius if " r_s=" in line and " r_s=2 " not in line]
+    assert len(others) == 4 * 13 and all(line in lines for line in others)
