@@ -48,7 +48,10 @@ def _resolve_ctx(args):
     q = args.q
     if q > _max_q():
         raise ValueError(f"q={q} exceeds FUHP_MAX_Q={_max_q()}")
-    delta = None if args.delta == "auto" else int(args.delta)
+    try:
+        delta = None if args.delta == "auto" else int(args.delta)
+    except ValueError:
+        raise ValueError(f"--delta expects an integer non-square or 'auto', got {args.delta!r}")
     return field_context(q, delta)
 
 
@@ -68,7 +71,7 @@ def _config_doc(ctx, args, r_s=None, extra=None):
 
 def _parse_t(text):
     try:
-        return [float(s) for s in text.split(",") if s != ""]
+        return [float(s) for s in text.split(",")]
     except ValueError:
         raise ValueError(f"--t expects a comma-separated list of times, got {text!r}")
 

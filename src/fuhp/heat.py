@@ -98,6 +98,8 @@ AFFINE_AGREEMENT = 32
 class AffineSpectrum(NamedTuple):
     """The connection set S_{r_s} on the irreducible representations of Aff(F_q).
 
+    ``generators`` are the points of S_{r_s} (vertex indices, sphere order)
+    that ``cayley_certificate`` proved a sound connection set.
     ``characters[j]`` = sum_s cos(2 pi j dlog(y_s)/(q-1)) is the eigenvalue of
     A on the character chi_j(x, y) = e^(2 pi i j dlog(y)/(q-1)). The
     representation pi of dimension q-1 is the permutation action v -> y*v + x
@@ -106,6 +108,7 @@ class AffineSpectrum(NamedTuple):
     the unit eigenvectors (as vectors on F_q) ``basis``, one per column.
     """
 
+    generators: np.ndarray
     characters: np.ndarray
     eigenvalues: np.ndarray
     basis: np.ndarray
@@ -129,8 +132,9 @@ def affine_spectrum(ctx, r_s):
     trivial part of B, which the eigh would otherwise carry and a subtraction
     cancel, never enters: the q x q integer B, two products and one float64
     (q-1) x (q-1) eigh. Shares only ``scheme`` with the spherical table and
-    the walk, to pick S_{r_s}. Cached for the last radius: ``verify`` reads it
-    twice per radius, and a sweep keeps one basis at a time.
+    the walk, to pick S_{r_s}. Cached for the last radius: ``verify`` proves
+    each S_{r_s} here once and reads the result for its graph, spectrum and
+    kernel checks, and a sweep keeps one basis at a time.
     """
     q = ctx.q
     gen = cayley_certificate(ctx, r_s)
@@ -145,7 +149,7 @@ def affine_spectrum(ctx, r_s):
     eigenvalues, vectors = np.linalg.eigh(helmert.T @ counts @ helmert)
     basis = helmert @ vectors
     basis /= np.sqrt((basis * basis).sum(axis=0))
-    out = AffineSpectrum(characters, eigenvalues, basis)
+    out = AffineSpectrum(gen, characters, eigenvalues, basis)
     for array in out:
         array.flags.writeable = False
     return out

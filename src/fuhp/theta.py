@@ -164,8 +164,10 @@ def classical_theta(z, t, n_max=25):
     """theta(z, it) = sum_{|n| <= n_max} e^(-pi n^2 t + 2 pi i n z), with tail bound.
 
     The reported bound 2 e^(-pi t n_max^2) / (1 - e^(-pi t)) dominates the
-    dropped |n| > n_max terms for real z.
+    dropped |n| > n_max terms for real z; a non-finite z raises ValueError.
     """
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
     if not 0 < t < math.inf:
         raise ValueError(f"time must be positive and finite, got {t}")
     if n_max < 1:

@@ -34,13 +34,11 @@ from .spherical import intersection_matrices, laplace_eigenvalue, match_formulas
 from .theta import classical_theta, reconciled_kernel, theta_consistency_report
 from .uhp import (
     build_graph,
-    cayley_certificate,
     degenerate_radii,
     laplacian,
     orbit_sizes,
     radii_order,
     scheme,
-    sphere,
     translate,
 )
 
@@ -131,28 +129,58 @@ def character_checks(ctx):
     return out
 
 
-def orbit_checks(ctx):
-    """Orbit and sphere sizes, which depend on q alone."""
+def table_checks(ctx):
+    """Facts of (q, delta) alone, checked once per q: the orbit sizes and the spherical table."""
     q = ctx.q
+    n = q * (q - 1)
     out = []
     sizes = orbit_sizes(ctx)
     deg0, deg1 = degenerate_radii(ctx)
     expected = {r: (1 if r in (deg0, deg1) else q + 1) for r in range(q)}
     _check(out, f"q={q} orbit sizes", sizes == expected, f"{sizes}")
-    sphere_ok = all(len(sphere(ctx, r)) == expected[r] for r in range(q))
-    _check(out, f"q={q} sphere sizes", sphere_ok, "|S_r| = q+1 off the degenerate radii")
+    # the rows belong to (q, delta); a radius only orders them, so the first regular one is taken
+    table = spherical_table(ctx, radii_order(ctx)[2])
+    _check(out, f"q={q} omega(0) = 1",
+           float(np.abs(table.omega[:, 0] - 1).max()) <= 1e-12,
+           f"max dev {np.abs(table.omega[:, 0] - 1).max():.1e}")
+    _check(out, f"q={q} sum d_i = q(q-1)", int(table.degrees.sum()) == n,
+           f"{int(table.degrees.sum())}")
+    gram = (table.omega * table.orbit_sizes[None, :]) @ table.omega.T
+    orth_dev = float(np.abs(gram - np.diag(n / table.degrees)).max())
+    _check(out, f"q={q} weighted orthogonality", orth_dev <= 1e-10, f"{orth_dev:.2e}")
+    recon = (table.degrees[:, None] * table.omega).sum(axis=0)
+    target = np.where(np.arange(q) == 0, n, 0.0)
+    delta_dev = float(np.abs(recon - target).max())
+    _check(out, f"q={q} delta reconstruction", delta_dev <= 1e-9, f"{delta_dev:.2e}")
     return out
 
 
-def graph_checks(ctx, r_s):
-    """Checks on Cay(Aff(F_q), S_{r_s}) from the Cayley certificate of S_{r_s}; no vertex graph is built."""
+def _sorted(values):
+    """``values`` in ascending order, by the stable argsort the spherical table already pages in.
+
+    np.sort's default float kernel would page in about 250 KB more per process.
+    """
+    return values[np.argsort(values, kind="stable")]
+
+
+def radius_checks(ctx, r_s):
+    """Checks on Cay(Aff(F_q), S_{r_s}) and the table at r_s, from one proof of S_{r_s}; no vertex graph.
+
+    ``affine_spectrum`` proves S_{r_s} a sound connection set and carries its
+    generators, so the graph checks, the Aff(F_q) decomposition and the affine
+    kernel read one certificate. A refused S_{r_s} fails "graph built", with
+    the certificate's message as the detail, and gets no other check.
+    """
     q = ctx.q
     out = []
     try:  # S_{r_s} inverse-closed, without the identity, generating, of size q+1
-        gen = cayley_certificate(ctx, r_s)
-    except AssertionError as exc:  # the only check of a refused S_{r_s}; its message is the detail
+        spec = affine_spectrum(ctx, r_s)
+    except AssertionError as exc:
         return [CheckResult(f"q={q} r_s={r_s} graph built", False, str(exc))]
-    _check(out, f"q={q} r_s={r_s} graph built", True, f"{q * (q - 1)} vertices, degree {q + 1}, connected")
+    gen = spec.generators
+    # a Cayley graph is vertex-transitive: every 0/1 adjacency row has the multiset {1^(q+1), 0^(n-q-1)}
+    _check(out, f"q={q} r_s={r_s} graph built", True,
+           f"{q * (q - 1)} vertices, degree {q + 1}, connected, vertex-transitive")
 
     if q <= 7:
         # the pseudo-distance N(z - w) / (y_z y_w) of every pair, from coordinates, against the
@@ -165,39 +193,17 @@ def graph_checks(ctx, r_s):
         consistent = np.array_equal(adjacency, dist == r_s)
         _check(out, f"q={q} r_s={r_s} adjacency = distance sphere", consistent, "all pairs")
 
-    # every 0/1 adjacency row has the multiset {1^(q+1), 0^(n-q-1)}: the certificate proves q+1 neighbours
-    _check(out, f"q={q} r_s={r_s} row multisets equal", True, "vertex-transitivity")
-
-    w = spherical_table(ctx, r_s).adjacency_eigenvalues
+    table = spherical_table(ctx, r_s)
+    w = table.adjacency_eigenvalues
     nontrivial = w[np.abs(np.abs(w) - (q + 1)) > 1e-8]
     bound = 2 * math.sqrt(q) + 1e-9
     worst = float(np.abs(nontrivial).max()) if nontrivial.size else 0.0
     _check(out, f"q={q} r_s={r_s} Ramanujan bound", worst <= bound,
            f"max |eig| {worst:.6f} vs 2*sqrt(q) {2 * math.sqrt(q):.6f}", finding_only=True)
-    return out
-
-
-def spherical_checks(ctx, r_s):
-    q = ctx.q
-    n = q * (q - 1)
-    out = []
-    table = spherical_table(ctx, r_s)
     distinct = len(table.spectrum())
     _check(out, f"q={q} r_s={r_s} adjacency eigenvalues distinct", distinct == table.num_rows,
            f"{distinct} distinct for {table.num_rows} rows (collisions are reported, not fatal)",
            finding_only=True)
-    _check(out, f"q={q} r_s={r_s} omega(0) = 1",
-           float(np.abs(table.omega[:, 0] - 1).max()) <= 1e-12,
-           f"max dev {np.abs(table.omega[:, 0] - 1).max():.1e}")
-    _check(out, f"q={q} r_s={r_s} sum d_i = q(q-1)", int(table.degrees.sum()) == n,
-           f"{int(table.degrees.sum())}")
-    gram = (table.omega * table.orbit_sizes[None, :]) @ table.omega.T
-    orth_dev = float(np.abs(gram - np.diag(n / table.degrees)).max())
-    _check(out, f"q={q} r_s={r_s} weighted orthogonality", orth_dev <= 1e-10, f"{orth_dev:.2e}")
-    recon = (table.degrees[:, None] * table.omega).sum(axis=0)
-    target = np.where(np.arange(q) == 0, n, 0.0)
-    delta_dev = float(np.abs(recon - target).max())
-    _check(out, f"q={q} r_s={r_s} delta reconstruction", delta_dev <= 1e-9, f"{delta_dev:.2e}")
     lam_dev = max(
         abs(laplace_eigenvalue(table, i, r_s) - table.laplacian_eigenvalues[i])
         for i in range(table.num_rows)
@@ -212,7 +218,6 @@ def spherical_checks(ctx, r_s):
     # entry x of the window at y*x_s of row y*y_s of the (q-1) x q label table, doubled so that every
     # window is a slice. C is counted one table row, q vertices, at a time
     x, y, labels, *_ = scheme(ctx)
-    gen = cayley_certificate(ctx, r_s)
     windows = np.lib.stride_tricks.sliding_window_view(np.tile(labels.reshape(q - 1, q), 2), q, axis=1)
     block = intersection_matrices(ctx)[r_s]
     counts_ok = True
@@ -223,6 +228,23 @@ def spherical_checks(ctx, r_s):
     eig_dev = float(np.abs(block @ table.omega.T - table.omega.T * table.adjacency_eigenvalues).max())
     eig_dev = eig_dev if counts_ok else math.inf
     _check(out, f"q={q} r_s={r_s} rows are eigenfunctions", eig_dev <= 1e-9, f"{eig_dev:.2e}")
+
+    # The spectrum of the Cayley graph is the union over the irreducible representations rho of the
+    # eigenvalues of sum_s rho(s), each d_rho times: the q-1 character sums c_j, and the q-1
+    # eigenvalues w_i of pi, each q-1 times. It must equal the table's a_i, each d_i times, as multisets
+    ours = _sorted(np.concatenate([spec.characters, np.repeat(spec.eigenvalues, q - 1)]))
+    theirs = _sorted(np.repeat(table.adjacency_eigenvalues, table.degrees))
+    gap = float(np.abs(ours - theirs).max()) if ours.size == theirs.size else math.inf
+    _check(out, f"q={q} r_s={r_s} spectrum = Aff(F_q) decomposition",
+           gap <= SPECTRUM_AGREEMENT * UNIT_ROUNDOFF * (q + 1),
+           f"max gap {gap:.2e} over {ours.size} eigenvalues")
+    try:  # a kernel not constant on an orbit fails its check
+        affine = heat_kernel_affine(ctx, r_s, HEAT_T_GRID)
+    except AssertionError as exc:
+        _check(out, f"q={q} r_s={r_s} spectral = affine oracle", False, str(exc))
+        return out
+    dev = float(np.abs(affine - heat_kernel_spectral(table, HEAT_T_GRID)).max())
+    _check(out, f"q={q} r_s={r_s} spectral = affine oracle", dev <= 1e-9, f"max dev {dev:.2e}")
     return out
 
 
@@ -315,44 +337,6 @@ def heat_checks(graph):
     return out
 
 
-def _sorted(values):
-    """``values`` in ascending order, by the stable argsort the spherical table already pages in.
-
-    np.sort's default float kernel would page in about 250 KB more per process.
-    """
-    return values[np.argsort(values, kind="stable")]
-
-
-def affine_checks(ctx, r_s):
-    """The Aff(F_q) oracle at r_s against the spherical table: spectrum and heat kernel.
-
-    The spectrum of the Cayley graph is the union over the irreducible
-    representations rho of the eigenvalues of sum_s rho(s), each d_rho times:
-    the q-1 character sums c_j, and the q-1 eigenvalues w_i of pi, each q-1
-    times. It must equal the table's a_i, each d_i times, as multisets.
-    ``affine_spectrum`` raises if S_{r_s} fails its Cayley certificate; a
-    kernel not constant on an orbit fails its check.
-    """
-    q = ctx.q
-    out = []
-    table = spherical_table(ctx, r_s)
-    spec = affine_spectrum(ctx, r_s)
-    ours = _sorted(np.concatenate([spec.characters, np.repeat(spec.eigenvalues, q - 1)]))
-    theirs = _sorted(np.repeat(table.adjacency_eigenvalues, table.degrees))
-    gap = float(np.abs(ours - theirs).max()) if ours.size == theirs.size else math.inf
-    _check(out, f"q={q} r_s={r_s} spectrum = Aff(F_q) decomposition",
-           gap <= SPECTRUM_AGREEMENT * UNIT_ROUNDOFF * (q + 1),
-           f"max gap {gap:.2e} over {ours.size} eigenvalues")
-    try:
-        affine = heat_kernel_affine(ctx, r_s, HEAT_T_GRID)
-    except AssertionError as exc:
-        _check(out, f"q={q} r_s={r_s} spectral = affine oracle", False, str(exc))
-        return out
-    dev = float(np.abs(affine - heat_kernel_spectral(table, HEAT_T_GRID)).max())
-    _check(out, f"q={q} r_s={r_s} spectral = affine oracle", dev <= 1e-9, f"max dev {dev:.2e}")
-    return out
-
-
 def lift_checks(graph):
     ctx, r_s, q = graph.ctx, graph.r_s, graph.ctx.q
     out = []
@@ -411,16 +395,15 @@ def run_battery(q_list, include_lift=False):
         ctx = field_context(q)
         results += field_checks(ctx)
         results += character_checks(ctx)
-        results += orbit_checks(ctx)
+        results += table_checks(ctx)
         # each radius is checked through its certified connection set; one vertex graph per q, at the
         # first radius whose set passes, serves the walk of the heat and lift checks
         sound = []
         for r_s in radii_order(ctx)[2:]:
-            checks = graph_checks(ctx, r_s)
+            checks = radius_checks(ctx, r_s)
             results += checks
             if checks[0].passed:
                 sound.append(r_s)
-                results += spherical_checks(ctx, r_s) + affine_checks(ctx, r_s)
         if not sound:
             continue
         graph = build_graph(ctx, sound[0])

@@ -208,6 +208,31 @@ def test_heat_rejects_negative_time(command, times, capsys):
     assert "time" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["heat"], ["theta"], ["theta", "--classical", "0.3"]],
+                         ids=["heat", "theta", "classical"])
+@pytest.mark.parametrize("times", ["", ",", "0,,1", "1,"])
+def test_a_time_list_with_an_empty_entry_is_refused(command, times, capsys):
+    # empty entries were dropped: --t '' ran with no times and --t 0,,1 as 0,1
+    assert main([*command, "--q", "5", "--t", times]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err == f"error: --t expects a comma-separated list of times, got {times!r}\n"
+
+
+@pytest.mark.parametrize("z", ["nan", "inf", "-inf"])
+def test_classical_theta_refuses_a_non_finite_z(z, capsys):
+    # it printed nan + nani (truncation bound 0.0, ...) and exited 0
+    assert main(["theta", "--q", "5", f"--classical={z}", "--t", "1"]) == EXIT_BAD_INPUT
+    assert "error: z must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", ["x", "", "2.0"])
+def test_a_malformed_delta_names_the_flag(delta, capsys):
+    # it printed Python's invalid literal for int() with base 10
+    assert main(["heat", "--q", "5", "--delta", delta]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err == f"error: --delta expects an integer non-square or 'auto', got {delta!r}\n"
+
+
 @pytest.mark.parametrize("times", ["-1", "nan", "inf", "-1000"])
 def test_theta_rejects_bad_time_before_any_verbatim_sum(times, capsys):
     # at q=5 the audited radii are 2 and 4; a verbatim sum at such a time overflows first

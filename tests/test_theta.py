@@ -251,6 +251,12 @@ def test_classical_theta_value():
     assert abs(got.value.imag) <= 1e-15
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(0.0, math.inf)])
+def test_classical_theta_refuses_a_non_finite_z(z):
+    with pytest.raises(ValueError, match="z must be finite"):
+        classical_theta(z, 1.0)
+
+
 def test_classical_theta_truncation_bound():
     full = classical_theta(0.0, 0.5, n_max=40).value
     for n_max in (3, 5, 8):

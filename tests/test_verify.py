@@ -11,17 +11,15 @@ import fuhp.verify
 from fuhp.cli import DEFAULT_MAX_Q, main
 from fuhp.field import field_context
 from fuhp.heat import initial_condition_check
-from fuhp.uhp import build_graph, cayley_certificate, scheme, vertex_index
+from fuhp.uhp import build_graph, cayley_certificate, radii_order, scheme, vertex_index
 from fuhp.verify import (
     LIFT_MAX_Q,
-    affine_checks,
     character_checks,
     field_checks,
-    graph_checks,
     heat_checks,
     heat_test_functions,
+    radius_checks,
     run_battery,
-    spherical_checks,
 )
 
 PRIMES_TO_THE_CAP = [
@@ -59,10 +57,60 @@ def test_battery_builds_one_graph_per_q_and_one_match(monkeypatch):
     assert fuhp.spherical._class_matches.cache_info().misses == 1
 
 
+TABLE_LABELS = ("orbit sizes", "omega(0) = 1", "sum d_i = q(q-1)", "weighted orthogonality",
+                "delta reconstruction")
+
+
 def test_battery_runs_the_q_only_checks_once():
     names = [r.name for r in run_battery([7])]
-    assert names.count("q=7 orbit sizes") == 1
-    assert names.count("q=7 sphere sizes") == 1
+    for label in TABLE_LABELS:
+        assert names.count(f"q=7 {label}") == 1, label
+        assert not [name for name in names if name.endswith(f" {label}") and " r_s=" in name], label
+    # folded away: sphere sizes read the orbit sizes' labels, row multisets are the graph built detail
+    assert not [name for name in names if name.endswith(("sphere sizes", "row multisets equal"))]
+    assert names.index("q=7 delta reconstruction") < names.index("q=7 r_s=1 graph built")
+
+
+def _count_certificates(monkeypatch, calls):
+    """Record the radius of every cayley_certificate call, through each module that binds the name."""
+    real = fuhp.uhp.cayley_certificate
+    for module in (fuhp.uhp, fuhp.heat, fuhp.spherical, fuhp.theta, fuhp.verify):
+        if getattr(module, "cayley_certificate", None) is real:
+            monkeypatch.setattr(module, "cayley_certificate",
+                                lambda ctx, r_s: calls.append(r_s) or real(ctx, r_s))
+
+
+def test_the_per_radius_phase_proves_each_connection_set_once(monkeypatch, affine_cache):
+    ctx = field_context(7)
+    calls = []
+    _count_certificates(monkeypatch, calls)
+    real_match = fuhp.verify.match_formulas_to_oracle
+    # the first call after the radius loop marks the end of the per-radius phase
+    monkeypatch.setattr(fuhp.verify, "match_formulas_to_oracle",
+                        lambda *args: calls.append("end") or real_match(*args))
+    assert not any(r.fatal for r in run_battery([7]))
+    assert not hasattr(fuhp.verify, "cayley_certificate")
+    assert calls[: calls.index("end")] == radii_order(ctx)[2:]
+
+
+def test_the_table_checks_catch_a_wrong_degree(monkeypatch, capsys):
+    # one multiplicity one too large: only the per-q table checks read the degrees' sum directly
+    real = fuhp.spherical._radial_rows
+
+    def bumped(ctx):
+        omega, degrees = real(ctx)
+        degrees = degrees.copy()
+        degrees[-1] += 1
+        return omega, degrees
+
+    monkeypatch.setattr(fuhp.spherical, "_radial_rows", bumped)
+    failed = [r.name for r in run_battery([7]) if r.fatal]
+    for label in ("sum d_i = q(q-1)", "weighted orthogonality", "delta reconstruction"):
+        assert failed.count(f"q=7 {label}") == 1, label
+    assert "q=7 omega(0) = 1" not in failed
+    assert main(["verify", "--q", "7"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] q=7 sum d_i = q(q-1): 43\n" in out
 
 
 def test_field_checks_and_beta_multiplicative_at_the_cap():
@@ -118,11 +166,11 @@ def test_restriction_check_catches_two_swapped_base_field_logs(q):
         assert not check.passed, (a, b)
 
 
-def test_spherical_checks_memory_at_the_cap(run_child):
+def test_radius_checks_memory_at_the_cap(run_child):
     # the neighbour-value array of the eigenfunction check alone was n(q+1)q floats (832 MB) at q=101
     script = (
-        "from fuhp.field import field_context; from fuhp.verify import spherical_checks; "
-        "results = spherical_checks(field_context(101), 1); "
+        "from fuhp.field import field_context; from fuhp.verify import radius_checks; "
+        "results = radius_checks(field_context(101), 1); "
         "assert not any(r.fatal for r in results), [r for r in results if r.fatal]"
     )
     child = run_child(["-c", script])
@@ -158,18 +206,20 @@ def test_heat_test_functions_are_distinct_and_not_constant(n):
 
 
 @pytest.mark.parametrize("label", ["rows are eigenfunctions", "adjacency = distance sphere"])
-def test_a_corrupted_neighbour_row_fails_the_graph_level_checks(monkeypatch, label):
-    # the neighbours z . s come from the certified generators: one of them replaced by a point of
-    # another distance class moves one neighbour of every vertex
+def test_a_corrupted_neighbour_row_fails_the_graph_level_checks(monkeypatch, affine_cache, label):
+    # the neighbours z . s come from the proven generators the affine spectrum carries: one of them
+    # replaced by a point of another distance class moves one neighbour of every vertex
     ctx = field_context(7)
     name = f"q=7 r_s=1 {label}"
     gen = cayley_certificate(ctx, 1).copy()
     labels = scheme(ctx).labels
     gen[0] = np.flatnonzero(labels != 1)[-1]
+    real = fuhp.verify.affine_spectrum
+    corrupted = lambda c, r_s: real(c, r_s)._replace(generators=gen)
     for passes in (True, False):
-        (check,) = [r for r in graph_checks(ctx, 1) + spherical_checks(ctx, 1) if r.name == name]
+        (check,) = [r for r in radius_checks(ctx, 1) if r.name == name]
         assert check.passed is passes, check.detail
-        monkeypatch.setattr(fuhp.verify, "cayley_certificate", lambda c, r_s: gen)
+        monkeypatch.setattr(fuhp.verify, "affine_spectrum", corrupted)
 
 
 def test_heat_checks_walk_once_for_all_initial_condition_functions(monkeypatch):
@@ -218,20 +268,23 @@ def test_a_replaced_generator_is_refused_or_fails_the_decomposition(monkeypatch,
     ctx, r_s = field_context(q), 2
     labels = scheme(ctx).labels
     gen = np.flatnonzero(labels == r_s)
-    names = {r.name: r.passed for r in affine_checks(ctx, r_s)}
-    assert all(names.values()) and len(names) == 2
     decomposition = f"q={q} r_s={r_s} spectrum = Aff(F_q) decomposition"
+    affine = f"q={q} r_s={r_s} spectral = affine oracle"
+    names = {r.name: r.passed for r in radius_checks(ctx, r_s)}
+    assert names[decomposition] and names[affine]
     # a generator s whose inverse is another generator, and a point t of radius 3 with its inverse
     s = next(i for i in gen if _inverse(ctx, i) != i)
     t = next(i for i in np.flatnonzero(labels == 3) if _inverse(ctx, i) != i)
     with monkeypatch.context() as patch:  # s alone replaced by t: S is no longer inverse-closed
         _sphere_with(patch, ctx, r_s, [s], [t])
-        with pytest.raises(AssertionError, match="not closed under inversion"):
-            affine_checks(ctx, r_s)
+        (refused,) = radius_checks(ctx, r_s)
+        assert refused.name == f"q={q} r_s={r_s} graph built" and refused.fatal
+        assert "not closed under inversion" in refused.detail
     with monkeypatch.context() as patch:  # s and s^-1 replaced by t and t^-1: a sound connection set
         _sphere_with(patch, ctx, r_s, [s, _inverse(ctx, s)], [t, _inverse(ctx, t)])
         assert cayley_certificate(ctx, r_s).size == q + 1
-        results = {r.name: r for r in affine_checks(ctx, r_s)}
+        results = {r.name: r for r in radius_checks(ctx, r_s)}
+        assert results[f"q={q} r_s={r_s} graph built"].passed
         assert not results[decomposition].passed and not results[decomposition].finding_only
 
 
@@ -280,4 +333,4 @@ def test_verify_reports_a_refused_connection_set_and_runs_on(monkeypatch, affine
     # every line of the other radii's checks, as in the unpatched run
     per_radius = clean[: next(i for i, line in enumerate(clean) if "formulas match" in line)]
     others = [line for line in per_radius if " r_s=" in line and " r_s=2 " not in line]
-    assert len(others) == 4 * 13 and all(line in lines for line in others)
+    assert len(others) == 4 * 8 and all(line in lines for line in others)
