@@ -15,11 +15,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .export import dumps_csv, dumps_json
+from .export import dumps_csv, dumps_json, format_float
 from .field import field_context, find_nonsquare
 from .heat import heat_kernel_affine, heat_kernel_spectral
 from .spherical import spherical_table
-from .theta import theta_consistency_report
+from .theta import classical_theta, theta_consistency_report
 from .uhp import build_graph, degenerate_radii, orbit_sizes, radii_order, scheme
 from .verify import run_battery
 
@@ -264,10 +264,9 @@ def cmd_theta(args):
     ctx = _resolve_ctx(args)
     t_grid = _parse_t(args.t)
     if args.classical is not None:
+        if not all(0 < t < float("inf") for t in t_grid):
+            raise ValueError(f"--t expects positive finite times with --classical, got {args.t!r}")
         # plain decimal text with the stated truncation bound
-        from .export import format_float
-        from .theta import classical_theta
-
         lines = []
         for t in t_grid:
             value, bound = classical_theta(args.classical, t, n_max=args.n_max)
@@ -375,7 +374,7 @@ def build_parser():
     _add_common(p, with_t=True)
     p.add_argument("--mode", choices=("verbatim", "reconciled", "both"), default="both")
     p.add_argument("--classical", type=float, default=None, metavar="Z",
-                   help="instead: print the classical theta(Z, it) for each t as text")
+                   help="instead: print the classical theta(Z, it) for each time t > 0 as text")
     p.add_argument("--n-max", type=int, default=25, help="classical theta truncation")
     p.set_defaults(func=cmd_theta)
 

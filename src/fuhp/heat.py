@@ -73,12 +73,18 @@ def _time_grid(t_grid):
     return t_grid
 
 
+def _decay(t_grid, rates):
+    # e^(-t*rate) as an array [t, rate], rates >= 0; a t*rate past the float range is inf, and e^(-inf) = 0
+    with np.errstate(over="ignore"):
+        return np.exp(-np.outer(t_grid, rates))
+
+
 def heat_kernel_spectral(table, t_grid):
     """Spectral expansion E(t; r) = sum_i d_i * exp(-lambda_i * t) * omega_i(r).
 
     One array [t, r] for the whole grid, column r for radius r.
     """
-    weights = table.degrees * np.exp(-np.outer(_time_grid(t_grid), table.laplacian_eigenvalues))
+    weights = table.degrees * _decay(_time_grid(t_grid), table.laplacian_eigenvalues)
     return weights @ table.omega
 
 
@@ -177,11 +183,11 @@ def heat_kernel_affine(ctx, r_s, t_grid):
     last = np.argsort(vertices.labels, kind="stable")[np.cumsum(vertices.sizes) - 1]
     at = np.concatenate([vertices.reps, last])
     xs, ys = vertices.x[at], vertices.y[at]
-    kernel = np.exp(-np.outer(t_grid, q + 1 - spec.characters)) @ _character_cosines(ctx, ys)
+    kernel = _decay(t_grid, q + 1 - spec.characters) @ _character_cosines(ctx, ys)
     v = np.arange(q)
     moved = (ys[:, None] * v + xs[:, None]) % q  # g.v for every evaluated g and point v
-    for row, t in zip(kernel, t_grid):
-        heat = (spec.basis * np.exp(-t * (q + 1 - spec.eigenvalues))) @ spec.basis.T
+    for row, decay in zip(kernel, _decay(t_grid, q + 1 - spec.eigenvalues)):
+        heat = (spec.basis * decay) @ spec.basis.T
         row += (q - 1) * heat[v, moved].sum(axis=1)
     first, second = kernel[:, :q], kernel[:, q:]
     spread = np.abs(first - second)
@@ -362,7 +368,7 @@ def fourier_coefficient_check(table, t_grid):
     n = table.q * (table.q - 1)
     kernel = heat_kernel_spectral(table, t_grid)
     coeffs = table.degrees / n * (kernel @ (table.omega * table.orbit_sizes[None, :]).T)
-    expected = table.degrees * np.exp(-np.outer(t_grid, table.laplacian_eigenvalues))
+    expected = table.degrees * _decay(t_grid, table.laplacian_eigenvalues)
     return FourierCoefficientReport(
         t_grid=t_grid.tolist(),
         coefficients=coeffs,
@@ -390,6 +396,23 @@ def mobius_index(ctx, mats):
     y = (a * d - b * c) * inv_norm % q
     assert np.all(y != 0), "the action must preserve the upper half-plane"
     return vertex_index(q, x, y)
+
+
+def stabiliser_orbits(ctx):
+    """True when the distance classes are the orbits of K, the stabiliser of sqrt(delta); O(n).
+
+    g.sqrt(delta) = sqrt(delta) forces g = [[a, delta*b], [b, a]]: K is the image
+    of F_q(sqrt(delta))^x, generated by k, the image of zeta. In integers, with
+    k.z = ``mobius_index`` of k h_z: k keeps every vertex's label, so K does, and
+    k^0..k^q take ``scheme.reps`` to every vertex, so each class is one orbit.
+    """
+    x, y, labels, _, reps = scheme(ctx)
+    a, b = ctx.zeta
+    step = mobius_index(ctx, np.stack([a * y, a * x + ctx.delta * b, b * y, b * x + a], axis=-1) % ctx.q)  # k.z
+    orbit = [reps]
+    for _ in range(ctx.q):
+        orbit.append(step[orbit[-1]])
+    return bool(np.array_equal(labels[step], labels) and np.bincount(np.hstack(orbit), minlength=step.size).all())
 
 
 class ImagesReport(NamedTuple):
@@ -450,21 +473,14 @@ def method_of_images_check(ctx, r_s, t_grid, graph=None):
     assert g_order == q * (q - 1) ** 2 * (q + 1)
     coset_of = mobius_index(ctx, group)
 
-    a, b = np.divmod(np.arange(1, q * q), q)
-    k_members = np.stack([a, ctx.delta * b % q, b, a], axis=1)
-    base = point_index(ctx, base_point())
-    assert np.all(mobius_index(ctx, k_members) == base), "K must stabilize sqrt(delta)"
     fibre = np.bincount(coset_of, minlength=n_h)
 
     vertices = scheme(ctx)
     gen_ix = np.flatnonzero(vertices.labels == graph.r_s)  # the sphere S_{r_s}, in sphere order
     lifted = np.isin(coset_of, gen_ix)
     assert lifted.sum() == (q + 1) * k_order, "lift of the sphere has |S_r| * |K| elements"
-    a, b, c, d = group[lifted].T
-    det_inv = ctx.inverse[(a * d - b * c) % q]
-    inverses = np.stack([d, -b, -c, a], axis=1) * det_inv[:, None] % q
-    if not np.isin(mobius_index(ctx, inverses), gen_ix).all():
-        raise AssertionError("lifted generating set not closed under inversion")
+    # (s k)^-1 = k^-1 s^-1: the lift is closed under inversion, as S_{r_s} is (build_graph) and K keeps it
+    assert stabiliser_orbits(ctx), "lifted generating set not closed under inversion: K does not keep S_r"
 
     # g s_i for the representative s_i = [[y_i, x_i], [0, 1]] of each sphere point x_i + y_i sqrt(delta)
     xs, ys = vertices.x[gen_ix], vertices.y[gen_ix]

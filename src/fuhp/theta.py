@@ -44,7 +44,7 @@ class _ThetaTables(NamedTuple):
     base_phase: np.ndarray  # [l-1, y-1] = e^(2 pi i l y (q+2)/(q^2-1)), l, y = 1..q-1
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)  # u_phase is 16.6 MB at q=101: a multi-q verify holds one
 def _theta_tables(ctx):
     """The radius-independent phases of the verbatim sum, built once per (q, delta).
 

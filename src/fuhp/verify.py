@@ -29,13 +29,13 @@ from .heat import (
     heat_kernel_spectral,
     initial_condition_check,
     method_of_images_check,
+    stabiliser_orbits,
 )
 from .spherical import intersection_matrices, laplace_eigenvalue, match_formulas_to_oracle, spherical_table
 from .theta import classical_theta, reconciled_kernel, theta_consistency_report
 from .uhp import (
     build_graph,
     degenerate_radii,
-    laplacian,
     orbit_sizes,
     radii_order,
     scheme,
@@ -129,15 +129,15 @@ def character_checks(ctx):
     return out
 
 
-def table_checks(ctx):
-    """Facts of (q, delta) alone, checked once per q: the orbit sizes and the spherical table."""
+def table_checks(ctx, orbits):
+    """Facts of (q, delta) alone, checked once per q: orbit sizes (with ``orbits``) and the spherical table."""
     q = ctx.q
     n = q * (q - 1)
     out = []
     sizes = orbit_sizes(ctx)
     deg0, deg1 = degenerate_radii(ctx)
     expected = {r: (1 if r in (deg0, deg1) else q + 1) for r in range(q)}
-    _check(out, f"q={q} orbit sizes", sizes == expected, f"{sizes}")
+    _check(out, f"q={q} orbit sizes", sizes == expected and orbits, f"{sizes}")
     # the rows belong to (q, delta); a radius only orders them, so the first regular one is taken
     table = spherical_table(ctx, radii_order(ctx)[2])
     _check(out, f"q={q} omega(0) = 1",
@@ -163,7 +163,7 @@ def _sorted(values):
     return values[np.argsort(values, kind="stable")]
 
 
-def radius_checks(ctx, r_s):
+def radius_checks(ctx, r_s, orbits):
     """Checks on Cay(Aff(F_q), S_{r_s}) and the table at r_s, from one proof of S_{r_s}; no vertex graph.
 
     ``affine_spectrum`` proves S_{r_s} a sound connection set and carries its
@@ -177,19 +177,18 @@ def radius_checks(ctx, r_s):
         spec = affine_spectrum(ctx, r_s)
     except AssertionError as exc:
         return [CheckResult(f"q={q} r_s={r_s} graph built", False, str(exc))]
-    gen = spec.generators
     # a Cayley graph is vertex-transitive: every 0/1 adjacency row has the multiset {1^(q+1), 0^(n-q-1)}
     _check(out, f"q={q} r_s={r_s} graph built", True,
            f"{q * (q - 1)} vertices, degree {q + 1}, connected, vertex-transitive")
 
+    x, y, labels, _, reps = scheme(ctx)
     if q <= 7:
         # the pseudo-distance N(z - w) / (y_z y_w) of every pair, from coordinates, against the
         # neighbours z.s of every vertex z through the certified generators s
-        x, y = scheme(ctx).x, scheme(ctx).y
         dx, dy = x[:, None] - x, y[:, None] - y
         dist = (dx * dx - ctx.delta * dy * dy) * ctx.inverse[y[:, None] * y % q] % q
         adjacency = np.zeros(dist.shape, dtype=bool)
-        np.put_along_axis(adjacency, translate(q, np.arange(len(x))[:, None], gen), True, axis=1)
+        np.put_along_axis(adjacency, translate(q, np.arange(len(x))[:, None], spec.generators), True, axis=1)
         consistent = np.array_equal(adjacency, dist == r_s)
         _check(out, f"q={q} r_s={r_s} adjacency = distance sphere", consistent, "all pairs")
 
@@ -212,19 +211,15 @@ def radius_checks(ctx, r_s):
            f"(q+1)(1 - omega(r_s)) vs lambda: {lam_dev:.2e}")
 
     # lifted rows are adjacency eigenvectors: lift[z, i] = omega_i(d(z)), and (A lift)[z] = C[z] @ omega.T
-    # with C[z, r] the number of neighbours z.s, s in S_{r_s}, in the orbit of radius r (n x q counts).
-    # When C is the row of B_{r_s} at the orbit of z for every z (integers), the n x q identity is the
-    # q x q one B_{r_s} omega_i' = a_i omega_i. z.s for z = (x, y) is (x + y*x_s, y*y_s): its label is
-    # entry x of the window at y*x_s of row y*y_s of the (q-1) x q label table, doubled so that every
-    # window is a slice. C is counted one table row, q vertices, at a time
-    x, y, labels, *_ = scheme(ctx)
-    windows = np.lib.stride_tricks.sliding_window_view(np.tile(labels.reshape(q - 1, q), 2), q, axis=1)
+    # with C[z, r] the number of neighbours z.s, s in S_{r_s}, at radius r. For k in K, the stabiliser of
+    # sqrt(delta), k' = h_(k.z)^-1 k h_z fixes sqrt(delta), so k' is in K, and k.(z.s) = (k.z).(k'.s).
+    # When the classes are the orbits of K (``orbits``, from ``stabiliser_orbits``), k' permutes S_{r_s}
+    # and C is constant on each class: its q rows at the representatives are all of it (at sqrt(delta),
+    # the identity, the row counts the generators' own radii). When C is B_{r_s} (integers), the n x q
+    # identity is the q x q one B_{r_s} omega_i' = a_i omega_i. O(q^2)
     block = intersection_matrices(ctx)[r_s]
-    counts_ok = True
-    for y_z in range(1, q):
-        flat = windows[y_z * y[gen] % q - 1, y_z * x[gen] % q] + np.arange(q) * q  # [s, x]: q*x + label
-        counts = np.bincount(flat.ravel(), minlength=q * q).reshape(q, q)
-        counts_ok = counts_ok and np.array_equal(counts, block[labels[(y_z - 1) * q : y_z * q]])
+    moved = labels[translate(q, reps[:, None], spec.generators)] + q * np.arange(q)[:, None]  # q*r + label
+    counts_ok = orbits and np.array_equal(np.bincount(moved.ravel(), minlength=q * q).reshape(q, q), block)
     eig_dev = float(np.abs(block @ table.omega.T - table.omega.T * table.adjacency_eigenvalues).max())
     eig_dev = eig_dev if counts_ok else math.inf
     _check(out, f"q={q} r_s={r_s} rows are eigenfunctions", eig_dev <= 1e-9, f"{eig_dev:.2e}")
@@ -280,8 +275,7 @@ def heat_test_functions(n):
 
 
 def heat_checks(graph):
-    ctx, r_s, q = graph.ctx, graph.r_s, graph.ctx.q
-    n = graph.n
+    ctx, r_s, q, n = graph.ctx, graph.r_s, graph.ctx.q, graph.n
     out = []
     table = spherical_table(ctx, r_s)
 
@@ -313,12 +307,13 @@ def heat_checks(graph):
     four = fourier_coefficient_check(table, [0.0, 0.5, 1.0]).max_deviation
     _check(out, f"q={q} r_s={r_s} Fourier coefficients", four <= 1e-9, f"{four:.2e}")
 
-    if q <= 5:
-        lap = laplacian(graph)
-        w, v = np.linalg.eigh(lap)
-        expm = lambda s: v @ (np.exp(-w * s)[:, None] * v.T)
-        semi = float(np.abs(expm(1.0) - expm(0.3) @ expm(0.7)).max())
-        _check(out, f"q={q} r_s={r_s} semigroup", semi <= 1e-10, f"{semi:.2e}")
+    # exp(-tL)[z, w] = E_t(d(z, w))/n, and for d(z) = r the w with d(z, w) = r1 and d(w) = r2 are the
+    # B_r1[r, r2] vertices z.s, s in S_r1, at radius r2. So exp(-(s+t)L) = exp(-sL) exp(-tL) at
+    # (z, sqrt(delta)) is E_{s+t}(r) = (1/n) sum_{r1, r2} E_s(r1) E_t(r2) B_r1[r, r2], on the q x q scheme
+    e_s, e_t, e_st = heat_kernel_spectral(table, [0.3, 0.7, 1.0])
+    conv = sum(e * (block @ e_t) for e, block in zip(e_s, intersection_matrices(ctx))) / n
+    semi = float(np.abs(conv - e_st).max())
+    _check(out, f"q={q} r_s={r_s} semigroup", semi <= 1e-10, f"{semi:.2e}")
 
     funcs = heat_test_functions(n)
     res = np.array(initial_condition_check(graph, funcs, [1e-2, 1e-4, 1e-6]))  # [t, function]
@@ -329,10 +324,11 @@ def heat_checks(graph):
            f"worst residual-minus-bound {worst_margin:.2e}")
 
     if q == 3:
-        kernel = graph.n * expm(1.0)
+        # g.(z.s) = (g.z).s: every left translation maps each neighbour row onto the row of its image,
+        # so it commutes with A and with exp(-tL)
         rows = np.arange(n)
-        ok = all(np.abs(kernel[np.ix_(perm, perm)] - kernel).max() <= 1e-10
-                 for perm in translate(q, rows[:, None], rows))
+        ok = np.array_equal(translate(q, rows[:, None, None], graph.neighbors),
+                            graph.neighbors[translate(q, rows[:, None], rows)])
         _check(out, "q=3 left invariance", ok, "exhaustive over the affine group")
     return out
 
@@ -395,21 +391,23 @@ def run_battery(q_list, include_lift=False):
         ctx = field_context(q)
         results += field_checks(ctx)
         results += character_checks(ctx)
-        results += table_checks(ctx)
+        orbits = stabiliser_orbits(ctx)
+        results += table_checks(ctx, orbits)
         # each radius is checked through its certified connection set; one vertex graph per q, at the
-        # first radius whose set passes, serves the walk of the heat and lift checks
-        sound = []
+        # first radius whose set passes, serves the walk of the heat and lift checks. The theta checks
+        # at that radius run while its proof is the cached affine spectrum, and print after the heat checks
+        first, theta = None, []
         for r_s in radii_order(ctx)[2:]:
-            checks = radius_checks(ctx, r_s)
+            checks = radius_checks(ctx, r_s, orbits)
             results += checks
-            if checks[0].passed:
-                sound.append(r_s)
-        if not sound:
+            if checks[0].passed and first is None:
+                first, theta = r_s, theta_checks(ctx, r_s)
+        if first is None:
             continue
-        graph = build_graph(ctx, sound[0])
+        graph = build_graph(ctx, first)
         results += formula_match_checks(match_formulas_to_oracle(ctx, graph.r_s))
         results += heat_checks(graph)
-        results += theta_checks(ctx, graph.r_s)
+        results += theta
         if include_lift:
             results += lift_checks(graph)
     return results

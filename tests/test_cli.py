@@ -225,6 +225,25 @@ def test_classical_theta_refuses_a_non_finite_z(z, capsys):
     assert "error: z must be finite" in capsys.readouterr().err
 
 
+def test_classical_theta_names_the_time_flag(capsys):
+    # the shared default --t 0,1 starts at 0: it read "error: time must be positive and finite, got 0.0"
+    assert main(["theta", "--q", "5", "--classical", "0.3"]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == "error: --t expects positive finite times with --classical, got '0,1'\n"
+    assert main(["theta", "--q", "5", "--classical", "0.3", "--t", "1,inf"]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error: --t expects positive finite times")
+
+
+@pytest.mark.parametrize("command", [["heat"], ["theta", "--mode", "reconciled"]], ids=["heat", "theta"])
+def test_a_huge_time_warns_of_no_overflow(command):
+    # t*lambda overflows at t = 1e308, and e^(-inf) = 0 is the right limit: the values were right, but
+    # stderr carried "RuntimeWarning: overflow encountered in multiply"
+    child = _python("-m", "fuhp.cli", *command, "--q", "7", "--t", "1e308")
+    assert child.returncode == EXIT_OK and child.stderr == b""
+    data = json.loads(child.stdout)["data"]
+    values = data["series"][0]["values"] if "series" in data else [row["reconciled"] for row in data["rows"]]
+    assert values == [1.0] * len(values)
+
+
 @pytest.mark.parametrize("delta", ["x", "", "2.0"])
 def test_a_malformed_delta_names_the_flag(delta, capsys):
     # it printed Python's invalid literal for int() with base 10

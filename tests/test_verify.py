@@ -10,7 +10,7 @@ import fuhp.theta
 import fuhp.verify
 from fuhp.cli import DEFAULT_MAX_Q, main
 from fuhp.field import field_context
-from fuhp.heat import initial_condition_check
+from fuhp.heat import initial_condition_check, stabiliser_orbits
 from fuhp.uhp import build_graph, cayley_certificate, radii_order, scheme, vertex_index
 from fuhp.verify import (
     LIFT_MAX_Q,
@@ -93,6 +93,38 @@ def test_the_per_radius_phase_proves_each_connection_set_once(monkeypatch, affin
     assert calls[: calls.index("end")] == radii_order(ctx)[2:]
 
 
+def test_a_run_proves_each_connection_set_once(monkeypatch, affine_cache):
+    # the theta report's affine oracle at the first regular radius missed the one-entry cache after the
+    # radius loop and proved that set again: 20 calls here
+    calls = []
+    _count_certificates(monkeypatch, calls)
+    assert not any(r.fatal for r in run_battery([5, 17]))
+    assert calls == radii_order(field_context(5))[2:] + radii_order(field_context(17))[2:]
+    assert len(calls) == 18
+
+
+def test_the_distance_classes_are_stabiliser_orbits_up_to_the_cap():
+    assert all(stabiliser_orbits(field_context(q)) for q in PRIMES_TO_THE_CAP)
+
+
+def test_two_swapped_labels_fail_the_orbit_proof_and_every_eigenfunction_check(monkeypatch, affine_cache):
+    # the last vertices of two regular classes trade labels: every class keeps its size and its first
+    # vertex, but no longer is an orbit of K, so the neighbour counts at the representatives prove nothing
+    ctx = field_context(7)
+    real, sizes = scheme(ctx), fuhp.uhp.orbit_sizes(ctx)
+    labels = real.labels.copy()
+    last = [np.flatnonzero(labels == r)[-1] for r in (2, 3)]
+    labels[last] = labels[last[::-1]]
+    swapped = real._replace(labels=labels)
+    for module in (fuhp.uhp, fuhp.heat, fuhp.verify):
+        monkeypatch.setattr(module, "scheme", lambda c: swapped)
+    assert not stabiliser_orbits(ctx)
+    results = {r.name: r for r in run_battery([7])}
+    assert results["q=7 orbit sizes"].fatal and results["q=7 orbit sizes"].detail == f"{sizes}"
+    eigen = [r for name, r in results.items() if name.endswith("rows are eigenfunctions")]
+    assert len(eigen) >= 3 and all(r.fatal and r.detail == "inf" for r in eigen)
+
+
 def test_the_table_checks_catch_a_wrong_degree(monkeypatch, capsys):
     # one multiplicity one too large: only the per-q table checks read the degrees' sum directly
     real = fuhp.spherical._radial_rows
@@ -107,6 +139,8 @@ def test_the_table_checks_catch_a_wrong_degree(monkeypatch, capsys):
     failed = [r.name for r in run_battery([7]) if r.fatal]
     for label in ("sum d_i = q(q-1)", "weighted orthogonality", "delta reconstruction"):
         assert failed.count(f"q=7 {label}") == 1, label
+    # the spectral kernel with one weight too many is no semigroup on the scheme
+    assert "q=7 r_s=1 semigroup" in failed
     assert "q=7 omega(0) = 1" not in failed
     assert main(["verify", "--q", "7"]) == 1
     out = capsys.readouterr().out
@@ -170,7 +204,8 @@ def test_radius_checks_memory_at_the_cap(run_child):
     # the neighbour-value array of the eigenfunction check alone was n(q+1)q floats (832 MB) at q=101
     script = (
         "from fuhp.field import field_context; from fuhp.verify import radius_checks; "
-        "results = radius_checks(field_context(101), 1); "
+        "from fuhp.heat import stabiliser_orbits; ctx = field_context(101); "
+        "results = radius_checks(ctx, 1, stabiliser_orbits(ctx)); "
         "assert not any(r.fatal for r in results), [r for r in results if r.fatal]"
     )
     child = run_child(["-c", script])
@@ -186,6 +221,15 @@ def test_verify_at_the_cap_fits_the_memory_ceiling(run_child):
     child = run_child(["-m", "fuhp.cli", "verify", "--q", "101"], capture=True)
     assert child.exit_code == 0, child.stdout[-2000:]
     assert child.peak_mb <= 64, f"peak RSS {child.peak_mb:.1f} MB (wall {child.wall:.2f} s)"
+
+
+@pytest.mark.slow
+def test_a_multi_q_verify_keeps_one_theta_table(run_child):
+    # the verbatim theta's (q^2-1) x (q+1) complex phase table (16.6 MB at q=101) was cached for eight
+    # (q, delta): 127 MB here, against 56 MB for --q 101 alone
+    child = run_child(["-m", "fuhp.cli", "verify", "--q", "67,71,73,79,83,89,97,101"], capture=True)
+    assert child.exit_code == 0, child.stdout[-2000:]
+    assert child.peak_mb <= 100, f"peak RSS {child.peak_mb:.1f} MB (wall {child.wall:.2f} s)"
 
 
 @pytest.mark.slow
@@ -217,7 +261,7 @@ def test_a_corrupted_neighbour_row_fails_the_graph_level_checks(monkeypatch, aff
     real = fuhp.verify.affine_spectrum
     corrupted = lambda c, r_s: real(c, r_s)._replace(generators=gen)
     for passes in (True, False):
-        (check,) = [r for r in radius_checks(ctx, 1) if r.name == name]
+        (check,) = [r for r in radius_checks(ctx, 1, stabiliser_orbits(ctx)) if r.name == name]
         assert check.passed is passes, check.detail
         monkeypatch.setattr(fuhp.verify, "affine_spectrum", corrupted)
 
@@ -270,20 +314,20 @@ def test_a_replaced_generator_is_refused_or_fails_the_decomposition(monkeypatch,
     gen = np.flatnonzero(labels == r_s)
     decomposition = f"q={q} r_s={r_s} spectrum = Aff(F_q) decomposition"
     affine = f"q={q} r_s={r_s} spectral = affine oracle"
-    names = {r.name: r.passed for r in radius_checks(ctx, r_s)}
+    names = {r.name: r.passed for r in radius_checks(ctx, r_s, stabiliser_orbits(ctx))}
     assert names[decomposition] and names[affine]
     # a generator s whose inverse is another generator, and a point t of radius 3 with its inverse
     s = next(i for i in gen if _inverse(ctx, i) != i)
     t = next(i for i in np.flatnonzero(labels == 3) if _inverse(ctx, i) != i)
     with monkeypatch.context() as patch:  # s alone replaced by t: S is no longer inverse-closed
         _sphere_with(patch, ctx, r_s, [s], [t])
-        (refused,) = radius_checks(ctx, r_s)
+        (refused,) = radius_checks(ctx, r_s, stabiliser_orbits(ctx))
         assert refused.name == f"q={q} r_s={r_s} graph built" and refused.fatal
         assert "not closed under inversion" in refused.detail
     with monkeypatch.context() as patch:  # s and s^-1 replaced by t and t^-1: a sound connection set
         _sphere_with(patch, ctx, r_s, [s, _inverse(ctx, s)], [t, _inverse(ctx, t)])
         assert cayley_certificate(ctx, r_s).size == q + 1
-        results = {r.name: r for r in radius_checks(ctx, r_s)}
+        results = {r.name: r for r in radius_checks(ctx, r_s, stabiliser_orbits(ctx))}
         assert results[f"q={q} r_s={r_s} graph built"].passed
         assert not results[decomposition].passed and not results[decomposition].finding_only
 
