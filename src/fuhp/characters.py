@@ -80,7 +80,7 @@ class CharacterTables(NamedTuple):
     norm_one: np.ndarray
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def character_tables(ctx):
     """The characters of F_q^x and of U as arrays, built once per (q, delta); do not modify."""
     q = ctx.q

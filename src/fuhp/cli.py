@@ -310,7 +310,7 @@ def _parse_q_list(text):
 
 
 def cmd_verify(args):
-    q_list = _parse_q_list(args.q_list or args.q)
+    q_list = _parse_q_list(args.q)
     cap = _max_q()
     for q in q_list:
         if q > cap:
@@ -379,8 +379,7 @@ def build_parser():
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("verify", help="run the invariant battery")
-    p.add_argument("--q", default="3,5,7", help="comma-separated q list")
-    p.add_argument("--q-list", dest="q_list", default=None, help="alias for --q")
+    p.add_argument("--q", "--q-list", default="3,5,7", help="comma-separated q list")
     p.add_argument("--include-lift", action="store_true",
                    help="also verify the subgroup-average lift (q <= 13)")
     p.set_defaults(func=cmd_verify)

@@ -81,7 +81,8 @@ class FieldCtx(NamedTuple):
     inverse[a]: the inverse of a in F_q^x, with inverse[0] = 0.
 
     Equality and hash read (q, delta, g, zeta) only: the tables follow from
-    them, and every per-(q, delta) cache is keyed on the context.
+    them. Every per-(q, delta) cache is keyed on the context and holds one
+    (maxsize=1): the CLI and ``verify`` never return to an earlier (q, delta).
     """
 
     q: int

@@ -8,7 +8,8 @@ computed three independent ways:
 * ``heat_kernel_affine``: Fourier inversion on the affine group Aff(F_q),
   of which the graph is the Cayley graph with connection set S_{r_s}
   (``uhp``), from its q-1 characters and its one irreducible representation
-  of dimension q-1; one (q-1) x (q-1) eigh per radius, no vertex array;
+  of dimension q-1; one (q-1) x (q-1) eigh per radius, no vertex array, one
+  vertex per distance class, each an orbit of the stabiliser of sqrt(delta);
 * ``heat_kernel_oracle``: the matrix exponential q(q-1) * exp(-t*Laplacian)
   applied to the base-point indicator, a walk over the vertex graph.
 
@@ -50,7 +51,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .uhp import (
-    ORBIT_CONSTANCY_TOL,
     base_point,
     build_graph,
     cayley_certificate,
@@ -172,30 +172,22 @@ def heat_kernel_affine(ctx, r_s, t_grid):
     the characters' part and (q-1) Tr(pi(g^-1) e^(-t L(pi))), since the
     trace of pi is the trace of P on F_q less its trivial part. Each value
     costs O(q) for the q orbit representatives ``scheme.reps``, after one
-    q x q product per time. The last vertex of each orbit is evaluated too,
-    and must agree within ORBIT_CONSTANCY_TOL, as the walk's orbits must.
-    Agrees with ``heat_kernel_spectral`` within AFFINE_AGREEMENT*u*n.
+    q x q product per time: E(t; .) is invariant under K, the stabiliser of
+    sqrt(delta), whose orbits are the classes (``stabiliser_orbits``, once
+    per q). Agrees with ``heat_kernel_spectral`` within AFFINE_AGREEMENT*u*n.
     """
     t_grid = _time_grid(t_grid)
     q = ctx.q
     spec = affine_spectrum(ctx, r_s)
     vertices = scheme(ctx)
-    last = np.argsort(vertices.labels, kind="stable")[np.cumsum(vertices.sizes) - 1]
-    at = np.concatenate([vertices.reps, last])
-    xs, ys = vertices.x[at], vertices.y[at]
+    xs, ys = vertices.x[vertices.reps], vertices.y[vertices.reps]
     kernel = _decay(t_grid, q + 1 - spec.characters) @ _character_cosines(ctx, ys)
     v = np.arange(q)
-    moved = (ys[:, None] * v + xs[:, None]) % q  # g.v for every evaluated g and point v
+    moved = (ys[:, None] * v + xs[:, None]) % q  # g.v for every representative g and point v
     for row, decay in zip(kernel, _decay(t_grid, q + 1 - spec.eigenvalues)):
         heat = (spec.basis * decay) @ spec.basis.T
         row += (q - 1) * heat[v, moved].sum(axis=1)
-    first, second = kernel[:, :q], kernel[:, q:]
-    spread = np.abs(first - second)
-    bad = spread > ORBIT_CONSTANCY_TOL * np.maximum(1.0, np.maximum(np.abs(first), np.abs(second)))
-    if bad.any():
-        raise AssertionError(f"affine kernel not constant on orbit r={np.flatnonzero(bad.any(axis=0))[0]} "
-                             f"(spread {spread.max():.3e})")
-    return first
+    return kernel
 
 
 def _poisson_terms(rate):

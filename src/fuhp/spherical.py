@@ -71,7 +71,7 @@ class SphericalTable(NamedTuple):
         return out
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def intersection_matrices(ctx):
     """B_r[r1, r2] = #{s in S_r : d(z_r1 . s, sqrt(delta)) = r2} as one read-only array [r, r1, r2].
 
@@ -89,7 +89,7 @@ def intersection_matrices(ctx):
     return counts
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _radial_rows(ctx):
     """Spherical rows omega[i, r] and degrees of (q, delta); do not modify.
 
@@ -173,7 +173,7 @@ CUSPIDAL_INFINITY_READINGS = ("minus_nu", "minus_nu0_nu")
 CUSPIDAL_VARIANTS = ("reconciled", "verbatim")
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def closed_forms(ctx):
     """Evaluate both families for every character and radius of (q, delta) at once; do not modify.
 
@@ -306,7 +306,7 @@ class MatchReport(NamedTuple):
         return [m for m in self.matches if m.kind == "cuspidal"]
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _class_matches(ctx):
     """Every character class matched to its row of ``_radial_rows``, and the largest imaginary part.
 

@@ -44,7 +44,7 @@ class _ThetaTables(NamedTuple):
     base_phase: np.ndarray  # [l-1, y-1] = e^(2 pi i l y (q+2)/(q^2-1)), l, y = 1..q-1
 
 
-@functools.lru_cache(maxsize=1)  # u_phase is 16.6 MB at q=101: a multi-q verify holds one
+@functools.lru_cache(maxsize=1)
 def _theta_tables(ctx):
     """The radius-independent phases of the verbatim sum, built once per (q, delta).
 
@@ -165,6 +165,7 @@ def classical_theta(z, t, n_max=25):
 
     The reported bound 2 e^(-pi t n_max^2) / (1 - e^(-pi t)) dominates the
     dropped |n| > n_max terms for real z; a non-finite z raises ValueError.
+    The sum stops at the first decay e^(-pi n^2 t) of 0.0: later terms add zero.
     """
     if not cmath.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
@@ -175,6 +176,8 @@ def classical_theta(z, t, n_max=25):
     total = 1.0 + 0.0j
     for n in range(1, n_max + 1):
         decay = math.exp(-math.pi * n * n * t)
+        if decay == 0.0:
+            break
         total += decay * (cmath.exp(2j * cmath.pi * n * z) + cmath.exp(-2j * cmath.pi * n * z))
     bound = 2.0 * math.exp(-math.pi * t * n_max * n_max) / (1.0 - math.exp(-math.pi * t))
     return ClassicalTheta(value=total, truncation_bound=bound)

@@ -76,7 +76,7 @@ class Scheme(NamedTuple):
     reps: np.ndarray
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def scheme(ctx):
     """The Scheme of ctx, built once per (q, delta) and shared, so its arrays are read-only."""
     q = ctx.q

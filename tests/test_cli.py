@@ -352,6 +352,12 @@ def test_verify_names_the_flag_of_a_malformed_q_list(q_list, capsys):
     assert err == f"error: --q expects a comma-separated list of primes, got {q_list!r}\n"
 
 
+def test_verify_q_list_alias_refuses_an_empty_list(capsys):
+    # --q-list '' once fell back to the default 3,5,7 and passed
+    assert main(["verify", "--q-list", ""]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == "error: --q expects a comma-separated list of primes, got ''\n"
+
+
 def test_verify_include_lift(capsys):
     assert main(["verify", "--q", "3", "--include-lift"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import fuhp
+import fuhp.characters
 import fuhp.heat
 import fuhp.spherical
 import fuhp.theta
+import fuhp.uhp
 import fuhp.verify
 from fuhp.cli import DEFAULT_MAX_Q, main
 from fuhp.field import field_context
@@ -55,6 +57,23 @@ def test_battery_builds_one_graph_per_q_and_one_match(monkeypatch):
     assert [name for name, _ in calls].count("match_formulas_to_oracle") == 1
     # the reconciled theta kernels read the same assignment: it is computed once
     assert fuhp.spherical._class_matches.cache_info().misses == 1
+
+
+def test_battery_names_every_check_once():
+    # the q-free classical theta checks run once, after the last q
+    names = [r.name for r in run_battery([3, 5, 7], include_lift=True)]
+    assert len(names) == len(set(names)), sorted({name for name in names if names.count(name) > 1})
+    assert names[-3:] == ["classical theta at the origin", "classical theta periodicity",
+                          "classical theta heat identity"]
+
+
+def test_every_per_q_cache_holds_one_q_after_a_battery():
+    caches = [fuhp.uhp.scheme, fuhp.characters.character_tables, fuhp.spherical.intersection_matrices,
+              fuhp.spherical._radial_rows, fuhp.spherical.closed_forms, fuhp.spherical._class_matches,
+              fuhp.theta._theta_tables, fuhp.heat.affine_spectrum]
+    assert not any(r.fatal for r in run_battery([5, 7]))
+    assert {cache.__name__: cache.cache_info().currsize for cache in caches} == {
+        cache.__name__: 1 for cache in caches}
 
 
 TABLE_LABELS = ("orbit sizes", "omega(0) = 1", "sum d_i = q(q-1)", "weighted orthogonality",
