@@ -24,7 +24,6 @@ from .uhp import (
     build_graph,
     degenerate_radii,
     laplacian,
-    orbit_decomposition,
     orbit_sizes,
     sphere,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "norm_one_subgroup",
     "nu",
     "nu0",
-    "orbit_decomposition",
     "orbit_sizes",
     "principal_spherical",
     "quadratic_character",

@@ -173,6 +173,7 @@ def classical_theta(z, t, n_max=25):
         raise ValueError(f"time must be positive and finite, got {t}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    z -= z.real - math.fmod(z.real, 1.0)  # period 1 in z; exact, and |Re z| < 1 is kept as is
     total = 1.0 + 0.0j
     for n in range(1, n_max + 1):
         decay = math.exp(-math.pi * n * n * t)

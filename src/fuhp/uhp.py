@@ -7,9 +7,9 @@ sqrt(delta) is cut out by x^2 = r*y + delta*(y-1)^2; using it as a Cayley
 generating set gives a (q+1)-regular graph on the q(q-1) points, whose
 combinatorial Laplacian is (q+1)*I - A.
 
-The graph is Cay(Aff(F_q), S_{r_s}): ``cayley_certificate`` proves its
-facts from the q+1 points of S_{r_s} alone, and ``build_graph`` forms the
-vertex graph, which only the walk and the CLI's graph export need.
+The graph is Cay(Aff(F_q), S_{r_s}): ``cayley_certificate`` proves its facts
+from the q+1 points of S_{r_s} alone, the only proof, and ``UhpGraph`` forms the
+vertex graph on them, which only the walk, the lift and the graph export read.
 
 Vertex encoding: vertex i is x + y*sqrt(delta) with x = i % q and
 y = i // q + 1, the lexicographic (y, x) order: vertex 0 is sqrt(delta), the
@@ -117,21 +117,24 @@ def regular_radius(ctx, r_s):
 
 
 class UhpGraph:
-    """Cayley graph of H_q with generating sphere S_{r_s}; immutable once built.
+    """Cayley graph of H_q on the generators s_k of S_{r_s} that ``cayley_certificate`` proves.
 
-    ``by_generator[k, i]`` is the vertex z_i . s_k, for the generators s_k in
-    sphere order: one C-contiguous row of n indices, uint16 up to q = 256
-    (``unsigned_dtype``), per generator, so a walk step sums q+1 contiguous
-    ``take`` gathers; fancy indexing by a compact dtype is slower.
-    ``neighbors`` is its [n, q+1] transposed view (no copy), the neighbour
-    list of each vertex; ``adjacency`` is built on first use.
+    ``by_generator[k, i]`` is the vertex z_i . s_k, formed here, not checked, one
+    generator at a time (O(n) scratch): one C-contiguous row of n indices, uint16
+    up to q = 256 (``unsigned_dtype``), per generator, so a walk step sums q+1
+    contiguous ``take`` gathers; fancy indexing by a compact dtype is slower.
+    ``neighbors`` is its [n, q+1] transposed view (no copy), the neighbour list
+    of each vertex; ``adjacency`` is built on first use. Immutable once built.
     """
 
-    def __init__(self, ctx, r_s, by_generator):
+    def __init__(self, ctx, r_s, generators):
+        x, y, *_ = scheme(ctx)
         self.ctx = ctx
         self.r_s = r_s
-        self.by_generator = by_generator
-        self.neighbors = by_generator.T
+        self.by_generator = np.empty((len(generators), len(x)), dtype=unsigned_dtype(len(x) - 1, np.uint16))
+        for k, s in enumerate(generators):
+            self.by_generator[k] = affine_product(ctx.q, x, y, x[s], y[s])  # z . s_k for every vertex z
+        self.neighbors = self.by_generator.T
         self._eig = None
 
     @property
@@ -153,17 +156,12 @@ class UhpGraph:
         """Cached symmetric eigendecomposition of the adjacency matrix.
 
         O(n^3) time and O(n^2) memory: the small-q cross-check of the tests;
-        no CLI or ``verify`` path calls it.
+        no CLI or ``verify`` path calls it. It stays a method under this name
+        because the benchmark's tracer (``bench/tracer.py``) wraps it by name.
         """
         if self._eig is None:
             self._eig = np.linalg.eigh(self.adjacency.astype(float))
         return self._eig
-
-
-# Vertices per block of build_graph's regularity pass. At q=101 a block's int64 [block, q+1] scratch
-# (104 KB) stays under glibc's default 128 KB mmap threshold, so it reuses heap pages; 1024-vertex
-# blocks took fresh pages, about 100,000 more minor faults over `verify --q 101`.
-REGULARITY_BLOCK = 128
 
 
 def unsigned_dtype(largest, floor=np.uint8):
@@ -172,51 +170,19 @@ def unsigned_dtype(largest, floor=np.uint8):
 
 
 def build_graph(ctx, r_s):
-    """Construct the Cayley graph for a regular radius r_s.
+    """The Cayley graph at a regular r_s, on the generators ``cayley_certificate`` proves.
 
-    Rejects the degenerate radii. Verifies (rather than assumes) that the
-    generating sphere is closed under group inversion, and that the result
-    is (q+1)-regular, loop-free, symmetric, and connected. The neighbour
-    array is built and checked one generator (a row of n vertices) at a time,
-    and sorted REGULARITY_BLOCK vertices at a time, so besides the n(q+1)
-    result the scratch is O(n + REGULARITY_BLOCK*q); no n x n matrix is built.
+    ValueError at a degenerate r_s; the certificate's AssertionError when S_{r_s} is unsound.
     """
-    q = ctx.q
-    r_s = regular_radius(ctx, r_s)
-    x, y, labels, *_ = scheme(ctx)
-    rows = np.arange(q * (q - 1))
-    gen = rows[labels == r_s]
-    by_gen = np.empty((len(gen), len(rows)), dtype=unsigned_dtype(len(rows) - 1, np.uint16))
-    for k, s in enumerate(gen):
-        by_gen[k] = affine_product(q, x, y, x[s], y[s])  # z . s_k for every vertex z
-
-    # column gen[k] holds s_k . s_l for every l, so s_k^(-1) is the s_l where it reads 0, the identity
-    inv = np.argmax(by_gen[:, gen] == 0, axis=0)
-    missing = gen[by_gen[inv, gen] != 0]
-    if missing.size:
-        raise AssertionError(f"generating sphere not closed under inversion at vertex {missing[0]}")
-    if any(np.any(nbrs == rows) for nbrs in by_gen):
-        raise AssertionError("self-loop produced by a regular radius")
-    for start in range(0, len(rows), REGULARITY_BLOCK):
-        block = by_gen[:, start : start + REGULARITY_BLOCK].T.copy()  # C order, to sort rows in place
-        block.sort(axis=1)
-        if np.any(block[:, 1:] == block[:, :-1]):
-            raise AssertionError("graph is not (q+1)-regular")
-    # every edge i -> z_i . s_k comes back through the row of s_k^(-1)
-    if any(np.any(by_gen[back].take(nbrs) != rows) for nbrs, back in zip(by_gen, inv)):
-        raise AssertionError("adjacency not symmetric")
-    if not _connected(by_gen.T):
-        raise AssertionError("graph is not connected")
-
-    return UhpGraph(ctx, r_s, by_gen)
+    return UhpGraph(ctx, regular_radius(ctx, r_s), cayley_certificate(ctx, r_s))
 
 
 def cayley_certificate(ctx, r_s):
     """The generators S_{r_s} (vertex indices, sphere order), once the Cayley graph on them is proven sound.
 
-    The graph is Cay(Aff(F_q), S), so each fact ``build_graph`` asserts of it
-    is a fact about the q+1 points of S, checked here without the graph in
-    O(q), and a failure raises AssertionError with build_graph's message:
+    The graph is Cay(Aff(F_q), S), so each fact it needs is a fact about the
+    q+1 points of S, proven here alone (no vertex-level check repeats it),
+    without the graph, in O(q); a failure raises AssertionError:
 
     - symmetric: S = S^(-1), with (x, y)^(-1) = (-x/y, 1/y);
     - loop-free: the identity sqrt(delta) is not in S;
@@ -260,29 +226,9 @@ def _generates(ctx, xs, ys):
     return bool(np.any(xs[~moves] != 0) or np.any(fixed != fixed[0]))
 
 
-def _connected(neighbors):
-    """Breadth-first search from vertex 0 over the [n, degree] neighbour array, one column at a time."""
-    seen = np.zeros(neighbors.shape[0], dtype=bool)
-    seen[0] = True
-    frontier = np.array([0])
-    while frontier.size:
-        reached = np.zeros_like(seen)
-        for nbrs in neighbors.T:
-            reached[nbrs.take(frontier).astype(np.intp)] = True  # a scatter by uint16 is slower
-        frontier = np.flatnonzero(reached & ~seen)
-        seen |= reached
-    return bool(seen.all())
-
-
 def laplacian(graph):
     """Combinatorial Laplacian (q+1)*I - A as a dense float matrix."""
     return (graph.ctx.q + 1) * np.eye(graph.n) - graph.adjacency.astype(float)
-
-
-def orbit_decomposition(ctx):
-    """Partition of H_q by distance to sqrt(delta): radius -> sorted vertex indices."""
-    labels = scheme(ctx).labels
-    return {r: np.flatnonzero(labels == r).tolist() for r in dict.fromkeys(labels.tolist())}
 
 
 def radial_values(ctx, vecs, what):
@@ -306,7 +252,9 @@ def radial_values(ctx, vecs, what):
 
 
 def orbit_sizes(ctx):
-    return {r: len(ix) for r, ix in orbit_decomposition(ctx).items()}
+    """Radius -> orbit size, the radii in the order of their first vertex."""
+    vertices = scheme(ctx)
+    return {r: int(vertices.sizes[r]) for r in np.argsort(vertices.reps, kind="stable").tolist()}
 
 
 def radii_order(ctx):

@@ -21,6 +21,7 @@ from .field import (
     quadratic_character,
 )
 from .heat import (
+    AFFINE_AGREEMENT,
     UNIT_ROUNDOFF,
     affine_spectrum,
     fourier_coefficient_check,
@@ -34,7 +35,7 @@ from .heat import (
 from .spherical import intersection_matrices, laplace_eigenvalue, match_formulas_to_oracle, spherical_table
 from .theta import classical_theta, reconciled_kernel, theta_consistency_report
 from .uhp import (
-    build_graph,
+    UhpGraph,
     degenerate_radii,
     orbit_sizes,
     radii_order,
@@ -233,9 +234,11 @@ def radius_checks(ctx, r_s, orbits):
     _check(out, f"q={q} r_s={r_s} spectrum = Aff(F_q) decomposition",
            gap <= SPECTRUM_AGREEMENT * UNIT_ROUNDOFF * (q + 1),
            f"max gap {gap:.2e} over {ours.size} eigenvalues")
+    # the two kernels' error model (heat.AFFINE_AGREEMENT); at most 5.5u*n on this grid at primes q <= 101
     affine = heat_kernel_affine(ctx, r_s, HEAT_T_GRID)
     dev = float(np.abs(affine - heat_kernel_spectral(table, HEAT_T_GRID)).max())
-    _check(out, f"q={q} r_s={r_s} spectral = affine oracle", dev <= 1e-9, f"max dev {dev:.2e}")
+    _check(out, f"q={q} r_s={r_s} spectral = affine oracle",
+           dev <= AFFINE_AGREEMENT * UNIT_ROUNDOFF * q * (q - 1), f"max dev {dev:.2e}")
     return out
 
 
@@ -394,18 +397,17 @@ def run_battery(q_list, include_lift=False):
         results += character_checks(ctx)
         orbits = stabiliser_orbits(ctx)
         results += table_checks(ctx, orbits)
-        # each radius is checked through its certified connection set; one vertex graph per q, at the
-        # first radius whose set passes, serves the walk of the heat and lift checks. The theta checks
-        # at that radius run while its proof is the cached affine spectrum, and print after the heat checks
-        first, theta = None, []
+        # each radius is checked through its certified connection set. One vertex graph per q serves the
+        # walk of the heat and lift checks: it is formed at the first radius that passes, while the affine
+        # spectrum caches that proof, as are the theta checks there (printed after the heat checks)
+        graph, theta = None, []
         for r_s in radii_order(ctx)[2:]:
             checks = radius_checks(ctx, r_s, orbits)
             results += checks
-            if checks[0].passed and first is None:
-                first, theta = r_s, theta_checks(ctx, r_s)
-        if first is None:
+            if checks[0].passed and graph is None:
+                graph, theta = UhpGraph(ctx, r_s, affine_spectrum(ctx, r_s).generators), theta_checks(ctx, r_s)
+        if graph is None:
             continue
-        graph = build_graph(ctx, first)
         results += formula_match_checks(match_formulas_to_oracle(ctx, graph.r_s))
         results += heat_checks(graph)
         results += theta

@@ -5,6 +5,8 @@
 pseudo-distance, one point at a time, for tests that check the library's
 vectorised index arrays against them.
 
+``connected``: breadth-first search, the reference for the certificate's generation criterion.
+
 ``radial_eigenbasis``: the spherical table for small q from adjacency
 eigenprojections of the base-point indicator, one dense n x n
 eigendecomposition, so O(n^3) time. Rows that share an adjacency eigenvalue
@@ -37,6 +39,20 @@ def distance(ctx, z, w):
     """Pseudo-distance N(z - w) / (I(z) * I(w)) in F_q, with I(z) = y."""
     diff = ExtElement((z.x - w.x) % ctx.q, (z.y - w.y) % ctx.q)
     return ext_norm(ctx, diff) * ctx.inv(z.y * w.y) % ctx.q
+
+
+def connected(neighbors):
+    """Breadth-first search from vertex 0 over the [n, degree] neighbour array, one column at a time."""
+    seen = np.zeros(neighbors.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = np.array([0])
+    while frontier.size:
+        reached = np.zeros_like(seen)
+        for nbrs in neighbors.T:
+            reached[nbrs.take(frontier).astype(np.intp)] = True  # a scatter by uint16 is slower
+        frontier = np.flatnonzero(reached & ~seen)
+        seen |= reached
+    return bool(seen.all())
 
 
 def broadcast_radial_rows(ctx):

@@ -13,6 +13,10 @@ import fuhp
 import fuhp.theta
 from fuhp.cli import EXIT_BAD_INPUT, EXIT_OK, main
 from fuhp.export import read_csv, read_json
+from fuhp.field import field_context
+from fuhp.uhp import radii_order
+
+from dense_graph import distance, enumerate_points
 
 
 def test_info_q3(tmp_path):
@@ -72,6 +76,17 @@ def test_graph_json_and_csv(tmp_path):
     meta, header, rows = read_csv(out_csv)
     assert len(rows) == 6 and len(rows[0]) == 7
     assert sum(sum(r[1:]) for r in rows) == 24
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_graph_edges_are_the_pairs_at_distance_r_s(tmp_path, q):
+    # the rows come from the certified generators; the export is checked point by point
+    ctx, out = field_context(q), tmp_path / "g.json"
+    pts = enumerate_points(ctx)
+    dist = {(i, j): distance(ctx, pts[i], pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts))}
+    for r_s in radii_order(ctx)[2:]:
+        assert main(["graph", "--q", str(q), "--r-s", str(r_s), "--out", str(out)]) == EXIT_OK
+        assert read_json(out)["data"]["edges"] == [[*pair] for pair, d in dist.items() if d == r_s], r_s
 
 
 def test_graph_csv_refused_above_cap(capsys):
@@ -431,6 +446,16 @@ def test_classical_theta_text(capsys):
     out = capsys.readouterr().out
     assert out.startswith("theta(0.0, 1.0i) = 1.0864348112133")
     assert "truncation bound" in out
+
+
+def test_classical_theta_of_a_large_z_is_its_value_at_the_reduced_z(capsys):
+    # theta has period 1 in z and 1e307 is an integer; unreduced, its phases 2 pi n z overflowed and
+    # the call failed with "math domain error"
+    def value(z):
+        assert main(["theta", "--q", "5", "--classical", z, "--t", "0.001", "--n-max", "10"]) == EXIT_OK
+        return capsys.readouterr().out.split(" = ", 1)[1]
+
+    assert value("1e307") == value("0")
 
 
 def test_unwritable_out_is_bad_input(tmp_path, capsys):

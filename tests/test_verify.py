@@ -12,7 +12,7 @@ import fuhp.uhp
 import fuhp.verify
 from fuhp.cli import DEFAULT_MAX_Q, main
 from fuhp.field import field_context
-from fuhp.heat import initial_condition_check, stabiliser_orbits
+from fuhp.heat import AFFINE_AGREEMENT, UNIT_ROUNDOFF, initial_condition_check, stabiliser_orbits
 from fuhp.uhp import build_graph, cayley_certificate, radii_order, scheme, vertex_index
 from fuhp.verify import (
     LIFT_MAX_Q,
@@ -42,18 +42,19 @@ def test_battery_builds_one_graph_per_q_and_one_match(monkeypatch):
         func = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls.append((name, args[1:]))
+            calls.append((name, args[1]))  # the radius
             return func(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(fuhp.verify, "build_graph")
+    counted(fuhp.verify, "UhpGraph")
     counted(fuhp.verify, "match_formulas_to_oracle")
     fuhp.spherical._class_matches.cache_clear()
     assert not any(r.fatal for r in run_battery([7]))
-    # the walk's graph, at the first regular radius; the per-radius checks read the certificate
-    assert [args for name, args in calls if name == "build_graph"] == [(1,)]
-    assert not hasattr(fuhp.theta, "build_graph")  # the theta report's affine oracle needs no graph
+    # the walk's graph, at the first regular radius, on the generators the certificate proved there
+    assert [r_s for name, r_s in calls if name == "UhpGraph"] == [1]
+    assert not hasattr(fuhp.verify, "build_graph")
+    assert not {"build_graph", "UhpGraph"} & set(vars(fuhp.theta))  # the theta report needs no graph
     assert [name for name, _ in calls].count("match_formulas_to_oracle") == 1
     # the reconciled theta kernels read the same assignment: it is computed once
     assert fuhp.spherical._class_matches.cache_info().misses == 1
@@ -283,6 +284,15 @@ def test_a_corrupted_neighbour_row_fails_the_graph_level_checks(monkeypatch, aff
         (check,) = [r for r in radius_checks(ctx, 1, stabiliser_orbits(ctx)) if r.name == name]
         assert check.passed is passes, check.detail
         monkeypatch.setattr(fuhp.verify, "affine_spectrum", corrupted)
+
+
+def test_the_affine_oracle_check_is_bounded_by_its_error_model(monkeypatch, affine_cache):
+    # |affine - spectral| <= AFFINE_AGREEMENT*u*n (heat.py): a kernel off by ten times that fails
+    ctx, real = field_context(7), fuhp.verify.heat_kernel_affine
+    for offset, passes in ((0.0, True), (10 * AFFINE_AGREEMENT * UNIT_ROUNDOFF * 7 * 6, False)):
+        monkeypatch.setattr(fuhp.verify, "heat_kernel_affine", lambda *args: real(*args) + offset)
+        checks = {r.name: r for r in radius_checks(ctx, 2, stabiliser_orbits(ctx))}
+        assert checks["q=7 r_s=2 spectral = affine oracle"].fatal is not passes
 
 
 def test_heat_checks_walk_once_for_all_initial_condition_functions(monkeypatch):
