@@ -6,6 +6,16 @@ inversion on the affine group, and a matrix exponential over the graph.
 
 __version__ = "0.1.0"
 
+import os
+
+# Every BLAS operand here is at most q x q, so an OpenBLAS worker thread is idle most of the time, and
+# by default it spins for 2^28 cycles (about 0.1 s) after each call: about 0.1 s of CPU in every
+# process and 0.8-1.0 s of `verify --q 101`'s 1.8-2.2 s at two threads. 2^4 cycles, OpenBLAS's
+# minimum, lets it sleep at once; waking it then adds about 20 us to a threaded call. The thread
+# count is untouched, so every result is unchanged; a value the user set wins, and other BLAS
+# libraries ignore the variable. It must be set before numpy is first imported, just below.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .field import (
     ExtElement,
     FieldCtx,

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: info, graph, spectrum, spherical, heat, theta, verify. All
-output is deterministic (identical invocations give byte-identical files)
-and every document embeds the resolved configuration plus the artifact
-version. Exit codes: 0 success, 1 verification failure, 2 invalid input.
+output is deterministic (identical invocations at the same BLAS thread
+count give byte-identical files) and every document embeds the resolved
+configuration plus the artifact version. Exit codes: 0 success, 1
+verification failure, 2 invalid input.
 """
 
 import argparse
@@ -304,9 +305,14 @@ def cmd_theta(args):
 
 def _parse_q_list(text):
     try:
-        return [int(s) for s in text.split(",")]
+        q_list = [int(s) for s in text.split(",")]
     except ValueError:
         raise ValueError(f"--q expects a comma-separated list of primes, got {text!r}")
+    # a repeated q would print each of its check names twice
+    repeated = next((q for i, q in enumerate(q_list) if q in q_list[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"--q lists {repeated} more than once, got {text!r}")
+    return q_list
 
 
 def cmd_verify(args):

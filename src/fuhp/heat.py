@@ -100,6 +100,17 @@ def heat_kernel_spectral(table, t_grid):
 # exact value at t=0, and the two kernels within 10.7u*n of each other. c = 32 leaves a factor 3.
 AFFINE_AGREEMENT = 32
 
+# c in |reconciled theta - heat_kernel_spectral| <= c*u*n, n = q(q-1). Both kernels are
+# sum_i w_i*omega_i(r) with the same computed weights w_i = d_i*e^(-lambda_i t) >= 0, sum_i w_i <= n;
+# they differ only in the rows omega_i, the table's (from one q x q eigh) or the matched character
+# sums, each within a few u of the exact |omega_i| <= 1. So the rows' disagreement moves a value by at
+# most max|d omega|*u*n, and each sum's own rounding by a few u*n. Measured over every prime q <= 101
+# at t in {0, 0.1, 1}: the rows agree to 10u per entry and 0.95u*n weighted, each sum is within
+# 0.64u*n of its exact value, and the two kernels are within 0.94u*n of each other at verify's
+# radius (q=41), 1.07u*n at every regular radius of q <= 31, and 0.33u*n at q=211. c = 16 covers
+# the per-entry disagreement with room for its slow growth in q.
+RECONCILED_AGREEMENT = 16
+
 
 class AffineSpectrum(NamedTuple):
     """The connection set S_{r_s} on the irreducible representations of Aff(F_q).

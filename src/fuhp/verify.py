@@ -22,6 +22,7 @@ from .field import (
 )
 from .heat import (
     AFFINE_AGREEMENT,
+    RECONCILED_AGREEMENT,
     UNIT_ROUNDOFF,
     affine_spectrum,
     fourier_coefficient_check,
@@ -355,7 +356,9 @@ def theta_checks(ctx, r_s):
     t_grid = (0.0, 0.1, 1.0)
     reconciled = reconciled_kernel(ctx, table, t_grid)
     dev = float(np.abs(reconciled - heat_kernel_spectral(table, t_grid)).max())
-    _check(out, f"q={q} reconciled theta = spectral kernel", dev <= 1e-12, f"{dev:.2e}")
+    # the two kernels' error model (heat.RECONCILED_AGREEMENT); at most 0.94u*n here at primes q <= 101
+    _check(out, f"q={q} reconciled theta = spectral kernel",
+           dev <= RECONCILED_AGREEMENT * UNIT_ROUNDOFF * q * (q - 1), f"{dev:.2e}")
 
     report = theta_consistency_report(ctx, r_s, [0.1, 1.0])
     _check(out, f"q={q} theta report reconciled column", report.max_reconciled_deviation <= 1e-9,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -185,6 +186,60 @@ def test_cli_import_generates_no_dataclasses():
     assert after == b"False"
 
 
+# Prints OPENBLAS_THREAD_TIMEOUT as it reads when numpy is first looked up, then imports the CLI.
+_NUMPY_IMPORT_SPY = """
+import os, sys
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+            sys.meta_path.remove(self)
+
+sys.meta_path.insert(0, Spy())
+import fuhp.cli
+"""
+
+
+def test_blas_thread_timeout_is_set_before_numpy_loads(run_child):
+    # OpenBLAS reads the variable once, when numpy loads it; a value the user set wins
+    for env, seen in (({}, "4"), ({"OPENBLAS_THREAD_TIMEOUT": "30"}, "30")):
+        child = run_child(["-c", _NUMPY_IMPORT_SPY], capture=True, env=env)
+        assert (child.exit_code, child.stdout) == (EXIT_OK, f"{seen}\n"), env
+
+
+def _openblas_and_two_cores():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # a numpy without mode="dicts" or without the entry
+        return False
+    return "openblas" in blas.lower() and len(os.sched_getaffinity(0)) >= 2
+
+
+@pytest.mark.skipif(not _openblas_and_two_cores(), reason="needs numpy on OpenBLAS and two cores")
+def test_an_idle_blas_worker_sleeps(run_child):
+    # with OpenBLAS's default spin of 2^28 cycles after each call, the one worker thread of two kept a
+    # core busy: CPU read about 1.6x wall here
+    runs = [run_child(["-m", "fuhp.cli", "verify", "--q", "3"], capture=True, env={"OPENBLAS_NUM_THREADS": "2"})
+            for _ in range(3)]
+    assert all(run.exit_code == EXIT_OK for run in runs)
+    ratio = statistics.median(run.cpu / run.wall for run in runs)
+    assert ratio <= 1.25, [f"cpu {run.cpu:.3f} s / wall {run.wall:.3f} s" for run in runs]
+
+
+@pytest.mark.parametrize("args", [
+    ["heat", "--q", "53", "--r-s", "all-regular", "--t", "0,1"],
+    ["verify", "--q", "13"],
+    pytest.param(["verify", "--q", "101"], marks=pytest.mark.slow),
+])
+def test_blas_thread_timeout_leaves_output_unchanged(run_child, args):
+    # the timeout only says how long an idle worker spins; the thread count, and so every sum, stays
+    default, explicit = (run_child(["-m", "fuhp.cli", *args], capture=True, env={"OPENBLAS_NUM_THREADS": "2", **env})
+                         for env in ({}, {"OPENBLAS_THREAD_TIMEOUT": "30"}))
+    assert default.exit_code == explicit.exit_code == EXIT_OK
+    assert default.stdout == explicit.stdout
+
+
 def test_theta_q101_memory(tmp_path, run_child):
     out = tmp_path / "theta.json"
     child = run_child(["-m", "fuhp.cli", "theta", "--q", "101", "--r-s", "2", "--t", "1", "--mode", "both",
@@ -365,6 +420,15 @@ def test_verify_names_the_flag_of_a_malformed_q_list(q_list, capsys):
     assert main(["verify", "--q", q_list]) == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert err == f"error: --q expects a comma-separated list of primes, got {q_list!r}\n"
+
+
+@pytest.mark.parametrize("q_list", ["3,3", "3,5,3"])
+def test_verify_refuses_a_repeated_prime(q_list, capsys):
+    # 3,3 once ran q=3 twice and printed each of its check names twice
+    assert main(["verify", "--q", q_list]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --q lists 3 more than once, got {q_list!r}\n"
+    assert captured.out == ""
 
 
 def test_verify_q_list_alias_refuses_an_empty_list(capsys):

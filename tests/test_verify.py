@@ -12,7 +12,13 @@ import fuhp.uhp
 import fuhp.verify
 from fuhp.cli import DEFAULT_MAX_Q, main
 from fuhp.field import field_context
-from fuhp.heat import AFFINE_AGREEMENT, UNIT_ROUNDOFF, initial_condition_check, stabiliser_orbits
+from fuhp.heat import (
+    AFFINE_AGREEMENT,
+    RECONCILED_AGREEMENT,
+    UNIT_ROUNDOFF,
+    initial_condition_check,
+    stabiliser_orbits,
+)
 from fuhp.uhp import build_graph, cayley_certificate, radii_order, scheme, vertex_index
 from fuhp.verify import (
     LIFT_MAX_Q,
@@ -22,6 +28,7 @@ from fuhp.verify import (
     heat_test_functions,
     radius_checks,
     run_battery,
+    theta_checks,
 )
 
 PRIMES_TO_THE_CAP = [
@@ -293,6 +300,16 @@ def test_the_affine_oracle_check_is_bounded_by_its_error_model(monkeypatch, affi
         monkeypatch.setattr(fuhp.verify, "heat_kernel_affine", lambda *args: real(*args) + offset)
         checks = {r.name: r for r in radius_checks(ctx, 2, stabiliser_orbits(ctx))}
         assert checks["q=7 r_s=2 spectral = affine oracle"].fatal is not passes
+
+
+def test_the_reconciled_theta_check_is_bounded_by_its_error_model(monkeypatch):
+    # |reconciled - spectral| <= RECONCILED_AGREEMENT*u*n (heat.py): a kernel off by ten times that
+    # fails; at q=7 that offset, 7.5e-13, passed the former bare 1e-12
+    ctx, real = field_context(7), fuhp.verify.reconciled_kernel
+    for offset, passes in ((0.0, True), (10 * RECONCILED_AGREEMENT * UNIT_ROUNDOFF * 7 * 6, False)):
+        monkeypatch.setattr(fuhp.verify, "reconciled_kernel", lambda *args: real(*args) + offset)
+        checks = {r.name: r for r in theta_checks(ctx, 1)}
+        assert checks["q=7 reconciled theta = spectral kernel"].fatal is not passes
 
 
 def test_heat_checks_walk_once_for_all_initial_condition_functions(monkeypatch):
