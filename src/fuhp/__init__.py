@@ -13,7 +13,10 @@ import os
 # process and 0.8-1.0 s of `verify --q 101`'s 1.8-2.2 s at two threads. 2^4 cycles, OpenBLAS's
 # minimum, lets it sleep at once; waking it then adds about 20 us to a threaded call. The thread
 # count is untouched, so every result is unchanged; a value the user set wins, and other BLAS
-# libraries ignore the variable. It must be set before numpy is first imported, just below.
+# libraries ignore the variable. It must be set before numpy is first imported, just below. When the
+# scheduler keeps both threads on one CPU, each threaded call waits out a time slice instead (8 ms
+# for a 101 x 101 product at every timeout from 2^4 to 2^20, 16 ms at 2^24 and the default): no
+# timeout avoids that, so the minimum stays.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .field import (

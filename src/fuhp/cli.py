@@ -193,9 +193,6 @@ def _spectrum_block(ctx, r_s):
     clustered = table.spectrum()
     return {
         "r_s": r_s,
-        "adjacency_spectrum": [
-            float(a) for a, d in zip(table.adjacency_eigenvalues, table.degrees) for _ in range(d)
-        ],
         "eigenvalues": [c[0] for c in clustered],
         "multiplicities": [c[1] for c in clustered],
         "laplacian_eigenvalues": [float(ctx.q + 1 - c[0]) for c in clustered],

@@ -100,6 +100,18 @@ def heat_kernel_spectral(table, t_grid):
 # exact value at t=0, and the two kernels within 10.7u*n of each other. c = 32 leaves a factor 3.
 AFFINE_AGREEMENT = 32
 
+# c in heat_kernel_spectral(table, t)[r] >= -c*u*n, n = q(q-1). The exact kernel is >= 0: exp(-tL) =
+# e^(-(q+1)t) exp(tA), and A >= 0 entrywise. The computed sum_i w_i*omega_i(r) has weights
+# w_i = d_i*e^(-lambda_i t) >= 0 that add to at most n and |omega_i| <= 1, so as above an error of
+# e*u in every term moves it by at most e*u*n. A term carries its omega entry's error (within 10u of
+# the character sums, see RECONCILED_AGREEMENT), its exponential's (1u, plus the eigenvalue's few u
+# of q+1 times 8/(e*(q+1)), about 3u) and two products': 16u. The q-term sum adds (q-1)u*n at worst,
+# and about sqrt(q)*u*n when its roundings have independent signs, at most 16u*n for q <= 256; c = 32
+# is the sum of the two.
+# Measured on t in {0, 0.01, 0.1, 1, 10}: at most 0.94u*n at verify's radius over every prime q <= 101
+# (q=41), 1.21u*n over every regular radius, and 0.33u*n at q=211 (-1.6e-12, past a bare -1e-12).
+POSITIVITY_MARGIN = 32
+
 # c in |reconciled theta - heat_kernel_spectral| <= c*u*n, n = q(q-1). Both kernels are
 # sum_i w_i*omega_i(r) with the same computed weights w_i = d_i*e^(-lambda_i t) >= 0, sum_i w_i <= n;
 # they differ only in the rows omega_i, the table's (from one q x q eigh) or the matched character

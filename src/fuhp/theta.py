@@ -180,7 +180,8 @@ def classical_theta(z, t, n_max=25):
         if decay == 0.0:
             break
         total += decay * (cmath.exp(2j * cmath.pi * n * z) + cmath.exp(-2j * cmath.pi * n * z))
-    bound = 2.0 * math.exp(-math.pi * t * n_max * n_max) / (1.0 - math.exp(-math.pi * t))
+    # 1 - e^(-pi t) as expm1: it rounds to 0.0 below t of about 3.5e-17, and loses digits well above
+    bound = 2.0 * math.exp(-math.pi * t * n_max * n_max) / -math.expm1(-math.pi * t)
     return ClassicalTheta(value=total, truncation_bound=bound)
 
 

@@ -50,7 +50,7 @@ def test_spectrum_q3(tmp_path):
     out = tmp_path / "spec.json"
     assert main(["spectrum", "--q", "3", "--r-s", "1", "--out", str(out)]) == EXIT_OK
     doc = read_json(out)
-    np.testing.assert_allclose(doc["data"]["adjacency_spectrum"], [4, 0, 0, 0, -2, -2], atol=1e-9)
+    assert set(doc["data"]) == {"r_s", "eigenvalues", "multiplicities", "laplacian_eigenvalues"}
     np.testing.assert_allclose(doc["data"]["eigenvalues"], [4, 0, -2], atol=1e-9)
     assert doc["data"]["multiplicities"] == [1, 3, 2]
 
@@ -94,6 +94,17 @@ def test_graph_csv_refused_above_cap(capsys):
     # the n x n CSV at q=101 would hold 1.0e8 cells; it is refused before the graph is built
     assert main(["graph", "--q", "101", "--format", "csv"]) == EXIT_BAD_INPUT
     assert "cap" in capsys.readouterr().err
+
+
+def test_spectrum_q101_memory(tmp_path, run_child):
+    out = tmp_path / "spectrum.json"
+    child = run_child(["-m", "fuhp.cli", "spectrum", "--q", "101", "--r-s", "all-regular", "--out", str(out)])
+    assert child.exit_code == EXIT_OK
+    # the 64 MB ceiling: 133 MB when each block also listed its n eigenvalues, each a_i d_i times
+    # (999,900 of the 1,019,636 floats written); now each run writes its q rows, merged
+    assert child.peak_mb <= 64, f"peak RSS {child.peak_mb:.1f} MB (wall {child.wall:.2f} s)"
+    runs = read_json(out)["data"]["runs"]
+    assert len(runs) == 99 and all(sum(run["multiplicities"]) == 101 * 100 for run in runs)
 
 
 def test_heat_q101_memory(tmp_path, run_child):
@@ -520,6 +531,19 @@ def test_classical_theta_of_a_large_z_is_its_value_at_the_reduced_z(capsys):
         return capsys.readouterr().out.split(" = ", 1)[1]
 
     assert value("1e307") == value("0")
+
+
+@pytest.mark.parametrize("t, bound", [("1e-17", 2 * np.exp(-np.pi * 1e-17 * 25**2) / (np.pi * 1e-17)),
+                                      ("1e-320", float("inf"))])
+def test_classical_theta_at_a_tiny_time(capsys, t, bound):
+    # 1 - e^(-pi t) rounds to 0.0 below t of about 3.5e-17: the bound divided by it, and the run
+    # printed "error: float division by zero" and exited 2
+    assert main(["theta", "--q", "5", "--classical", "0.2", "--t", t]) == EXIT_OK
+    out = capsys.readouterr().out
+    value = float(out.split(" = ", 1)[1].split(" + ", 1)[0])
+    printed = float(out.split("truncation bound ", 1)[1].split(",", 1)[0])
+    assert abs(value - 1.0) <= 1e-12  # every decay reads 1 and the cosines of 2 pi n/5 sum to zero
+    assert printed == pytest.approx(bound, rel=1e-15)
 
 
 def test_unwritable_out_is_bad_input(tmp_path, capsys):

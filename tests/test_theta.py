@@ -266,6 +266,13 @@ def test_classical_theta_truncation_bound():
     assert classical_theta(0.0, 1.0, n_max=10).truncation_bound <= 1e-100
 
 
+@pytest.mark.parametrize("t", [1e-10, 1e-3, 0.25, 2.0])
+def test_classical_theta_bound_is_accurate_at_small_times(t):
+    # the denominator 1 - e^(-pi t) as 1 - math.exp lost digits as t fell: 3.5e-8 of it at t = 1e-10
+    exact = 2 * mpmath.exp(-mpmath.pi * t * 25**2) / -mpmath.expm1(-mpmath.pi * t)
+    assert classical_theta(0.0, t).truncation_bound == pytest.approx(float(exact), rel=4e-16)
+
+
 def test_classical_theta_stops_once_the_terms_underflow():
     # every term past the first e^(-pi n^2 t) = 0.0 adds zero, so n_max = 10^9 sums no more than 40
     start = time.perf_counter()

@@ -14,6 +14,7 @@ from fuhp.cli import DEFAULT_MAX_Q, main
 from fuhp.field import field_context
 from fuhp.heat import (
     AFFINE_AGREEMENT,
+    POSITIVITY_MARGIN,
     RECONCILED_AGREEMENT,
     UNIT_ROUNDOFF,
     initial_condition_check,
@@ -310,6 +311,27 @@ def test_the_reconciled_theta_check_is_bounded_by_its_error_model(monkeypatch):
         monkeypatch.setattr(fuhp.verify, "reconciled_kernel", lambda *args: real(*args) + offset)
         checks = {r.name: r for r in theta_checks(ctx, 1)}
         assert checks["q=7 reconciled theta = spectral kernel"].fatal is not passes
+
+
+def test_the_positivity_check_is_bounded_by_its_error_model(monkeypatch):
+    # heat_kernel_spectral >= -POSITIVITY_MARGIN*u*n (heat.py): a kernel pushed ten times past that
+    # fails, one pushed half of it (its least value is -0.21u*n at q=7) passes
+    ctx, real = field_context(7), fuhp.verify.heat_kernel_spectral
+    graph = build_graph(ctx, 1)
+    margin = POSITIVITY_MARGIN * UNIT_ROUNDOFF * 7 * 6
+    for offset, passes in ((0.5 * margin, True), (10 * margin, False)):
+        monkeypatch.setattr(fuhp.verify, "heat_kernel_spectral", lambda *args: real(*args) - offset)
+        checks = {r.name: r for r in heat_checks(graph)}
+        assert checks["q=7 r_s=1 positivity"].fatal is not passes
+
+
+@pytest.mark.slow
+def test_verify_past_the_cap_at_q211(run_child):
+    # "q=211 r_s=1 positivity" read -1.62e-12 at two BLAS threads, past the former bare -1e-12
+    child = run_child(["-m", "fuhp.cli", "verify", "--q", "211"], capture=True,
+                      env={"FUHP_MAX_Q": "300", "OPENBLAS_NUM_THREADS": "2"})
+    assert child.exit_code == 0, [line for line in child.stdout.splitlines() if line.startswith("[FAIL]")]
+    assert "[PASS] q=211 r_s=1 positivity" in child.stdout
 
 
 def test_heat_checks_walk_once_for_all_initial_condition_functions(monkeypatch):
