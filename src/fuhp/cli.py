@@ -29,11 +29,11 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 
 DEFAULT_MAX_Q = 101
-# The CSV adjacency is n x n by definition, and writing it holds every cell in
-# Python row lists and text: about 16 bytes per cell at the peak (measured
-# 154 MB at q=53, 7.6e6 cells, and 245 MB at q=61, 1.3e7 cells, each with
-# about 35 MB of interpreter). The cap of 1.6e7 cells (q <= 61) keeps it near
-# 300 MB; q=101 (1.0e8 cells) would need about 1.7 GB.
+# The CSV adjacency is n x n by definition. Its rows are formed one at a time, and writing it holds each
+# cell in the int8 matrix and as text twice, in its row's line and in the joined document: about 5 bytes
+# per cell at the peak (measured 81 MB at q=53, 7.6e6 cells, and 105 MB at q=61, 1.3e7 cells, each with
+# about 35 MB of interpreter). The cap of 1.6e7 cells (q <= 61) keeps it near 120 MB; q=101 (1.0e8
+# cells) would need about 550 MB.
 MAX_CSV_ADJACENCY_CELLS = 16_000_000
 
 
@@ -87,12 +87,11 @@ def _radii_arg(ctx, r_s):
         raise ValueError(f"--r-s expects an integer radius or 'all-regular', got {r_s!r}")
 
 
-def _emit(args, doc, csv_maker):
-    """Write the document in the requested format to --out (default stdout)."""
+def _emit(args, doc, header, rows):
+    """Write the document, or as CSV the table of header and rows (an iterable, read only then), to --out."""
     if args.format == "json":
         text = dumps_json(doc)
     else:
-        header, rows = csv_maker(doc)
         text = dumps_csv(header, rows, preamble={"config": doc["config"], "version": doc["version"]})
     _write(args, text)
 
@@ -126,18 +125,10 @@ def cmd_info(args):
         "degenerate_radii": [deg0, deg1],
         "orbit_sizes": {str(r): s for r, s in sorted(orbit_sizes(ctx).items())},
     }
-    doc = _document(_config_doc(ctx, args), data)
-
-    def csv_maker(doc):
-        rows = []
-        for k, v in doc["data"].items():
-            if isinstance(v, dict):
-                continue
-            rows.append([k, " ".join(str(x) for x in v) if isinstance(v, list) else v])
-        rows += [[f"orbit_size_r{r}", s] for r, s in sorted(doc["data"]["orbit_sizes"].items())]
-        return ["key", "value"], rows
-
-    _emit(args, doc, csv_maker)
+    rows = [[k, " ".join(map(str, v)) if isinstance(v, list) else v]
+            for k, v in data.items() if not isinstance(v, dict)]
+    rows += [[f"orbit_size_r{r}", s] for r, s in sorted(data["orbit_sizes"].items())]  # keys sort as text
+    _emit(args, _document(_config_doc(ctx, args), data), ["key", "value"], rows)
     return EXIT_OK
 
 
@@ -157,18 +148,13 @@ def cmd_graph(args):
     nbrs = np.sort(graph.neighbors, axis=1)
     i, k = np.nonzero(nbrs > np.arange(n)[:, None])
     data = {
-        "vertices": np.stack([scheme(ctx).x, scheme(ctx).y], axis=1).tolist(),
-        "edges": np.stack([i, nbrs[i, k]], axis=1).tolist(),
+        "vertices": np.stack([scheme(ctx).x, scheme(ctx).y], axis=1),
+        "edges": np.stack([i, nbrs[i, k]], axis=1),
         "degree": ctx.q + 1,
     }
     doc = _document(_config_doc(ctx, args, r_s=r_s), data)
-
-    def csv_maker(doc):
-        header = ["vertex"] + [f"v{j}" for j in range(n)]
-        rows = [[f"v{i}"] + [int(x) for x in graph.adjacency[i]] for i in range(n)]
-        return header, rows
-
-    _emit(args, doc, csv_maker)
+    header = ["vertex"] + [f"v{j}" for j in range(n)]
+    _emit(args, doc, header, ([f"v{v}"] + graph.adjacency[v].tolist() for v in range(n)))
     return EXIT_OK
 
 
@@ -177,14 +163,10 @@ def _emit_runs(ctx, args, blocks, header, csv_rows):
     single = len(blocks) == 1
     data = blocks[0] if single else {"runs": blocks}
     doc = _document(_config_doc(ctx, args, r_s=blocks[0]["r_s"] if single else "all-regular"), data)
-
-    def csv_maker(doc):
-        prefix = [] if single else ["r_s"]
-        return prefix + header, [
-            ([] if single else [b["r_s"]]) + row for b in blocks for row in csv_rows(b)
-        ]
-
-    _emit(args, doc, csv_maker)
+    if single:
+        _emit(args, doc, header, csv_rows(blocks[0]))
+    else:
+        _emit(args, doc, ["r_s"] + header, ([b["r_s"]] + row for b in blocks for row in csv_rows(b)))
     return EXIT_OK
 
 
@@ -214,7 +196,7 @@ def _spherical_block(ctx, r_s):
     return {
         "r_s": r_s,
         "radii": radii,
-        "orbit_sizes": table.orbit_sizes[radii].tolist(),
+        "orbit_sizes": table.orbit_sizes[radii],
         "rows": [
             {
                 "index": i,
@@ -223,7 +205,7 @@ def _spherical_block(ctx, r_s):
                 "laplacian_eigenvalue": float(table.laplacian_eigenvalues[i]),
                 "omega": omega,
             }
-            for i, omega in enumerate(table.omega[:, radii].tolist())
+            for i, omega in enumerate(table.omega[:, radii])
         ],
         "complete": table.is_complete,
     }
@@ -236,7 +218,7 @@ def cmd_spherical(args):
     # radius order is shared across generating radii
     header = ["row"] + fields[1:] + [f"omega_r{r}" for r in blocks[0]["radii"]]
     return _emit_runs(ctx, args, blocks, header,
-                      lambda b: [[row[k] for k in fields] + row["omega"] for row in b["rows"]])
+                      lambda b: ([row[k] for k in fields] + row["omega"].tolist() for row in b["rows"]))
 
 
 def cmd_heat(args):
@@ -250,12 +232,12 @@ def cmd_heat(args):
         deviation = np.abs(spec - oracle).max(axis=1)
         series = [
             {"t": t, "values": values, "oracle_deviation": dev}
-            for t, values, dev in zip(t_grid, spec[:, radii].tolist(), deviation.tolist())
+            for t, values, dev in zip(t_grid, spec[:, radii], deviation.tolist())
         ]
         blocks.append({"r_s": r_s, "radii": radii, "series": series})
     header = ["t"] + [f"E_r{r}" for r in radii] + ["oracle_deviation"]
     return _emit_runs(ctx, args, blocks, header,
-                      lambda b: [[s["t"]] + s["values"] + [s["oracle_deviation"]] for s in b["series"]])
+                      lambda b: ([s["t"], *s["values"].tolist(), s["oracle_deviation"]] for s in b["series"]))
 
 
 def cmd_theta(args):
@@ -292,11 +274,7 @@ def cmd_theta(args):
     ]
     data = {"rows": rows_out, "mode": args.mode}
     doc = _document(_config_doc(ctx, args, r_s=r_s, extra={"mode": args.mode}), data)
-
-    def csv_maker(doc):
-        return ["r", "t", *columns], [list(row.values()) for row in rows_out]
-
-    _emit(args, doc, csv_maker)
+    _emit(args, doc, ["r", "t", *columns], (list(row.values()) for row in rows_out))
     return EXIT_OK
 
 

@@ -10,58 +10,57 @@ that the bundled reader understands.
 import itertools
 import json
 
+import numpy as np
+
+# a list of these exact types is written in one piece; one holding anything else, item by item
+_SCALARS = frozenset((bool, float, int, str, type(None)))
+
 
 def format_float(x):
     """17-significant-digit decimal form, always with an exponent or point."""
     s = format(float(x), ".17g")
-    if not any(c in s for c in ".eE") and s not in ("inf", "-inf", "nan"):
-        s += ".0"
-    return s
+    # only inf and nan hold an "n"; an integral value below 1e17 prints bare digits
+    return s if "." in s or "e" in s or "n" in s else s + ".0"
 
 
-def _encode(obj):
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict) or _holds_containers(obj):
-        return "".join(_pieces(obj))
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_encode(v) for v in obj) + "]"
-    # numpy scalars and arrays reduce to the cases above
-    if hasattr(obj, "tolist"):
-        return _encode(obj.tolist())
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _holds_containers(obj):
-    return isinstance(obj, (list, tuple)) and len(obj) > 0 and isinstance(obj[0], (dict, list, tuple))
+def _scalar(x):
+    if isinstance(x, float):
+        return format_float(x)
+    if isinstance(x, bool) or x is None or isinstance(x, str):
+        return json.dumps(x)
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, np.generic):
+        return _scalar(x.item())
+    raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
 def _pieces(obj):
     """The text of obj in pieces, to be joined once.
 
-    The brackets, keys and separators of dicts and of lists of containers are
-    pieces of their own and every other value is one piece, so no container's
-    text is copied into its parent's before the one final join.
+    A dict, an array of two or more dimensions and a list of anything but
+    _SCALARS yield their brackets, keys and separators as pieces of their
+    own, the array one row at a time; a list of _SCALARS, a 1-D array and a
+    scalar are one piece each. So no container's text is copied into its
+    parent's before the one final join, and no array becomes a nested list.
     """
+    if isinstance(obj, np.ndarray) and obj.ndim < 2:
+        obj = obj.tolist()
     if isinstance(obj, dict):
         yield "{"
         for i, (k, v) in enumerate(obj.items()):
             yield f"{', ' if i else ''}{json.dumps(str(k))}: "
             yield from _pieces(v)
         yield "}"
-    elif _holds_containers(obj):
+    elif not isinstance(obj, (list, tuple, np.ndarray)):
+        yield _scalar(obj)
+    elif _SCALARS.issuperset(map(type, obj)):
+        yield "[" + ", ".join(map(_scalar, obj)) + "]"
+    else:
         for i, v in enumerate(obj):
             yield ", " if i else "["
             yield from _pieces(v)
         yield "]"
-    else:
-        yield _encode(obj)
 
 
 def dumps_json(doc):
@@ -85,13 +84,12 @@ def _cell(value):
 
 
 def dumps_csv(header, rows, preamble=None):
-    lines = []
-    for key, value in (preamble or {}).items():
-        lines.append(f"# {key}: {_encode(value)}")
+    """The preamble lines, the header and one line per row of the iterable rows, as one text."""
+    lines = [f"# {key}: " + "".join(_pieces(value)) for key, value in (preamble or {}).items()]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    lines += (",".join(map(_cell, row)) for row in rows)
+    lines.append("")  # the final newline
+    return "\n".join(lines)
 
 
 def write_csv(path, header, rows, preamble=None):

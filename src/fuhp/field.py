@@ -162,16 +162,19 @@ def field_context(q, delta=None):
     """Build the full arithmetic context for F_q and F_q(sqrt(delta)).
 
     delta defaults to the smallest non-square mod q; an explicit delta is
-    validated. Raises ValueError for non-prime or even q, or square delta.
+    validated. Raises ValueError for non-prime or even q, or a delta that
+    is 0 or a square mod q.
     """
     if not is_odd_prime(q):
         raise ValueError(f"q must be an odd prime >= 3, got {q}")
     squares = {(x * x) % q for x in range(1, q)}
     if delta is None:
         delta = find_nonsquare(q)
+    elif delta % q == 0:
+        raise ValueError(f"delta={delta} is 0 mod {q}; need a non-square")
     else:
         delta %= q
-        if delta == 0 or delta in squares:
+        if delta in squares:
             raise ValueError(f"delta={delta} is a square mod {q}; need a non-square")
 
     # smallest generator of F_q^x

@@ -100,6 +100,16 @@ def heat_kernel_spectral(table, t_grid):
 # exact value at t=0, and the two kernels within 10.7u*n of each other. c = 32 leaves a factor 3.
 AFFINE_AGREEMENT = 32
 
+# c in |G - m*I| <= c*u*(q+1) entrywise, G the Gram matrix of a character table of F_q^x (m = q-1) or of U
+# (m = q+1), as characters.character_orthogonality_check forms it. An entry sums m products of two unit
+# entries e^(2 pi i a/m): each entry rounds its angle 2*pi*a/m < 2*pi three times (up to 15u) and its
+# cosine and sine once, so a product is within about 34u of exact, and m of them with independent signs
+# move the sum by about 34u*sqrt(m) < 24u*(q+1). The partial sums reach m, so each of the m-1 additions
+# rounds by up to m*u: m^2*u at worst and about sqrt(m)*u*m with independent signs, at most 16u*(q+1) for
+# q < 256. c = 40 is the sum of the two. Measured at most 8.49u*(q+1) over every prime q <= 101 (q=97)
+# and 10.06u*(q+1) below 300 (q=139), growing as sqrt(q+1) does: at most 0.94*sqrt(q+1)*u*(q+1).
+ORTHOGONALITY_AGREEMENT = 40
+
 # c in heat_kernel_spectral(table, t)[r] >= -c*u*n, n = q(q-1). The exact kernel is >= 0: exp(-tL) =
 # e^(-(q+1)t) exp(tA), and A >= 0 entrywise. The computed sum_i w_i*omega_i(r) has weights
 # w_i = d_i*e^(-lambda_i t) >= 0 that add to at most n and |omega_i| <= 1, so as above an error of

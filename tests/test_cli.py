@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import fuhp
+import fuhp.heat
 import fuhp.theta
 from fuhp.cli import EXIT_BAD_INPUT, EXIT_OK, main
 from fuhp.export import read_csv, read_json
@@ -44,6 +45,13 @@ def test_info_explicit_nonsquare_delta(tmp_path):
 def test_info_rejects_square_delta(capsys):
     assert main(["info", "--q", "5", "--delta", "4"]) == EXIT_BAD_INPUT
     assert "square" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", ["7", "0", "-14"])
+def test_info_names_a_delta_that_is_zero_mod_q(capsys, delta):
+    # 0 is neither a square nor a non-square: the message names the value given, not its residue
+    assert main(["info", "--q", "7", "--delta", delta]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"error: delta={delta} is 0 mod 7; need a non-square\n"
 
 
 def test_spectrum_q3(tmp_path):
@@ -105,6 +113,18 @@ def test_spectrum_q101_memory(tmp_path, run_child):
     assert child.peak_mb <= 64, f"peak RSS {child.peak_mb:.1f} MB (wall {child.wall:.2f} s)"
     runs = read_json(out)["data"]["runs"]
     assert len(runs) == 99 and all(sum(run["multiplicities"]) == 101 * 100 for run in runs)
+
+
+@pytest.mark.slow
+def test_graph_q101_memory(tmp_path, run_child):
+    out = tmp_path / "graph.json"
+    child = run_child(["-m", "fuhp.cli", "graph", "--q", "101", "--r-s", "1", "--out", str(out)])
+    assert child.exit_code == EXIT_OK
+    # 164 MB when the vertex and edge arrays became nested lists before the writer saw them; now each
+    # of the 515,100 edges is encoded from its array row, and the pieces and the text dominate
+    assert child.peak_mb <= 128, f"peak RSS {child.peak_mb:.1f} MB (wall {child.wall:.2f} s)"
+    data = read_json(out)["data"]
+    assert len(data["vertices"]) == 101 * 100 and len(data["edges"]) == 101 * 100 * 102 // 2
 
 
 def test_heat_q101_memory(tmp_path, run_child):
@@ -452,6 +472,32 @@ def test_verify_include_lift(capsys):
     assert main(["verify", "--q", "3", "--include-lift"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "K-average = quotient kernel" in out
+
+
+def test_verify_reports_a_skipped_lift_as_a_finding(capsys):
+    # above LIFT_MAX_Q nothing of the lift runs, so the line once read [PASS] and counted as passed
+    assert main(["verify", "--q", "17", "--include-lift"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "[FINDING] q=17 method of images: skipped: lift verification covers q <= 13" in lines
+    without = main(["verify", "--q", "17"])
+    baseline = capsys.readouterr().out.splitlines()
+    assert without == EXIT_OK
+    passed, findings = (int(baseline[-1].split()[k].rstrip(",")) for k in (2, 4))
+    # one check line more than without the lift, and it is counted among the findings
+    assert lines[-1] == f"{len(baseline)} checks: {passed} passed, {findings + 1} findings, 0 failures"
+
+
+def test_verify_prints_every_check_when_the_lift_asserts(monkeypatch, capsys):
+    # an assertion in the method of images once escaped the battery: no check line, exit 2
+    monkeypatch.setattr(fuhp.heat, "stabiliser_orbits", lambda ctx: False)
+    assert main(["verify", "--q", "5", "--include-lift"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert ("[FAIL] q=5 r_s=1 lifted Laplacian intertwines: lifted generating set not closed under "
+            "inversion: K does not keep S_r") in lines
+    # every check has its line, the lift's failure among them
+    assert lines[-1].endswith(" 1 failures") and len(lines) == int(lines[-1].split()[0]) + 1
 
 
 def test_verify_q_list_alias(capsys):

@@ -14,6 +14,7 @@ from fuhp.cli import DEFAULT_MAX_Q, main
 from fuhp.field import field_context
 from fuhp.heat import (
     AFFINE_AGREEMENT,
+    ORTHOGONALITY_AGREEMENT,
     POSITIVITY_MARGIN,
     RECONCILED_AGREEMENT,
     UNIT_ROUNDOFF,
@@ -323,6 +324,19 @@ def test_the_positivity_check_is_bounded_by_its_error_model(monkeypatch):
         monkeypatch.setattr(fuhp.verify, "heat_kernel_spectral", lambda *args: real(*args) - offset)
         checks = {r.name: r for r in heat_checks(graph)}
         assert checks["q=7 r_s=1 positivity"].fatal is not passes
+
+
+def test_the_character_orthogonality_check_is_bounded_by_its_error_model(monkeypatch):
+    # |G - m*I| <= ORTHOGONALITY_AGREEMENT*u*(q+1) (heat.py): beta_0(1) moved by e moves row and column 0 of
+    # the Gram matrix by about 2e, so a residual ten times the bound fails and one half of it passes
+    ctx, real = field_context(7), fuhp.characters.character_tables
+    bound = ORTHOGONALITY_AGREEMENT * UNIT_ROUNDOFF * 8
+    for residual, passes in ((0.5 * bound, True), (10 * bound, False)):
+        base = real(ctx).base.copy()
+        base[0, 0] += residual / 2
+        monkeypatch.setattr(fuhp.characters, "character_tables", lambda ctx, t=real(ctx)._replace(base=base): t)
+        (check,) = [r for r in character_checks(ctx) if r.name == "q=7 character orthogonality"]
+        assert check.passed is passes, check.detail
 
 
 @pytest.mark.slow
