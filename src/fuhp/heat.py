@@ -92,12 +92,15 @@ def heat_kernel_spectral(table, t_grid):
 # unit-bounded terms whose weights add to n: sum_rho d_rho^2 = (q-1)*1^2 + (q-1)^2 over the
 # representations of Aff(F_q), and sum_i d_i with |omega_i| <= 1 over the spherical rows. So an error
 # of e*u in every term moves a value by at most e*u*n, and c is the sum of the two kernels' e. A term
-# rounds an exponential and a cosine or omega value (1 each) and carries the error of one symmetric
-# eigh: eigenvalues backward stable to a few u of the matrix norm q+1, which move e^(-t lambda) by at
-# most 1/(e*lambda_min) times as much, and lambda_min >= (sqrt(q) - 1)^2 > (q+1)/8 (the graphs are
+# rounds an exponential and a cosine or omega value (1 each) and carries the error of its eigenvalue:
+# for the affine kernel one symmetric eigh, backward stable to a few u of the matrix norm q+1, for the
+# spectral one (q+1)*omega_i(r_s), a character sum within a few u (at r_s = 1 a cuspidal omega(1),
+# about sqrt(q)*u: see CERTIFICATE_AGREEMENT in spherical.py), which move e^(-t lambda) by at most
+# 1/(e*lambda_min) times as much, and lambda_min >= (sqrt(q) - 1)^2 > (q+1)/8 (the graphs are
 # Ramanujan); unit eigenvectors orthogonal to a few u. Measured over every regular radius of every
 # prime q <= 101 at t in {0, 1e-6, 0.1, 1, 5, 10, 1e8}: the affine kernel is within 4.6u*n of the
-# exact value at t=0, and the two kernels within 10.7u*n of each other. c = 32 leaves a factor 3.
+# exact value at t=0, and the two kernels within 12.3u*n of each other (q=61, r_s=4). c = 32 leaves a
+# factor 2.6.
 AFFINE_AGREEMENT = 32
 
 # c in |G - m*I| <= c*u*(q+1) entrywise, G the Gram matrix of a character table of F_q^x (m = q-1) or of U
@@ -113,25 +116,27 @@ ORTHOGONALITY_AGREEMENT = 40
 # c in heat_kernel_spectral(table, t)[r] >= -c*u*n, n = q(q-1). The exact kernel is >= 0: exp(-tL) =
 # e^(-(q+1)t) exp(tA), and A >= 0 entrywise. The computed sum_i w_i*omega_i(r) has weights
 # w_i = d_i*e^(-lambda_i t) >= 0 that add to at most n and |omega_i| <= 1, so as above an error of
-# e*u in every term moves it by at most e*u*n. A term carries its omega entry's error (within 10u of
-# the character sums, see RECONCILED_AGREEMENT), its exponential's (1u, plus the eigenvalue's few u
-# of q+1 times 8/(e*(q+1)), about 3u) and two products': 16u. The q-term sum adds (q-1)u*n at worst,
-# and about sqrt(q)*u*n when its roundings have independent signs, at most 16u*n for q <= 256; c = 32
-# is the sum of the two.
-# Measured on t in {0, 0.01, 0.1, 1, 10}: at most 0.94u*n at verify's radius over every prime q <= 101
-# (q=41), 1.21u*n over every regular radius, and 0.33u*n at q=211 (-1.6e-12, past a bare -1e-12).
+# e*u in every term moves it by at most e*u*n. A term carries its omega entry's error (a character sum
+# within 2u, a cuspidal omega(1) within about sqrt(q)*u, at most 14u at the primes q <= 211: see
+# CERTIFICATE_AGREEMENT in spherical.py), its exponential's (1u, plus the eigenvalue's few u of q+1
+# times 8/(e*(q+1)), about 3u) and two products': 16u. The q-term sum adds (q-1)u*n at worst, and
+# about sqrt(q)*u*n when its roundings have independent signs, at most 16u*n for q <= 256; c = 32 is
+# the sum of the two.
+# Measured: at most 0.54u*n at verify's radius and times over every prime q <= 211 (q=13), and 0.73u*n
+# over every regular radius of every prime q <= 101 at t in {0, 1e-6, 0.1, 1, 5, 10, 1e8} (q=23).
 POSITIVITY_MARGIN = 32
 
-# c in |reconciled theta - heat_kernel_spectral| <= c*u*n, n = q(q-1). Both kernels are
-# sum_i w_i*omega_i(r) with the same computed weights w_i = d_i*e^(-lambda_i t) >= 0, sum_i w_i <= n;
-# they differ only in the rows omega_i, the table's (from one q x q eigh) or the matched character
-# sums, each within a few u of the exact |omega_i| <= 1. So the rows' disagreement moves a value by at
-# most max|d omega|*u*n, and each sum's own rounding by a few u*n. Measured over every prime q <= 101
-# at t in {0, 0.1, 1}: the rows agree to 10u per entry and 0.95u*n weighted, each sum is within
-# 0.64u*n of its exact value, and the two kernels are within 0.94u*n of each other at verify's
-# radius (q=41), 1.07u*n at every regular radius of q <= 31, and 0.33u*n at q=211. c = 16 covers
-# the per-entry disagreement with room for its slow growth in q.
-RECONCILED_AGREEMENT = 16
+# c in |sum_r |S_r| omega_i(r) omega_k(r) - [i=k] n/d_i| <= c*u*n (weighted orthogonality) and in
+# |sum_i d_i omega_i(r) - [r=0] n| <= c*u*n (delta reconstruction), n = q(q-1), over the rows of
+# spherical.spherical_rows. Each is a sum of terms w*x, |x| <= 1, with weights w >= 0 that add to n
+# (sum_r |S_r| = sum_i d_i = n), so an error of e*u in every term moves it by at most e*u*n. A row
+# entry is a character sum within e = 2u of exact, but a cuspidal omega(1) within e1 = 3*sqrt(q)*u
+# (see CERTIFICATE_AGREEMENT in spherical.py). In the Gram sums omega(1) has the weight |S_1| = n/(q-1),
+# so the entries add 2e*n + 2*e1*n/(q-1) <= 10u*n; in the reconstruction at r=1 the cuspidal rows
+# carry the weight (q-1)^2/2 < n/2, so e1*n/2 + e*n <= 26u*n for q <= 256. Either q-term sum rounds by
+# (q-1)u*n at worst and about sqrt(q)*u*n with independent signs, at most 16u*n for q <= 256. c = 42 is
+# the larger total. Measured over the primes q <= 211: at most 1.41u*n (q=163) and 0.58u*n (q=67).
+TABLE_SUM_AGREEMENT = 42
 
 
 class AffineSpectrum(NamedTuple):

@@ -1,17 +1,18 @@
-"""Zonal spherical functions of H_q and their closed forms.
+"""Zonal spherical functions of H_q and their closed forms, certified.
 
-The distance classes form a commutative association scheme, so the q
-spherical functions belong to (q, delta), not to a generating radius:
-``spherical_table`` computes them once from q x q quotient matrices, and r_s
-only selects the eigenvalues a_i = (q+1)*omega_i(r_s) and the row order.
-
-Two closed-form families are then matched against the rows: the principal
+The distance classes form a commutative association scheme (Bannai and Ito,
+*Algebraic Combinatorics I*, 1984), so the q spherical functions belong to
+(q, delta), not to a generating radius, and they are character sums (Terras,
+*Fourier Analysis on Finite Groups and Applications*, 1999): the principal
 family, a character average over the sphere's y-coordinates, and the cuspidal
-family, a sign-weighted character sum over the norm-one subgroup U. Both are
-treated as claims to be checked, not as definitions: the matcher assigns each
-character class its unique spectral row and records every deviation. The
-assignment belongs to (q, delta) as well, so it is made once, against the
-rows in their own order, and ``match_formulas_to_oracle`` only renumbers it.
+family, a sign-weighted character sum over the norm-one subgroup U.
+
+``spherical_rows`` builds the q rows once from ``closed_forms`` and certifies
+each as a common eigenvector of the integer intersection matrices B_r, so the
+closed forms are claims checked against the scheme, not definitions taken on
+trust. r_s only selects the eigenvalues a_i = (q+1)*omega_i(r_s) and the row
+order, and ``match_formulas_to_oracle`` reports each class with its row of
+that order and its certificate residual.
 """
 
 import functools
@@ -20,18 +21,22 @@ from typing import NamedTuple
 import numpy as np
 
 from .characters import character_tables, nu_equals_inverse
-from .uhp import affine_product, degenerate_radii, radii_order, regular_radius, scheme, unsigned_dtype
+from .heat import UNIT_ROUNDOFF
+from .uhp import affine_product, degenerate_radii, regular_radius, scheme, unsigned_dtype
 
 EIGENVALUE_CLUSTER_TOL = 1e-8
-# weights cos(r * golden angle) keep the eigenvalues of sum_r c_r B~_r apart
-# by >= 5.5e-5 of its norm at every prime q <= 101
-GOLDEN_ANGLE = np.pi * (3 - np.sqrt(5))
-# an eigenvector error e ~ eps*|M|/gap enters the Rayleigh quotients squared,
-# (q+1)*e^2 < 1e-14 for a relative gap >= 1e-8
-MIN_RELATIVE_GAP = 1e-8
-DEGREE_INTEGRALITY_TOL = 1e-6
-# the largest deviation a matched row may have; at every prime q <= 101 they stay below 1.2e-15
-MATCH_TOL = 1e-9
+# c in |B_r omega_i - |S_r| omega_i(r) omega_i| <= c*u*(q+1) entrywise over the rows of spherical_rows, which
+# is 0 for the exact rows. B_r >= 0 has row sums |S_r| <= q+1 and |omega| <= 1, so entry errors of at most
+# e*u move the two sides by (q+1)*e*u and 2*(q+1)*e*u, and the product B_r omega_i, q-term sums whose
+# partial sums stay within q+1, rounds by about sqrt(q)*u*(q+1) with independent signs. A character sum
+# of closed_forms is within about 2u (measured at most 2.3u at the primes q <= 211), but a cuspidal
+# omega(1) sums q-1 of them times |S_r| and divides by q+1: 2*sqrt(q)*u propagated and sqrt(q)*u of its
+# own rounding, e = 3*sqrt(q). So c = 9*sqrt(q) + sqrt(q) <= 160 for q <= 256. Measured over the primes
+# q <= 211: at most 14.0u*(q+1) (q=191; 8.6u*(q+1) at q=101), where omega(1) was off by 14.0u: the
+# residual is (q+1) times that error, about sqrt(q)*u*(q+1). A wrong value misses by far more: the other
+# antipodal reading by at least 8 in every cuspidal row at q = 1 mod 4, the as-stated cuspidal constant
+# by 0.17(q+1) to (q+1).
+CERTIFICATE_AGREEMENT = 160
 
 
 class SphericalTable(NamedTuple):
@@ -89,71 +94,91 @@ def intersection_matrices(ctx):
     return counts
 
 
-@functools.lru_cache(maxsize=1)
-def _radial_rows(ctx):
-    """Spherical rows omega[i, r] and degrees of (q, delta); do not modify.
+class SphericalRows(NamedTuple):
+    """Row i for the i-th of ``character_classes``: omega[i, r] at radius r, its multiplicity degrees[i]
+    and its certificate residual residuals[i] = max_r |B_r omega_i - |S_r| omega_i(r) omega_i|."""
 
-    The symmetric B~_r = D^(1/2) B_r D^(-1/2) (B_r: ``intersection_matrices``,
-    D: orbit sizes) share eigenvectors u_i, found by one eigh of sum_r c_r B~_r;
-    B_r omega_i = |S_r| omega_i(r) omega_i, so omega_i(r) is the Rayleigh
-    quotient u_i' B~_r u_i / (|S_r| u_i' u_i). Each q x q block B~_r is formed
-    from the integers twice, for the scheme check and the sum and for the
-    quotients, so beyond the q^3 bytes of B_r the scratch is O(q^2) and no q^3
-    float array is made.
+    omega: np.ndarray
+    degrees: np.ndarray
+    residuals: np.ndarray
+
+
+def character_classes(q):
+    """Class order: ("principal", j), a beta_j per conjugate pair, then ("cuspidal", j), a nu_j ~ nu_j^-1 on U."""
+    return [("principal", j) for j in range((q + 1) // 2)] + [("cuspidal", j) for j in range(1, (q + 1) // 2)]
+
+
+@functools.lru_cache(maxsize=1)
+def spherical_rows(ctx):
+    """The character sums of ``closed_forms`` as the q rows of (q, delta), certified; do not modify.
+
+    A cuspidal row takes "minus_nu" at 4*delta, and omega(1), which its sum
+    excludes, from orthogonality to the constant row: sum_r |S_r| omega(r) = 0.
+    The degrees are the classes', exactly: 1 (j=0), q (j=(q-1)/2), q+1 (other
+    principal), q-1 (cuspidal). A row that is no common eigenvector of the
+    integer ``intersection_matrices``, B_r omega_i = |S_r| omega_i(r) omega_i
+    at every r within CERTIFICATE_AGREEMENT*u*(q+1), raises AssertionError, as
+    does a count that is no scheme's. O(q^4) time, O(q^2) scratch beyond B_r.
     """
     q = ctx.q
-    n = q * (q - 1)
-    # The solve runs in radii_order, each block gathered into it as it is formed, and omega
-    # returns to radius order at the end: solving in radius order moves omega by up to 1.3e-15
-    # (primes q <= 101), which changes the last digits of the spherical and heat output.
-    radii = radii_order(ctx)
-    sizes = scheme(ctx).sizes[radii]
+    half = (q - 1) // 2
+    forms = closed_forms(ctx)
+    sizes = scheme(ctx).sizes
+    cusp = forms.cuspidal["reconciled"][:, 1 : half + 1].real.T.copy()
+    cusp[:, degenerate_radii(ctx)[1]] = forms.antipodal["minus_nu"][1 : half + 1].real
+    cusp[:, 1] = -np.nansum(cusp * sizes, axis=1) / sizes[1]  # omega(1) is NaN until now
+    omega = np.vstack([forms.principal[:, : half + 1].real.T, cusp])
+    degrees = np.concatenate([[1], np.full(half - 1, q + 1), [q], np.full(half, q - 1)])
     counts = intersection_matrices(ctx)
-    square = np.ix_(radii, radii)
-    root = np.sqrt(np.outer(sizes, sizes))
-    combined = np.zeros((q, q))
-    for r, c in zip(radii, np.cos(GOLDEN_ANGLE * np.array(radii))):
-        pairs = counts[r][square] * sizes[:, None]
+    residuals = np.zeros(q)
+    for r, block in enumerate(counts):
+        pairs = block * sizes[:, None]
         if not np.array_equal(pairs, pairs.T):
             raise AssertionError("|S_r1| B_r[r1, r2] must be symmetric: distance classes are not a scheme")
-        combined += c * (pairs / root)  # exactly symmetric B~_r
-    w, u = np.linalg.eigh(combined)
-    gap = np.diff(w).min()
-    if gap < MIN_RELATIVE_GAP * np.abs(w).max():
-        raise AssertionError(f"radial eigenbasis ill-separated at q={q}: gap {gap:.3e}")
-    quotients = np.array([(counts[r][square] * sizes[:, None] / root @ u * u).sum(axis=0) for r in radii])
-    omega = quotients.T / sizes / (u * u).sum(axis=0)[:, None]
-    # each row of B_r sums to |S_r|, so the constant function is an exact row
-    omega[np.abs(omega - 1.0).max(axis=1).argmin()] = 1.0
-    raw = n / (omega**2 @ sizes)
-    degrees = np.rint(raw).astype(np.int64)
-    if np.abs(raw - degrees).max() > DEGREE_INTEGRALITY_TOL:
-        raise AssertionError(f"multiplicities not integral at q={q}: {raw}")
-    return omega[:, np.argsort(radii)], degrees
+        gap = block @ omega.T - omega.T * (sizes[r] * omega[:, r])
+        residuals = np.maximum(residuals, np.abs(gap).max(axis=0))
+    bound = CERTIFICATE_AGREEMENT * UNIT_ROUNDOFF * (q + 1)
+    for (kind, j), residual in zip(character_classes(q), residuals):
+        if residual > bound:
+            raise AssertionError(f"{kind} row {j} at q={q} is no common eigenvector of the B_r: "
+                                 f"residual {residual:.3e} above {bound:.3e}")
+    out = SphericalRows(omega, degrees, residuals)
+    for array in out:
+        array.flags.writeable = False
+    return out
 
 
 def _row_order(ctx, r_s):
-    """a_i = (q+1)*omega_i(r_s) for the rows of ``_radial_rows``, and their order by ascending lambda_i."""
-    omega, _ = _radial_rows(ctx)
-    adj = (ctx.q + 1) * omega[:, r_s]
-    return adj, np.argsort((ctx.q + 1) - adj, kind="stable")
+    """a_i = (q+1)*omega_i(r_s) for the rows of ``spherical_rows``, and their order by ascending lambda_i.
+
+    Rows that ``SphericalTable.spectrum`` merges keep their class order: the
+    gaps between them are rounding, which must not order anything.
+    """
+    q = ctx.q
+    adj = (q + 1) * spherical_rows(ctx).omega[:, r_s]
+    lam = (q + 1) - adj
+    order = np.argsort(lam, kind="stable")
+    heads, head = [], order[0]
+    for i in order:  # each row joins the cluster of the first row within the tolerance above it
+        head = i if adj[head] - adj[i] > EIGENVALUE_CLUSTER_TOL else head
+        heads.append(lam[head])
+    return adj, order[np.lexsort((order, heads))]
 
 
 def spherical_table(ctx, r_s):
-    """All q rows (cached per (q, delta)) with a_i = (q+1)*omega_i(r_s), by ascending lambda_i."""
-    q = ctx.q
+    """All q rows (certified per (q, delta)) with a_i = (q+1)*omega_i(r_s), by ascending lambda_i."""
     r_s = regular_radius(ctx, r_s)
-    omega, degrees = _radial_rows(ctx)
+    rows = spherical_rows(ctx)
     adj, order = _row_order(ctx, r_s)
     return SphericalTable(
-        q=q,
+        q=ctx.q,
         delta=ctx.delta,
         r_s=r_s,
         orbit_sizes=scheme(ctx).sizes.copy(),
-        omega=omega[order],
-        degrees=degrees[order],
+        omega=rows.omega[order],
+        degrees=rows.degrees[order],
         adjacency_eigenvalues=adj[order],
-        laplacian_eigenvalues=(q + 1) - adj[order],
+        laplacian_eigenvalues=(ctx.q + 1) - adj[order],
     )
 
 
@@ -173,14 +198,23 @@ CUSPIDAL_INFINITY_READINGS = ("minus_nu", "minus_nu0_nu")
 CUSPIDAL_VARIANTS = ("reconciled", "verbatim")
 
 
+def _average(weights, phases, m):
+    """weights @ phases.T / m for real weights and complex phases, by real products and divisions."""
+    return weights @ phases.real.T / m + 1j * (weights @ phases.imag.T / m)
+
+
 @functools.lru_cache(maxsize=1)
 def closed_forms(ctx):
     """Evaluate both families for every character and radius of (q, delta) at once; do not modify.
 
     The principal value is the (q-1)-point character transform of the histogram
     of dlog(y) over each sphere. The cuspidal value is a (q x (q+1)) sign matrix
-    eps(2 u.a - 2 c(r)) * nu0(u) times the nu_j phases on U. See
-    ``principal_spherical`` and ``cuspidal_spherical`` for the definitions.
+    eps(2 u.a - 2 c(r)) * nu0(u) times the nu_j phases on U. Both are real
+    products, divided by q+1 as reals (``_average``): a complex division
+    multiplies by the reciprocal, which leaves (q+1)/(q+1) at 1 - u, and a
+    real-by-complex matmul took 5 to 16 ms a call at q=53 on two BLAS
+    threads. See ``principal_spherical`` and ``cuspidal_spherical`` for the
+    definitions.
     """
     q, delta = ctx.q, ctx.delta
     chars = character_tables(ctx)
@@ -188,7 +222,7 @@ def closed_forms(ctx):
 
     vertices = scheme(ctx)
     hist = np.bincount(vertices.labels * (q - 1) + ctx.dlog[vertices.y], minlength=q * (q - 1))
-    principal = hist.reshape(q, q - 1) @ chars.base.T / (q + 1)
+    principal = _average(hist.reshape(q, q - 1), chars.base, q + 1)
     principal[deg0] = 1.0
     principal[deg1] = chars.base[:, (q - 1) // 2]  # beta_j(-1), dlog(-1) = (q-1)/2
 
@@ -204,7 +238,7 @@ def closed_forms(ctx):
     for variant, consts in two_c.items():
         signs = np.zeros((q, q + 1))
         signs[regular] = ctx.chi[(2 * u_a - np.array(consts, dtype=np.int64)[:, None]) % q] * nu0
-        values = signs @ chars.norm_one.T / (q + 1)
+        values = _average(signs, chars.norm_one, q + 1)
         values[deg0] = 1.0
         values[[1, deg1]] = np.nan
         cuspidal[variant] = values
@@ -239,8 +273,8 @@ def cuspidal_spherical(ctx, j, r, infinity_reading="minus_nu", variant="reconcil
       kept so its deviation from the oracle can be measured.
 
     At the antipodal radius the value is a constant with two candidate
-    readings, -nu_j(-1) and -nu0(-1)*nu_j(-1); the spectral match
-    adjudicates between them rather than hard-coding one. A lookup into
+    readings, -nu_j(-1) and -nu0(-1)*nu_j(-1); only "minus_nu" passes the
+    certificate of ``spherical_rows`` where they differ. A lookup into
     ``closed_forms``.
     """
     q = ctx.q
@@ -269,25 +303,14 @@ def laplace_eigenvalue(table, i, r_s):
     return (table.q + 1) * (1.0 - table.omega[i, table.r_s])
 
 
-def principal_class_indices(q):
-    """Representatives j of the beta_j ~ conj pairs: 0..(q-1)/2."""
-    return list(range((q - 1) // 2 + 1))
-
-
-def cuspidal_class_indices(q):
-    """Representatives j of the valid nu_j classes modulo inversion on U: 1..(q-1)/2."""
-    return list(range(1, (q + 1) // 2))
-
-
 class CharacterMatch(NamedTuple):
-    """One character class matched to one spectral row."""
+    """One character class, its spectral row and its certificate residual."""
 
     kind: str  # "principal" | "cuspidal"
     index: int
     row: int
-    max_deviation: float
+    max_deviation: float  # the row's certificate residual
     excluded_radii: tuple = ()
-    by_elimination: bool = False
     infinity_reading: str = ""
     verbatim_deviation: float = 0.0  # cuspidal only: gap of the as-stated constant
 
@@ -306,85 +329,29 @@ class MatchReport(NamedTuple):
         return [m for m in self.matches if m.kind == "cuspidal"]
 
 
-@functools.lru_cache(maxsize=1)
-def _class_matches(ctx):
-    """Every character class matched to its row of ``_radial_rows``, and the largest imaginary part.
-
-    Principal classes are matched first (their values are defined at every
-    radius), then cuspidal classes over the remaining rows, excluding the
-    pole radius r=1. Each class takes its best untaken row, so the
-    assignment is injective; a best row deviating by more than MATCH_TOL
-    raises with the offending index. For the cuspidal value at the antipodal
-    radius both candidate readings are evaluated and the better one is
-    recorded per class. Returns (matches, max_imag); do not modify.
-    """
-    q = ctx.q
-    omega, _ = _radial_rows(ctx)
-    deg1 = degenerate_radii(ctx)[1]
-    forms = closed_forms(ctx)
-    taken = np.zeros(q, dtype=bool)
-    matches, max_imag = [], 0.0
-
-    def take(devs, label):
-        row = int(np.argmin(np.where(taken, np.inf, devs)))
-        if devs[row] > MATCH_TOL:
-            raise ValueError(
-                f"reconciliation failure: {label} deviates by {devs[row]:.3e} "
-                f"from its best unassigned spectral row (tol {MATCH_TOL:.1e})"
-            )
-        taken[row] = True
-        return row
-
-    for j in principal_class_indices(q):
-        values = forms.principal[:, j]
-        max_imag = max(max_imag, float(np.abs(values.imag).max()))
-        devs = np.abs(omega - values.real).max(axis=1)
-        row = take(devs, f"principal class beta_{j}")
-        matches.append(CharacterMatch("principal", j, row, float(devs[row])))
-
-    defined = [r for r in range(q) if r != 1 and r != deg1]
-    for j in cuspidal_class_indices(q):
-        values = forms.cuspidal["reconciled"][defined, j]
-        verbatim = forms.cuspidal["verbatim"][defined, j]
-        inf_values = [forms.antipodal[reading][j] for reading in CUSPIDAL_INFINITY_READINGS]
-        max_imag = max(max_imag, float(np.abs(values.imag).max()))
-        inf_devs = np.array([np.abs(omega[:, deg1] - v) for v in inf_values])
-        devs = np.maximum(np.abs(omega[:, defined] - values).max(axis=1), inf_devs.min(axis=0))
-        # with only the normalization radius defined (q=3), the last row is the match
-        by_elimination = len(defined) == 1 and taken.sum() == q - 1
-        row = take(devs, f"cuspidal class nu_{j}")
-        if abs(inf_values[0] - inf_values[1]) <= MATCH_TOL:
-            reading = "both (readings coincide)"
-        else:
-            reading = CUSPIDAL_INFINITY_READINGS[int(inf_devs[:, row].argmin())]
-        matches.append(
-            CharacterMatch(
-                "cuspidal",
-                j,
-                row,
-                float(devs[row]),
-                excluded_radii=(1,),
-                by_elimination=by_elimination,
-                infinity_reading=reading,
-                verbatim_deviation=float(np.abs(omega[row, defined] - verbatim).max()),
-            )
-        )
-    return tuple(matches), max_imag
-
-
-def _table_matches(ctx, r_s):
-    """The matches of ``_class_matches`` with each row renumbered into ``spherical_table(ctx, r_s)``."""
-    matches, _ = _class_matches(ctx)
-    position = np.argsort(_row_order(ctx, r_s)[1])
-    return [m._replace(row=int(position[m.row])) for m in matches]
-
-
 def match_formulas_to_oracle(ctx, r_s):
     """Every character class, its row of ``spherical_table(ctx, r_s)`` and its deviations.
 
-    The classes belong to (q, delta), so the assignment is made once per
-    (q, delta) (see ``_class_matches``); r_s only renumbers the rows.
+    Row i of ``spherical_rows`` is the i-th class, so r_s only renumbers the
+    rows. The antipodal readings differ by nu0(-1) = (-1)^((q+1)/2), so they
+    coincide exactly when q = 3 mod 4; otherwise the rows hold "minus_nu". The
+    verbatim deviation is the as-stated constant's gap from the row outside
+    radii {1, 4*delta}; max_imag is over the closed-form values the rows take.
     """
+    q = ctx.q
     table = spherical_table(ctx, r_s)
-    _, max_imag = _class_matches(ctx)
-    return MatchReport(table, _table_matches(ctx, table.r_s), max_imag)
+    rows = spherical_rows(ctx)
+    forms = closed_forms(ctx)
+    position = np.argsort(_row_order(ctx, table.r_s)[1])
+    defined = [r for r in range(q) if r not in (1, degenerate_radii(ctx)[1])]
+    reading = "both (readings coincide)" if q % 4 == 3 else "minus_nu"
+    matches = []
+    for i, (kind, j) in enumerate(character_classes(q)):
+        match = CharacterMatch(kind, j, int(position[i]), float(rows.residuals[i]))
+        if kind == "cuspidal":
+            verbatim = np.abs(rows.omega[i, defined] - forms.cuspidal["verbatim"][defined, j]).max()
+            match = match._replace(excluded_radii=(1,), infinity_reading=reading, verbatim_deviation=float(verbatim))
+        matches.append(match)
+    half = (q - 1) // 2
+    values = (forms.principal[:, : half + 1], forms.cuspidal["reconciled"][defined, 1 : half + 1])
+    return MatchReport(table, matches, max(float(np.abs(v.imag).max()) for v in values))

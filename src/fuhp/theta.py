@@ -4,19 +4,17 @@
 index lattice (characters x norm-one indices) in two modes:
 
 * ``reconciled``: regroups the spectral expansion. Decay rates are the true
-  Laplacian eigenvalues (attached to character classes by the spectral
-  match, made once per (q, delta)) and the angular parts are the
-  character-sum forms of the spherical functions. This mode reproduces the
-  spectral kernel identically.
+  Laplacian eigenvalues and the angular parts are the character-sum forms of
+  the spherical functions, which are the certified rows of
+  ``spherical.spherical_rows``: this mode is ``heat_kernel_spectral`` of the
+  spherical table.
 * ``verbatim``: the stated closed-form double sum evaluated literally, with
   its radius-dependent exponents alpha_r(l), the combined (q+2) phase factor
   for base-field indices, and the characteristic-function phase term. Its
   gap from the reconciled kernel is a measured finding, never corrected.
 
-Both modes are array code: the reconciled sum substitutes rows of
-``spherical.closed_forms`` into the spectral table, and the verbatim sum
-multiplies phase tables built once per (q, delta) by per-radius sign
-vectors, for all times at once.
+The verbatim sum is array code: it multiplies phase tables built once per
+(q, delta) by per-radius sign vectors, for all times at once.
 
 ``classical_theta`` is the lattice sum theta(z, it) = sum_n e^(-pi n^2 t + 2 pi i n z),
 the circle-domain analogue the finite sums imitate.
@@ -31,7 +29,7 @@ import numpy as np
 
 from .field import ExtElement, ext_norm
 from .heat import _time_grid, heat_kernel_affine, heat_kernel_spectral
-from .spherical import _table_matches, closed_forms, spherical_table
+from .spherical import spherical_table
 from .uhp import degenerate_radii, scheme
 
 THETA_MODES = ("verbatim", "reconciled")
@@ -117,39 +115,16 @@ def _finite_theta_verbatim(ctx, r, t_grid):
     return values
 
 
-def reconciled_kernel(ctx, table, t_grid):
-    """Reconciled theta sums sum_i d_i e^(-lambda_i t) omega_i(r) as an array [t, r].
-
-    The spectral kernel of ``table``, a ``spherical_table``, with each row
-    replaced by the character-sum omega of its matched class, an assignment
-    made once per (q, delta): the true decay rates and degrees stay. The
-    antipodal radius takes the adjudicated reading; radius 1, excluded from
-    the cuspidal sum, keeps the spectral row.
-    """
-    forms = closed_forms(ctx)
-    deg1 = degenerate_radii(ctx)[1]
-    omega = table.omega.copy()
-    for m in _table_matches(ctx, table.r_s):
-        if m.kind == "principal":
-            omega[m.row] = forms.principal[:, m.index].real
-            continue
-        omega[m.row] = forms.cuspidal["reconciled"][:, m.index].real
-        reading = "minus_nu" if m.infinity_reading.startswith("both") else m.infinity_reading
-        omega[m.row, deg1] = forms.antipodal[reading][m.index].real
-        omega[m.row, 1] = table.omega[m.row, 1]
-    return heat_kernel_spectral(table._replace(omega=omega), t_grid)
-
-
 def finite_theta(ctx, table, r, t, mode="reconciled"):
     """Evaluate the finite theta sum at radius r and time t.
 
-    Reconciled mode reproduces the spectral heat kernel. Verbatim mode
+    Reconciled mode is the spectral heat kernel of ``table``. Verbatim mode
     returns the real part of the printed sum (use the consistency report for
     its imaginary leakage and deviation).
     """
     _time_grid([t])
     if mode == "reconciled":
-        return float(reconciled_kernel(ctx, table, [t])[0, r % ctx.q])
+        return float(heat_kernel_spectral(table, [t])[0, r % ctx.q])
     if mode == "verbatim":
         return float(_finite_theta_verbatim(ctx, r, [t])[0].real)
     raise ValueError(f"mode must be one of {THETA_MODES}, got {mode!r}")
@@ -238,4 +213,4 @@ def theta_consistency_report(ctx, r_s, t_grid, mode="both"):
     if mode != "reconciled":
         for r in radii:
             verbatim[:, r] = _finite_theta_verbatim(ctx, r, t_grid)
-    return ThetaReport(radii, oracle, reconciled_kernel(ctx, spherical_table(ctx, r_s), t_grid), verbatim)
+    return ThetaReport(radii, oracle, heat_kernel_spectral(spherical_table(ctx, r_s), t_grid), verbatim)

@@ -12,17 +12,23 @@ eigenprojections of the base-point indicator, one dense n x n
 eigendecomposition, so O(n^3) time. Rows that share an adjacency eigenvalue
 at r_s are merged, which makes this the only source of an incomplete table.
 
-``broadcast_radial_rows``: ``spherical._radial_rows`` as one broadcast over
-every orbit representative and vertex, with q x n and q^3 temporaries; only
-the combination sum_r c_r B~_r adds the radius blocks one at a time, and
-like ``_radial_rows`` it solves in ``radii_order``.
+``broadcast_radial_rows``: the spherical rows as eigenvectors, the reference
+for the certified character sums of ``spherical.spherical_rows``. The
+quotient counts come from a broadcast over every vertex, one orbit
+representative at a time, and one eigh of a golden-angle combination
+sum_r c_r B~_r of the symmetrised blocks gives the common eigenvectors,
+whose Rayleigh quotients are the rows.
 """
 
 import numpy as np
 
 from fuhp.field import ExtElement, ext_norm
-from fuhp.spherical import EIGENVALUE_CLUSTER_TOL, GOLDEN_ANGLE, SphericalTable
+from fuhp.spherical import EIGENVALUE_CLUSTER_TOL, SphericalTable
 from fuhp.uhp import Point, radial_values, radii_order, scheme, translate
+
+# weights cos(r * golden angle) keep the eigenvalues of sum_r c_r B~_r apart
+# by >= 5.5e-5 of its norm at every prime q <= 101
+GOLDEN_ANGLE = np.pi * (3 - np.sqrt(5))
 
 
 def enumerate_points(ctx):
@@ -56,22 +62,30 @@ def connected(neighbors):
 
 
 def broadcast_radial_rows(ctx):
-    """(omega, degrees) of ``_radial_rows``, from the q x n translates of all representatives at once."""
+    """(omega, degrees) from one eigh, the quotient counts broadcast over the n translates of each representative.
+
+    omega[i, r] is the Rayleigh quotient u_i' B~_r u_i / (|S_r| u_i' u_i), the row of
+    value 1 nearest the constant is set to 1.0, and d_i = n / sum_r |S_r| omega_i(r)^2
+    rounded; rows come in the eigh's order. The counts take q^3 int16s, and each block
+    B~_r is formed when it is used, so no q^3 float array is made.
+    """
     q = ctx.q
     n = q * (q - 1)
     radii = radii_order(ctx)
     vertices = scheme(ctx)
     labels = vertices.labels
-    moved = labels[translate(q, vertices.reps[:, None], np.arange(n))]
-    flat = (labels[None, :] * q + np.arange(q)[:, None]) * q + moved
-    quotient = np.bincount(flat.ravel(), minlength=q**3).reshape(q, q, q)  # [r, r1, r2]
-    quotient, sizes = quotient[np.ix_(radii, radii, radii)], vertices.sizes[radii]
-    sym = sizes[None, :, None] * quotient / np.sqrt(np.outer(sizes, sizes))
+    counts = np.empty((q, q, q), dtype=np.int16)  # [r, r1, r2]
+    for r1, rep in enumerate(vertices.reps):
+        moved = labels[translate(q, rep, np.arange(n))]
+        counts[:, r1] = np.bincount(labels * q + moved, minlength=q * q).reshape(q, q)
+    counts, sizes = counts[np.ix_(radii, radii, radii)], vertices.sizes[radii]
+    root = np.sqrt(np.outer(sizes, sizes))
     combined = np.zeros((q, q))
-    for c, block in zip(np.cos(GOLDEN_ANGLE * np.array(radii)), sym):  # the production order
-        combined += c * block
+    for c, block in zip(np.cos(GOLDEN_ANGLE * np.array(radii)), counts):
+        combined += c * (sizes[:, None] * block / root)
     _, u = np.linalg.eigh(combined)
-    omega = ((sym @ u) * u).sum(axis=1).T / sizes / (u * u).sum(axis=0)[:, None]
+    omega = np.array([((sizes[:, None] * block / root) @ u * u).sum(axis=0) for block in counts])
+    omega = omega.T / sizes / (u * u).sum(axis=0)[:, None]
     omega[np.abs(omega - 1.0).max(axis=1).argmin()] = 1.0
     return omega[:, np.argsort(radii)], np.rint(n / (omega**2 @ sizes)).astype(np.int64)
 

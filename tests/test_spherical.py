@@ -8,20 +8,23 @@ import pytest
 import fuhp.spherical
 from fuhp.characters import beta, nu, nu0, nu_equals_inverse
 from fuhp.field import ExtElement, field_context, is_odd_prime, norm_one_subgroup, quadratic_character
-from fuhp.heat import heat_kernel_spectral
+from fuhp.heat import UNIT_ROUNDOFF, heat_kernel_spectral
 from fuhp.spherical import (
+    CERTIFICATE_AGREEMENT,
     CUSPIDAL_INFINITY_READINGS,
     CUSPIDAL_VARIANTS,
-    _radial_rows,
+    EIGENVALUE_CLUSTER_TOL,
+    character_classes,
     closed_forms,
     cuspidal_spherical,
     intersection_matrices,
     laplace_eigenvalue,
     match_formulas_to_oracle,
     principal_spherical,
+    spherical_rows,
     spherical_table,
 )
-from fuhp.theta import finite_theta, reconciled_kernel, theta_consistency_report
+from fuhp.theta import finite_theta, theta_consistency_report
 from fuhp.uhp import base_point, build_graph, degenerate_radii, radii_order, scheme, sphere
 
 from dense_graph import broadcast_radial_rows, distance, enumerate_points, radial_eigenbasis
@@ -224,6 +227,8 @@ def test_laplace_eigenvalue_relation():
 
 
 def test_match_q3_by_elimination():
+    # only the normalization radius is defined for the cuspidal sum at q=3: its row is the one left
+    # over, (1, -0.5, 1), from the antipodal value and orthogonality to the constant row
     ctx = field_context(3)
     report = match_formulas_to_oracle(ctx, 1)
     assert {m.row for m in report.matches} == {0, 1, 2}
@@ -233,7 +238,8 @@ def test_match_q3_by_elimination():
     assert table.degrees[principal_rows[0]] == 1
     assert table.degrees[principal_rows[1]] == 3
     (cusp,) = report.cuspidal
-    assert cusp.by_elimination
+    assert cusp.row == ({0, 1, 2} - set(principal_rows.values())).pop()
+    assert table.omega[cusp.row].tolist() == [1.0, -0.5, 1.0]
     assert table.degrees[cusp.row] == 2
     assert cusp.excluded_radii == (1,)
 
@@ -370,26 +376,41 @@ def test_radial_table_builds_at_every_prime_up_to_the_default_cap():
         assert np.abs(table.degrees @ table.omega - delta).max() <= 4 * np.finfo(float).eps * n
 
 
-@pytest.mark.parametrize("q", [3, 13, 29, 53])
-def test_radial_rows_equal_the_broadcast_formula_bit_for_bit(q):
-    # per-representative counts and per-radius quotients add in the broadcast's order
+def _assert_rows_match_the_eigh_reference(q):
+    # each reference entry is a Rayleigh quotient u' B~_r u / (|S_r| u'u): its 2q-term sums round by
+    # about q*u at worst, and the eigenvector error of the golden-angle eigh enters it squared; each
+    # certified entry is within 3*sqrt(q)*u of exact (CERTIFICATE_AGREEMENT). 2u(q+1) covers the two
     ctx = field_context(q)
-    omega, degrees = _radial_rows.__wrapped__(ctx)
-    dense_omega, dense_degrees = broadcast_radial_rows(ctx)
-    assert np.array_equal(omega, dense_omega)
-    assert np.array_equal(degrees, dense_degrees)
+    rows = spherical_rows(ctx)
+    reference, degrees = broadcast_radial_rows(ctx)
+    gaps = np.array([np.abs(reference - row).max(axis=1) for row in rows.omega])  # [class, reference row]
+    nearest = gaps.argmin(axis=1)
+    assert sorted(nearest.tolist()) == list(range(q))
+    assert gaps[np.arange(q), nearest].max() <= 2 * UNIT_ROUNDOFF * (q + 1)
+    assert np.array_equal(rows.degrees, degrees[nearest])  # the class degrees are the float ones
 
 
-def test_radial_rows_scratch_is_one_byte_cube(monkeypatch):
-    # the uint8 counts B_r are the only q^3 array, and each float block B~_r is q x q; an
-    # int64 and a float cube of the counts peaked at 2.6 MB traced at q=53 and 16.6 MB at q=101
+@pytest.mark.parametrize("q", [3, 13, 29, 53])
+def test_certified_rows_match_the_eigh_reference(q):
+    _assert_rows_match_the_eigh_reference(q)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q", list(filter(is_odd_prime, range(3, 212))))
+def test_certified_rows_match_the_eigh_reference_to_q211(q):
+    _assert_rows_match_the_eigh_reference(q)
+
+
+def test_certified_rows_scratch_is_one_byte_cube(monkeypatch):
+    # the uint8 counts B_r are the only q^3 array; the rows, their products with one block B_r at a
+    # time and the scheme check's |S_r1| B_r[r1, r2] are q x q
     monkeypatch.setattr(fuhp.spherical, "intersection_matrices", intersection_matrices.__wrapped__)
     for q in (53, 101):
         ctx = field_context(q)
-        _radial_rows.__wrapped__(ctx)  # warm the per-(q, delta) tables it reads
+        spherical_rows.__wrapped__(ctx)  # warm the per-(q, delta) tables it reads
         tracemalloc.start()
         try:
-            _radial_rows.__wrapped__(ctx)  # counts included, as the cache is bypassed
+            spherical_rows.__wrapped__(ctx)  # counts included, as the cache is bypassed
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -415,7 +436,7 @@ def test_an_asymmetric_count_fails_the_scheme_check(monkeypatch):
     counts[4, 2, 3] += 1  # |S_2| B_4[2, 3] = |S_3| B_4[3, 2] no longer holds
     monkeypatch.setattr(fuhp.spherical, "intersection_matrices", lambda c: counts)
     with pytest.raises(AssertionError, match="not a scheme"):
-        _radial_rows.__wrapped__(ctx)
+        spherical_rows.__wrapped__(ctx)
 
 
 @pytest.mark.parametrize("q", [5, 7, 13, 29])
@@ -424,43 +445,110 @@ def test_match_is_the_same_at_every_generating_radius(q):
     # rows' own order, is one assignment with bit-equal deviations and readings
     ctx = field_context(q)
     forms = closed_forms(ctx)
-    own_row = {row.tobytes(): i for i, row in enumerate(_radial_rows(ctx)[0])}
+    rows = spherical_rows(ctx)
+    own_row = {row.tobytes(): i for i, row in enumerate(rows.omega)}
     seen = None
     for r_s in radii_order(ctx)[2:]:
         report = match_formulas_to_oracle(ctx, r_s)
         table = report.table
         assert table.r_s == r_s
         for m in report.principal:
-            values = forms.principal[:, m.index].real
-            assert np.abs(table.omega[m.row] - values).max() == m.max_deviation
+            assert np.array_equal(table.omega[m.row], forms.principal[:, m.index].real)
         summary = {
             (m.kind, m.index): (own_row[table.omega[m.row].tobytes()], m.max_deviation,
-                                m.verbatim_deviation, m.infinity_reading, m.by_elimination)
+                                m.verbatim_deviation, m.infinity_reading)
             for m in report.matches
         }
         assert len(summary) == q
+        # row i of the certified rows is the i-th class, and its deviation is that row's residual
+        assert [summary[c][:2] for c in character_classes(q)] == list(zip(range(q), rows.residuals.tolist()))
         assert seen is None or (summary, report.max_imag) == seen
         seen = summary, report.max_imag
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 13])
-def test_reconciled_kernel_substitutes_the_matched_rows(q):
+def test_the_reconciled_kernel_is_the_spectral_kernel_of_the_character_sums(q):
+    # each row of the table is its class's character sum, with the "minus_nu" antipodal value and
+    # omega(1) from orthogonality to the constant row, so the reconciled theta sums are the spectral
+    # kernel of the table itself
     ctx = field_context(q)
     forms = closed_forms(ctx)
+    deg1 = degenerate_radii(ctx)[1]
+    sizes = scheme(ctx).sizes
     t_grid = [0.0, 0.1, 1.0, 5.0]
     for r_s in radii_order(ctx)[2:]:
         report = match_formulas_to_oracle(ctx, r_s)
         table = report.table
-        deg1 = degenerate_radii(ctx)[1]
-        omega = table.omega.copy()
         for m in report.matches:
+            row = table.omega[m.row]
             if m.kind == "principal":
-                omega[m.row] = forms.principal[:, m.index].real
-            else:
-                reading = "minus_nu" if m.infinity_reading.startswith("both") else m.infinity_reading
-                keep = table.omega[m.row, 1]
-                omega[m.row] = forms.cuspidal["reconciled"][:, m.index].real
-                omega[m.row, deg1] = forms.antipodal[reading][m.index].real
-                omega[m.row, 1] = keep
-        want = heat_kernel_spectral(table._replace(omega=omega), t_grid)
-        np.testing.assert_array_equal(reconciled_kernel(ctx, table, t_grid), want)
+                assert np.array_equal(row, forms.principal[:, m.index].real)
+                continue
+            defined = [r for r in range(q) if r not in (1, deg1)]
+            assert np.array_equal(row[defined], forms.cuspidal["reconciled"][defined, m.index].real)
+            assert row[deg1] == forms.antipodal["minus_nu"][m.index].real
+            assert abs(row @ sizes) <= CERTIFICATE_AGREEMENT * UNIT_ROUNDOFF * (q + 1)
+        theta = theta_consistency_report(ctx, r_s, t_grid, mode="reconciled")
+        np.testing.assert_array_equal(theta.reconciled, heat_kernel_spectral(table, t_grid))
+        for r in range(q):
+            assert finite_theta(ctx, table, r, 0.1) == heat_kernel_spectral(table, [0.1])[0, r]
+
+
+def _rows_with(monkeypatch, ctx, edit):
+    """Build the rows from a copy of ``closed_forms`` that ``edit`` changed, bypassing the caches."""
+    real = closed_forms(ctx)
+    forms = real._replace(principal=real.principal.copy(),
+                          cuspidal={k: v.copy() for k, v in real.cuspidal.items()},
+                          antipodal=dict(real.antipodal))
+    edit(forms)
+    monkeypatch.setattr(fuhp.spherical, "closed_forms", lambda c: forms)
+    return spherical_rows.__wrapped__(ctx)
+
+
+@pytest.mark.parametrize("q", [5, 13])
+@pytest.mark.parametrize("kind", ["principal", "cuspidal"])
+def test_a_closed_form_value_moved_by_1e_12_fails_the_certificate(monkeypatch, q, kind):
+    ctx = field_context(q)
+    _rows_with(monkeypatch, ctx, lambda forms: None)  # an unchanged copy passes
+
+    def move(forms):
+        values = forms.principal if kind == "principal" else forms.cuspidal["reconciled"]
+        values[2, 1] += 1e-12  # radius 2 is regular at q = 5 and 13, and j = 1 is a class of each family
+
+    with pytest.raises(AssertionError, match=f"{kind} row 1 at q={q} is no common eigenvector"):
+        _rows_with(monkeypatch, ctx, move)
+
+
+@pytest.mark.parametrize("q,fails", [(5, True), (13, True), (7, False), (11, False)])
+def test_the_other_antipodal_reading_fails_the_certificate_where_the_readings_differ(monkeypatch, q, fails):
+    # -nu0(-1) nu_j(-1) differs from -nu_j(-1) by the sign nu0(-1) = (-1)^((q+1)/2): at q = 1 mod 4
+    ctx = field_context(q)
+
+    def swap(forms):
+        forms.antipodal["minus_nu"] = forms.antipodal["minus_nu0_nu"]
+
+    if fails:
+        with pytest.raises(AssertionError, match="cuspidal row 1 .* no common eigenvector"):
+            _rows_with(monkeypatch, ctx, swap)
+    else:
+        assert np.array_equal(_rows_with(monkeypatch, ctx, swap).omega, spherical_rows(ctx).omega)
+
+
+@pytest.mark.parametrize("q", [5, 7, 13, 29])
+def test_tied_rows_appear_in_class_order(q):
+    # rows whose eigenvalues the spectrum merges differ by rounding only: they keep the class order,
+    # principal j ascending, then cuspidal j ascending
+    ctx = field_context(q)
+    ties = 0
+    for r_s in radii_order(ctx)[2:]:
+        report = match_formulas_to_oracle(ctx, r_s)
+        class_of = {m.row: i for i, m in enumerate(report.matches)}
+        a = report.table.adjacency_eigenvalues
+        head = 0
+        for i in range(1, q):
+            if a[head] - a[i] > EIGENVALUE_CLUSTER_TOL:
+                head = i
+                continue
+            ties += 1
+            assert class_of[i - 1] < class_of[i], (r_s, i)
+    assert ties > 0

@@ -16,20 +16,23 @@ from fuhp.heat import (
     AFFINE_AGREEMENT,
     ORTHOGONALITY_AGREEMENT,
     POSITIVITY_MARGIN,
-    RECONCILED_AGREEMENT,
+    TABLE_SUM_AGREEMENT,
     UNIT_ROUNDOFF,
     initial_condition_check,
     stabiliser_orbits,
 )
+from fuhp.spherical import match_formulas_to_oracle
 from fuhp.uhp import build_graph, cayley_certificate, radii_order, scheme, vertex_index
 from fuhp.verify import (
     LIFT_MAX_Q,
     character_checks,
     field_checks,
+    formula_match_checks,
     heat_checks,
     heat_test_functions,
     radius_checks,
     run_battery,
+    table_checks,
     theta_checks,
 )
 
@@ -58,15 +61,15 @@ def test_battery_builds_one_graph_per_q_and_one_match(monkeypatch):
 
     counted(fuhp.verify, "UhpGraph")
     counted(fuhp.verify, "match_formulas_to_oracle")
-    fuhp.spherical._class_matches.cache_clear()
+    fuhp.spherical.spherical_rows.cache_clear()
     assert not any(r.fatal for r in run_battery([7]))
     # the walk's graph, at the first regular radius, on the generators the certificate proved there
     assert [r_s for name, r_s in calls if name == "UhpGraph"] == [1]
     assert not hasattr(fuhp.verify, "build_graph")
     assert not {"build_graph", "UhpGraph"} & set(vars(fuhp.theta))  # the theta report needs no graph
     assert [name for name, _ in calls].count("match_formulas_to_oracle") == 1
-    # the reconciled theta kernels read the same assignment: it is computed once
-    assert fuhp.spherical._class_matches.cache_info().misses == 1
+    # every table, the match and the theta report read the same certified rows: they are computed once
+    assert fuhp.spherical.spherical_rows.cache_info().misses == 1
 
 
 def test_battery_names_every_check_once():
@@ -79,8 +82,8 @@ def test_battery_names_every_check_once():
 
 def test_every_per_q_cache_holds_one_q_after_a_battery():
     caches = [fuhp.uhp.scheme, fuhp.characters.character_tables, fuhp.spherical.intersection_matrices,
-              fuhp.spherical._radial_rows, fuhp.spherical.closed_forms, fuhp.spherical._class_matches,
-              fuhp.theta._theta_tables, fuhp.heat.affine_spectrum]
+              fuhp.spherical.spherical_rows, fuhp.spherical.closed_forms, fuhp.theta._theta_tables,
+              fuhp.heat.affine_spectrum]
     assert not any(r.fatal for r in run_battery([5, 7]))
     assert {cache.__name__: cache.cache_info().currsize for cache in caches} == {
         cache.__name__: 1 for cache in caches}
@@ -156,15 +159,16 @@ def test_two_swapped_labels_fail_the_orbit_proof_and_every_eigenfunction_check(m
 
 def test_the_table_checks_catch_a_wrong_degree(monkeypatch, capsys):
     # one multiplicity one too large: only the per-q table checks read the degrees' sum directly
-    real = fuhp.spherical._radial_rows
+    real = fuhp.spherical.spherical_rows
 
     def bumped(ctx):
-        omega, degrees = real(ctx)
-        degrees = degrees.copy()
+        rows = real(ctx)
+        degrees = rows.degrees.copy()
         degrees[-1] += 1
-        return omega, degrees
+        return rows._replace(degrees=degrees)
 
-    monkeypatch.setattr(fuhp.spherical, "_radial_rows", bumped)
+    for module in (fuhp.spherical, fuhp.verify):  # the tables and the table checks
+        monkeypatch.setattr(module, "spherical_rows", bumped)
     failed = [r.name for r in run_battery([7]) if r.fatal]
     for label in ("sum d_i = q(q-1)", "weighted orthogonality", "delta reconstruction"):
         assert failed.count(f"q=7 {label}") == 1, label
@@ -304,14 +308,48 @@ def test_the_affine_oracle_check_is_bounded_by_its_error_model(monkeypatch, affi
         assert checks["q=7 r_s=2 spectral = affine oracle"].fatal is not passes
 
 
-def test_the_reconciled_theta_check_is_bounded_by_its_error_model(monkeypatch):
-    # |reconciled - spectral| <= RECONCILED_AGREEMENT*u*n (heat.py): a kernel off by ten times that
-    # fails; at q=7 that offset, 7.5e-13, passed the former bare 1e-12
-    ctx, real = field_context(7), fuhp.verify.reconciled_kernel
-    for offset, passes in ((0.0, True), (10 * RECONCILED_AGREEMENT * UNIT_ROUNDOFF * 7 * 6, False)):
-        monkeypatch.setattr(fuhp.verify, "reconciled_kernel", lambda *args: real(*args) + offset)
+def test_the_theta_report_reconciled_column_is_bounded_by_its_error_model(monkeypatch):
+    # the column is the spectral kernel against the affine one, |.| <= AFFINE_AGREEMENT*u*n (heat.py): a
+    # column off by ten times that fails; at q=7 that offset, 1.5e-12, passed the former bare 1e-9
+    ctx, real = field_context(7), fuhp.theta.heat_kernel_spectral
+    for offset, passes in ((0.0, True), (10 * AFFINE_AGREEMENT * UNIT_ROUNDOFF * 7 * 6, False)):
+        monkeypatch.setattr(fuhp.theta, "heat_kernel_spectral", lambda *args: real(*args) + offset)
         checks = {r.name: r for r in theta_checks(ctx, 1)}
-        assert checks["q=7 reconciled theta = spectral kernel"].fatal is not passes
+        assert checks["q=7 theta report reconciled column"].fatal is not passes
+
+
+@pytest.mark.parametrize("q", [7, 13])
+def test_the_table_sums_are_bounded_by_their_error_model(monkeypatch, q):
+    # omega_i(1) of the last row moved by x moves the reconstruction at r=1 by d_i*x and the Gram entry
+    # of that row with the constant one by (q+1)*x: ten times TABLE_SUM_AGREEMENT*u*n over d_i = q-1
+    # fails both checks, half of it over q+1 passes them
+    ctx, real = field_context(q), fuhp.spherical.spherical_rows
+    n = q * (q - 1)
+    bound = TABLE_SUM_AGREEMENT * UNIT_ROUNDOFF * n
+    for move, passes in ((0.5 * bound / (q + 1), True), (10 * bound / (q - 1), False)):
+        omega = real(ctx).omega.copy()
+        omega[-1, 1] += move
+        monkeypatch.setattr(fuhp.verify, "spherical_rows", lambda c, rows=real(ctx)._replace(omega=omega): rows)
+        checks = {r.name: r for r in table_checks(ctx, True)}
+        for label in ("weighted orthogonality", "delta reconstruction"):
+            assert checks[f"q={q} {label}"].fatal is not passes, (label, checks[f"q={q} {label}"].detail)
+
+
+@pytest.mark.parametrize("q", [5, 13, 101])
+def test_the_cuspidal_constant_finding_names_the_radius_where_the_constants_agree(q):
+    # the stated 2(1+r)/(1-r) equals 2 - r/delta in F_q exactly when r(r - 1 - 4 delta) = 0, so on the
+    # audited radii the two closed forms agree at r = 4 delta + 1 alone
+    ctx = field_context(q)
+    (check,) = [r for r in formula_match_checks(match_formulas_to_oracle(ctx, 1))
+                if r.name == f"q={q} as-stated cuspidal constant gap"]
+    agree = (4 * ctx.delta + 1) % q
+    assert check.finding_only and not check.passed
+    assert check.detail.endswith(f"the constants agree exactly at r={agree}")
+    forms = fuhp.spherical.closed_forms(ctx)
+    classes = list(range(1, (q + 1) // 2))
+    gap = np.abs(forms.cuspidal["reconciled"][:, classes] - forms.cuspidal["verbatim"][:, classes]).max(axis=1)
+    audited = [r for r in range(q) if r not in (0, 1, fuhp.uhp.degenerate_radii(ctx)[1])]
+    assert [r for r in audited if gap[r] <= 1e-12] == [agree]
 
 
 def test_the_positivity_check_is_bounded_by_its_error_model(monkeypatch):
