@@ -14,6 +14,9 @@ import numpy as np
 
 # a list of these exact types is written in one piece; one holding anything else, item by item
 _SCALARS = frozenset((bool, float, int, str, type(None)))
+# an array of two or more dimensions is written in pieces of whole rows of about this many items (4,096 rows
+# of graph's 515,100 x 2 edge array at q=101, where one str per row held 51 MB of pieces for 9 MB of text)
+BLOCK_ITEMS = 8192
 
 
 def format_float(x):
@@ -38,11 +41,12 @@ def _scalar(x):
 def _pieces(obj):
     """The text of obj in pieces, to be joined once.
 
-    A dict, an array of two or more dimensions and a list of anything but
-    _SCALARS yield their brackets, keys and separators as pieces of their
-    own, the array one row at a time; a list of _SCALARS, a 1-D array and a
-    scalar are one piece each. So no container's text is copied into its
-    parent's before the one final join, and no array becomes a nested list.
+    A dict and a list of anything but _SCALARS yield their brackets, keys and
+    separators as pieces of their own; a list of _SCALARS, a 1-D array and a
+    scalar are one piece each; an array of two or more dimensions yields its
+    brackets and one piece per block of rows, from a nested list of that
+    block only. So no text but a row's is copied before the one final join,
+    and no whole array becomes a nested list.
     """
     if isinstance(obj, np.ndarray) and obj.ndim < 2:
         obj = obj.tolist()
@@ -52,7 +56,14 @@ def _pieces(obj):
             yield f"{', ' if i else ''}{json.dumps(str(k))}: "
             yield from _pieces(v)
         yield "}"
-    elif not isinstance(obj, (list, tuple, np.ndarray)):
+    elif isinstance(obj, np.ndarray):
+        step = max(1, BLOCK_ITEMS * len(obj) // max(obj.size, 1))  # rows per block
+        yield "["
+        for start in range(0, len(obj), step):
+            rows = obj[start : start + step].tolist()
+            yield (", " if start else "") + ", ".join("".join(_pieces(row)) for row in rows)
+        yield "]"
+    elif not isinstance(obj, (list, tuple)):
         yield _scalar(obj)
     elif _SCALARS.issuperset(map(type, obj)):
         yield "[" + ", ".join(map(_scalar, obj)) + "]"

@@ -35,14 +35,7 @@ from .heat import (
     method_of_images_check,
     stabiliser_orbits,
 )
-from .spherical import (
-    CERTIFICATE_AGREEMENT,
-    intersection_matrices,
-    laplace_eigenvalue,
-    match_formulas_to_oracle,
-    spherical_rows,
-    spherical_table,
-)
+from .spherical import intersection_matrices, match_formulas_to_oracle, spherical_rows, spherical_table
 from .theta import classical_theta, theta_consistency_report
 from .uhp import (
     UhpGraph,
@@ -60,6 +53,15 @@ HEAT_T_GRID = (0.0, 0.01, 0.1, 1.0, 10.0)
 # apart over every regular radius of every prime q <= 211 (q=191, r_s=1), and at most 1.02*sqrt(q)*u(q+1)
 # at r_s = 1, so c = 32 holds to q of about 900
 SPECTRUM_AGREEMENT = 32
+# c in |Im v| <= c*u over the closed-form values v that the rows take (``MatchReport.max_imag``), each a real
+# character sum formed as ``spherical.closed_forms`` forms it: sum_k w_k Im(e^(i theta_k)) / (q+1), with real
+# weights w_k (a sphere's dlog histogram, or the cuspidal signs) whose |w_k| add to at most q+1, so an error
+# of e*u in every term moves it by at most e*u. A phase rounds its angle 2*pi*a/m < 2*pi three times (up to
+# 19u) and its sine once, and the product w_k*sin rounds once: e = 21. The q-term sum, whose partial sums
+# stay within q+1, rounds by (q-1)u(q+1) at worst and about sqrt(q)*u*(q+1) with independent signs, which
+# the division leaves at sqrt(q)*u, at most 16u for q <= 256. c = 40 covers the sum of the two, 37u.
+# Measured at most 5.1u over every prime q <= 211 (q=89), not growing with q
+REAL_VALUE_AGREEMENT = 40
 LIFT_MAX_Q = 13  # |G| = q(q-1)^2(q+1) = 26,208 group elements at q=13
 
 
@@ -145,7 +147,12 @@ def character_checks(ctx):
 
 
 def table_checks(ctx, orbits):
-    """Facts of (q, delta) alone, checked once per q: orbit sizes (with ``orbits``) and the spherical table."""
+    """Facts of (q, delta) alone, checked once per q: orbit sizes (with ``orbits``) and the spherical table.
+
+    The table is read only once ``spherical_rows`` has certified it: rows that
+    are no common eigenvectors of the integer B_r fail "spherical rows
+    certified", with the certificate's message as the detail, and end the list.
+    """
     q = ctx.q
     n = q * (q - 1)
     out = []
@@ -153,7 +160,11 @@ def table_checks(ctx, orbits):
     deg0, deg1 = degenerate_radii(ctx)
     expected = {r: (1 if r in (deg0, deg1) else q + 1) for r in range(q)}
     _check(out, f"q={q} orbit sizes", sizes == expected and orbits, f"{sizes}")
-    rows = spherical_rows(ctx)
+    try:
+        rows = spherical_rows(ctx)
+    except AssertionError as exc:
+        return out + [CheckResult(f"q={q} spherical rows certified", False, str(exc))]
+    _check(out, f"q={q} spherical rows certified", True, f"max residual {rows.residuals.max():.2e}")
     _check(out, f"q={q} omega(0) = 1", np.all(rows.omega[:, 0] == 1.0),
            f"max dev {np.abs(rows.omega[:, 0] - 1).max():.1e}")
     _check(out, f"q={q} sum d_i = q(q-1)", int(rows.degrees.sum()) == n, f"{int(rows.degrees.sum())}")
@@ -175,7 +186,7 @@ def _sorted(values):
     return values[np.argsort(values, kind="stable")]
 
 
-def radius_checks(ctx, r_s, orbits):
+def radius_checks(ctx, r_s):
     """Checks on Cay(Aff(F_q), S_{r_s}) and the table at r_s, from one proof of S_{r_s}; no vertex graph.
 
     ``affine_spectrum`` proves S_{r_s} a sound connection set and carries its
@@ -193,10 +204,10 @@ def radius_checks(ctx, r_s, orbits):
     _check(out, f"q={q} r_s={r_s} graph built", True,
            f"{q * (q - 1)} vertices, degree {q + 1}, connected, vertex-transitive")
 
-    x, y, labels, _, reps = scheme(ctx)
     if q <= 7:
         # the pseudo-distance N(z - w) / (y_z y_w) of every pair, from coordinates, against the
         # neighbours z.s of every vertex z through the certified generators s
+        x, y = scheme(ctx).x, scheme(ctx).y
         dx, dy = x[:, None] - x, y[:, None] - y
         dist = (dx * dx - ctx.delta * dy * dy) * ctx.inverse[y[:, None] * y % q] % q
         adjacency = np.zeros(dist.shape, dtype=bool)
@@ -215,26 +226,6 @@ def radius_checks(ctx, r_s, orbits):
     _check(out, f"q={q} r_s={r_s} adjacency eigenvalues distinct", distinct == table.num_rows,
            f"{distinct} distinct for {table.num_rows} rows (collisions are reported, not fatal)",
            finding_only=True)
-    lam_dev = max(
-        abs(laplace_eigenvalue(table, i, r_s) - table.laplacian_eigenvalues[i])
-        for i in range(table.num_rows)
-    )
-    _check(out, f"q={q} r_s={r_s} eigenvalue relation", lam_dev <= 1e-10,
-           f"(q+1)(1 - omega(r_s)) vs lambda: {lam_dev:.2e}")
-
-    # lifted rows are adjacency eigenvectors: lift[z, i] = omega_i(d(z)), and (A lift)[z] = C[z] @ omega.T
-    # with C[z, r] the number of neighbours z.s, s in S_{r_s}, at radius r. For k in K, the stabiliser of
-    # sqrt(delta), k' = h_(k.z)^-1 k h_z fixes sqrt(delta), so k' is in K, and k.(z.s) = (k.z).(k'.s).
-    # When the classes are the orbits of K (``orbits``, from ``stabiliser_orbits``), k' permutes S_{r_s}
-    # and C is constant on each class: its q rows at the representatives are all of it (at sqrt(delta),
-    # the identity, the row counts the generators' own radii). When C is B_{r_s} (integers), the n x q
-    # identity is the q x q one B_{r_s} omega_i' = a_i omega_i. O(q^2)
-    block = intersection_matrices(ctx)[r_s]
-    moved = labels[translate(q, reps[:, None], spec.generators)] + q * np.arange(q)[:, None]  # q*r + label
-    counts_ok = orbits and np.array_equal(np.bincount(moved.ravel(), minlength=q * q).reshape(q, q), block)
-    eig_dev = float(np.abs(block @ table.omega.T - table.omega.T * table.adjacency_eigenvalues).max())
-    eig_dev = eig_dev if counts_ok else math.inf
-    _check(out, f"q={q} r_s={r_s} rows are eigenfunctions", eig_dev <= 1e-9, f"{eig_dev:.2e}")
 
     # The spectrum of the Cayley graph is the union over the irreducible representations rho of the
     # eigenvalues of sum_s rho(s), each d_rho times: the q-1 character sums c_j, and the q-1
@@ -255,19 +246,10 @@ def radius_checks(ctx, r_s, orbits):
 
 def formula_match_checks(report):
     """Checks on a match_formulas_to_oracle report."""
-    q, r_s = report.table.q, report.table.r_s
+    q = report.table.q
     out = []
-    worst = max(m.max_deviation for m in report.matches)
-    unique = len({m.row for m in report.matches}) == len(report.matches)
-    _check(out, f"q={q} formulas match oracle (r_s={r_s})",
-           worst <= CERTIFICATE_AGREEMENT * UNIT_ROUNDOFF * (q + 1) and unique,
-           f"max certificate residual {worst:.2e}, rows unique: {unique}")
-    _check(out, f"q={q} formula values real", report.max_imag <= 1e-10,
+    _check(out, f"q={q} formula values real", report.max_imag <= REAL_VALUE_AGREEMENT * UNIT_ROUNDOFF,
            f"max imag {report.max_imag:.1e}")
-    readings = {m.infinity_reading for m in report.cuspidal}
-    _check(out, f"q={q} antipodal reading adjudicated",
-           all("minus_nu0_nu" != r for r in readings),
-           f"winning readings: {sorted(readings)}")
     # the stated 2(1+r)/(1-r) is 2 - r/delta in F_q exactly when r(r - 1 - 4 delta) = 0: at r = 4 delta + 1
     verb = max((m.verbatim_deviation for m in report.cuspidal), default=0.0)
     agree = (4 * report.table.delta + 1) % q
@@ -372,10 +354,6 @@ def theta_checks(ctx, r_s):
     q = ctx.q
     out = []
     report = theta_consistency_report(ctx, r_s, [0.1, 1.0])
-    # the spectral kernel against the affine one (heat.AFFINE_AGREEMENT); at most 0.65u*n at primes q <= 211
-    _check(out, f"q={q} theta report reconciled column",
-           report.max_reconciled_deviation <= AFFINE_AGREEMENT * UNIT_ROUNDOFF * q * (q - 1),
-           f"{report.max_reconciled_deviation:.2e}")
     _check(out, f"q={q} verbatim theta gap", report.max_verbatim_deviation <= 1e-9,
            f"max |verbatim - reconciled| = {report.max_verbatim_deviation:.3e} (measured finding)",
            finding_only=True)
@@ -411,14 +389,16 @@ def run_battery(q_list, include_lift=False):
         ctx = field_context(q)
         results += field_checks(ctx)
         results += character_checks(ctx)
-        orbits = stabiliser_orbits(ctx)
-        results += table_checks(ctx, orbits)
+        table = table_checks(ctx, stabiliser_orbits(ctx))
+        results += table
+        if not table[1].passed:  # "spherical rows certified": every later check of q reads the rows
+            continue
         # each radius is checked through its certified connection set. One vertex graph per q serves the
         # walk of the heat and lift checks: it is formed at the first radius that passes, while the affine
         # spectrum caches that proof, as are the theta checks there (printed after the heat checks)
         graph, theta = None, []
         for r_s in radii_order(ctx)[2:]:
-            checks = radius_checks(ctx, r_s, orbits)
+            checks = radius_checks(ctx, r_s)
             results += checks
             if checks[0].passed and graph is None:
                 graph, theta = UhpGraph(ctx, r_s, affine_spectrum(ctx, r_s).generators), theta_checks(ctx, r_s)

@@ -1,5 +1,8 @@
 """The verify battery beyond the q the CLI tests cover."""
 
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,7 @@ from fuhp.spherical import match_formulas_to_oracle
 from fuhp.uhp import build_graph, cayley_certificate, radii_order, scheme, vertex_index
 from fuhp.verify import (
     LIFT_MAX_Q,
+    REAL_VALUE_AGREEMENT,
     character_checks,
     field_checks,
     formula_match_checks,
@@ -33,7 +37,6 @@ from fuhp.verify import (
     radius_checks,
     run_battery,
     table_checks,
-    theta_checks,
 )
 
 PRIMES_TO_THE_CAP = [
@@ -89,8 +92,8 @@ def test_every_per_q_cache_holds_one_q_after_a_battery():
         cache.__name__: 1 for cache in caches}
 
 
-TABLE_LABELS = ("orbit sizes", "omega(0) = 1", "sum d_i = q(q-1)", "weighted orthogonality",
-                "delta reconstruction")
+TABLE_LABELS = ("orbit sizes", "spherical rows certified", "omega(0) = 1", "sum d_i = q(q-1)",
+                "weighted orthogonality", "delta reconstruction")
 
 
 def test_battery_runs_the_q_only_checks_once():
@@ -139,9 +142,10 @@ def test_the_distance_classes_are_stabiliser_orbits_up_to_the_cap():
     assert all(stabiliser_orbits(field_context(q)) for q in PRIMES_TO_THE_CAP)
 
 
-def test_two_swapped_labels_fail_the_orbit_proof_and_every_eigenfunction_check(monkeypatch, affine_cache):
+def test_two_swapped_labels_fail_the_orbit_proof(monkeypatch, affine_cache):
     # the last vertices of two regular classes trade labels: every class keeps its size and its first
-    # vertex, but no longer is an orbit of K, so the neighbour counts at the representatives prove nothing
+    # vertex, but no longer is an orbit of K, and the two spheres that traded a point are no longer
+    # closed under inversion
     ctx = field_context(7)
     real, sizes = scheme(ctx), fuhp.uhp.orbit_sizes(ctx)
     labels = real.labels.copy()
@@ -153,8 +157,8 @@ def test_two_swapped_labels_fail_the_orbit_proof_and_every_eigenfunction_check(m
     assert not stabiliser_orbits(ctx)
     results = {r.name: r for r in run_battery([7])}
     assert results["q=7 orbit sizes"].fatal and results["q=7 orbit sizes"].detail == f"{sizes}"
-    eigen = [r for name, r in results.items() if name.endswith("rows are eigenfunctions")]
-    assert len(eigen) >= 3 and all(r.fatal and r.detail == "inf" for r in eigen)
+    assert {name for name, r in results.items() if r.fatal} == {
+        "q=7 orbit sizes", "q=7 r_s=2 graph built", "q=7 r_s=3 graph built"}
 
 
 def test_the_table_checks_catch_a_wrong_degree(monkeypatch, capsys):
@@ -234,11 +238,10 @@ def test_restriction_check_catches_two_swapped_base_field_logs(q):
 
 
 def test_radius_checks_memory_at_the_cap(run_child):
-    # the neighbour-value array of the eigenfunction check alone was n(q+1)q floats (832 MB) at q=101
+    # the neighbour-value array of a former eigenfunction check alone was n(q+1)q floats (832 MB) at q=101
     script = (
         "from fuhp.field import field_context; from fuhp.verify import radius_checks; "
-        "from fuhp.heat import stabiliser_orbits; ctx = field_context(101); "
-        "results = radius_checks(ctx, 1, stabiliser_orbits(ctx)); "
+        "ctx = field_context(101); results = radius_checks(ctx, 1); "
         "assert not any(r.fatal for r in results), [r for r in results if r.fatal]"
     )
     child = run_child(["-c", script])
@@ -282,7 +285,7 @@ def test_heat_test_functions_are_distinct_and_not_constant(n):
     assert len({row.tobytes() for row in f}) == 5
 
 
-@pytest.mark.parametrize("label", ["rows are eigenfunctions", "adjacency = distance sphere"])
+@pytest.mark.parametrize("label", ["adjacency = distance sphere"])
 def test_a_corrupted_neighbour_row_fails_the_graph_level_checks(monkeypatch, affine_cache, label):
     # the neighbours z . s come from the proven generators the affine spectrum carries: one of them
     # replaced by a point of another distance class moves one neighbour of every vertex
@@ -294,7 +297,7 @@ def test_a_corrupted_neighbour_row_fails_the_graph_level_checks(monkeypatch, aff
     real = fuhp.verify.affine_spectrum
     corrupted = lambda c, r_s: real(c, r_s)._replace(generators=gen)
     for passes in (True, False):
-        (check,) = [r for r in radius_checks(ctx, 1, stabiliser_orbits(ctx)) if r.name == name]
+        (check,) = [r for r in radius_checks(ctx, 1) if r.name == name]
         assert check.passed is passes, check.detail
         monkeypatch.setattr(fuhp.verify, "affine_spectrum", corrupted)
 
@@ -304,18 +307,8 @@ def test_the_affine_oracle_check_is_bounded_by_its_error_model(monkeypatch, affi
     ctx, real = field_context(7), fuhp.verify.heat_kernel_affine
     for offset, passes in ((0.0, True), (10 * AFFINE_AGREEMENT * UNIT_ROUNDOFF * 7 * 6, False)):
         monkeypatch.setattr(fuhp.verify, "heat_kernel_affine", lambda *args: real(*args) + offset)
-        checks = {r.name: r for r in radius_checks(ctx, 2, stabiliser_orbits(ctx))}
+        checks = {r.name: r for r in radius_checks(ctx, 2)}
         assert checks["q=7 r_s=2 spectral = affine oracle"].fatal is not passes
-
-
-def test_the_theta_report_reconciled_column_is_bounded_by_its_error_model(monkeypatch):
-    # the column is the spectral kernel against the affine one, |.| <= AFFINE_AGREEMENT*u*n (heat.py): a
-    # column off by ten times that fails; at q=7 that offset, 1.5e-12, passed the former bare 1e-9
-    ctx, real = field_context(7), fuhp.theta.heat_kernel_spectral
-    for offset, passes in ((0.0, True), (10 * AFFINE_AGREEMENT * UNIT_ROUNDOFF * 7 * 6, False)):
-        monkeypatch.setattr(fuhp.theta, "heat_kernel_spectral", lambda *args: real(*args) + offset)
-        checks = {r.name: r for r in theta_checks(ctx, 1)}
-        assert checks["q=7 theta report reconciled column"].fatal is not passes
 
 
 @pytest.mark.parametrize("q", [7, 13])
@@ -434,20 +427,20 @@ def test_a_replaced_generator_is_refused_or_fails_the_decomposition(monkeypatch,
     gen = np.flatnonzero(labels == r_s)
     decomposition = f"q={q} r_s={r_s} spectrum = Aff(F_q) decomposition"
     affine = f"q={q} r_s={r_s} spectral = affine oracle"
-    names = {r.name: r.passed for r in radius_checks(ctx, r_s, stabiliser_orbits(ctx))}
+    names = {r.name: r.passed for r in radius_checks(ctx, r_s)}
     assert names[decomposition] and names[affine]
     # a generator s whose inverse is another generator, and a point t of radius 3 with its inverse
     s = next(i for i in gen if _inverse(ctx, i) != i)
     t = next(i for i in np.flatnonzero(labels == 3) if _inverse(ctx, i) != i)
     with monkeypatch.context() as patch:  # s alone replaced by t: S is no longer inverse-closed
         _sphere_with(patch, ctx, r_s, [s], [t])
-        (refused,) = radius_checks(ctx, r_s, stabiliser_orbits(ctx))
+        (refused,) = radius_checks(ctx, r_s)
         assert refused.name == f"q={q} r_s={r_s} graph built" and refused.fatal
         assert "not closed under inversion" in refused.detail
     with monkeypatch.context() as patch:  # s and s^-1 replaced by t and t^-1: a sound connection set
         _sphere_with(patch, ctx, r_s, [s, _inverse(ctx, s)], [t, _inverse(ctx, t)])
         assert cayley_certificate(ctx, r_s).size == q + 1
-        results = {r.name: r for r in radius_checks(ctx, r_s, stabiliser_orbits(ctx))}
+        results = {r.name: r for r in radius_checks(ctx, r_s)}
         assert results[f"q={q} r_s={r_s} graph built"].passed
         assert not results[decomposition].passed and not results[decomposition].finding_only
 
@@ -466,7 +459,7 @@ def test_a_sphere_with_one_point_replaced_fails_graph_built_at_that_radius_only(
     assert [name for name, r in built.items() if not r.passed] == ["q=7 r_s=2 graph built"]
     assert "not closed under inversion" in built["q=7 r_s=2 graph built"].detail
     assert not [r for r in results if r.name.startswith("q=7 r_s=2 ") and not r.name.endswith("graph built")]
-    assert "q=7 r_s=3 rows are eigenfunctions" in {r.name for r in results}
+    assert "q=7 r_s=3 spectral = affine oracle" in {r.name for r in results}
 
 
 def test_a_point_stabiliser_fails_graph_built_as_not_connected(monkeypatch, affine_cache):
@@ -495,6 +488,53 @@ def test_verify_reports_a_refused_connection_set_and_runs_on(monkeypatch, affine
     refused = f"generating sphere not closed under inversion at vertex {_inverse(ctx, s)}"
     assert [line for line in lines if " r_s=2 " in line] == [f"[FAIL] q=7 r_s=2 graph built: {refused}"]
     # every line of the other radii's checks, as in the unpatched run
-    per_radius = clean[: next(i for i, line in enumerate(clean) if "formulas match" in line)]
+    per_radius = clean[: next(i for i, line in enumerate(clean) if "formula values real" in line)]
     others = [line for line in per_radius if " r_s=" in line and " r_s=2 " not in line]
-    assert len(others) == 4 * 8 and all(line in lines for line in others)
+    assert len(others) == 4 * 6 and all(line in lines for line in others)
+
+
+def test_an_uncertified_table_fails_one_line_and_the_battery_runs_on(monkeypatch, capsys):
+    # the certificate's AssertionError once escaped the battery: exit 2 and no check line
+    assert main(["verify", "--q", "11"]) == 0
+    alone = capsys.readouterr().out.splitlines()
+    ctx, real = field_context(7), fuhp.spherical.closed_forms
+    moved = real(ctx)._replace(principal=real(ctx).principal.copy())
+    moved.principal[2, 1] += 1e-9  # radius 2 is regular at q=7
+    monkeypatch.setattr(fuhp.spherical, "closed_forms", lambda c: moved if c.q == 7 else real(c))
+    with pytest.raises(AssertionError, match="principal row 1 at q=7 is no common eigenvector") as refused:
+        fuhp.spherical.spherical_rows.__wrapped__(ctx)
+    fuhp.spherical.spherical_rows.cache_clear()
+    assert main(["verify", "--q", "7,11"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    fail = f"[FAIL] q=7 spherical rows certified: {refused.value}"
+    assert [line for line in lines if line.startswith("[FAIL]")] == [fail]
+    # q=7 stops at its certificate; q=11 prints every line of a run of its own
+    q7 = [line for line in lines if " q=7 " in line]
+    assert q7[-2].startswith("[PASS] q=7 orbit sizes: ") and q7[-1] == fail
+    assert [line for line in lines if " q=11 " in line] == [line for line in alone if " q=11 " in line]
+    assert lines[-1] == f"{len(lines) - 1} checks: {len(lines) - 1 - 9 - 1} passed, 9 findings, 1 failures"
+
+
+def test_the_formula_values_real_check_is_bounded_by_its_error_model(monkeypatch):
+    # |Im v| <= REAL_VALUE_AGREEMENT*u (verify.py): an imaginary part ten times that fails, half of it
+    # passes; the former bare 1e-10 was 22,500 times the bound
+    ctx, real = field_context(7), fuhp.spherical.closed_forms
+    bound = REAL_VALUE_AGREEMENT * UNIT_ROUNDOFF
+    for imag, passes in ((0.5 * bound, True), (10 * bound, False)):
+        forms = real(ctx)._replace(principal=real(ctx).principal.copy())
+        forms.principal[2, 1] = forms.principal[2, 1].real + 1j * imag
+        monkeypatch.setattr(fuhp.spherical, "closed_forms", lambda c, forms=forms: forms)
+        report = match_formulas_to_oracle(ctx, 1)
+        assert report.max_imag == imag
+        (check,) = [r for r in formula_match_checks(report) if r.name == "q=7 formula values real"]
+        assert check.passed is passes, check.detail
+
+
+@pytest.mark.slow
+def test_the_findings_up_to_the_cap_are_reported_not_patched():
+    # a check removed from the battery must take no finding with it
+    results = run_battery(PRIMES_TO_THE_CAP)
+    assert not [f"{r.name}: {r.detail}" for r in results if r.fatal]
+    findings = Counter(re.sub(r"^q=\d+ (r_s=\d+ )?", "", r.name) for r in results if not r.passed)
+    assert findings == {"adjacency eigenvalues distinct": 667, "verbatim theta gap": 24,
+                        "as-stated cuspidal constant gap": 24}
