@@ -50,7 +50,6 @@ from .spherical import (
     spherical_table,
 )
 from .heat import (
-    fourier_coefficient_check,
     heat_kernel_affine,
     heat_kernel_oracle,
     heat_kernel_spectral,
@@ -84,7 +83,6 @@ __all__ = [
     "find_generator",
     "find_nonsquare",
     "finite_theta",
-    "fourier_coefficient_check",
     "heat_kernel_affine",
     "heat_kernel_oracle",
     "heat_kernel_spectral",

@@ -126,6 +126,26 @@ ORTHOGONALITY_AGREEMENT = 40
 # over every regular radius of every prime q <= 101 at t in {0, 1e-6, 0.1, 1, 5, 10, 1e8} (q=23).
 POSITIVITY_MARGIN = 32
 
+# c in |heat_kernel_spectral - heat_kernel_oracle(...).by_radius| <= c*u*n, n = q(q-1). The spectral kernel
+# is within 32u*n of exact (the derivation of POSITIVITY_MARGIN). Each entry of the walk carries, by the
+# error model of ``heat_kernel_oracle``, its dropped Poisson tail, at most u of unit mass and so u*n of E;
+# its rounding, about min(K, k*)*u relative, with E <= n (exp(-tL) is doubly stochastic and >= 0) and
+# k* <= 86 (every regular radius of every prime q <= 101, at q=5): 86u*n; and the stop's 4(q+1)u*T, with
+# T <= 1 at most 3u*n for q >= 3. c = 122 is the sum. k* falls as q grows: the graphs are Ramanujan, so a
+# step multiplies the walk's l2 distance from uniform by at most 2*sqrt(q)/(q+1); at verify's radius k* is
+# at most 51 over every prime q <= 211 (q = 3 to 11). Measured at most 2.8u*n at verify's radius and times
+# over every prime q <= 211 (q=61, t=0.01).
+ORACLE_AGREEMENT = 122
+
+# c in |mean_v heat_kernel_oracle(...).by_vertex - 1| <= c*u (mass conservation), n = q(q-1). P is doubly
+# stochastic, so the exact walk keeps unit mass, and so does its stop, which trades terms of mass T for
+# the uniform vector of mass T: the kept terms miss only the dropped tail, at most u. The walk's rounding,
+# about min(K, k*)*u relative on entries that add to 1, moves the mass by at most 86u (k* as for
+# ORACLE_AGREEMENT). The scaling by n and the mean's division round once each, and numpy's pairwise sum of
+# n values >= 0 nests at most 18 + log2(n/128) roundings: 27u for q <= 256. c = 116 is the sum. Measured at
+# most 18u at verify's radius and times over every prime q <= 211 (q=89).
+MASS_AGREEMENT = 116
+
 # c in |sum_r |S_r| omega_i(r) omega_k(r) - [i=k] n/d_i| <= c*u*n (weighted orthogonality) and in
 # |sum_i d_i omega_i(r) - [r=0] n| <= c*u*n (delta reconstruction), n = q(q-1), over the rows of
 # spherical.spherical_rows. Each is a sum of terms w*x, |x| <= 1, with weights w >= 0 that add to n
@@ -380,31 +400,6 @@ def initial_condition_check(graph, f, t_grid):
         raise ValueError(f"test function must have one value per vertex ({n})")
     kernel = heat_kernel_oracle(graph, t_grid).by_vertex
     return np.abs(kernel @ f.T / n - f[..., point_index(graph.ctx, base_point())]).tolist()
-
-
-class FourierCoefficientReport(NamedTuple):
-    t_grid: list
-    coefficients: np.ndarray  # [t, row]
-    expected: np.ndarray  # [t, row]
-    max_deviation: float
-
-
-def fourier_coefficient_check(table, t_grid):
-    """Recover a_i(t) from E(t; .) by orthogonality and compare with d_i e^(-lambda_i t).
-
-    a_i(t) = (d_i / (q(q-1))) * sum_r |S_r| E(t; r) conj(omega_i(r)), for every t in t_grid.
-    """
-    t_grid = _time_grid(t_grid)
-    n = table.q * (table.q - 1)
-    kernel = heat_kernel_spectral(table, t_grid)
-    coeffs = table.degrees / n * (kernel @ (table.omega * table.orbit_sizes[None, :]).T)
-    expected = table.degrees * _decay(t_grid, table.laplacian_eigenvalues)
-    return FourierCoefficientReport(
-        t_grid=t_grid.tolist(),
-        coefficients=coeffs,
-        expected=expected,
-        max_deviation=float(np.abs(coeffs - expected).max()),
-    )
 
 
 # -- method of images on the full matrix group ------------------------------

@@ -22,12 +22,13 @@ from .field import (
 )
 from .heat import (
     AFFINE_AGREEMENT,
+    MASS_AGREEMENT,
+    ORACLE_AGREEMENT,
     ORTHOGONALITY_AGREEMENT,
     POSITIVITY_MARGIN,
     TABLE_SUM_AGREEMENT,
     UNIT_ROUNDOFF,
     affine_spectrum,
-    fourier_coefficient_check,
     heat_kernel_affine,
     heat_kernel_oracle,
     heat_kernel_spectral,
@@ -35,7 +36,7 @@ from .heat import (
     method_of_images_check,
     stabiliser_orbits,
 )
-from .spherical import intersection_matrices, match_formulas_to_oracle, spherical_rows, spherical_table
+from .spherical import match_formulas_to_oracle, spherical_rows, spherical_table
 from .theta import classical_theta, theta_consistency_report
 from .uhp import (
     UhpGraph,
@@ -283,35 +284,15 @@ def heat_checks(graph):
     dev = float(np.abs(spec - orac.by_radius).max())
     mass_dev = float(np.abs(orac.by_vertex.mean(axis=1) - 1.0).max())
     min_val = float(spec.min())
-    _check(out, f"q={q} r_s={r_s} spectral = oracle", dev <= 1e-9, f"max dev {dev:.2e}")
-    _check(out, f"q={q} r_s={r_s} mass conservation", mass_dev <= 1e-10, f"{mass_dev:.2e}")
-    # the spectral kernel's error model (heat.POSITIVITY_MARGIN); at most 0.94u*n here at primes q <= 101
+    # the walk's error model with the spectral kernel's (heat.ORACLE_AGREEMENT, heat.MASS_AGREEMENT); at
+    # most 2.8u*n and 18u here at primes q <= 211
+    _check(out, f"q={q} r_s={r_s} spectral = oracle", dev <= ORACLE_AGREEMENT * UNIT_ROUNDOFF * n,
+           f"max dev {dev:.2e}")
+    _check(out, f"q={q} r_s={r_s} mass conservation", mass_dev <= MASS_AGREEMENT * UNIT_ROUNDOFF,
+           f"{mass_dev:.2e}")
+    # the spectral kernel's error model (heat.POSITIVITY_MARGIN); at most 0.54u*n here at primes q <= 211
     _check(out, f"q={q} r_s={r_s} positivity", min_val >= -POSITIVITY_MARGIN * UNIT_ROUNDOFF * n,
            f"min value {min_val:.2e}")
-
-    lam_pos = table.laplacian_eigenvalues[table.laplacian_eigenvalues > 1e-8]
-    t_long = 50.0 / lam_pos.min() if lam_pos.size else 50.0
-    longtime = float(np.abs(heat_kernel_spectral(table, [t_long]) - 1.0).max())
-    _check(out, f"q={q} r_s={r_s} long-time limit", longtime <= 1e-10, f"{longtime:.2e}")
-    lam_min = float(lam_pos.min())
-    decay_t = np.array([0.5, 1.0, 5.0])
-    decay_ok = bool(np.all(
-        np.abs(heat_kernel_spectral(table, decay_t) - 1.0).max(axis=1)
-        <= n * np.exp(-lam_min * decay_t) + 1e-12
-    ))
-    _check(out, f"q={q} r_s={r_s} spectral-gap decay bound", decay_ok,
-           f"|E - 1| <= q(q-1) exp(-{lam_min:.3f} t)")
-
-    four = fourier_coefficient_check(table, [0.0, 0.5, 1.0]).max_deviation
-    _check(out, f"q={q} r_s={r_s} Fourier coefficients", four <= 1e-9, f"{four:.2e}")
-
-    # exp(-tL)[z, w] = E_t(d(z, w))/n, and for d(z) = r the w with d(z, w) = r1 and d(w) = r2 are the
-    # B_r1[r, r2] vertices z.s, s in S_r1, at radius r2. So exp(-(s+t)L) = exp(-sL) exp(-tL) at
-    # (z, sqrt(delta)) is E_{s+t}(r) = (1/n) sum_{r1, r2} E_s(r1) E_t(r2) B_r1[r, r2], on the q x q scheme
-    e_s, e_t, e_st = heat_kernel_spectral(table, [0.3, 0.7, 1.0])
-    conv = sum(e * (block @ e_t) for e, block in zip(e_s, intersection_matrices(ctx))) / n
-    semi = float(np.abs(conv - e_st).max())
-    _check(out, f"q={q} r_s={r_s} semigroup", semi <= 1e-10, f"{semi:.2e}")
 
     funcs = heat_test_functions(n)
     res = np.array(initial_condition_check(graph, funcs, [1e-2, 1e-4, 1e-6]))  # [t, function]

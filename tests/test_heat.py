@@ -15,7 +15,6 @@ from fuhp.heat import (
     AFFINE_AGREEMENT,
     _uniformization,
     affine_spectrum,
-    fourier_coefficient_check,
     heat_kernel_affine,
     heat_kernel_oracle,
     heat_kernel_spectral,
@@ -355,21 +354,6 @@ def test_initial_condition_random_bounded():
         f = rng.random(graph.n)
         res = initial_condition_check(graph, f, [1e-6])
         assert res[0] <= 2 * 6 * 1e-6 * f.max() + 1e-10
-
-
-def test_fourier_coefficients_q3(q3):
-    _, _, table = q3
-    rep = fourier_coefficient_check(table, [0.0, 1.0])
-    np.testing.assert_allclose(rep.coefficients[0], table.degrees, atol=1e-12)
-    expect = sorted([1.0, 3 * math.exp(-4), 2 * math.exp(-6)], reverse=True)
-    np.testing.assert_allclose(sorted(rep.coefficients[1], reverse=True), expect, atol=1e-12)
-    assert rep.max_deviation <= 1e-9
-
-
-def test_fourier_coefficients_q5():
-    ctx = field_context(5)
-    table = spherical_table(ctx, 1)
-    assert fourier_coefficient_check(table, [0.5]).max_deviation <= 1e-9
 
 
 def test_semigroup_property():

@@ -17,6 +17,8 @@ from fuhp.cli import DEFAULT_MAX_Q, main
 from fuhp.field import field_context
 from fuhp.heat import (
     AFFINE_AGREEMENT,
+    MASS_AGREEMENT,
+    ORACLE_AGREEMENT,
     ORTHOGONALITY_AGREEMENT,
     POSITIVITY_MARGIN,
     TABLE_SUM_AGREEMENT,
@@ -176,8 +178,6 @@ def test_the_table_checks_catch_a_wrong_degree(monkeypatch, capsys):
     failed = [r.name for r in run_battery([7]) if r.fatal]
     for label in ("sum d_i = q(q-1)", "weighted orthogonality", "delta reconstruction"):
         assert failed.count(f"q=7 {label}") == 1, label
-    # the spectral kernel with one weight too many is no semigroup on the scheme
-    assert "q=7 r_s=1 semigroup" in failed
     assert "q=7 omega(0) = 1" not in failed
     assert main(["verify", "--q", "7"]) == 1
     out = capsys.readouterr().out
@@ -355,6 +355,77 @@ def test_the_positivity_check_is_bounded_by_its_error_model(monkeypatch):
         monkeypatch.setattr(fuhp.verify, "heat_kernel_spectral", lambda *args: real(*args) - offset)
         checks = {r.name: r for r in heat_checks(graph)}
         assert checks["q=7 r_s=1 positivity"].fatal is not passes
+
+
+def test_the_oracle_check_is_bounded_by_its_error_model(monkeypatch):
+    # |spectral - oracle| <= ORACLE_AGREEMENT*u*n (heat.py): a kernel off by ten times that fails, one off by
+    # half of it (the two read 1.5u*n apart at q=7) passes; the former bare 1e-9 was 1,760 times the bound
+    ctx, real = field_context(7), fuhp.verify.heat_kernel_spectral
+    graph = build_graph(ctx, 1)
+    bound = ORACLE_AGREEMENT * UNIT_ROUNDOFF * 7 * 6
+    for offset, passes in ((0.5 * bound, True), (10 * bound, False)):
+        monkeypatch.setattr(fuhp.verify, "heat_kernel_spectral", lambda *args: real(*args) + offset)
+        checks = {r.name: r for r in heat_checks(graph)}
+        assert checks["q=7 r_s=1 spectral = oracle"].fatal is not passes
+
+
+def test_the_mass_conservation_check_is_bounded_by_its_error_model(monkeypatch):
+    # |mean E - 1| <= MASS_AGREEMENT*u (heat.py): a walk whose mass is ten times that too large fails, one
+    # half of it too large (its mass is within 2u of 1 at q=7) passes
+    ctx, real = field_context(7), fuhp.verify.heat_kernel_oracle
+    graph = build_graph(ctx, 1)
+    bound = MASS_AGREEMENT * UNIT_ROUNDOFF
+    for excess, passes in ((0.5 * bound, True), (10 * bound, False)):
+        def heavier(*args, excess=excess):
+            kernel = real(*args)
+            return kernel._replace(by_vertex=kernel.by_vertex * (1 + excess))
+
+        monkeypatch.setattr(fuhp.verify, "heat_kernel_oracle", heavier)
+        checks = {r.name: r for r in heat_checks(graph)}
+        assert checks["q=7 r_s=1 mass conservation"].fatal is not passes
+
+
+def _scale_the_spectral_kernel(monkeypatch):
+    real = fuhp.verify.heat_kernel_spectral
+    monkeypatch.setattr(fuhp.verify, "heat_kernel_spectral", lambda *args: real(*args) * (1 + 1e-9))
+
+
+def _swap_two_degrees(monkeypatch):
+    real = fuhp.spherical.spherical_rows
+
+    def swapped(ctx):  # 1 and q-1: their sum stays n
+        rows = real(ctx)
+        degrees = rows.degrees.copy()
+        degrees[[0, -1]] = degrees[[-1, 0]]
+        return rows._replace(degrees=degrees)
+
+    for module in (fuhp.spherical, fuhp.verify):
+        monkeypatch.setattr(module, "spherical_rows", swapped)
+
+
+def _add_one_intersection_count(monkeypatch):
+    real = fuhp.spherical.intersection_matrices
+
+    def bumped(ctx):  # a diagonal count, so |S_r1| B_r[r1, r2] stays symmetric
+        counts = real(ctx).copy()
+        counts[2, 3, 3] += 1
+        return counts
+
+    monkeypatch.setattr(fuhp.spherical, "intersection_matrices", bumped)
+    fuhp.spherical.spherical_rows.cache_clear()  # the refused rows are not cached: no clear after the run
+
+
+@pytest.mark.parametrize("defect, failing", [
+    (_scale_the_spectral_kernel, {"r_s=1 spectral = oracle", "r_s=1 spectral = affine oracle"}),
+    (_swap_two_degrees, {"weighted orthogonality", "delta reconstruction"}),
+    (_add_one_intersection_count, {"spherical rows certified"}),
+], ids=["scaled spectral kernel", "two degrees swapped", "one intersection count added"])
+def test_a_defect_fails_a_kept_check(monkeypatch, defect, failing):
+    # "semigroup", "Fourier coefficients", "long-time limit" and "spectral-gap decay bound" restated the per-q
+    # certificate, the exact degrees and orthogonality: each defect they caught still fails a check that runs
+    defect(monkeypatch)
+    failed = {r.name.removeprefix("q=7 ") for r in run_battery([7]) if r.fatal}
+    assert failing <= failed, failed
 
 
 def test_the_character_orthogonality_check_is_bounded_by_its_error_model(monkeypatch):
