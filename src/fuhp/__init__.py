@@ -25,7 +25,6 @@ from .field import (
     ext_norm,
     ext_trace,
     field_context,
-    find_generator,
     find_nonsquare,
     norm_one_subgroup,
     quadratic_character,
@@ -43,10 +42,7 @@ from .uhp import (
 from .characters import beta, character_orthogonality_check, ext_char, nu, nu0
 from .spherical import (
     SphericalTable,
-    cuspidal_spherical,
-    laplace_eigenvalue,
     match_formulas_to_oracle,
-    principal_spherical,
     spherical_table,
 )
 from .heat import (
@@ -74,20 +70,17 @@ __all__ = [
     "build_graph",
     "character_orthogonality_check",
     "classical_theta",
-    "cuspidal_spherical",
     "degenerate_radii",
     "ext_char",
     "ext_norm",
     "ext_trace",
     "field_context",
-    "find_generator",
     "find_nonsquare",
     "finite_theta",
     "heat_kernel_affine",
     "heat_kernel_oracle",
     "heat_kernel_spectral",
     "initial_condition_check",
-    "laplace_eigenvalue",
     "laplacian",
     "match_formulas_to_oracle",
     "method_of_images_check",
@@ -95,7 +88,6 @@ __all__ = [
     "nu",
     "nu0",
     "orbit_sizes",
-    "principal_spherical",
     "quadratic_character",
     "run_battery",
     "sphere",

@@ -60,16 +60,6 @@ def nu0(ctx, u):
     return -1 if u_index(ctx, u) % 2 else 1
 
 
-def nu_equals_inverse(ctx, j):
-    """True when nu_j restricted to U coincides with its inverse character.
-
-    The restriction to U has index j mod (q+1); it is self-inverse exactly
-    when (q-1)*j mod (q^2-1) lies in {0, (q^2-1)/2}.
-    """
-    n2 = ctx.q * ctx.q - 1
-    return (ctx.q - 1) * j % n2 in (0, n2 // 2)
-
-
 class CharacterTables(NamedTuple):
     """base[j, k] = beta_j(g^k) for j, k < q-1; norm_one[j, k] = nu_j(zeta^((q-1)k)) for j, k <= q.
 

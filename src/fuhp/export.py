@@ -1,4 +1,4 @@
-"""Deterministic JSON and CSV writers (and their inverse parsers).
+"""Deterministic JSON and CSV text (and the parsers of the written files).
 
 Every document embeds the resolved run configuration and the artifact
 version. Floats are printed with 17 significant digits, which round-trips
@@ -78,11 +78,6 @@ def dumps_json(doc):
     return "".join(itertools.chain(_pieces(doc), "\n"))
 
 
-def write_json(path, doc):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(doc))
-
-
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -103,11 +98,6 @@ def dumps_csv(header, rows, preamble=None):
     return "\n".join(lines)
 
 
-def write_csv(path, header, rows, preamble=None):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_csv(header, rows, preamble))
-
-
 def _parse_cell(text):
     try:
         return int(text)
@@ -120,7 +110,7 @@ def _parse_cell(text):
 
 
 def read_csv(path):
-    """Parse a CSV written by write_csv: (preamble dict, header, typed rows)."""
+    """Parse a CSV file holding the text of dumps_csv: (preamble dict, header, typed rows)."""
     preamble = {}
     header = None
     rows = []

@@ -47,11 +47,7 @@ def find_nonsquare(q):
     """Smallest positive residue that is not a quadratic residue mod q."""
     if not is_odd_prime(q):
         raise ValueError(f"q must be an odd prime >= 3, got {q}")
-    squares = {(x * x) % q for x in range(1, q)}
-    for a in range(2, q):
-        if a not in squares:
-            return a
-    raise AssertionError("odd prime field always has a non-square")
+    return next(a for a in range(2, q) if pow(a, (q - 1) // 2, q) != 1)  # Euler's criterion
 
 
 class ExtElement(NamedTuple):
@@ -165,16 +161,14 @@ def field_context(q, delta=None):
     validated. Raises ValueError for non-prime or even q, or a delta that
     is 0 or a square mod q.
     """
-    if not is_odd_prime(q):
-        raise ValueError(f"q must be an odd prime >= 3, got {q}")
-    squares = {(x * x) % q for x in range(1, q)}
+    nonsquare = find_nonsquare(q)  # validates q
     if delta is None:
-        delta = find_nonsquare(q)
+        delta = nonsquare
     elif delta % q == 0:
         raise ValueError(f"delta={delta} is 0 mod {q}; need a non-square")
     else:
         delta %= q
-        if delta in squares:
+        if pow(delta, (q - 1) // 2, q) == 1:
             raise ValueError(f"delta={delta} is a square mod {q}; need a non-square")
 
     # smallest generator of F_q^x
@@ -232,15 +226,6 @@ def quadratic_character(ctx, a):
     if a == 0:
         return 0
     return 1 if pow(a, (ctx.q - 1) // 2, ctx.q) == 1 else -1
-
-
-def find_generator(ctx, which="base"):
-    """Deterministic generator: 'base' for F_q^x, 'extension' for F_q(sqrt(delta))^x."""
-    if which == "base":
-        return ctx.g
-    if which == "extension":
-        return ctx.zeta
-    raise ValueError(f"which must be 'base' or 'extension', got {which!r}")
 
 
 def norm_one_subgroup(ctx):

@@ -50,6 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .characters import character_tables
 from .uhp import (
     base_point,
     build_graph,
@@ -178,16 +179,6 @@ class AffineSpectrum(NamedTuple):
     basis: np.ndarray
 
 
-def _character_cosines(ctx, y):
-    """cos(2 pi j dlog(y)/(q-1)), the real part of chi_j, as an array [j, element of y].
-
-    Read off the q-1 cosines by the exact integer index j*dlog(y) mod q-1.
-    """
-    q = ctx.q
-    cosines = np.cos(2 * np.pi * np.arange(q - 1) / (q - 1))
-    return cosines[np.outer(np.arange(q - 1), ctx.dlog[y]) % (q - 1)]
-
-
 @functools.lru_cache(maxsize=1)
 def affine_spectrum(ctx, r_s):
     """The AffineSpectrum of S_{r_s}, proven a sound connection set by ``cayley_certificate``; read-only.
@@ -196,7 +187,8 @@ def affine_spectrum(ctx, r_s):
     trivial part of B, which the eigh would otherwise carry and a subtraction
     cancel, never enters: the q x q integer B, two products and one float64
     (q-1) x (q-1) eigh. Shares only ``scheme`` with the spherical table and
-    the walk, to pick S_{r_s}. Cached for the last radius: ``verify`` proves
+    the walk, to pick S_{r_s}, and the beta_j of ``character_tables`` with
+    the spherical table. Cached for the last radius: ``verify`` proves
     each S_{r_s} here once and reads the result for its graph, spectrum and
     kernel checks, and a sweep keeps one basis at a time.
     """
@@ -204,7 +196,8 @@ def affine_spectrum(ctx, r_s):
     gen = cayley_certificate(ctx, r_s)
     vertices = scheme(ctx)
     xs, ys = vertices.x[gen], vertices.y[gen]
-    characters = _character_cosines(ctx, ys).sum(axis=1)
+    # Re beta_j(y_s) as [j, s]; take's copy is C-ordered, which fixes the order of sums and products
+    characters = character_tables(ctx).base.real.take(ctx.dlog[ys], axis=1).sum(axis=1)
     v = np.arange(q)
     moved = (ys[:, None] * v + xs[:, None]) % q  # s.v for every generator s and point v
     counts = np.bincount((moved * q + v).ravel(), minlength=q * q).reshape(q, q)  # B[s.v, v] += 1
@@ -239,7 +232,8 @@ def heat_kernel_affine(ctx, r_s, t_grid):
     spec = affine_spectrum(ctx, r_s)
     vertices = scheme(ctx)
     xs, ys = vertices.x[vertices.reps], vertices.y[vertices.reps]
-    kernel = _decay(t_grid, q + 1 - spec.characters) @ _character_cosines(ctx, ys)
+    cosines = character_tables(ctx).base.real.take(ctx.dlog[ys], axis=1)  # as in affine_spectrum
+    kernel = _decay(t_grid, q + 1 - spec.characters) @ cosines
     v = np.arange(q)
     moved = (ys[:, None] * v + xs[:, None]) % q  # g.v for every representative g and point v
     for row, decay in zip(kernel, _decay(t_grid, q + 1 - spec.eigenvalues)):

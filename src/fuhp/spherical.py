@@ -7,12 +7,13 @@ The distance classes form a commutative association scheme (Bannai and Ito,
 family, a character average over the sphere's y-coordinates, and the cuspidal
 family, a sign-weighted character sum over the norm-one subgroup U.
 
-``spherical_rows`` builds the q rows once from ``closed_forms`` and certifies
-each as a common eigenvector of the integer intersection matrices B_r, so the
-closed forms are claims checked against the scheme, not definitions taken on
-trust. r_s only selects the eigenvalues a_i = (q+1)*omega_i(r_s) and the row
-order, and ``match_formulas_to_oracle`` reports each class with its row of
-that order and its certificate residual.
+``closed_forms`` evaluates both families once per (q, delta) as arrays, the
+one reader of their values, and ``spherical_rows`` builds the q rows from
+them and certifies each as a common eigenvector of the integer intersection
+matrices B_r, so the closed forms are claims checked against the scheme, not
+definitions taken on trust. r_s only selects the eigenvalues a_i =
+(q+1)*omega_i(r_s) and the row order, and ``match_formulas_to_oracle``
+reports each class with its row of that order and its certificate residual.
 """
 
 import functools
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .characters import character_tables, nu_equals_inverse
+from .characters import character_tables
 from .heat import UNIT_ROUNDOFF
 from .uhp import affine_product, degenerate_radii, regular_radius, scheme, unsigned_dtype
 
@@ -112,7 +113,7 @@ def character_classes(q):
 def spherical_rows(ctx):
     """The character sums of ``closed_forms`` as the q rows of (q, delta), certified; do not modify.
 
-    A cuspidal row takes "minus_nu" at 4*delta, and omega(1), which its sum
+    A cuspidal row takes ``antipodal`` at 4*delta, and omega(1), which its sum
     excludes, from orthogonality to the constant row: sum_r |S_r| omega(r) = 0.
     The degrees are the classes', exactly: 1 (j=0), q (j=(q-1)/2), q+1 (other
     principal), q-1 (cuspidal). A row that is no common eigenvector of the
@@ -125,7 +126,7 @@ def spherical_rows(ctx):
     forms = closed_forms(ctx)
     sizes = scheme(ctx).sizes
     cusp = forms.cuspidal["reconciled"][:, 1 : half + 1].real.T.copy()
-    cusp[:, degenerate_radii(ctx)[1]] = forms.antipodal["minus_nu"][1 : half + 1].real
+    cusp[:, degenerate_radii(ctx)[1]] = forms.antipodal[1 : half + 1].real
     cusp[:, 1] = -np.nansum(cusp * sizes, axis=1) / sizes[1]  # omega(1) is NaN until now
     omega = np.vstack([forms.principal[:, : half + 1].real.T, cusp])
     degrees = np.concatenate([[1], np.full(half - 1, q + 1), [q], np.full(half, q - 1)])
@@ -186,16 +187,12 @@ class ClosedForms(NamedTuple):
     """Both closed-form families at every radius, indexed [r, j] by radius value r.
 
     principal[r, j] for j < q-1; cuspidal[variant][r, j] for j <= q, NaN at the
-    excluded radius 1 and at 4*delta, whose values are antipodal[reading][j].
+    excluded radius 1 and at 4*delta, whose value is antipodal[j].
     """
 
     principal: np.ndarray
     cuspidal: dict
-    antipodal: dict
-
-
-CUSPIDAL_INFINITY_READINGS = ("minus_nu", "minus_nu0_nu")
-CUSPIDAL_VARIANTS = ("reconciled", "verbatim")
+    antipodal: np.ndarray
 
 
 def _average(weights, phases, m):
@@ -207,14 +204,21 @@ def _average(weights, phases, m):
 def closed_forms(ctx):
     """Evaluate both families for every character and radius of (q, delta) at once; do not modify.
 
-    The principal value is the (q-1)-point character transform of the histogram
-    of dlog(y) over each sphere. The cuspidal value is a (q x (q+1)) sign matrix
-    eps(2 u.a - 2 c(r)) * nu0(u) times the nu_j phases on U. Both are real
-    products, divided by q+1 as reals (``_average``): a complex division
-    multiplies by the reciprocal, which leaves (q+1)/(q+1) at 1 - u, and a
-    real-by-complex matmul took 5 to 16 ms a call at q=53 on two BLAS
-    threads. See ``principal_spherical`` and ``cuspidal_spherical`` for the
-    definitions.
+    principal[r, j] is 1 at r=0, beta_j(-1) at 4*delta, and otherwise the
+    sphere average of beta_j over the y-coordinates: the (q-1)-point character
+    transform of the histogram of dlog(y) over each sphere. cuspidal[c][r, j]
+    is the average over U of eps(Tr(u - c(r))) * nu0(u) * nu_j(u), eps the
+    sign character of F_q: a (q x (q+1)) sign matrix eps(2 u.a - 2 c(r)) *
+    nu0(u) times the nu_j phases on U, with c(r) = 1 - r/(2*delta) for
+    "reconciled", the form the certificate of ``spherical_rows`` confirms, and
+    c(r) = (1+r)/(1-r) for "verbatim", the stated constant, kept so that its
+    gap can be measured. The sum excludes r=1, and at 4*delta the value is
+    antipodal[j] = -nu_j(-1); the other reading, -nu0(-1)*nu_j(-1), differs by
+    nu0(-1) = (-1)^((q+1)/2) and fails the certificate at q = 1 mod 4. Both
+    families are real products, divided by q+1 as reals (``_average``): a
+    complex division multiplies by the reciprocal, which leaves (q+1)/(q+1)
+    at 1 - u, and a real-by-complex matmul took 5 to 16 ms a call at q=53 on
+    two BLAS threads.
     """
     q, delta = ctx.q, ctx.delta
     chars = character_tables(ctx)
@@ -242,65 +246,8 @@ def closed_forms(ctx):
         values[deg0] = 1.0
         values[[1, deg1]] = np.nan
         cuspidal[variant] = values
-    minus_nu = -chars.norm_one[:, (q + 1) // 2]  # -1 = zeta^((q-1)(q+1)/2)
-    antipodal = {"minus_nu": minus_nu, "minus_nu0_nu": nu0[(q + 1) // 2] * minus_nu}
+    antipodal = -chars.norm_one[:, (q + 1) // 2]  # -nu_j(-1), -1 = zeta^((q-1)(q+1)/2)
     return ClosedForms(principal, cuspidal, antipodal)
-
-
-def principal_spherical(ctx, j, r):
-    """Principal-family value at radius r for the base-field character beta_j.
-
-    1 at r=0, beta_j(-1) at the antipodal radius 4*delta, and otherwise the
-    sphere average of beta_j over the y-coordinates. A lookup into
-    ``closed_forms``.
-    """
-    return complex(closed_forms(ctx).principal[r % ctx.q, j % (ctx.q - 1)])
-
-
-def cuspidal_spherical(ctx, j, r, infinity_reading="minus_nu", variant="reconciled"):
-    """Cuspidal-family value at radius r for the extension character nu_j.
-
-    The sum is the average over U of eps(Tr(u - c(r))) * nu0(u) * nu_j(u),
-    with eps the base-field sign character; nu_j must not be self-inverse
-    on U and r=1 is contractually excluded. Two forms of the subtracted
-    constant are supported:
-
-    * ``variant="reconciled"``: c(r) = 1 - r/(2*delta). Equivalently the
-      sign argument is (r - 2*delta + delta*Tr(u)) / (4*delta), the
-      classical quadratic-character sum; this is the form the spectral
-      oracle confirms at every radius (exhaustively, for many (q, delta)).
-    * ``variant="verbatim"``: c(r) = (1+r)/(1-r), the stated closed form,
-      kept so its deviation from the oracle can be measured.
-
-    At the antipodal radius the value is a constant with two candidate
-    readings, -nu_j(-1) and -nu0(-1)*nu_j(-1); only "minus_nu" passes the
-    certificate of ``spherical_rows`` where they differ. A lookup into
-    ``closed_forms``.
-    """
-    q = ctx.q
-    r %= q
-    if nu_equals_inverse(ctx, j):
-        raise ValueError(f"invalid character: nu_{j} is self-inverse on U")
-    forms = closed_forms(ctx)
-    deg0, deg1 = degenerate_radii(ctx)
-    if r == deg0:
-        return complex(1.0)
-    if r == deg1:
-        if infinity_reading not in CUSPIDAL_INFINITY_READINGS:
-            raise ValueError(f"unknown infinity_reading {infinity_reading!r}")
-        return complex(forms.antipodal[infinity_reading][j % (q + 1)])
-    if r == 1:
-        raise ValueError("singular radius r=1 is excluded from the cuspidal sum")
-    if variant not in CUSPIDAL_VARIANTS:
-        raise ValueError(f"variant must be one of {CUSPIDAL_VARIANTS}, got {variant!r}")
-    return complex(forms.cuspidal[variant][r, j % (q + 1)])
-
-
-def laplace_eigenvalue(table, i, r_s):
-    """(q+1)*(1 - omega_i(r_s)); must reproduce the table's lambda_i."""
-    if r_s % table.q != table.r_s:
-        raise ValueError(f"table was built with r_s={table.r_s}, got {r_s}")
-    return (table.q + 1) * (1.0 - table.omega[i, table.r_s])
 
 
 class CharacterMatch(NamedTuple):
@@ -334,9 +281,10 @@ def match_formulas_to_oracle(ctx, r_s):
 
     Row i of ``spherical_rows`` is the i-th class, so r_s only renumbers the
     rows. The antipodal readings differ by nu0(-1) = (-1)^((q+1)/2), so they
-    coincide exactly when q = 3 mod 4; otherwise the rows hold "minus_nu". The
-    verbatim deviation is the as-stated constant's gap from the row outside
-    radii {1, 4*delta}; max_imag is over the closed-form values the rows take.
+    coincide exactly when q = 3 mod 4; otherwise the rows hold "minus_nu",
+    -nu_j(-1). The verbatim deviation is the as-stated constant's gap from the
+    row outside radii {1, 4*delta}; max_imag is over the closed-form values
+    the rows take.
     """
     q = ctx.q
     table = spherical_table(ctx, r_s)

@@ -166,6 +166,7 @@ class ThetaReport(NamedTuple):
     ``radii`` are the audited radii, every r outside {0, 4 delta, 1}.
     ``verbatim`` is the complex printed sum, NaN at the other radii, as in
     ``closed_forms``; the maximum deviations are taken over ``radii``.
+    ``oracle`` is None in a report made without the affine oracle.
     """
 
     radii: list
@@ -206,7 +207,11 @@ def theta_consistency_report(ctx, r_s, t_grid, mode="both"):
     if mode not in (*THETA_MODES, "both"):
         raise ValueError(f"mode must be one of {(*THETA_MODES, 'both')}, got {mode!r}")
     t_grid = _time_grid(t_grid)
-    oracle = heat_kernel_affine(ctx, r_s, t_grid)
+    return _report(ctx, r_s, t_grid, mode, heat_kernel_affine(ctx, r_s, t_grid))
+
+
+def _report(ctx, r_s, t_grid, mode, oracle):
+    """The ThetaReport of ``theta_consistency_report`` with the given oracle array, or None for none."""
     deg0, deg1 = degenerate_radii(ctx)
     radii = [r for r in range(ctx.q) if r not in (deg0, deg1, 1)]
     verbatim = np.full((len(t_grid), ctx.q), np.nan, dtype=complex)

@@ -37,7 +37,7 @@ from .heat import (
     stabiliser_orbits,
 )
 from .spherical import match_formulas_to_oracle, spherical_rows, spherical_table
-from .theta import classical_theta, theta_consistency_report
+from .theta import _report, classical_theta
 from .uhp import (
     UhpGraph,
     degenerate_radii,
@@ -331,10 +331,10 @@ def lift_checks(graph):
 
 
 def theta_checks(ctx, r_s):
-    """Finite theta checks at the radius r_s."""
+    """Finite theta checks at the radius r_s: the verbatim sum against the spectral kernel, no oracle."""
     q = ctx.q
     out = []
-    report = theta_consistency_report(ctx, r_s, [0.1, 1.0])
+    report = _report(ctx, r_s, [0.1, 1.0], "both", None)
     _check(out, f"q={q} verbatim theta gap", report.max_verbatim_deviation <= 1e-9,
            f"max |verbatim - reconciled| = {report.max_verbatim_deviation:.3e} (measured finding)",
            finding_only=True)
@@ -375,19 +375,19 @@ def run_battery(q_list, include_lift=False):
         if not table[1].passed:  # "spherical rows certified": every later check of q reads the rows
             continue
         # each radius is checked through its certified connection set. One vertex graph per q serves the
-        # walk of the heat and lift checks: it is formed at the first radius that passes, while the affine
-        # spectrum caches that proof, as are the theta checks there (printed after the heat checks)
-        graph, theta = None, []
+        # walk of the heat and lift checks, and the theta checks read its radius: it is formed at the
+        # first radius that passes, while the affine spectrum caches that proof
+        graph = None
         for r_s in radii_order(ctx)[2:]:
             checks = radius_checks(ctx, r_s)
             results += checks
             if checks[0].passed and graph is None:
-                graph, theta = UhpGraph(ctx, r_s, affine_spectrum(ctx, r_s).generators), theta_checks(ctx, r_s)
+                graph = UhpGraph(ctx, r_s, affine_spectrum(ctx, r_s).generators)
         if graph is None:
             continue
         results += formula_match_checks(match_formulas_to_oracle(ctx, graph.r_s))
         results += heat_checks(graph)
-        results += theta
+        results += theta_checks(ctx, graph.r_s)
         if include_lift:
             results += lift_checks(graph)
     return results + classical_theta_checks()

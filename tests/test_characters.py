@@ -11,7 +11,6 @@ from fuhp.characters import (
     ext_char,
     nu,
     nu0,
-    nu_equals_inverse,
     u_index,
 )
 from fuhp.field import (
@@ -22,6 +21,7 @@ from fuhp.field import (
     field_context,
     norm_one_subgroup,
 )
+from fuhp.spherical import character_classes
 
 
 def test_beta_frozen_values():
@@ -121,15 +121,18 @@ def test_nu_restricted_to_base_field_is_a_beta(q):
 
 
 def test_nu_equals_inverse_predicate():
-    ctx = field_context(3)
-    # q=3: restriction to U has order dividing 4; self-inverse iff index in {0, 2} mod 4
-    u = norm_one_subgroup(ctx)
-    for j in range(8):
-        brute = all(
-            abs(nu(ctx, j, w) - nu(ctx, j, w).conjugate()) < 1e-12 for w in u
-        )
-        assert nu_equals_inverse(ctx, j) == brute
-    assert {j for j in range(8) if not nu_equals_inverse(ctx, j)} == {1, 3, 5, 7}
+    # nu_j = nu_j^-1 on U exactly when j mod q+1 is 0 or (q+1)/2; the cuspidal classes of
+    # character_classes take one index of each other inverse pair {j, q+1-j}
+    for q in (3, 5, 7, 13):
+        ctx = field_context(q)
+        u = norm_one_subgroup(ctx)
+        self_inverse = {j for j in range(q * q - 1)
+                        if all(abs(nu(ctx, j, w) - nu(ctx, j, w).conjugate()) < 1e-12 for w in u)}
+        assert self_inverse == {j for j in range(q * q - 1) if j % (q + 1) in (0, (q + 1) // 2)}
+        cusp = [j for kind, j in character_classes(q) if kind == "cuspidal"]
+        assert sorted(cusp + [q + 1 - j for j in cusp]) == sorted(set(range(q + 1)) - self_inverse)
+        if q == 3:  # the restriction to U has order dividing 4; self-inverse iff index in {0, 2} mod 4
+            assert set(range(8)) - self_inverse == {1, 3, 5, 7}
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])

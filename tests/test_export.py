@@ -14,8 +14,6 @@ from fuhp.export import (
     format_float,
     read_csv,
     read_json,
-    write_csv,
-    write_json,
 )
 
 
@@ -103,7 +101,7 @@ def test_dumps_json_holds_about_two_copies_of_the_text():
 def test_json_file_roundtrip(tmp_path):
     path = tmp_path / "doc.json"
     doc = {"config": {"q": 5}, "version": "x", "data": {"v": [math.pi, 1e-17]}}
-    write_json(path, doc)
+    path.write_text(dumps_json(doc), encoding="utf-8")
     back = read_json(path)
     assert back["data"]["v"] == [math.pi, 1e-17]
 
@@ -112,7 +110,8 @@ def test_csv_roundtrip(tmp_path):
     path = tmp_path / "table.csv"
     header = ["t", "value", "label"]
     rows = [[0.0, 6.0, "a"], [0.5, 1 - math.exp(-3), "b"], [1, 2, "c"]]
-    write_csv(path, header, rows, preamble={"config": {"q": 3, "mode": "both"}, "version": "0.1.0"})
+    preamble = {"config": {"q": 3, "mode": "both"}, "version": "0.1.0"}
+    path.write_text(dumps_csv(header, rows, preamble), encoding="utf-8", newline="\n")
     meta, header2, rows2 = read_csv(path)
     assert header2 == header
     assert meta["config"] == {"q": 3, "mode": "both"}

@@ -17,7 +17,6 @@ from fuhp.field import (
     ext_pow,
     ext_trace,
     field_context,
-    find_generator,
     find_nonsquare,
     is_odd_prime,
     norm_one_subgroup,
@@ -51,6 +50,20 @@ def test_field_context_rejects_square_delta():
         field_context(5, delta=4)
     with pytest.raises(ValueError):
         field_context(5, delta=0)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 13, 17])
+def test_field_context_accepts_exactly_the_nonsquare_deltas(q):
+    # delta defaults to the smallest non-square; an explicit one is reduced mod q and must be a non-square
+    assert field_context(q).delta == find_nonsquare(q)
+    for delta in range(-q, 2 * q):
+        if delta % q in squares_mod(q) or delta % q == 0:
+            with pytest.raises(ValueError, match="square"):
+                field_context(q, delta)
+        else:
+            assert field_context(q, delta).delta == delta % q
+    with pytest.raises(ValueError, match="odd prime"):
+        field_context(q * q, delta=find_nonsquare(q))
 
 
 def test_quadratic_character_frozen_values():
@@ -126,7 +139,7 @@ def test_base_generator_frozen(q, frozen_g):
     # oracle: set of powers must exhaust the group
     powers = {pow(frozen_g, m, q) for m in range(q - 1)}
     assert powers == set(range(1, q))
-    assert find_generator(ctx, "base") == frozen_g
+    assert ctx.g == frozen_g
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 13])

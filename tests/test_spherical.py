@@ -6,21 +6,16 @@ import numpy as np
 import pytest
 
 import fuhp.spherical
-from fuhp.characters import beta, nu, nu0, nu_equals_inverse
+from fuhp.characters import beta, nu, nu0
 from fuhp.field import ExtElement, field_context, is_odd_prime, norm_one_subgroup, quadratic_character
 from fuhp.heat import UNIT_ROUNDOFF, heat_kernel_spectral
 from fuhp.spherical import (
     CERTIFICATE_AGREEMENT,
-    CUSPIDAL_INFINITY_READINGS,
-    CUSPIDAL_VARIANTS,
     EIGENVALUE_CLUSTER_TOL,
     character_classes,
     closed_forms,
-    cuspidal_spherical,
     intersection_matrices,
-    laplace_eigenvalue,
     match_formulas_to_oracle,
-    principal_spherical,
     spherical_rows,
     spherical_table,
 )
@@ -110,23 +105,26 @@ def test_eigenvalue_collisions_merge_rows_but_keep_invariants():
 
 
 def test_principal_frozen_values():
-    ctx = field_context(3, delta=2)
-    assert principal_spherical(ctx, 1, 1) == pytest.approx(0, abs=1e-12)
-    assert principal_spherical(ctx, 1, 2) == pytest.approx(-1)  # beta_1(-1)
+    principal = closed_forms(field_context(3, delta=2)).principal
+    assert principal[1, 1] == pytest.approx(0, abs=1e-12)
+    assert principal[2, 1] == pytest.approx(-1)  # beta_1(-1)
     for q in (3, 5, 7):
         ctxq = field_context(q)
         for r in range(q):
             if r in degenerate_radii(ctxq):
                 continue
-            assert principal_spherical(ctxq, 0, r) == pytest.approx(1)
+            assert closed_forms(ctxq).principal[r, 0] == pytest.approx(1)
 
 
 def test_principal_values_real():
     for q in (5, 7):
-        ctx = field_context(q)
-        for j in range((q - 1) // 2 + 1):
-            for r in range(q):
-                assert abs(principal_spherical(ctx, j, r).imag) <= 1e-10
+        principal = closed_forms(field_context(q)).principal
+        assert np.abs(principal[:, : (q - 1) // 2 + 1].imag).max() <= 1e-10
+
+
+def _other_reading(ctx, antipodal):
+    """The other antipodal reading, -nu0(-1)*nu_j(-1): nu0(-1) times closed_forms' -nu_j(-1)."""
+    return nu0(ctx, ExtElement(ctx.q - 1, 0)) * antipodal
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 13])
@@ -145,25 +143,19 @@ def test_closed_forms_match_their_definitions(q):
             else:
                 want = sum(beta(ctx, j, z.y) for z in sphere(ctx, r)) / (q + 1)
             assert abs(forms.principal[r, j] - want) <= 1e-12
-            assert abs(principal_spherical(ctx, j, r) - want) <= 1e-12
 
     minus_one = ExtElement(q - 1, 0)
     constants = {
         "reconciled": lambda r: (2 - r * pow(ctx.delta, -1, q)) % q,
         "verbatim": lambda r: 2 * (1 + r) * pow(1 - r, -1, q) % q,
     }
-    for j in range(q + 1):
-        if nu_equals_inverse(ctx, j):
-            continue
-        readings = {
-            "minus_nu": -nu(ctx, j, minus_one),
-            "minus_nu0_nu": -nu0(ctx, minus_one) * nu(ctx, j, minus_one),
-        }
-        for reading in CUSPIDAL_INFINITY_READINGS:
-            got = cuspidal_spherical(ctx, j, deg1, infinity_reading=reading)
-            assert abs(got - readings[reading]) <= 1e-12
-        for variant in CUSPIDAL_VARIANTS:
-            assert cuspidal_spherical(ctx, j, deg0, variant=variant) == 1
+    cusp = [j for kind, j in character_classes(q) if kind == "cuspidal"]
+    for j in cusp + [q + 1 - j for j in cusp]:  # every nu_j that is not self-inverse on U
+        assert abs(forms.antipodal[j] - -nu(ctx, j, minus_one)) <= 1e-12
+        other = _other_reading(ctx, forms.antipodal)[j]
+        assert abs(other - -nu0(ctx, minus_one) * nu(ctx, j, minus_one)) <= 1e-12
+        for variant in ("reconciled", "verbatim"):
+            assert forms.cuspidal[variant][deg0, j] == 1
             for r in range(q):
                 if r in (deg0, deg1, 1):
                     continue
@@ -173,35 +165,17 @@ def test_closed_forms_match_their_definitions(q):
                     for u in norm_one_subgroup(ctx)
                 ) / (q + 1)
                 assert abs(forms.cuspidal[variant][r, j] - want) <= 1e-12
-                assert abs(cuspidal_spherical(ctx, j, r, variant=variant) - want) <= 1e-12
-
-
-def test_cuspidal_normalization_and_errors():
-    ctx = field_context(5)
-    assert cuspidal_spherical(ctx, 1, 0) == pytest.approx(1)
-    with pytest.raises(ValueError, match="singular radius"):
-        cuspidal_spherical(ctx, 1, 1)
-    with pytest.raises(ValueError, match="self-inverse"):
-        cuspidal_spherical(ctx, 3, 2)  # index 3 = (q+1)/2 is self-inverse on U
-    with pytest.raises(ValueError, match="self-inverse"):
-        cuspidal_spherical(ctx, 0, 2)
-    with pytest.raises(ValueError, match="infinity_reading"):
-        cuspidal_spherical(ctx, 1, 3, infinity_reading="plus_nu")  # 3 = 4*delta
-    with pytest.raises(ValueError, match="variant"):
-        cuspidal_spherical(ctx, 1, 2, variant="printed")
 
 
 def test_cuspidal_matches_oracle_rows_q5():
     ctx = field_context(5)
     report = match_formulas_to_oracle(ctx, 1)
     table = report.table
+    cusp = closed_forms(ctx).cuspidal["reconciled"]
     for m in report.cuspidal:
         assert m.max_deviation <= 1e-10
-        row = m.row
         for r in (0, 2, 4):  # radii where the sum form applies (3 = 4*delta)
-            assert cuspidal_spherical(ctx, m.index, r).real == pytest.approx(
-                table.omega[row, r], abs=1e-10
-            )
+            assert cusp[r, m.index].real == pytest.approx(table.omega[m.row, r], abs=1e-10)
 
 
 def test_cuspidal_verbatim_variant_disagrees_somewhere():
@@ -213,17 +187,15 @@ def test_cuspidal_verbatim_variant_disagrees_somewhere():
 
 
 def test_laplace_eigenvalue_relation():
+    # lambda_i = (q+1)(1 - omega_i(r_s)), in the dense oracle's table and in the radial one
     ctx, graph, table = table_for(3, r_s=1)
-    by_lambda = {round(float(table.laplacian_eigenvalues[i]), 6): i for i in range(3)}
-    assert laplace_eigenvalue(table, by_lambda[4.0], 1) == pytest.approx(4.0)
-    assert laplace_eigenvalue(table, by_lambda[0.0], 1) == pytest.approx(0.0)
-    assert laplace_eigenvalue(table, by_lambda[6.0], 1) == pytest.approx(6.0)
+    lam = 4 * (1 - table.omega[:, 1])
+    np.testing.assert_allclose(lam, table.laplacian_eigenvalues, rtol=0, atol=1e-10)
+    assert sorted(np.round(lam, 6).tolist()) == [0.0, 4.0, 6.0]
     for q in (3, 5, 7, 13):
         ctx, graph, table = table_for(q)
-        for i in range(table.num_rows):
-            assert laplace_eigenvalue(table, i, table.r_s) == pytest.approx(
-                float(table.laplacian_eigenvalues[i]), abs=1e-10
-            )
+        lam = (q + 1) * (1 - table.omega[:, table.r_s])
+        np.testing.assert_allclose(lam, table.laplacian_eigenvalues, rtol=0, atol=1e-10)
 
 
 def test_match_q3_by_elimination():
@@ -271,22 +243,16 @@ def test_antipodal_reading_is_minus_nu():
 def test_inverse_character_gives_equal_cuspidal_function():
     # nu and its inverse on U define the same spherical function; the table
     # deduplicates classes by the smaller index
-    ctx = field_context(5)
+    cusp = closed_forms(field_context(5)).cuspidal["reconciled"]
     for j, j_inv in ((1, 5), (2, 4)):
-        for r in (0, 2, 4):
-            assert cuspidal_spherical(ctx, j, r) == pytest.approx(
-                cuspidal_spherical(ctx, j_inv, r), abs=1e-12
-            )
+        np.testing.assert_allclose(cusp[[0, 2, 4], j], cusp[[0, 2, 4], j_inv], rtol=0, atol=1e-12)
 
 
 def test_conjugate_character_gives_equal_principal_function():
-    ctx = field_context(7)
+    principal = closed_forms(field_context(7)).principal
     for j in (1, 2, 3):
-        for r in range(7):
-            assert principal_spherical(ctx, j, r) == pytest.approx(
-                principal_spherical(ctx, 6 - j, r).conjugate(), abs=1e-12
-            )
-            assert abs(principal_spherical(ctx, j, r).imag) <= 1e-12
+        np.testing.assert_allclose(principal[:, j], principal[:, 6 - j].conj(), rtol=0, atol=1e-12)
+        assert np.abs(principal[:, j].imag).max() <= 1e-12
 
 
 @pytest.mark.parametrize("q,r_s", [(3, 1), (5, 1), (7, 2)])
@@ -486,7 +452,7 @@ def test_the_reconciled_kernel_is_the_spectral_kernel_of_the_character_sums(q):
                 continue
             defined = [r for r in range(q) if r not in (1, deg1)]
             assert np.array_equal(row[defined], forms.cuspidal["reconciled"][defined, m.index].real)
-            assert row[deg1] == forms.antipodal["minus_nu"][m.index].real
+            assert row[deg1] == forms.antipodal[m.index].real
             assert abs(row @ sizes) <= CERTIFICATE_AGREEMENT * UNIT_ROUNDOFF * (q + 1)
         theta = theta_consistency_report(ctx, r_s, t_grid, mode="reconciled")
         np.testing.assert_array_equal(theta.reconciled, heat_kernel_spectral(table, t_grid))
@@ -499,7 +465,7 @@ def _rows_with(monkeypatch, ctx, edit):
     real = closed_forms(ctx)
     forms = real._replace(principal=real.principal.copy(),
                           cuspidal={k: v.copy() for k, v in real.cuspidal.items()},
-                          antipodal=dict(real.antipodal))
+                          antipodal=real.antipodal.copy())
     edit(forms)
     monkeypatch.setattr(fuhp.spherical, "closed_forms", lambda c: forms)
     return spherical_rows.__wrapped__(ctx)
@@ -525,7 +491,7 @@ def test_the_other_antipodal_reading_fails_the_certificate_where_the_readings_di
     ctx = field_context(q)
 
     def swap(forms):
-        forms.antipodal["minus_nu"] = forms.antipodal["minus_nu0_nu"]
+        forms.antipodal[:] = _other_reading(ctx, forms.antipodal)
 
     if fails:
         with pytest.raises(AssertionError, match="cuspidal row 1 .* no common eigenvector"):

@@ -27,6 +27,7 @@ from fuhp.heat import (
     stabiliser_orbits,
 )
 from fuhp.spherical import match_formulas_to_oracle
+from fuhp.theta import theta_consistency_report
 from fuhp.uhp import build_graph, cayley_certificate, radii_order, scheme, vertex_index
 from fuhp.verify import (
     LIFT_MAX_Q,
@@ -39,6 +40,7 @@ from fuhp.verify import (
     radius_checks,
     run_battery,
     table_checks,
+    theta_checks,
 )
 
 PRIMES_TO_THE_CAP = [
@@ -75,6 +77,16 @@ def test_battery_builds_one_graph_per_q_and_one_match(monkeypatch):
     assert [name for name, _ in calls].count("match_formulas_to_oracle") == 1
     # every table, the match and the theta report read the same certified rows: they are computed once
     assert fuhp.spherical.spherical_rows.cache_info().misses == 1
+
+
+def test_the_theta_check_reads_the_report_gap_without_the_affine_oracle(monkeypatch):
+    # the check reads only the verbatim sums against the spectral kernel: no affine oracle is built
+    ctx = field_context(13)
+    gap = theta_consistency_report(ctx, 2, [0.1, 1.0]).max_verbatim_deviation
+    monkeypatch.setattr(fuhp.theta, "heat_kernel_affine", lambda *args: pytest.fail("affine oracle built"))
+    (check,) = theta_checks(ctx, 2)
+    assert (check.name, check.passed, check.finding_only) == ("q=13 verbatim theta gap", False, True)
+    assert check.detail == f"max |verbatim - reconciled| = {gap:.3e} (measured finding)"
 
 
 def test_battery_names_every_check_once():
