@@ -12,6 +12,7 @@ import atexit
 import gc
 import os
 import sys
+from contextlib import nullcontext, suppress
 
 import numpy as np
 
@@ -97,15 +98,18 @@ def _emit(args, doc, header, rows):
 
 
 def _write(args, text):
-    """Write text to --out (default stdout)."""
-    if args.out and args.out != "-":
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
-    else:
-        sys.stdout.write(text)
+    """Write text to --out (default stdout, flushed); a failed write raises ValueError."""
+    out = getattr(args, "out", None) or "-"  # verify has no --out, and an empty --out is stdout
+    try:
+        with open(out, "w", encoding="utf-8", newline="\n") if out != "-" else nullcontext(sys.stdout) as fh:
+            fh.write(text)
+            fh.flush()
+    except OSError as exc:
+        if out == "-":  # a closed pipe or a full device: what stdout still holds goes to devnull, not to
+            # a second failure at interpreter exit (a stream without a descriptor holds nothing for exit)
+            with suppress(OSError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ValueError(f"cannot write {'stdout' if out == '-' else '--out ' + out}: {exc.strerror}") from exc
 
 
 def _document(config, data):
@@ -300,13 +304,10 @@ def cmd_verify(args):
     results = run_battery(q_list, include_lift=args.include_lift)
     fatal = [r for r in results if r.fatal]
     findings = [r for r in results if not r.passed and r.finding_only]
-    for r in results:
-        status = "PASS" if r.passed else ("FINDING" if r.finding_only else "FAIL")
-        print(f"[{status}] {r.name}: {r.detail}")
-    print(
-        f"{len(results)} checks: {len(results) - len(fatal) - len(findings)} passed, "
-        f"{len(findings)} findings, {len(fatal)} failures"
-    )
+    lines = [f"[{'PASS' if r.passed else 'FINDING' if r.finding_only else 'FAIL'}] {r.name}: {r.detail}\n"
+             for r in results]
+    _write(args, "".join(lines) + f"{len(results)} checks: {len(results) - len(fatal) - len(findings)} passed, "
+           f"{len(findings)} findings, {len(fatal)} failures\n")
     return EXIT_VERIFY_FAILED if fatal else EXIT_OK
 
 

@@ -95,13 +95,12 @@ def heat_kernel_spectral(table, t_grid):
 # of e*u in every term moves a value by at most e*u*n, and c is the sum of the two kernels' e. A term
 # rounds an exponential and a cosine or omega value (1 each) and carries the error of its eigenvalue:
 # for the affine kernel one symmetric eigh, backward stable to a few u of the matrix norm q+1, for the
-# spectral one (q+1)*omega_i(r_s), a character sum within a few u (at r_s = 1 a cuspidal omega(1),
-# about sqrt(q)*u: see CERTIFICATE_AGREEMENT in spherical.py), which move e^(-t lambda) by at most
-# 1/(e*lambda_min) times as much, and lambda_min >= (sqrt(q) - 1)^2 > (q+1)/8 (the graphs are
-# Ramanujan); unit eigenvectors orthogonal to a few u. Measured over every regular radius of every
-# prime q <= 101 at t in {0, 1e-6, 0.1, 1, 5, 10, 1e8}: the affine kernel is within 4.6u*n of the
-# exact value at t=0, and the two kernels within 12.3u*n of each other (q=61, r_s=4). c = 32 leaves a
-# factor 2.6.
+# spectral one (q+1)*omega_i(r_s), omega_i(r_s) a character sum within 2.3u (see CERTIFICATE_AGREEMENT in
+# spherical.py), which move e^(-t lambda) by at most 1/(e*lambda_min) times as much, and lambda_min >=
+# (sqrt(q) - 1)^2 > (q+1)/8 (the graphs are Ramanujan); unit eigenvectors orthogonal to a few u.
+# Measured over every regular radius of every prime q <= 101 at t in {0, 1e-6, 0.1, 1, 5, 10, 1e8}: the
+# affine kernel is within 4.6u*n of the exact value at t=0, and the two kernels within 12.3u*n of each
+# other (q=61, r_s=4; 8.4u*n at r_s = 1, q=83). c = 32 leaves a factor 2.6.
 AFFINE_AGREEMENT = 32
 
 # c in |G - m*I| <= c*u*(q+1) entrywise, G the Gram matrix of a character table of F_q^x (m = q-1) or of U
@@ -117,13 +116,13 @@ ORTHOGONALITY_AGREEMENT = 40
 # c in heat_kernel_spectral(table, t)[r] >= -c*u*n, n = q(q-1). The exact kernel is >= 0: exp(-tL) =
 # e^(-(q+1)t) exp(tA), and A >= 0 entrywise. The computed sum_i w_i*omega_i(r) has weights
 # w_i = d_i*e^(-lambda_i t) >= 0 that add to at most n and |omega_i| <= 1, so as above an error of
-# e*u in every term moves it by at most e*u*n. A term carries its omega entry's error (a character sum
-# within 2u, a cuspidal omega(1) within about sqrt(q)*u, at most 14u at the primes q <= 211: see
-# CERTIFICATE_AGREEMENT in spherical.py), its exponential's (1u, plus the eigenvalue's few u of q+1
-# times 8/(e*(q+1)), about 3u) and two products': 16u. The q-term sum adds (q-1)u*n at worst, and
-# about sqrt(q)*u*n when its roundings have independent signs, at most 16u*n for q <= 256; c = 32 is
-# the sum of the two.
-# Measured: at most 0.54u*n at verify's radius and times over every prime q <= 211 (q=13), and 0.73u*n
+# e*u in every term moves it by at most e*u*n. A term carries its omega entry's error (one character sum,
+# within 2.3u: see CERTIFICATE_AGREEMENT in spherical.py), its exponential's (1u, plus its eigenvalue's
+# error: lambda_i = (q+1)(1 - omega_i(r_s)) is within 3.3u*(q+1), the entry's 2.3u and the product's
+# rounding, which moves e^(-t lambda) by at most 8/(e*(q+1)) times as much, 9.7u) and two products':
+# 15u, under 16u. The q-term sum adds (q-1)u*n at worst, and about sqrt(q)*u*n when its roundings have
+# independent signs, at most 16u*n for q <= 256; c = 32 is the sum of the two.
+# Measured: at most 0.54u*n at verify's radius and times over every prime q <= 211 (q=19), and 0.73u*n
 # over every regular radius of every prime q <= 101 at t in {0, 1e-6, 0.1, 1, 5, 10, 1e8} (q=23).
 POSITIVITY_MARGIN = 32
 
@@ -134,8 +133,8 @@ POSITIVITY_MARGIN = 32
 # k* <= 86 (every regular radius of every prime q <= 101, at q=5): 86u*n; and the stop's 4(q+1)u*T, with
 # T <= 1 at most 3u*n for q >= 3. c = 122 is the sum. k* falls as q grows: the graphs are Ramanujan, so a
 # step multiplies the walk's l2 distance from uniform by at most 2*sqrt(q)/(q+1); at verify's radius k* is
-# at most 51 over every prime q <= 211 (q = 3 to 11). Measured at most 2.8u*n at verify's radius and times
-# over every prime q <= 211 (q=61, t=0.01).
+# at most 51 over every prime q <= 211 (q = 3 to 11). Measured at most 2.4u*n at verify's radius and times
+# over every prime q <= 211 (q=5).
 ORACLE_AGREEMENT = 122
 
 # c in |mean_v heat_kernel_oracle(...).by_vertex - 1| <= c*u (mass conservation), n = q(q-1). P is doubly
@@ -151,13 +150,13 @@ MASS_AGREEMENT = 116
 # |sum_i d_i omega_i(r) - [r=0] n| <= c*u*n (delta reconstruction), n = q(q-1), over the rows of
 # spherical.spherical_rows. Each is a sum of terms w*x, |x| <= 1, with weights w >= 0 that add to n
 # (sum_r |S_r| = sum_i d_i = n), so an error of e*u in every term moves it by at most e*u*n. A row
-# entry is a character sum within e = 2u of exact, but a cuspidal omega(1) within e1 = 3*sqrt(q)*u
-# (see CERTIFICATE_AGREEMENT in spherical.py). In the Gram sums omega(1) has the weight |S_1| = n/(q-1),
-# so the entries add 2e*n + 2*e1*n/(q-1) <= 10u*n; in the reconstruction at r=1 the cuspidal rows
-# carry the weight (q-1)^2/2 < n/2, so e1*n/2 + e*n <= 26u*n for q <= 256. Either q-term sum rounds by
-# (q-1)u*n at worst and about sqrt(q)*u*n with independent signs, at most 16u*n for q <= 256. c = 42 is
-# the larger total. Measured over the primes q <= 211: at most 1.41u*n (q=163) and 0.58u*n (q=67).
-TABLE_SUM_AGREEMENT = 42
+# entry is one character sum within 2.3u of exact (see CERTIFICATE_AGREEMENT in spherical.py), so a Gram
+# term |S_r| omega_i(r) omega_k(r) carries two of them and two roundings, 6.6u, and a reconstruction term
+# d_i omega_i(r) one of them and one rounding, 3.3u. Either q-term sum rounds by (q-1)u*n at worst and
+# about sqrt(q)*u*n with independent signs, at most 16u*n for q <= 256. c = 24 covers the larger total,
+# 22.6u. Measured over the primes q <= 211: at most 1.41u*n (q=163) and 0.51u*n (q=19); the Gram entries
+# of the cuspidal rows with the constant row at most 0.40u*n (q=5).
+TABLE_SUM_AGREEMENT = 24
 
 
 class AffineSpectrum(NamedTuple):

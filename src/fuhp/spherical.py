@@ -29,15 +29,13 @@ EIGENVALUE_CLUSTER_TOL = 1e-8
 # c in |B_r omega_i - |S_r| omega_i(r) omega_i| <= c*u*(q+1) entrywise over the rows of spherical_rows, which
 # is 0 for the exact rows. B_r >= 0 has row sums |S_r| <= q+1 and |omega| <= 1, so entry errors of at most
 # e*u move the two sides by (q+1)*e*u and 2*(q+1)*e*u, and the product B_r omega_i, q-term sums whose
-# partial sums stay within q+1, rounds by about sqrt(q)*u*(q+1) with independent signs. A character sum
-# of closed_forms is within about 2u (measured at most 2.3u at the primes q <= 211), but a cuspidal
-# omega(1) sums q-1 of them times |S_r| and divides by q+1: 2*sqrt(q)*u propagated and sqrt(q)*u of its
-# own rounding, e = 3*sqrt(q). So c = 9*sqrt(q) + sqrt(q) <= 160 for q <= 256. Measured over the primes
-# q <= 211: at most 14.0u*(q+1) (q=191; 8.6u*(q+1) at q=101), where omega(1) was off by 14.0u: the
-# residual is (q+1) times that error, about sqrt(q)*u*(q+1). A wrong value misses by far more: the other
-# antipodal reading by at least 8 in every cuspidal row at q = 1 mod 4, the as-stated cuspidal constant
-# by 0.17(q+1) to (q+1).
-CERTIFICATE_AGREEMENT = 160
+# partial sums stay within q+1, rounds by about sqrt(q)*u*(q+1) with independent signs. Every entry is one
+# character sum of closed_forms, or exact (1 at r=0, +-1 at 4*delta): e = 2.3, measured against
+# 64-bit-mantissa sums over every entry of every row at the primes q <= 211 (at most 1.3u at r=1). So
+# c = 3*2.3 + sqrt(q) <= 24 for q <= 256. Measured over the primes q <= 211: at most 4.0u*(q+1) (q=163).
+# A wrong value misses by far more: a value moved by 1e-12 by about 1e-12, the other antipodal reading by
+# at least 8 in every cuspidal row at q = 1 mod 4, the as-stated cuspidal constant by 0.17(q+1) to (q+1).
+CERTIFICATE_AGREEMENT = 24
 
 
 class SphericalTable(NamedTuple):
@@ -67,14 +65,22 @@ class SphericalTable(NamedTuple):
         return self.num_rows == self.q
 
     def spectrum(self):
-        """Descending [eigenvalue, multiplicity] pairs, merging rows within EIGENVALUE_CLUSTER_TOL."""
-        out = []
-        for a, d in zip(self.adjacency_eigenvalues, self.degrees):
-            if out and out[-1][0] - a <= EIGENVALUE_CLUSTER_TOL:
-                out[-1][1] += int(d)
-            else:
-                out.append([float(a), int(d)])
-        return out
+        """Descending [eigenvalue, multiplicity] pairs: one per cluster (``_cluster_heads``), at its first row."""
+        out = {}
+        for a, d, head in zip(self.adjacency_eigenvalues, self.degrees,
+                              _cluster_heads(self.adjacency_eigenvalues, self.laplacian_eigenvalues)):
+            out.setdefault(head, [float(a), 0])[1] += int(d)
+        return list(out.values())
+
+
+def _cluster_heads(adj, lam):
+    """lambda of each row's cluster head, the one rule by which rows merge: walking by ascending lambda,
+    a row heads a new cluster when it is more than EIGENVALUE_CLUSTER_TOL below the last head."""
+    heads, head = np.empty_like(lam), None
+    for i in np.argsort(lam, kind="stable"):
+        head = i if head is None or adj[head] - adj[i] > EIGENVALUE_CLUSTER_TOL else head
+        heads[i] = lam[head]
+    return heads
 
 
 @functools.lru_cache(maxsize=1)
@@ -113,13 +119,14 @@ def character_classes(q):
 def spherical_rows(ctx):
     """The character sums of ``closed_forms`` as the q rows of (q, delta), certified; do not modify.
 
-    A cuspidal row takes ``antipodal`` at 4*delta, and omega(1), which its sum
-    excludes, from orthogonality to the constant row: sum_r |S_r| omega(r) = 0.
-    The degrees are the classes', exactly: 1 (j=0), q (j=(q-1)/2), q+1 (other
-    principal), q-1 (cuspidal). A row that is no common eigenvector of the
-    integer ``intersection_matrices``, B_r omega_i = |S_r| omega_i(r) omega_i
-    at every r within CERTIFICATE_AGREEMENT*u*(q+1), raises AssertionError, as
-    does a count that is no scheme's. O(q^4) time, O(q^2) scratch beyond B_r.
+    Each entry is one closed-form value, none derived from the others: a
+    cuspidal row takes its reconciled sum, r=1 included, and ``antipodal`` at
+    4*delta. The degrees are the classes', exactly: 1 (j=0), q (j=(q-1)/2),
+    q+1 (other principal), q-1 (cuspidal). A row that is no common
+    eigenvector of the integer ``intersection_matrices``, B_r omega_i = |S_r|
+    omega_i(r) omega_i at every r within CERTIFICATE_AGREEMENT*u*(q+1), raises
+    AssertionError, as does a count that is no scheme's. O(q^4) time, O(q^2)
+    scratch beyond B_r.
     """
     q = ctx.q
     half = (q - 1) // 2
@@ -127,7 +134,6 @@ def spherical_rows(ctx):
     sizes = scheme(ctx).sizes
     cusp = forms.cuspidal["reconciled"][:, 1 : half + 1].real.T.copy()
     cusp[:, degenerate_radii(ctx)[1]] = forms.antipodal[1 : half + 1].real
-    cusp[:, 1] = -np.nansum(cusp * sizes, axis=1) / sizes[1]  # omega(1) is NaN until now
     omega = np.vstack([forms.principal[:, : half + 1].real.T, cusp])
     degrees = np.concatenate([[1], np.full(half - 1, q + 1), [q], np.full(half, q - 1)])
     counts = intersection_matrices(ctx)
@@ -152,18 +158,13 @@ def spherical_rows(ctx):
 def _row_order(ctx, r_s):
     """a_i = (q+1)*omega_i(r_s) for the rows of ``spherical_rows``, and their order by ascending lambda_i.
 
-    Rows that ``SphericalTable.spectrum`` merges keep their class order: the
-    gaps between them are rounding, which must not order anything.
+    Rows of one cluster (``_cluster_heads``), which ``SphericalTable.spectrum``
+    merges, keep their class order: the gaps between them are rounding, which
+    must not order anything.
     """
     q = ctx.q
     adj = (q + 1) * spherical_rows(ctx).omega[:, r_s]
-    lam = (q + 1) - adj
-    order = np.argsort(lam, kind="stable")
-    heads, head = [], order[0]
-    for i in order:  # each row joins the cluster of the first row within the tolerance above it
-        head = i if adj[head] - adj[i] > EIGENVALUE_CLUSTER_TOL else head
-        heads.append(lam[head])
-    return adj, order[np.lexsort((order, heads))]
+    return adj, np.lexsort((np.arange(q), _cluster_heads(adj, (q + 1) - adj)))
 
 
 def spherical_table(ctx, r_s):
@@ -186,8 +187,8 @@ def spherical_table(ctx, r_s):
 class ClosedForms(NamedTuple):
     """Both closed-form families at every radius, indexed [r, j] by radius value r.
 
-    principal[r, j] for j < q-1; cuspidal[variant][r, j] for j <= q, NaN at the
-    excluded radius 1 and at 4*delta, whose value is antipodal[j].
+    principal[r, j] for j < q-1; cuspidal[variant][r, j] for j <= q, NaN at
+    4*delta, whose value is antipodal[j], and "verbatim" NaN at r=1 too.
     """
 
     principal: np.ndarray
@@ -210,15 +211,15 @@ def closed_forms(ctx):
     is the average over U of eps(Tr(u - c(r))) * nu0(u) * nu_j(u), eps the
     sign character of F_q: a (q x (q+1)) sign matrix eps(2 u.a - 2 c(r)) *
     nu0(u) times the nu_j phases on U, with c(r) = 1 - r/(2*delta) for
-    "reconciled", the form the certificate of ``spherical_rows`` confirms, and
-    c(r) = (1+r)/(1-r) for "verbatim", the stated constant, kept so that its
-    gap can be measured. The sum excludes r=1, and at 4*delta the value is
-    antipodal[j] = -nu_j(-1); the other reading, -nu0(-1)*nu_j(-1), differs by
-    nu0(-1) = (-1)^((q+1)/2) and fails the certificate at q = 1 mod 4. Both
-    families are real products, divided by q+1 as reals (``_average``): a
-    complex division multiplies by the reciprocal, which leaves (q+1)/(q+1)
-    at 1 - u, and a real-by-complex matmul took 5 to 16 ms a call at q=53 on
-    two BLAS threads.
+    "reconciled", the form the certificate of ``spherical_rows`` confirms,
+    defined at r=1 too, and c(r) = (1+r)/(1-r) for "verbatim", the stated
+    constant, kept so that its gap can be measured, with a pole at r=1. At
+    4*delta the value is antipodal[j] = -nu_j(-1); the other reading,
+    -nu0(-1)*nu_j(-1), differs by nu0(-1) = (-1)^((q+1)/2) and fails the
+    certificate at q = 1 mod 4. Both families are real products, divided by
+    q+1 as reals (``_average``): a complex division multiplies by the
+    reciprocal, which leaves (q+1)/(q+1) at 1 - u, and a real-by-complex
+    matmul took 5 to 16 ms a call at q=53 on two BLAS threads.
     """
     q, delta = ctx.q, ctx.delta
     chars = character_tables(ctx)
@@ -233,10 +234,10 @@ def closed_forms(ctx):
     k = np.arange(q + 1)
     u_a = ctx.power_a[(q - 1) * k]  # a-coordinates of U in norm_one_subgroup order
     nu0 = np.where(k % 2, -1, 1)
-    regular = [r for r in range(q) if r not in (deg0, deg1, 1)]
+    regular = [r for r in range(q) if r not in (deg0, deg1)]
     two_c = {
         "reconciled": [(2 - r * ctx.inv(delta)) % q for r in regular],
-        "verbatim": [2 * (1 + r) * ctx.inv(1 - r) % q for r in regular],
+        "verbatim": [2 * (1 + r) * ctx.inv(1 - r) % q if r != 1 else 0 for r in regular],
     }
     cuspidal = {}
     for variant, consts in two_c.items():
@@ -244,8 +245,9 @@ def closed_forms(ctx):
         signs[regular] = ctx.chi[(2 * u_a - np.array(consts, dtype=np.int64)[:, None]) % q] * nu0
         values = _average(signs, chars.norm_one, q + 1)
         values[deg0] = 1.0
-        values[[1, deg1]] = np.nan
+        values[deg1] = np.nan
         cuspidal[variant] = values
+    cuspidal["verbatim"][1] = np.nan  # the pole of (1+r)/(1-r)
     antipodal = -chars.norm_one[:, (q + 1) // 2]  # -nu_j(-1), -1 = zeta^((q-1)(q+1)/2)
     return ClosedForms(principal, cuspidal, antipodal)
 
@@ -291,15 +293,14 @@ def match_formulas_to_oracle(ctx, r_s):
     rows = spherical_rows(ctx)
     forms = closed_forms(ctx)
     position = np.argsort(_row_order(ctx, table.r_s)[1])
-    defined = [r for r in range(q) if r not in (1, degenerate_radii(ctx)[1])]
     reading = "both (readings coincide)" if q % 4 == 3 else "minus_nu"
     matches = []
     for i, (kind, j) in enumerate(character_classes(q)):
         match = CharacterMatch(kind, j, int(position[i]), float(rows.residuals[i]))
         if kind == "cuspidal":
-            verbatim = np.abs(rows.omega[i, defined] - forms.cuspidal["verbatim"][defined, j]).max()
+            verbatim = np.nanmax(np.abs(rows.omega[i] - forms.cuspidal["verbatim"][:, j]))  # NaN at 1, 4*delta
             match = match._replace(excluded_radii=(1,), infinity_reading=reading, verbatim_deviation=float(verbatim))
         matches.append(match)
     half = (q - 1) // 2
-    values = (forms.principal[:, : half + 1], forms.cuspidal["reconciled"][defined, 1 : half + 1])
+    values = (forms.principal[:, : half + 1], forms.cuspidal["reconciled"][:, 1 : half + 1])  # NaN + 0j at 4*delta
     return MatchReport(table, matches, max(float(np.abs(v.imag).max()) for v in values))

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
+import errno
+import io
 import json
 import os
 import statistics
@@ -191,6 +193,48 @@ def test_exit_path_keeps_streams_files_and_exit_codes(tmp_path, capsys):
     assert _python("-c", ENTRY, "spherical", "--q", "13", "--r-s", "2", "--out", str(there)).returncode == EXIT_OK
     assert main(["spherical", "--q", "13", "--r-s", "2", "--out", str(here)]) == EXIT_OK
     assert there.read_bytes() == here.read_bytes()
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose writes raise ``exc``, as on a closed pipe or a full device; it has no descriptor."""
+
+    def __init__(self, exc):
+        super().__init__()
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+
+@pytest.mark.parametrize("exc", [BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                                 OSError(errno.ENOSPC, "No space left on device")])
+@pytest.mark.parametrize("args", [["verify", "--q", "3"], ["heat", "--q", "5", "--t", "1"],
+                                  ["theta", "--q", "5", "--classical", "0.2", "--t", "1"]])
+def test_a_failed_write_to_stdout_is_one_error_line_and_exit_2(monkeypatch, capsys, exc, args):
+    # exit 1 would read as a failed verification: a failed write is the invalid-input exit, as for --out
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", _FailingStdout(exc))
+        status = main(args)
+    assert status == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"error: cannot write stdout: {exc.strerror}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", [["verify", "--q", "3"], ["spherical", "--q", "5"]])
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_full_device_or_a_closed_pipe_as_stdout_exits_2_with_nothing_at_interpreter_exit(args, unbuffered):
+    # the write is flushed while main() runs, and stdout then points at devnull, so that the
+    # interpreter's own flush at exit prints no "Exception ignored" and keeps the exit status
+    env = dict(os.environ, PYTHONPATH=str(Path(fuhp.__file__).parents[1]), PYTHONUNBUFFERED=unbuffered)
+    command = [sys.executable, "-c", ENTRY, *args]
+    with open("/dev/full", "w") as full:
+        child = subprocess.run(command, env=env, stdout=full, stderr=subprocess.PIPE, timeout=60)
+    full_device = b"error: cannot write stdout: No space left on device\n"
+    assert (child.returncode, child.stderr) == (EXIT_BAD_INPUT, full_device)
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        child.stdout.close()  # no reader before the first write: EPIPE
+        err = child.stderr.read()
+    assert (child.returncode, err) == (EXIT_BAD_INPUT, b"error: cannot write stdout: Broken pipe\n")
 
 
 def test_exit_freezes_the_collector(tmp_path):

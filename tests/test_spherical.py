@@ -2,15 +2,15 @@
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 import fuhp.spherical
 from fuhp.characters import beta, nu, nu0
 from fuhp.field import ExtElement, field_context, is_odd_prime, norm_one_subgroup, quadratic_character
-from fuhp.heat import UNIT_ROUNDOFF, heat_kernel_spectral
+from fuhp.heat import TABLE_SUM_AGREEMENT, UNIT_ROUNDOFF, heat_kernel_spectral
 from fuhp.spherical import (
-    CERTIFICATE_AGREEMENT,
     EIGENVALUE_CLUSTER_TOL,
     character_classes,
     closed_forms,
@@ -154,10 +154,12 @@ def test_closed_forms_match_their_definitions(q):
         assert abs(forms.antipodal[j] - -nu(ctx, j, minus_one)) <= 1e-12
         other = _other_reading(ctx, forms.antipodal)[j]
         assert abs(other - -nu0(ctx, minus_one) * nu(ctx, j, minus_one)) <= 1e-12
+        assert np.isnan(forms.cuspidal["reconciled"][deg1, j])
+        assert np.isnan(forms.cuspidal["verbatim"][[1, deg1], j]).all()  # 1 is the pole of (1+r)/(1-r)
         for variant in ("reconciled", "verbatim"):
             assert forms.cuspidal[variant][deg0, j] == 1
             for r in range(q):
-                if r in (deg0, deg1, 1):
+                if r in (deg0, deg1) or (r, variant) == (1, "verbatim"):
                     continue
                 two_c = constants[variant](r)
                 want = sum(
@@ -165,6 +167,31 @@ def test_closed_forms_match_their_definitions(q):
                     for u in norm_one_subgroup(ctx)
                 ) / (q + 1)
                 assert abs(forms.cuspidal[variant][r, j] - want) <= 1e-12
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17, 19, 23, 29])
+def test_every_cuspidal_entry_is_its_character_sum_within_a_few_u(q):
+    # a 50-digit reference from the scalar definitions, radius 1 included: the mean over u in U of
+    # eps(2 u.a - 2c(r)) nu0(u) Re nu_j(u), c(r) = 1 - r/(2 delta), and -nu_j(-1) at 4*delta. Measured
+    # at most 1.7u here (q=5), and 2.3u over every entry of every row at the primes q <= 211
+    ctx = field_context(q)
+    deg0, deg1 = degenerate_radii(ctx)
+    rows = spherical_rows(ctx)
+    n2 = q * q - 1
+    units = [(u, int(ctx.dlog2[u.a * q + u.b])) for u in norm_one_subgroup(ctx)]
+    minus_one = int(ctx.dlog2[(q - 1) * q])
+    with mpmath.workdps(50):
+        for i, (kind, j) in enumerate(character_classes(q)):
+            if kind == "principal":
+                continue
+            for r in range(q):
+                if r in (deg0, deg1):
+                    want = 1 if r == deg0 else -mpmath.cospi(mpmath.mpf(2 * j * minus_one) / n2)
+                else:
+                    two_c = (2 - r * pow(ctx.delta, -1, q)) % q
+                    want = mpmath.fsum(quadratic_character(ctx, 2 * u.a - two_c) * nu0(ctx, u)
+                                       * mpmath.cospi(mpmath.mpf(2 * j * m) / n2) for u, m in units) / (q + 1)
+                assert abs(rows.omega[i, r] - want) <= 3 * UNIT_ROUNDOFF, (j, r)
 
 
 def test_cuspidal_matches_oracle_rows_q5():
@@ -199,8 +226,8 @@ def test_laplace_eigenvalue_relation():
 
 
 def test_match_q3_by_elimination():
-    # only the normalization radius is defined for the cuspidal sum at q=3: its row is the one left
-    # over, (1, -0.5, 1), from the antipodal value and orthogonality to the constant row
+    # the cuspidal row is the one left over, (1, -0.5, 1): its sum at r=1 and its antipodal value at
+    # r=2=4*delta
     ctx = field_context(3)
     report = match_formulas_to_oracle(ctx, 1)
     assert {m.row for m in report.matches} == {0, 1, 2}
@@ -345,7 +372,8 @@ def test_radial_table_builds_at_every_prime_up_to_the_default_cap():
 def _assert_rows_match_the_eigh_reference(q):
     # each reference entry is a Rayleigh quotient u' B~_r u / (|S_r| u'u): its 2q-term sums round by
     # about q*u at worst, and the eigenvector error of the golden-angle eigh enters it squared; each
-    # certified entry is within 3*sqrt(q)*u of exact (CERTIFICATE_AGREEMENT). 2u(q+1) covers the two
+    # certified entry is a character sum within 2.3u of exact (CERTIFICATE_AGREEMENT). 2u(q+1)
+    # covers the two
     ctx = field_context(q)
     rows = spherical_rows(ctx)
     reference, degrees = broadcast_radial_rows(ctx)
@@ -434,9 +462,8 @@ def test_match_is_the_same_at_every_generating_radius(q):
 
 @pytest.mark.parametrize("q", [3, 5, 7, 13])
 def test_the_reconciled_kernel_is_the_spectral_kernel_of_the_character_sums(q):
-    # each row of the table is its class's character sum, with the "minus_nu" antipodal value and
-    # omega(1) from orthogonality to the constant row, so the reconciled theta sums are the spectral
-    # kernel of the table itself
+    # each row of the table is its class's character sum, with the "minus_nu" antipodal value, so the
+    # reconciled theta sums are the spectral kernel of the table itself
     ctx = field_context(q)
     forms = closed_forms(ctx)
     deg1 = degenerate_radii(ctx)[1]
@@ -450,10 +477,11 @@ def test_the_reconciled_kernel_is_the_spectral_kernel_of_the_character_sums(q):
             if m.kind == "principal":
                 assert np.array_equal(row, forms.principal[:, m.index].real)
                 continue
-            defined = [r for r in range(q) if r not in (1, deg1)]
+            defined = [r for r in range(q) if r != deg1]
             assert np.array_equal(row[defined], forms.cuspidal["reconciled"][defined, m.index].real)
             assert row[deg1] == forms.antipodal[m.index].real
-            assert abs(row @ sizes) <= CERTIFICATE_AGREEMENT * UNIT_ROUNDOFF * (q + 1)
+            # orthogonal to the constant row as "weighted orthogonality" measures it, not by construction
+            assert abs(row @ sizes) <= TABLE_SUM_AGREEMENT * UNIT_ROUNDOFF * q * (q - 1)
         theta = theta_consistency_report(ctx, r_s, t_grid, mode="reconciled")
         np.testing.assert_array_equal(theta.reconciled, heat_kernel_spectral(table, t_grid))
         for r in range(q):
@@ -474,15 +502,17 @@ def _rows_with(monkeypatch, ctx, edit):
 @pytest.mark.parametrize("q", [5, 13])
 @pytest.mark.parametrize("kind", ["principal", "cuspidal"])
 def test_a_closed_form_value_moved_by_1e_12_fails_the_certificate(monkeypatch, q, kind):
+    # radius 1 of a cuspidal row too: that entry is its own character sum, not solved from the others
     ctx = field_context(q)
     _rows_with(monkeypatch, ctx, lambda forms: None)  # an unchanged copy passes
+    for r in (2, 1):  # both regular at q = 5 and 13, and j = 1 is a class of each family
 
-    def move(forms):
-        values = forms.principal if kind == "principal" else forms.cuspidal["reconciled"]
-        values[2, 1] += 1e-12  # radius 2 is regular at q = 5 and 13, and j = 1 is a class of each family
+        def move(forms):
+            values = forms.principal if kind == "principal" else forms.cuspidal["reconciled"]
+            values[r, 1] += 1e-12
 
-    with pytest.raises(AssertionError, match=f"{kind} row 1 at q={q} is no common eigenvector"):
-        _rows_with(monkeypatch, ctx, move)
+        with pytest.raises(AssertionError, match=f"{kind} row 1 at q={q} is no common eigenvector"):
+            _rows_with(monkeypatch, ctx, move)
 
 
 @pytest.mark.parametrize("q,fails", [(5, True), (13, True), (7, False), (11, False)])

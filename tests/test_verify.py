@@ -206,6 +206,15 @@ def test_field_checks_and_beta_multiplicative_at_the_cap():
     assert mult.passed
 
 
+def test_a_primitive_root_that_is_not_the_smallest_fails_generator_minimal():
+    # 5 generates F_7^x, but 3 does too and is smaller; each order is found by brute force
+    checks = {r.name: r for r in field_checks(field_context(7)._replace(g=5))}
+    assert checks["q=7 generator order"].passed and checks["q=7 generator order"].detail == "order(g)=6"
+    assert not checks["q=7 generator minimal"].passed and not checks["q=7 generator minimal"].finding_only
+    checks = {r.name: r for r in field_checks(field_context(7)._replace(g=2))}  # order 3: not a generator
+    assert not checks["q=7 generator order"].passed and checks["q=7 generator minimal"].passed
+
+
 def test_norm_check_catches_a_non_multiplicative_norm(monkeypatch):
     # a^2 + delta*b^2 agrees with the norm on F_q but is not multiplicative on the extension
     ctx = field_context(7)
