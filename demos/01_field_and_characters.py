@@ -6,15 +6,7 @@ generators, and full discrete-log tables. Run this first to see the raw
 material the other demos consume.
 """
 
-from fuhp import (
-    character_orthogonality_check,
-    ext_norm,
-    ext_trace,
-    field_context,
-    norm_one_subgroup,
-    nu0,
-    quadratic_character,
-)
+from fuhp import ExtElement, character_orthogonality_check, ext_norm, field_context
 
 q = 5
 ctx = field_context(q)
@@ -22,12 +14,13 @@ print(f"F_{q} with delta = {ctx.delta} (smallest non-square)")
 print(f"generator of F_{q}^x: {ctx.g}")
 print(f"generator zeta of F_{q}(sqrt({ctx.delta}))^x: {ctx.zeta.a} + {ctx.zeta.b}*sqrt({ctx.delta})")
 
-print("\nsign character on F_5:", {a: quadratic_character(ctx, a) for a in range(q)})
+print(f"\nsign character on F_{q}, the dlog parity table ctx.chi:", dict(enumerate(ctx.chi.tolist())))
 
-print("\nnorm-one subgroup U (cyclic order, one full lap):")
-for k, u in enumerate(norm_one_subgroup(ctx)):
-    print(f"  u_{k} = {u.a} + {u.b}*sqrt(2)   N = {ext_norm(ctx, u)}   "
-          f"Tr = {ext_trace(ctx, u)}   nu0 = {nu0(ctx, u):+d}")
+print("\nnorm-one subgroup U, the powers u_k = zeta^((q-1)k) (cyclic order, one full lap):")
+for k in range(q + 1):
+    u = ExtElement(int(ctx.power_a[(q - 1) * k]), int(ctx.power_b[(q - 1) * k]))
+    print(f"  u_{k} = {u.a} + {u.b}*sqrt({ctx.delta})   N = {ext_norm(ctx, u)}   "
+          f"Tr = {2 * u.a % q}   nu0 = {(-1) ** k:+d}")
 
 report = character_orthogonality_check(ctx)
 print(f"\ncharacter orthogonality residuals: base field {report.base_residual:.2e}, "

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from fuhp import build_graph, degenerate_radii, field_context, laplacian, orbit_sizes
+from fuhp import build_graph, degenerate_radii, field_context, orbit_sizes
 
 # -- q = 3: the octahedron ---------------------------------------------------
 ctx = field_context(3)
@@ -18,7 +18,8 @@ g = build_graph(ctx, 1)
 print(f"q=3, r_s=1: {g.n} vertices, degree {g.degree}")
 print("adjacency:")
 print(g.adjacency)
-print("Laplacian spectrum:", np.round(np.linalg.eigvalsh(laplacian(g)), 10))
+laplacian = (ctx.q + 1) * np.eye(g.n) - g.adjacency  # combinatorial Laplacian (q+1)*I - A
+print("Laplacian spectrum:", np.round(np.linalg.eigvalsh(laplacian), 10))
 print("orbit sizes around sqrt(delta):", orbit_sizes(ctx))
 
 # -- larger q: every regular radius gives a Ramanujan graph -------------------

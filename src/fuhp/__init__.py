@@ -23,11 +23,8 @@ from .field import (
     ExtElement,
     FieldCtx,
     ext_norm,
-    ext_trace,
     field_context,
     find_nonsquare,
-    norm_one_subgroup,
-    quadratic_character,
 )
 from .uhp import (
     Point,
@@ -35,11 +32,10 @@ from .uhp import (
     base_point,
     build_graph,
     degenerate_radii,
-    laplacian,
     orbit_sizes,
     sphere,
 )
-from .characters import beta, character_orthogonality_check, ext_char, nu, nu0
+from .characters import character_orthogonality_check
 from .spherical import (
     SphericalTable,
     match_formulas_to_oracle,
@@ -66,14 +62,11 @@ __all__ = [
     "SphericalTable",
     "UhpGraph",
     "base_point",
-    "beta",
     "build_graph",
     "character_orthogonality_check",
     "classical_theta",
     "degenerate_radii",
-    "ext_char",
     "ext_norm",
-    "ext_trace",
     "field_context",
     "find_nonsquare",
     "finite_theta",
@@ -81,14 +74,9 @@ __all__ = [
     "heat_kernel_oracle",
     "heat_kernel_spectral",
     "initial_condition_check",
-    "laplacian",
     "match_formulas_to_oracle",
     "method_of_images_check",
-    "norm_one_subgroup",
-    "nu",
-    "nu0",
     "orbit_sizes",
-    "quadratic_character",
     "run_battery",
     "sphere",
     "spherical_table",

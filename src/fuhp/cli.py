@@ -211,7 +211,7 @@ def _spherical_block(ctx, r_s):
             }
             for i, omega in enumerate(table.omega[:, radii])
         ],
-        "complete": table.is_complete,
+        "complete": True,  # a table holds all q rows: a collision merges eigenvalues, never rows
     }
 
 

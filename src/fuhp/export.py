@@ -1,10 +1,10 @@
-"""Deterministic JSON and CSV text (and the parsers of the written files).
+"""Deterministic JSON and CSV text.
 
 Every document embeds the resolved run configuration and the artifact
 version. Floats are printed with 17 significant digits, which round-trips
 float64 exactly; identical invocations therefore produce byte-identical
-files. CSV files carry the configuration in '#'-prefixed preamble lines
-that the bundled reader understands.
+files. CSV files carry the configuration in '#'-prefixed preamble lines,
+"# key: " followed by the value as JSON.
 """
 
 import itertools
@@ -78,11 +78,6 @@ def dumps_json(doc):
     return "".join(itertools.chain(_pieces(doc), "\n"))
 
 
-def read_json(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _cell(value):
     if isinstance(value, float):
         return format_float(value)
@@ -97,33 +92,3 @@ def dumps_csv(header, rows, preamble=None):
     lines.append("")  # the final newline
     return "\n".join(lines)
 
-
-def _parse_cell(text):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def read_csv(path):
-    """Parse a CSV file holding the text of dumps_csv: (preamble dict, header, typed rows)."""
-    preamble = {}
-    header = None
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("# "):
-                key, _, value = line[2:].partition(": ")
-                preamble[key] = json.loads(value)
-            elif header is None:
-                header = line.split(",")
-            else:
-                rows.append([_parse_cell(c) for c in line.split(",")])
-    return preamble, header, rows

@@ -104,23 +104,10 @@ class FieldCtx(NamedTuple):
     def __hash__(self):
         return hash(self[:4])
 
-    # -- base field helpers -------------------------------------------------
-
-    def inv(self, a):
-        a %= self.q
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in F_q")
-        return pow(a, self.q - 2, self.q)
-
 
 def ext_mul(ctx, z, w):
     q, d = ctx.q, ctx.delta
     return ExtElement((z.a * w.a + d * z.b * w.b) % q, (z.a * w.b + z.b * w.a) % q)
-
-
-def ext_conj(ctx, z):
-    """Field conjugate: a + b*sqrt(delta) -> a - b*sqrt(delta)."""
-    return ExtElement(z.a, -z.b % ctx.q)
 
 
 def ext_norm(ctx, z):
@@ -128,22 +115,10 @@ def ext_norm(ctx, z):
     return (z.a * z.a - ctx.delta * z.b * z.b) % ctx.q
 
 
-def ext_trace(ctx, z):
-    """Tr(z) = z + conj(z) = 2a, an element of F_q."""
-    return (2 * z.a) % ctx.q
-
-
-def ext_inv(ctx, z):
-    n = ext_norm(ctx, z)
-    if n == 0:
-        raise ZeroDivisionError("inverse of zero in F_q(sqrt(delta))")
-    ninv = ctx.inv(n)
-    return ExtElement(z.a * ninv % ctx.q, -z.b * ninv % ctx.q)
-
-
 def ext_pow(ctx, z, n):
+    """z^n for n >= 0, by squaring; the inverse of a nonzero z is z^(q^2-2)."""
     if n < 0:
-        return ext_pow(ctx, ext_inv(ctx, z), -n)
+        raise ValueError(f"ext_pow needs an exponent n >= 0, got {n}")
     out = EXT_ONE
     base = z
     while n:
@@ -219,26 +194,3 @@ def field_context(q, delta=None):
     return ctx0._replace(zeta=zeta, power_a=power_a, power_b=power_b, dlog=dlog, dlog2=dlog2, chi=chi,
                         inverse=inverse)
 
-
-def quadratic_character(ctx, a):
-    """The sign character of F_q^x: +1 on nonzero squares, -1 on non-squares, 0 at 0."""
-    a %= ctx.q
-    if a == 0:
-        return 0
-    return 1 if pow(a, (ctx.q - 1) // 2, ctx.q) == 1 else -1
-
-
-def norm_one_subgroup(ctx):
-    """All z with N(z) = 1, in the cyclic order generated by zeta^(q-1).
-
-    The norm maps zeta^m to zeta^(m(q+1)), so its kernel is the q+1 powers
-    of zeta^(q-1); the returned list starts at 1 and follows that cycle.
-    """
-    gen = ext_pow(ctx, ctx.zeta, ctx.q - 1)
-    out = []
-    u = EXT_ONE
-    for _ in range(ctx.q + 1):
-        out.append(u)
-        u = ext_mul(ctx, u, gen)
-    assert u == EXT_ONE, "norm-one subgroup must close after q+1 steps"
-    return out

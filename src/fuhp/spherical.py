@@ -55,15 +55,6 @@ class SphericalTable(NamedTuple):
     adjacency_eigenvalues: np.ndarray
     laplacian_eigenvalues: np.ndarray
 
-    @property
-    def num_rows(self):
-        return self.omega.shape[0]
-
-    @property
-    def is_complete(self):
-        """True when no eigenvalue collision merged distinct orbits."""
-        return self.num_rows == self.q
-
     def spectrum(self):
         """Descending [eigenvalue, multiplicity] pairs: one per cluster (``_cluster_heads``), at its first row."""
         out = {}
@@ -232,17 +223,17 @@ def closed_forms(ctx):
     principal[deg1] = chars.base[:, (q - 1) // 2]  # beta_j(-1), dlog(-1) = (q-1)/2
 
     k = np.arange(q + 1)
-    u_a = ctx.power_a[(q - 1) * k]  # a-coordinates of U in norm_one_subgroup order
+    u_a = ctx.power_a[(q - 1) * k]  # a-coordinates of U = {zeta^((q-1)k)}, in cyclic order
     nu0 = np.where(k % 2, -1, 1)
-    regular = [r for r in range(q) if r not in (deg0, deg1)]
-    two_c = {
-        "reconciled": [(2 - r * ctx.inv(delta)) % q for r in regular],
-        "verbatim": [2 * (1 + r) * ctx.inv(1 - r) % q if r != 1 else 0 for r in regular],
+    regular = np.array([r for r in range(q) if r not in (deg0, deg1)])
+    two_c = {  # the verbatim constant reads 0 at its pole r=1, where inverse[0] = 0
+        "reconciled": (2 - regular * ctx.inverse[delta]) % q,
+        "verbatim": 2 * (1 + regular) * ctx.inverse[(1 - regular) % q] % q,
     }
     cuspidal = {}
     for variant, consts in two_c.items():
         signs = np.zeros((q, q + 1))
-        signs[regular] = ctx.chi[(2 * u_a - np.array(consts, dtype=np.int64)[:, None]) % q] * nu0
+        signs[regular] = ctx.chi[(2 * u_a - consts[:, None]) % q] * nu0
         values = _average(signs, chars.norm_one, q + 1)
         values[deg0] = 1.0
         values[deg1] = np.nan

@@ -74,7 +74,7 @@ def _index_masks(ctx, r):
     r %= q
     if r == 1:
         raise ValueError("singular radius r=1: pole of (r+1)/(r-1)")
-    shift = (r + 1) * ctx.inv(r - 1) % q
+    shift = (r + 1) * ctx.inverse[(r - 1) % q] % q
     in_o = np.zeros(q * q, dtype=bool)
     # Tr(zeta^m) = 2a; the representative q^2-1 is zeta^0
     in_o[1:] = ctx.chi[(2 * np.roll(ctx.power_a, -1) - shift) % q] == 1
@@ -165,7 +165,7 @@ class ThetaReport(NamedTuple):
 
     ``radii`` are the audited radii, every r outside {0, 4 delta, 1}.
     ``verbatim`` is the complex printed sum, NaN at the other radii, as in
-    ``closed_forms``; the maximum deviations are taken over ``radii``.
+    ``closed_forms``; the maximum verbatim deviation is taken over ``radii``.
     ``oracle`` is None in a report made without the affine oracle.
     """
 
@@ -183,10 +183,6 @@ class ThetaReport(NamedTuple):
         # libm hypot, as Python's abs(complex); numpy's complex abs can differ in the last digit
         gap = self.verbatim - self.reconciled
         return np.hypot(gap.real, gap.imag)
-
-    @property
-    def max_reconciled_deviation(self):
-        return float(self.reconciled_deviation[:, self.radii].max(initial=0.0))
 
     @property
     def max_verbatim_deviation(self):

@@ -226,11 +226,6 @@ def _generates(ctx, xs, ys):
     return bool(np.any(xs[~moves] != 0) or np.any(fixed != fixed[0]))
 
 
-def laplacian(graph):
-    """Combinatorial Laplacian (q+1)*I - A as a dense float matrix."""
-    return (graph.ctx.q + 1) * np.eye(graph.n) - graph.adjacency.astype(float)
-
-
 def radial_values(ctx, vecs, what):
     """Values by radius of the vertex function ``what``, asserted constant on orbits.
 

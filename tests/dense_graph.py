@@ -5,6 +5,8 @@
 pseudo-distance, one point at a time, for tests that check the library's
 vectorised index arrays against them.
 
+``laplacian``: the dense combinatorial Laplacian (q+1)*I - A of a graph.
+
 ``connected``: breadth-first search, the reference for the certificate's generation criterion.
 
 ``radial_eigenbasis``: the spherical table for small q from adjacency
@@ -44,7 +46,12 @@ def act(ctx, z, s):
 def distance(ctx, z, w):
     """Pseudo-distance N(z - w) / (I(z) * I(w)) in F_q, with I(z) = y."""
     diff = ExtElement((z.x - w.x) % ctx.q, (z.y - w.y) % ctx.q)
-    return ext_norm(ctx, diff) * ctx.inv(z.y * w.y) % ctx.q
+    return ext_norm(ctx, diff) * pow(z.y * w.y, ctx.q - 2, ctx.q) % ctx.q
+
+
+def laplacian(graph):
+    """Combinatorial Laplacian (q+1)*I - A as a dense float matrix."""
+    return (graph.ctx.q + 1) * np.eye(graph.n) - graph.adjacency.astype(float)
 
 
 def connected(neighbors):

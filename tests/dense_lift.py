@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fuhp.field import ExtElement, ext_inv, ext_mul
+from fuhp.field import ExtElement, ext_mul, ext_pow
 from fuhp.uhp import Point, base_point, point_index, sphere
 
 
@@ -37,7 +37,7 @@ def mobius_action(ctx, m, z):
     a, b, c, d = m
     num = ExtElement((a * z.x + b) % ctx.q, a * z.y % ctx.q)
     den = ExtElement((c * z.x + d) % ctx.q, c * z.y % ctx.q)
-    w = ext_mul(ctx, num, ext_inv(ctx, den))
+    w = ext_mul(ctx, num, ext_pow(ctx, den, ctx.q * ctx.q - 2))  # den^-1
     assert w.b != 0, "the action must preserve the upper half-plane"
     return Point(w.a, w.b)
 

@@ -4,24 +4,10 @@ import cmath
 
 import pytest
 
-from fuhp.characters import (
-    beta,
-    character_orthogonality_check,
-    character_tables,
-    ext_char,
-    nu,
-    nu0,
-    u_index,
-)
-from fuhp.field import (
-    EXT_ONE,
-    ExtElement,
-    ext_mul,
-    ext_pow,
-    field_context,
-    norm_one_subgroup,
-)
+from fuhp.characters import character_orthogonality_check, character_tables
+from fuhp.field import EXT_ONE, ExtElement, ext_mul, ext_pow, field_context
 from fuhp.spherical import character_classes
+from scalar_reference import beta, ext_char, norm_one_subgroup, nu, nu0, u_index
 
 
 def test_beta_frozen_values():

@@ -16,17 +16,17 @@ import fuhp
 import fuhp.heat
 import fuhp.theta
 from fuhp.cli import EXIT_BAD_INPUT, EXIT_OK, main
-from fuhp.export import read_csv, read_json
 from fuhp.field import field_context
 from fuhp.uhp import radii_order
 
 from dense_graph import distance, enumerate_points
+from scalar_reference import read_csv
 
 
 def test_info_q3(tmp_path):
     out = tmp_path / "info.json"
     assert main(["info", "--q", "3", "--out", str(out)]) == EXIT_OK
-    doc = read_json(out)
+    doc = json.loads(out.read_text())
     assert doc["config"]["q"] == 3
     assert doc["config"]["delta"] == 2
     assert doc["data"]["orbit_sizes"] == {"0": 1, "1": 4, "2": 1}
@@ -41,7 +41,7 @@ def test_info_rejects_even_q(capsys):
 def test_info_explicit_nonsquare_delta(tmp_path):
     out = tmp_path / "info.json"
     assert main(["info", "--q", "5", "--delta", "3", "--out", str(out)]) == EXIT_OK
-    assert read_json(out)["config"]["delta"] == 3
+    assert json.loads(out.read_text())["config"]["delta"] == 3
 
 
 def test_info_rejects_square_delta(capsys):
@@ -59,7 +59,7 @@ def test_info_names_a_delta_that_is_zero_mod_q(capsys, delta):
 def test_spectrum_q3(tmp_path):
     out = tmp_path / "spec.json"
     assert main(["spectrum", "--q", "3", "--r-s", "1", "--out", str(out)]) == EXIT_OK
-    doc = read_json(out)
+    doc = json.loads(out.read_text())
     assert set(doc["data"]) == {"r_s", "eigenvalues", "multiplicities", "laplacian_eigenvalues"}
     np.testing.assert_allclose(doc["data"]["eigenvalues"], [4, 0, -2], atol=1e-9)
     assert doc["data"]["multiplicities"] == [1, 3, 2]
@@ -79,7 +79,7 @@ def test_graph_json_and_csv(tmp_path):
     out_json = tmp_path / "g.json"
     out_csv = tmp_path / "g.csv"
     assert main(["graph", "--q", "3", "--r-s", "1", "--out", str(out_json)]) == EXIT_OK
-    doc = read_json(out_json)
+    doc = json.loads(out_json.read_text())
     assert len(doc["data"]["vertices"]) == 6
     assert len(doc["data"]["edges"]) == 12  # 6 vertices * degree 4 / 2
     assert main(["graph", "--q", "3", "--r-s", "1", "--format", "csv",
@@ -97,7 +97,7 @@ def test_graph_edges_are_the_pairs_at_distance_r_s(tmp_path, q):
     dist = {(i, j): distance(ctx, pts[i], pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts))}
     for r_s in radii_order(ctx)[2:]:
         assert main(["graph", "--q", str(q), "--r-s", str(r_s), "--out", str(out)]) == EXIT_OK
-        assert read_json(out)["data"]["edges"] == [[*pair] for pair, d in dist.items() if d == r_s], r_s
+        assert json.loads(out.read_text())["data"]["edges"] == [[*pair] for pair, d in dist.items() if d == r_s], r_s
 
 
 def test_graph_csv_refused_above_cap(capsys):
@@ -113,7 +113,7 @@ def test_spectrum_q101_memory(tmp_path, run_child):
     # the 64 MB ceiling: 133 MB when each block also listed its n eigenvalues, each a_i d_i times
     # (999,900 of the 1,019,636 floats written); now each run writes its q rows, merged
     assert child.peak_mb <= 64, f"peak RSS {child.peak_mb:.1f} MB (wall {child.wall:.2f} s)"
-    runs = read_json(out)["data"]["runs"]
+    runs = json.loads(out.read_text())["data"]["runs"]
     assert len(runs) == 99 and all(sum(run["multiplicities"]) == 101 * 100 for run in runs)
 
 
@@ -124,7 +124,7 @@ def test_graph_q101_memory(tmp_path, run_child):
     # 164 MB when the vertex and edge arrays became nested lists before the writer saw them, and 100 MB
     # while each of the 515,100 edges was a piece of its own; now the edges are encoded in blocks of rows
     assert child.peak_mb <= 80, f"peak RSS {child.peak_mb:.1f} MB (wall {child.wall:.2f} s)"
-    data = read_json(out)["data"]
+    data = json.loads(out.read_text())["data"]
     assert len(data["vertices"]) == 101 * 100 and len(data["edges"]) == 101 * 100 * 102 // 2
 
 
@@ -136,7 +136,7 @@ def test_heat_q101_memory(tmp_path, run_child):
     # the q x q tables of the spherical rows and the affine oracle add a few MB at q=101; no n-sized
     # array beyond the scheme's coordinates and labels is built
     assert child.peak_mb <= 64, f"peak RSS {child.peak_mb:.1f} MB (wall {child.wall:.2f} s)"
-    series = read_json(out)["data"]["series"]
+    series = json.loads(out.read_text())["data"]["series"]
     assert max(s["oracle_deviation"] for s in series) <= 1e-11 * 101 * 100
 
 
@@ -147,7 +147,7 @@ def test_heat_huge_time_is_bounded_by_the_mixing_time(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "fuhp.cli", "heat", "--q", "3", "--r-s", "1",
                            "--t", "1e8", "--out", str(out)], env=env, timeout=10)
     assert proc.returncode == EXIT_OK
-    (series,) = read_json(out)["data"]["series"]
+    (series,) = json.loads(out.read_text())["data"]["series"]
     assert series["oracle_deviation"] <= 1e-13
 
 
@@ -321,7 +321,7 @@ def test_theta_q101_memory(tmp_path, run_child):
     assert child.exit_code == EXIT_OK
     # the 64 MB ceiling: the (q^2-1) x (q+1) complex phase table (16.6 MB) is filled q+1 rows at a time
     assert child.peak_mb <= 64, f"peak RSS {child.peak_mb:.1f} MB (wall {child.wall:.2f} s)"
-    rows = read_json(out)["data"]["rows"]
+    rows = json.loads(out.read_text())["data"]["rows"]
     assert len(rows) == 98  # every radius but 0, 4*delta and 1
     assert max(row["reconciled_deviation"] for row in rows) <= 1e-11 * 101 * 100
 
@@ -447,7 +447,7 @@ def test_theta_q3_csv_header_follows_the_mode(mode, width, tmp_path):
 def test_theta_cli_verbatim_deviation_is_python_abs_bit_for_bit(q, tmp_path):
     out = tmp_path / "theta.json"
     assert main(["theta", "--q", str(q), "--r-s", "2", "--t", "0,0.05,0.5,2", "--out", str(out)]) == EXIT_OK
-    for row in read_json(out)["data"]["rows"]:
+    for row in json.loads(out.read_text())["data"]["rows"]:
         verbatim = complex(row["verbatim"], row["verbatim_imag"])
         assert row["verbatim_deviation"] == abs(verbatim - row["reconciled"])
 
@@ -456,7 +456,7 @@ def test_theta_report_both_modes(tmp_path):
     out = tmp_path / "theta.json"
     assert main(["theta", "--q", "5", "--r-s", "1", "--mode", "both",
                  "--t", "0.1,1", "--out", str(out)]) == EXIT_OK
-    doc = read_json(out)
+    doc = json.loads(out.read_text())
     rows = doc["data"]["rows"]
     assert rows, "report must not be empty"
     for row in rows:
@@ -589,7 +589,7 @@ def test_json_output_roundtrips_through_stdlib(tmp_path):
 def test_all_regular_sweep(tmp_path):
     out = tmp_path / "sweep.json"
     assert main(["spectrum", "--q", "5", "--r-s", "all-regular", "--out", str(out)]) == EXIT_OK
-    doc = read_json(out)
+    doc = json.loads(out.read_text())
     assert doc["config"]["r_s"] == "all-regular"
     assert [b["r_s"] for b in doc["data"]["runs"]] == [1, 2, 4]  # 0 and 3 degenerate
     out_csv = tmp_path / "sweep.csv"

@@ -7,14 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fuhp.export import (
-    BLOCK_ITEMS,
-    dumps_csv,
-    dumps_json,
-    format_float,
-    read_csv,
-    read_json,
-)
+from fuhp.export import BLOCK_ITEMS, dumps_csv, dumps_json, format_float
+from scalar_reference import read_csv
 
 
 def test_format_float_roundtrips_exactly():
@@ -102,7 +96,7 @@ def test_json_file_roundtrip(tmp_path):
     path = tmp_path / "doc.json"
     doc = {"config": {"q": 5}, "version": "x", "data": {"v": [math.pi, 1e-17]}}
     path.write_text(dumps_json(doc), encoding="utf-8")
-    back = read_json(path)
+    back = json.loads(path.read_text())
     assert back["data"]["v"] == [math.pi, 1e-17]
 
 

@@ -31,14 +31,13 @@ from fuhp.uhp import (
     UhpGraph,
     base_point,
     build_graph,
-    laplacian,
     point_index,
     radii_order,
     scheme,
 )
 from fuhp.verify import heat_checks, lift_checks
 
-from dense_graph import act, distance, enumerate_points
+from dense_graph import act, distance, enumerate_points, laplacian
 from dense_lift import build_group_graph, dense_images, mobius_action
 
 U = np.finfo(float).eps / 2  # unit roundoff
@@ -227,7 +226,7 @@ def test_heat_path_uses_no_eigendecomposition(monkeypatch, tmp_path):
                  "--out", str(tmp_path / "heat.json")]) == EXIT_OK
     ctx = field_context(13)
     report = theta_consistency_report(ctx, 1, [0.1, 1.0])
-    assert report.max_reconciled_deviation <= 1e-9
+    assert report.reconciled_deviation[:, report.radii].max() <= 1e-9
     assert not any(r.fatal for r in heat_checks(build_graph(ctx, 1)))
 
 
@@ -318,7 +317,7 @@ def test_heat_and_theta_build_no_graph_and_walk_none(monkeypatch, tmp_path):
     out = tmp_path / "heat.json"
     assert main(["heat", "--q", "13", "--r-s", "all-regular", "--t", "0,0.1,1", "--out", str(out)]) == EXIT_OK
     report = theta_consistency_report(ctx, 1, [0.1, 1.0])
-    assert report.max_reconciled_deviation <= AFFINE_AGREEMENT * U * 13 * 12
+    assert report.reconciled_deviation[:, report.radii].max() <= AFFINE_AGREEMENT * U * 13 * 12
     theta = ["theta", "--q", "13", "--r-s", "2", "--t", "0.1", "--out", str(tmp_path / "theta.json")]
     assert main(theta) == EXIT_OK
     walk = heat_checks(graph)[0]  # the patch reaches verify's walk, which reports what it raised

@@ -16,7 +16,6 @@ from fuhp.uhp import (
     build_graph,
     cayley_certificate,
     degenerate_radii,
-    laplacian,
     orbit_sizes,
     point_index,
     radii_order,
@@ -27,7 +26,7 @@ from fuhp.uhp import (
     vertex_index,
 )
 
-from dense_graph import act, connected, distance, enumerate_points
+from dense_graph import act, connected, distance, enumerate_points, laplacian
 
 
 def brute_sphere(ctx, r):

@@ -215,6 +215,31 @@ def test_a_primitive_root_that_is_not_the_smallest_fails_generator_minimal():
     assert not checks["q=7 generator order"].passed and checks["q=7 generator minimal"].passed
 
 
+@pytest.mark.parametrize("name", ["sign character = dlog parity", "beta multiplicative", "|U| = q+1"])
+def test_the_field_and_character_checks_read_the_arrays_the_computation_reads(name):
+    # one corrupted array each: every check reads the array that closed_forms and theta read
+    ctx = field_context(7)
+    chi, dlog, power_a, power_b = ctx.chi.copy(), ctx.dlog.copy(), ctx.power_a.copy(), ctx.power_b.copy()
+    chi[3] = -chi[3]
+    dlog[[2, 3]] = dlog[[3, 2]]  # still a permutation of 0..q-2
+    power_a[6], power_b[6] = 2 * power_a[6] % 7, 2 * power_b[6] % 7  # zeta^(q-1), which generates U: norm 4
+    corrupted = {"sign character = dlog parity": ctx._replace(chi=chi),
+                 "beta multiplicative": ctx._replace(dlog=dlog),
+                 "|U| = q+1": ctx._replace(power_a=power_a, power_b=power_b)}[name]
+    checks = {r.name: r.passed for r in field_checks(corrupted) + character_checks(corrupted)}
+    assert checks[f"q=7 {name}"] is False
+    assert checks["q=7 dlog tables total"] is (name != "|U| = q+1")
+
+
+def test_at_q3_no_radius_is_audited_and_both_verbatim_lines_are_findings_that_say_so():
+    # 0, 1 and 4*delta are all of F_3: neither audit has a radius, so neither line may pass
+    ctx = field_context(3)
+    checks = formula_match_checks(match_formulas_to_oracle(ctx, 1)) + theta_checks(ctx, 1)
+    assert [(r.name, r.passed, r.finding_only, r.detail) for r in checks if "gap" in r.name] == [
+        (f"q=3 {name}", False, True, "skipped: no radius outside {0, 1, 4*delta} to audit at this q")
+        for name in ("as-stated cuspidal constant gap", "verbatim theta gap")]
+
+
 def test_norm_check_catches_a_non_multiplicative_norm(monkeypatch):
     # a^2 + delta*b^2 agrees with the norm on F_q but is not multiplicative on the extension
     ctx = field_context(7)
@@ -628,5 +653,5 @@ def test_the_findings_up_to_the_cap_are_reported_not_patched():
     results = run_battery(PRIMES_TO_THE_CAP)
     assert not [f"{r.name}: {r.detail}" for r in results if r.fatal]
     findings = Counter(re.sub(r"^q=\d+ (r_s=\d+ )?", "", r.name) for r in results if not r.passed)
-    assert findings == {"adjacency eigenvalues distinct": 667, "verbatim theta gap": 24,
-                        "as-stated cuspidal constant gap": 24}
+    assert findings == {"adjacency eigenvalues distinct": 667, "verbatim theta gap": 25,
+                        "as-stated cuspidal constant gap": 25}
