@@ -10,17 +10,18 @@ import math
 
 import numpy as np
 
-from fuhp import build_graph, degenerate_radii, field_context, orbit_sizes
+from fuhp import build_graph, degenerate_radii, field_context
+from fuhp.uhp import scheme
 
 # -- q = 3: the octahedron ---------------------------------------------------
 ctx = field_context(3)
 g = build_graph(ctx, 1)
-print(f"q=3, r_s=1: {g.n} vertices, degree {g.degree}")
+print(f"q=3, r_s=1: {g.n} vertices, degree {ctx.q + 1}")
 print("adjacency:")
 print(g.adjacency)
 laplacian = (ctx.q + 1) * np.eye(g.n) - g.adjacency  # combinatorial Laplacian (q+1)*I - A
 print("Laplacian spectrum:", np.round(np.linalg.eigvalsh(laplacian), 10))
-print("orbit sizes around sqrt(delta):", orbit_sizes(ctx))
+print("orbit sizes around sqrt(delta), by radius:", scheme(ctx).sizes.tolist())
 
 # -- larger q: every regular radius gives a Ramanujan graph -------------------
 for q in (5, 13):

@@ -26,15 +26,7 @@ from .field import (
     field_context,
     find_nonsquare,
 )
-from .uhp import (
-    Point,
-    UhpGraph,
-    base_point,
-    build_graph,
-    degenerate_radii,
-    orbit_sizes,
-    sphere,
-)
+from .uhp import UhpGraph, build_graph, degenerate_radii
 from .characters import character_orthogonality_check
 from .spherical import (
     SphericalTable,
@@ -58,10 +50,8 @@ from .verify import run_battery
 __all__ = [
     "ExtElement",
     "FieldCtx",
-    "Point",
     "SphericalTable",
     "UhpGraph",
-    "base_point",
     "build_graph",
     "character_orthogonality_check",
     "classical_theta",
@@ -76,9 +66,7 @@ __all__ = [
     "initial_condition_check",
     "match_formulas_to_oracle",
     "method_of_images_check",
-    "orbit_sizes",
     "run_battery",
-    "sphere",
     "spherical_table",
     "theta_consistency_report",
 ]

@@ -22,7 +22,7 @@ from .field import field_context, find_nonsquare
 from .heat import heat_kernel_affine, heat_kernel_spectral
 from .spherical import spherical_table
 from .theta import classical_theta, theta_consistency_report
-from .uhp import build_graph, degenerate_radii, orbit_sizes, radii_order, scheme
+from .uhp import build_graph, degenerate_radii, radii_order, scheme
 from .verify import run_battery
 
 EXIT_OK = 0
@@ -127,7 +127,7 @@ def cmd_info(args):
         "smallest_nonsquare": find_nonsquare(ctx.q),
         "vertices": ctx.q * (ctx.q - 1),
         "degenerate_radii": [deg0, deg1],
-        "orbit_sizes": {str(r): s for r, s in sorted(orbit_sizes(ctx).items())},
+        "orbit_sizes": {str(r): s for r, s in enumerate(scheme(ctx).sizes.tolist())},
     }
     rows = [[k, " ".join(map(str, v)) if isinstance(v, list) else v]
             for k, v in data.items() if not isinstance(v, dict)]
@@ -163,8 +163,8 @@ def cmd_graph(args):
 
 
 def _emit_runs(ctx, args, blocks, header, csv_rows):
-    """Emit one radius's block as is, or an 'all-regular' sweep as runs with an r_s column."""
-    single = len(blocks) == 1
+    """Emit one radius's block as is, or an 'all-regular' sweep (one radius at q=3) as runs with an r_s column."""
+    single = args.r_s != "all-regular"
     data = blocks[0] if single else {"runs": blocks}
     doc = _document(_config_doc(ctx, args, r_s=blocks[0]["r_s"] if single else "all-regular"), data)
     if single:

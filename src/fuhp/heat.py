@@ -51,15 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .characters import character_tables
-from .uhp import (
-    base_point,
-    build_graph,
-    cayley_certificate,
-    point_index,
-    radial_values,
-    scheme,
-    vertex_index,
-)
+from .uhp import build_graph, cayley_certificate, radial_values, scheme, vertex_index
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
@@ -278,17 +270,6 @@ def _cut(terms):
         weights.append(w)
 
 
-def poisson_weights(rate):
-    """Poisson(k; rate) for k = 0..K, and a bound on the dropped tail sum_{k>K}.
-
-    The weights of ``_poisson_terms``, cut before the first index K+1 whose
-    tail bound b_(K+1) is at most u, the unit roundoff; b_k is finite from
-    the mode on only, so K >= mode and the whole list costs O(rate).
-    """
-    weights, tail = _cut(_poisson_terms(rate))
-    return np.array(weights), tail
-
-
 class OracleKernel(NamedTuple):
     """E(t; .) of the oracle for a grid of times: [t, r] and [t, vertex]."""
 
@@ -297,7 +278,7 @@ class OracleKernel(NamedTuple):
 
 
 def _uniformization(step, start, rates, terms):
-    """sum_k w_k P^k start per rate (w = poisson_weights(rate), P = step) until mixed; [rate, entry].
+    """sum_k w_k P^k start per rate (w from ``_poisson_terms(rate)``, P = step) until mixed; [rate, entry].
 
     P must be symmetric and doubly stochastic, so that dev_k = ||P^k start -
     1/m||_inf (m = start.size, start of unit mass) never increases with k.
@@ -353,8 +334,9 @@ def heat_kernel_oracle(graph, t_grid):
     """Matrix-exponential oracle E(t; .) = q(q-1) * exp(-t*Laplacian) e_0 for every t in t_grid.
 
     Uniformization, with no eigendecomposition: n * sum_{k<=K} w_k P^k e_0,
-    where w = poisson_weights((q+1)t) and P = A/(q+1) is applied as a sum over
-    the generator rows; one walk serves the whole grid, and it stops at the
+    where w_k = Poisson(k; (q+1)t) from ``_poisson_terms``, cut before the
+    first tail bound <= u, and P = A/(q+1) is applied as a sum over the
+    generator rows; one walk serves the whole grid, and it stops at the
     first step k* where ||P^k* e_0 - 1/n||_inf <= delta = 4(q+1)u/n (see
     ``_uniformization``). Cost O(min(K, k*) * n(q+1)), with K ~ (q+1)t +
     O(sqrt((q+1)t)) for the largest t. Error per entry: the dropped Poisson
@@ -368,7 +350,7 @@ def heat_kernel_oracle(graph, t_grid):
     q = ctx.q
     n = graph.n
     start = np.zeros(n)
-    start[point_index(ctx, base_point())] = 1.0
+    start[vertex_index(q, 0, 1)] = 1.0
 
     def step(walk):  # one take per generator row, added in the order of walk[by_generator].sum(axis=0)
         out = walk.take(graph.by_generator[0])
@@ -392,7 +374,7 @@ def initial_condition_check(graph, f, t_grid):
     if f.ndim not in (1, 2) or f.shape[-1] != n:
         raise ValueError(f"test function must have one value per vertex ({n})")
     kernel = heat_kernel_oracle(graph, t_grid).by_vertex
-    return np.abs(kernel @ f.T / n - f[..., point_index(graph.ctx, base_point())]).tolist()
+    return np.abs(kernel @ f.T / n - f[..., vertex_index(graph.ctx.q, 0, 1)]).tolist()
 
 
 # -- method of images on the full matrix group ------------------------------

@@ -29,26 +29,9 @@ import numpy as np
 ORBIT_CONSTANCY_TOL = 1e-10
 
 
-class Point(NamedTuple):
-    """x + y*sqrt(delta) with y != 0, alias the affine matrix [[y, x], [0, 1]]."""
-
-    x: int
-    y: int
-
-
-def base_point():
-    """sqrt(delta) itself, the identity of the affine group."""
-    return Point(0, 1)
-
-
 def vertex_index(q, x, y):
     """Index of x + y*sqrt(delta) in the canonical (y, x) order; x and y may be arrays."""
     return (y - 1) * q + x
-
-
-def point_index(ctx, z):
-    """Index of z in the canonical (y, x) order."""
-    return vertex_index(ctx.q, z.x, z.y)
 
 
 def affine_product(q, x, y, x2, y2):
@@ -90,18 +73,6 @@ def scheme(ctx):
     return out
 
 
-def sphere(ctx, r):
-    """All points at pseudo-distance r from sqrt(delta), sorted by (y, x).
-
-    Solutions of x^2 = r*y + delta*(y-1)^2 with y != 0. Size is q+1 except
-    at the two degenerate radii 0 and 4*delta, where the sphere is the
-    single point sqrt(delta) resp. -sqrt(delta).
-    """
-    vertices = scheme(ctx)
-    ix = vertices.labels == r % ctx.q
-    return [Point(x, y) for x, y in zip(vertices.x[ix].tolist(), vertices.y[ix].tolist())]
-
-
 def degenerate_radii(ctx):
     """The two radii at which the sphere collapses to a single point."""
     return (0, 4 * ctx.delta % ctx.q)
@@ -140,10 +111,6 @@ class UhpGraph:
     @property
     def n(self):
         return self.by_generator.shape[1]
-
-    @property
-    def degree(self):
-        return self.ctx.q + 1
 
     @functools.cached_property
     def adjacency(self):
@@ -244,12 +211,6 @@ def radial_values(ctx, vecs, what):
         )
         out[..., r] = vals.mean(axis=-1)
     return out
-
-
-def orbit_sizes(ctx):
-    """Radius -> orbit size, the radii in the order of their first vertex."""
-    vertices = scheme(ctx)
-    return {r: int(vertices.sizes[r]) for r in np.argsort(vertices.reps, kind="stable").tolist()}
 
 
 def radii_order(ctx):

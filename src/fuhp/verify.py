@@ -33,7 +33,6 @@ from .theta import _report, classical_theta
 from .uhp import (
     UhpGraph,
     degenerate_radii,
-    orbit_sizes,
     radii_order,
     scheme,
     translate,
@@ -144,7 +143,7 @@ def table_checks(ctx, orbits):
     q = ctx.q
     n = q * (q - 1)
     out = []
-    sizes = orbit_sizes(ctx)
+    sizes = dict(enumerate(scheme(ctx).sizes.tolist()))
     deg0, deg1 = degenerate_radii(ctx)
     expected = {r: (1 if r in (deg0, deg1) else q + 1) for r in range(q)}
     _check(out, f"q={q} orbit sizes", sizes == expected and orbits, f"{sizes}")

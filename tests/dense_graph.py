@@ -1,9 +1,10 @@
 """Dense references for the radial core, and the point-by-point vertex API.
 
-``enumerate_points``, ``act`` and ``distance``: the points of H_q as
-``Point``s in the canonical (y, x) order, the affine product and the
+``Point``, ``enumerate_points``, ``act`` and ``distance``: the points of H_q
+as ``Point``s in the canonical (y, x) order, the affine product and the
 pseudo-distance, one point at a time, for tests that check the library's
-vectorised index arrays against them.
+vectorised index arrays against them; ``sphere`` reads one distance class of
+``scheme(ctx)`` back as ``Point``s.
 
 ``laplacian``: the dense combinatorial Laplacian (q+1)*I - A of a graph.
 
@@ -22,15 +23,24 @@ sum_r c_r B~_r of the symmetrised blocks gives the common eigenvectors,
 whose Rayleigh quotients are the rows.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from fuhp.field import ExtElement, ext_norm
 from fuhp.spherical import EIGENVALUE_CLUSTER_TOL, SphericalTable
-from fuhp.uhp import Point, radial_values, radii_order, scheme, translate
+from fuhp.uhp import radial_values, radii_order, scheme, translate
 
 # weights cos(r * golden angle) keep the eigenvalues of sum_r c_r B~_r apart
 # by >= 5.5e-5 of its norm at every prime q <= 101
 GOLDEN_ANGLE = np.pi * (3 - np.sqrt(5))
+
+
+class Point(NamedTuple):
+    """x + y*sqrt(delta) with y != 0, alias the affine matrix [[y, x], [0, 1]]; Point(0, 1) is sqrt(delta)."""
+
+    x: int
+    y: int
 
 
 def enumerate_points(ctx):
@@ -41,6 +51,13 @@ def enumerate_points(ctx):
 def act(ctx, z, s):
     """Right action of the affine group: (x,y).(x_s,y_s) = (y*x_s + x, y*y_s)."""
     return Point((z.y * s.x + z.x) % ctx.q, (z.y * s.y) % ctx.q)
+
+
+def sphere(ctx, r):
+    """The points of the class ``scheme(ctx).labels == r`` in vertex order: x^2 = r*y + delta*(y-1)^2, y != 0."""
+    vertices = scheme(ctx)
+    ix = vertices.labels == r % ctx.q
+    return [Point(x, y) for x, y in zip(vertices.x[ix].tolist(), vertices.y[ix].tolist())]
 
 
 def distance(ctx, z, w):

@@ -12,7 +12,9 @@ from typing import NamedTuple
 import numpy as np
 
 from fuhp.field import ExtElement, ext_mul, ext_pow
-from fuhp.uhp import Point, base_point, point_index, sphere
+from fuhp.uhp import vertex_index
+
+from dense_graph import Point, sphere
 
 
 def mat_mul(m1, m2, q):
@@ -80,12 +82,12 @@ def build_group_graph(ctx, r_s):
 
     k_members = [(a, ctx.delta * b % q, b, a) for a in range(q) for b in range(q) if (a, b) != (0, 0)]
     assert len(k_members) == q * q - 1
-    sq = base_point()
+    sq = Point(0, 1)
     assert all(mobius_action(ctx, k, sq) == sq for k in k_members), "K must stabilize sqrt(delta)"
 
-    coset_of = np.array([point_index(ctx, mobius_action(ctx, m, sq)) for m in elements])
+    coset_of = np.array([vertex_index(q, *mobius_action(ctx, m, sq)) for m in elements])
 
-    sphere_ix = {point_index(ctx, z) for z in sphere(ctx, r_s)}
+    sphere_ix = {vertex_index(q, *z) for z in sphere(ctx, r_s)}
     gen = [m for m, ci in zip(elements, coset_of) if ci in sphere_ix]
     assert len(gen) == (q + 1) * (q * q - 1), "lift of the sphere has |S_r| * |K| elements"
     gen_set = set(gen)

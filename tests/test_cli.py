@@ -33,6 +33,25 @@ def test_info_q3(tmp_path):
     assert doc["version"]
 
 
+INFO_Q5 = {
+    "json": '{"config": {"q": 5, "delta": 2, "delta_requested": "auto"}, "version": "VERSION", "data": {"q": 5, '
+            '"delta": 2, "base_generator": 2, "extension_generator": [1, 2], "smallest_nonsquare": 2, "vertices": 20, '
+            '"degenerate_radii": [0, 3], "orbit_sizes": {"0": 1, "1": 6, "2": 6, "3": 1, "4": 6}}}\n',
+    "csv": '# config: {"q": 5, "delta": 2, "delta_requested": "auto"}\n# version: "VERSION"\nkey,value\nq,5\n'
+           'delta,2\nbase_generator,2\nextension_generator,1 2\nsmallest_nonsquare,2\nvertices,20\n'
+           'degenerate_radii,0 3\norbit_size_r0,1\norbit_size_r1,6\norbit_size_r2,6\norbit_size_r3,1\n'
+           'orbit_size_r4,6\n',
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_info_q5_lists_the_orbit_sizes_in_radius_order(tmp_path, fmt):
+    # q=5 is the first prime whose radii in first-vertex order (0, 1, 4, 2, 3) are not in radius order
+    out = tmp_path / f"info.{fmt}"
+    assert main(["info", "--q", "5", "--format", fmt, "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == INFO_Q5[fmt].replace("VERSION", fuhp.__version__).encode()
+
+
 def test_info_rejects_even_q(capsys):
     assert main(["info", "--q", "4"]) == EXIT_BAD_INPUT
     assert "odd prime" in capsys.readouterr().err
@@ -598,6 +617,21 @@ def test_all_regular_sweep(tmp_path):
     meta, header, rows = read_csv(out_csv)
     assert header[0] == "r_s"
     assert [r[0] for r in rows] == [1, 2, 4]
+
+
+@pytest.mark.parametrize("command", [["spectrum"], ["spherical"], ["heat", "--t", "0,1"]])
+def test_an_all_regular_sweep_at_q3_is_a_sweep_of_one_radius(tmp_path, command):
+    # q=3 has one regular radius: the schema follows the request, not the number of radii
+    single, sweep, sweep_csv = tmp_path / "single.json", tmp_path / "sweep.json", tmp_path / "sweep.csv"
+    assert main([*command, "--q", "3", "--r-s", "1", "--out", str(single)]) == EXIT_OK
+    assert main([*command, "--q", "3", "--r-s", "all-regular", "--out", str(sweep)]) == EXIT_OK
+    doc = json.loads(sweep.read_text())
+    assert doc["config"]["r_s"] == "all-regular"
+    assert doc["data"] == {"runs": [json.loads(single.read_text())["data"]]}
+    assert main([*command, "--q", "3", "--r-s", "all-regular", "--format", "csv", "--out", str(sweep_csv)]) == EXIT_OK
+    meta, header, rows = read_csv(sweep_csv)
+    assert meta["config"]["r_s"] == "all-regular" and header[0] == "r_s"
+    assert rows and all(row[0] == 1 for row in rows)
 
 
 def test_all_regular_rejected_where_meaningless(capsys):

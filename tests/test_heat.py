@@ -20,28 +20,33 @@ from fuhp.heat import (
     heat_kernel_spectral,
     initial_condition_check,
     method_of_images_check,
+    _cut,
+    _poisson_terms,
     mobius_index,
-    poisson_weights,
     stabiliser_orbits,
 )
 from fuhp.spherical import spherical_table
 from fuhp.theta import theta_consistency_report
-from fuhp.uhp import (
-    Point,
-    UhpGraph,
-    base_point,
-    build_graph,
-    point_index,
-    radii_order,
-    scheme,
-)
+from fuhp.uhp import UhpGraph, build_graph, radii_order, scheme, vertex_index
 from fuhp.verify import heat_checks, lift_checks
 
-from dense_graph import act, distance, enumerate_points, laplacian
+from dense_graph import Point, act, distance, enumerate_points, laplacian
 from dense_lift import build_group_graph, dense_images, mobius_action
 
 U = np.finfo(float).eps / 2  # unit roundoff
 ORACLE_TIMES = (0.0, 1e-6, 0.1, 1.0, 10.0, 50.0)
+BASE = 0  # sqrt(delta) is vertex 0
+
+
+def poisson_weights(rate):
+    """Poisson(k; rate) for k = 0..K, and a bound on the dropped tail sum_{k>K}.
+
+    The weights of ``_poisson_terms``, cut before the first index K+1 whose
+    tail bound b_(K+1) is at most u, the unit roundoff; b_k is finite from
+    the mode on only, so K >= mode and the whole list costs O(rate).
+    """
+    weights, tail = _cut(_poisson_terms(rate))
+    return np.array(weights), tail
 
 
 @pytest.fixture(scope="module")
@@ -99,9 +104,8 @@ def test_oracle_matches_spectral(q3):
 def test_oracle_t0_and_longtime(q3):
     ctx, graph, _ = q3
     k0, k_inf = heat_kernel_oracle(graph, [0.0, 50.0]).by_vertex
-    base_i = point_index(ctx, base_point())
     expect = np.zeros(graph.n)
-    expect[base_i] = 6.0
+    expect[BASE] = 6.0
     np.testing.assert_allclose(k0, expect, atol=1e-10)
     np.testing.assert_allclose(k_inf, 1.0, atol=1e-10)
 
@@ -121,8 +125,7 @@ def test_mass_conservation_and_positivity():
 def _dense_kernel(graph, t):
     """n * exp(-tL) e_base contracted through the dense adjacency eigendecomposition."""
     w, v = graph.adjacency_eigh()
-    b = point_index(graph.ctx, base_point())
-    return graph.n * (v @ (v[b] * np.exp(-(graph.degree - w) * t)))
+    return graph.n * (v @ (v[BASE] * np.exp(-(graph.ctx.q + 1 - w) * t)))
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 13])
@@ -167,23 +170,25 @@ def test_oracle_mass_is_kept_poisson_mass(q, r_s):
 
 def _walk_for_one_time(graph, t):
     """The oracle's sum n * sum_k w_k P^k e_0 for one time, over that time's own weights only, no stop."""
-    weights, _ = poisson_weights(graph.degree * t)
+    degree = graph.ctx.q + 1
+    weights, _ = poisson_weights(degree * t)
     walk = np.zeros(graph.n)
-    walk[point_index(graph.ctx, base_point())] = 1.0
+    walk[BASE] = 1.0
     acc = weights[0] * walk
     for w_k in weights[1:]:
-        walk = walk[graph.neighbors].sum(axis=1) / graph.degree
+        walk = walk[graph.neighbors].sum(axis=1) / degree
         acc += w_k * walk
     return graph.n * acc
 
 
 def _mixing_step(graph):
     """k*: the first step of the walk from the base point within delta = 4(q+1)u/n of uniform."""
+    degree = graph.ctx.q + 1
     walk = np.zeros(graph.n)
-    walk[point_index(graph.ctx, base_point())] = 1.0
+    walk[BASE] = 1.0
     k = 0
-    while np.abs(walk - 1.0 / graph.n).max() > 4 * graph.degree * U / graph.n:
-        walk = walk[graph.neighbors].sum(axis=1) / graph.degree
+    while np.abs(walk - 1.0 / graph.n).max() > 4 * degree * U / graph.n:
+        walk = walk[graph.neighbors].sum(axis=1) / degree
         k += 1
     return k
 
@@ -194,11 +199,12 @@ def _assert_stopped_walk_matches(graph, t, row, full, k_stop):
     The bound is the stated n * delta * T, T the Poisson mass past k*, plus the
     full walk's own rounding of about K*u relative per entry.
     """
-    weights, _ = poisson_weights(graph.degree * t)
+    degree = graph.ctx.q + 1
+    weights, _ = poisson_weights(degree * t)
     if len(weights) - 1 <= k_stop:
         assert np.array_equal(row, full)
     else:
-        bound = 4 * graph.degree * U * weights[k_stop + 1:].sum() + len(weights) * U * np.abs(full).max()
+        bound = 4 * degree * U * weights[k_stop + 1:].sum() + len(weights) * U * np.abs(full).max()
         assert np.abs(row - full).max() <= bound
 
 
@@ -334,7 +340,7 @@ def test_initial_condition_constant_function(q3):
 def test_initial_condition_indicator(q3):
     ctx, graph, _ = q3
     f = np.zeros(graph.n)
-    f[point_index(ctx, base_point())] = 1.0
+    f[BASE] = 1.0
     t_grid = [1e-2, 1e-4, 1e-6]
     res = initial_condition_check(graph, f, t_grid)
     # closed form: residual = |(E(t;0) - 6)/6| = |3(e^{-4t}-1) + 2(e^{-6t}-1)|/6
@@ -370,7 +376,7 @@ def test_left_invariance_q3(q3):
     kernel = graph.n * (v @ (np.exp(-w * 1.0)[:, None] * v.T))
     points = enumerate_points(ctx)
     for p in points:  # the affine group acting on itself from the left
-        perm = np.array([point_index(ctx, act(ctx, p, z)) for z in points])
+        perm = np.array([vertex_index(ctx.q, *act(ctx, p, z)) for z in points])
         np.testing.assert_allclose(kernel[np.ix_(perm, perm)], kernel, atol=1e-10)
 
 
@@ -398,7 +404,7 @@ def _array_action(ctx, m, z):
 
 def test_mobius_action_stabilizer():
     ctx = field_context(5)
-    base = base_point()
+    base = Point(0, 1)
     for a in range(5):
         for b in range(5):
             if (a, b) == (0, 0):
@@ -515,7 +521,7 @@ def _parent_grid_walk(graph, t_grid):
     for i, row in enumerate(rows):
         weights[i, : len(row)] = row
     walk = np.zeros(graph.n)
-    walk[point_index(graph.ctx, base_point())] = 1.0
+    walk[BASE] = 1.0
     acc = np.outer(weights[:, 0], walk)
     for w_k in weights.T[1:]:
         walk = walk[graph.neighbors].sum(axis=1) / (q + 1)
@@ -532,7 +538,7 @@ def test_oracle_bits_unchanged_by_the_shared_walk(q, r_s):
     full = _parent_grid_walk(graph, t_grid)
     for t, row, full_row in zip(t_grid, stopped, full):
         _assert_stopped_walk_matches(graph, t, row, full_row, k_stop)
-    ends = [len(poisson_weights(graph.degree * t)[0]) - 1 for t in t_grid]
+    ends = [len(poisson_weights((q + 1) * t)[0]) - 1 for t in t_grid]
     assert min(ends) <= k_stop < max(ends)  # both sides of the stop are covered
 
 
@@ -543,7 +549,7 @@ def test_oracle_step_adds_the_generator_rows_in_the_order_of_the_axis_sum(q):
     t_grid = np.array([0.0, 0.1, 1.0, 10.0])
     rows = graph.by_generator.astype(np.intp)
     start = np.zeros(graph.n)
-    start[point_index(graph.ctx, base_point())] = 1.0
+    start[BASE] = 1.0
     step = lambda walk: walk[rows].sum(axis=0) / (q + 1)
     want = graph.n * _uniformization(step, start, (q + 1) * t_grid, q + 1)
     assert np.array_equal(heat_kernel_oracle(graph, t_grid).by_vertex, want)

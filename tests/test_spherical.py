@@ -19,9 +19,9 @@ from fuhp.spherical import (
     spherical_table,
 )
 from fuhp.theta import finite_theta, theta_consistency_report
-from fuhp.uhp import base_point, build_graph, degenerate_radii, radii_order, scheme, sphere
+from fuhp.uhp import build_graph, degenerate_radii, radii_order, scheme
 
-from dense_graph import broadcast_radial_rows, distance, enumerate_points, radial_eigenbasis
+from dense_graph import Point, broadcast_radial_rows, distance, enumerate_points, radial_eigenbasis, sphere
 from scalar_reference import beta, norm_one_subgroup, nu, nu0, quadratic_character
 
 
@@ -284,7 +284,7 @@ def test_conjugate_character_gives_equal_principal_function():
 @pytest.mark.parametrize("q,r_s", [(3, 1), (5, 1), (7, 2)])
 def test_rows_lift_to_adjacency_eigenvectors(q, r_s):
     ctx, graph, table = table_for(q, r_s=r_s)
-    base = base_point()
+    base = Point(0, 1)
     adj = graph.adjacency.astype(float)
     for i in range(len(table.omega)):
         vec = np.array([table.omega[i, distance(ctx, z, base)] for z in enumerate_points(ctx)])

@@ -21,7 +21,8 @@ from fuhp.theta import (
     finite_theta,
     theta_consistency_report,
 )
-from fuhp.uhp import degenerate_radii, sphere
+from fuhp.uhp import degenerate_radii
+from dense_graph import sphere
 from scalar_reference import ext_trace, quadratic_character
 
 

@@ -9,24 +9,21 @@ import pytest
 import fuhp.uhp
 from fuhp.field import field_context
 from fuhp.uhp import (
-    Point,
     _generates,
     affine_product,
-    base_point,
     build_graph,
     cayley_certificate,
     degenerate_radii,
-    orbit_sizes,
-    point_index,
     radii_order,
     scheme,
-    sphere,
     translate,
     unsigned_dtype,
     vertex_index,
 )
 
-from dense_graph import act, connected, distance, enumerate_points, laplacian
+from dense_graph import Point, act, connected, distance, enumerate_points, laplacian, sphere
+
+BASE = Point(0, 1)  # sqrt(delta), vertex 0
 
 
 def brute_sphere(ctx, r):
@@ -71,11 +68,10 @@ def test_distance_frozen_values():
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_distance_symmetric_and_sphere_consistent(q):
     ctx = field_context(q)
-    base = base_point()
     for z in enumerate_points(ctx):
-        assert distance(ctx, z, base) == distance(ctx, base, z)
+        assert distance(ctx, z, BASE) == distance(ctx, BASE, z)
     for r in range(q):
-        assert {z for z in enumerate_points(ctx) if distance(ctx, z, base) == r} == set(
+        assert {z for z in enumerate_points(ctx) if distance(ctx, z, BASE) == r} == set(
             sphere(ctx, r)
         )
 
@@ -89,8 +85,8 @@ def test_octahedron_structure():
     # each vertex has exactly one non-neighbor: its antipode
     comp = 1 - g.adjacency - np.eye(6, dtype=np.int8)
     assert np.all(comp.sum(axis=1) == 1)
-    i = point_index(ctx, Point(0, 1))
-    j = point_index(ctx, Point(0, 2))
+    i = vertex_index(3, 0, 1)
+    j = vertex_index(3, 0, 2)
     assert comp[i, j] == 1  # (0,1) is adjacent to everything except (0,2)
 
 
@@ -119,7 +115,7 @@ def test_generating_sphere_closed_under_inversion():
         if r in degenerate_radii(ctx):
             continue
         pts = set(sphere(ctx, r))
-        inverses = {t for s in pts for t in enumerate_points(ctx) if act(ctx, s, t) == base_point()}
+        inverses = {t for s in pts for t in enumerate_points(ctx) if act(ctx, s, t) == BASE}
         assert inverses == pts
 
 
@@ -147,12 +143,11 @@ def test_laplacian_rowsums_and_kernel(q, r_s):
 
 
 def test_orbit_decomposition_sizes():
-    ctx = field_context(3)
-    assert orbit_sizes(ctx) == {0: 1, 1: 4, 2: 1}
-    ctx5 = field_context(5)
-    assert orbit_sizes(ctx5) == {0: 1, 3: 1, 1: 6, 2: 6, 4: 6}
-    # verify prints the sizes in the order of each radius's first vertex, as plain ints
-    assert str(orbit_sizes(ctx5)) == "{0: 1, 1: 6, 4: 6, 2: 6, 3: 1}"
+    assert scheme(field_context(3)).sizes.tolist() == [1, 4, 1]
+    vertices = scheme(field_context(5))
+    assert vertices.sizes.tolist() == [1, 6, 6, 1, 6]
+    # q=5 is the first prime whose radii in first-vertex order (0, 1, 4, 2, 3) are not in radius order
+    assert vertices.reps.tolist() == [0, 1, 6, 15, 2]
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 13])
@@ -162,8 +157,7 @@ def test_orbits_partition_and_match_spheres(q):
     pts = enumerate_points(ctx)
     for r in range(q):
         assert {pts[i] for i in np.flatnonzero(labels == r)} == set(sphere(ctx, r))
-    base = base_point()
-    assert labels.tolist() == [distance(ctx, z, base) for z in pts]
+    assert labels.tolist() == [distance(ctx, z, BASE) for z in pts]
 
 
 def test_orbit_labels_cached_read_only():
@@ -192,7 +186,7 @@ def test_translate_is_the_affine_product(q):
     ctx = field_context(q)
     pts = enumerate_points(ctx)
     rows = np.arange(len(pts))
-    expect = [[point_index(ctx, act(ctx, z, w)) for w in pts] for z in pts]
+    expect = [[vertex_index(q, *act(ctx, z, w)) for w in pts] for z in pts]
     assert np.array_equal(translate(q, rows[:, None], rows), expect)
     assert translate(q, len(pts) - 1, 1) == expect[-1][1]  # scalar indices
 
@@ -201,9 +195,9 @@ def test_build_graph_rejects_a_generating_set_not_closed_under_inversion(monkeyp
     ctx = field_context(7)
     real = scheme(ctx)
     u, u_inv = Point(1, 2), Point(3, 4)
-    assert act(ctx, u, u_inv) == base_point() and real.labels[point_index(ctx, u_inv)] != 1
+    assert act(ctx, u, u_inv) == BASE and real.labels[vertex_index(7, *u_inv)] != 1
     labels = real.labels.copy()
-    labels[point_index(ctx, u)] = 1  # u joins S_1 without its inverse
+    labels[vertex_index(7, *u)] = 1  # u joins S_1 without its inverse
     monkeypatch.setattr(fuhp.uhp, "scheme", lambda c: real._replace(labels=labels))
     with pytest.raises(AssertionError, match="not closed under inversion"):
         build_graph(ctx, 1)
@@ -304,7 +298,7 @@ def test_vertex_transitive_row_multisets():
 def test_point_index_matches_enumeration_order():
     ctx = field_context(5)
     for i, z in enumerate(enumerate_points(ctx)):
-        assert point_index(ctx, z) == i
+        assert vertex_index(5, *z) == i
     assert radii_order(ctx) == [0, 3, 1, 2, 4]
 
 
