@@ -20,7 +20,7 @@ from . import __version__
 from .export import dumps_csv, dumps_json, format_float
 from .field import field_context, find_nonsquare
 from .heat import heat_kernel_affine, heat_kernel_spectral
-from .spherical import spherical_table
+from .spherical import _row_order, character_classes, spherical_rows, spherical_table
 from .theta import classical_theta, theta_consistency_report
 from .uhp import build_graph, degenerate_radii, radii_order, scheme
 from .verify import run_battery
@@ -211,18 +211,30 @@ def _spherical_block(ctx, r_s):
             }
             for i, omega in enumerate(table.omega[:, radii])
         ],
-        "complete": True,  # a table holds all q rows: a collision merges eigenvalues, never rows
     }
 
 
 def cmd_spherical(args):
     ctx = _resolve_ctx(args)
-    blocks = [_spherical_block(ctx, r) for r in _radii_arg(ctx, args.r_s)]
-    fields = ["index", "degree", "adjacency_eigenvalue", "laplacian_eigenvalue"]
-    # radius order is shared across generating radii
-    header = ["row"] + fields[1:] + [f"omega_r{r}" for r in blocks[0]["radii"]]
-    return _emit_runs(ctx, args, blocks, header,
-                      lambda b: ([row[k] for k in fields] + row["omega"].tolist() for row in b["rows"]))
+    radii = radii_order(ctx)
+    if args.r_s != "all-regular":
+        fields = ["index", "degree", "adjacency_eigenvalue", "laplacian_eigenvalue"]
+        header = ["row"] + fields[1:] + [f"omega_r{r}" for r in radii]
+        return _emit_runs(ctx, args, [_spherical_block(ctx, r) for r in _radii_arg(ctx, args.r_s)], header,
+                          lambda b: ([row[k] for k in fields] + row["omega"].tolist() for row in b["rows"]))
+    # The rows belong to (q, delta), so a sweep writes them once, in class order. A run's r_s only maps each
+    # class c to its row of spherical_table(ctx, r_s), row[c], as CharacterMatch.row does; the table holds
+    # its eigenvalues a_i = (q+1)*omega_i(r_s) and lambda_i = (q+1) - a_i, bit for bit.
+    rows = spherical_rows(ctx)
+    runs = [{"r_s": r, "row": np.argsort(_row_order(ctx, r)[1])} for r in radii[2:]]
+    classes = [{"kind": kind, "j": j, "degree": int(d), "omega": omega}
+               for (kind, j), d, omega in zip(character_classes(ctx.q), rows.degrees, rows.omega[:, radii])]
+    data = {"radii": radii, "orbit_sizes": scheme(ctx).sizes[radii], "rows": classes, "runs": runs}
+    header = ["kind", "j", "degree"] + [f"omega_r{r}" for r in radii] + [f"row_rs{run['r_s']}" for run in runs]
+    _emit(args, _document(_config_doc(ctx, args, r_s="all-regular"), data), header,
+          ([c["kind"], c["j"], c["degree"], *c["omega"].tolist(), *(run["row"][i] for run in runs)]
+           for i, c in enumerate(classes)))
+    return EXIT_OK
 
 
 def cmd_heat(args):

@@ -55,6 +55,20 @@ SPECTRUM_AGREEMENT = 16
 # Measured at most 5.1u over every prime q <= 211 (q=89), not growing with q
 REAL_VALUE_AGREEMENT = 40
 LIFT_MAX_Q = 13  # |G| = q(q-1)^2(q+1) = 26,208 group elements at q=13
+# c in |K-average of the lifted kernel - quotient kernel| <= c*u*n, n = q(q-1), for q <= LIFT_MAX_Q. Both
+# estimate the same exact E <= n, and both walks take the same Poisson weights (same rates (q+1)t), whose
+# rounding is common to the two. The quotient walk (heat_kernel_oracle) carries its share of
+# heat.ORACLE_AGREEMENT: its dropped tail (1), rounding (86) and stop (3), 90u*n. The lifted walk carries,
+# in its coset means n * (sum of |K| = q^2-1 entries): its dropped tail, 1u*n; its stop, 4q(q+1)u*T/|G|
+# per entry and so 4q(q+1)u*T per mean (|K|*n = |G|), T <= 1, at most 8u*n for q >= 3; the rounding of
+# its steps, each entry >= 0 formed from q(q+1) terms (|K| per coset sum, then q+1 coset sums) and one
+# division, so at most q(q+1)u relative per step, which the later steps (>= 0, unit row sums) carry
+# unchanged: k*q(q+1)u*n with k* <= 82 (every regular radius of every prime q <= 13, at q=5), at most
+# 14,924u*n; the Poisson-weighted sum of its k*+1 terms, 83u*n; and the mean's q^2-2 additions and one
+# scaling, at most 168u*n. c = 16,000 covers the total, 15,274u*n: 2.8e-10 at q=13, where the bare bound
+# was 1e-8. Measured at most 29.9u*n over every regular radius of every prime q <= 13 at t in {0.1, 1, 5}
+# (q=13, r_s=6; 25.6u*n at q=11, r_s=9), and 6.2u*n at r_s=1, the radius verify checks.
+LIFT_AGREEMENT = 16_000
 # the detail of a verbatim audit with no radius outside {0, 1, 4*delta}, which happens at q=3 only
 NO_AUDITED_RADIUS = "skipped: no radius outside {0, 1, 4*delta} to audit at this q"
 
@@ -314,7 +328,8 @@ def lift_checks(graph):
         return [CheckResult(f"q={q} r_s={r_s} lifted Laplacian intertwines", False, str(exc))]
     _check(out, f"q={q} r_s={r_s} lifted Laplacian intertwines", rep.intertwining_exact,
            f"measured scaling {rep.measured_scaling:.1f} (expected {rep.stabilizer_order})")
-    _check(out, f"q={q} r_s={r_s} K-average = quotient kernel", rep.max_deviation <= 1e-8,
+    _check(out, f"q={q} r_s={r_s} K-average = quotient kernel",
+           rep.max_deviation <= LIFT_AGREEMENT * UNIT_ROUNDOFF * q * (q - 1),
            f"max dev {rep.max_deviation:.2e} over t in (0.1, 1, 5)")
     return out
 

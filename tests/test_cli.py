@@ -17,6 +17,7 @@ import fuhp.heat
 import fuhp.theta
 from fuhp.cli import EXIT_BAD_INPUT, EXIT_OK, main
 from fuhp.field import field_context
+from fuhp.spherical import spherical_table
 from fuhp.uhp import radii_order
 
 from dense_graph import distance, enumerate_points
@@ -134,6 +135,18 @@ def test_spectrum_q101_memory(tmp_path, run_child):
     assert child.peak_mb <= 64, f"peak RSS {child.peak_mb:.1f} MB (wall {child.wall:.2f} s)"
     runs = json.loads(out.read_text())["data"]["runs"]
     assert len(runs) == 99 and all(sum(run["multiplicities"]) == 101 * 100 for run in runs)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_spherical_sweep_q101_memory(tmp_path, run_child, fmt):
+    out = tmp_path / f"spherical.{fmt}"
+    child = run_child(["-m", "fuhp.cli", "spherical", "--q", "101", "--r-s", "all-regular", "--format", fmt,
+                       "--out", str(out)])
+    assert child.exit_code == EXIT_OK
+    # 111 MB (JSON) and 102 MB (CSV) when each of the 99 runs wrote the whole 101 x 101 table again, 23 MB
+    # of JSON; now the table is written once and each run maps the classes to its rows
+    assert child.peak_mb <= 40, f"peak RSS {child.peak_mb:.1f} MB (wall {child.wall:.2f} s)"
+    assert out.stat().st_size <= 300_000
 
 
 def test_graph_q101_memory(tmp_path, run_child):
@@ -619,19 +632,74 @@ def test_all_regular_sweep(tmp_path):
     assert [r[0] for r in rows] == [1, 2, 4]
 
 
+def _rebuilt_spherical_blocks(data):
+    """The single-radius block of every run of a spherical sweep's data, rebuilt from the rows written once."""
+    q, radii = len(data["rows"]), data["radii"]
+    blocks = []
+    for run in data["runs"]:
+        at_r_s = radii.index(run["r_s"])
+        rows = []
+        for i, c in enumerate(np.argsort(run["row"]).tolist()):  # the class at each row of the table
+            omega = data["rows"][c]["omega"]
+            a = (q + 1) * omega[at_r_s]
+            rows.append({"index": i, "degree": data["rows"][c]["degree"], "adjacency_eigenvalue": a,
+                         "laplacian_eigenvalue": (q + 1) - a, "omega": omega})
+        blocks.append({"r_s": run["r_s"], "radii": radii, "orbit_sizes": data["orbit_sizes"], "rows": rows})
+    return blocks
+
+
 @pytest.mark.parametrize("command", [["spectrum"], ["spherical"], ["heat", "--t", "0,1"]])
 def test_an_all_regular_sweep_at_q3_is_a_sweep_of_one_radius(tmp_path, command):
     # q=3 has one regular radius: the schema follows the request, not the number of radii
     single, sweep, sweep_csv = tmp_path / "single.json", tmp_path / "sweep.json", tmp_path / "sweep.csv"
     assert main([*command, "--q", "3", "--r-s", "1", "--out", str(single)]) == EXIT_OK
     assert main([*command, "--q", "3", "--r-s", "all-regular", "--out", str(sweep)]) == EXIT_OK
-    doc = json.loads(sweep.read_text())
+    doc, block = json.loads(sweep.read_text()), json.loads(single.read_text())["data"]
     assert doc["config"]["r_s"] == "all-regular"
-    assert doc["data"] == {"runs": [json.loads(single.read_text())["data"]]}
     assert main([*command, "--q", "3", "--r-s", "all-regular", "--format", "csv", "--out", str(sweep_csv)]) == EXIT_OK
     meta, header, rows = read_csv(sweep_csv)
-    assert meta["config"]["r_s"] == "all-regular" and header[0] == "r_s"
-    assert rows and all(row[0] == 1 for row in rows)
+    assert meta["config"]["r_s"] == "all-regular"
+    if command == ["spherical"]:  # the q rows once, and one run that maps them to the rows at r_s = 1
+        assert len(doc["data"]["rows"]) == 3 and [run["r_s"] for run in doc["data"]["runs"]] == [1]
+        assert _rebuilt_spherical_blocks(doc["data"]) == [block]
+        assert header[-1] == "row_rs1" and len(rows) == 3
+    else:
+        assert doc["data"] == {"runs": [block]}
+        assert header[0] == "r_s" and rows and all(row[0] == 1 for row in rows)
+
+
+@pytest.mark.parametrize("q", [3, 5, 13, pytest.param(53, marks=pytest.mark.slow),
+                               pytest.param(101, marks=pytest.mark.slow)])
+def test_a_spherical_sweep_rebuilds_the_table_of_every_radius(tmp_path, q):
+    # a sweep once wrote the whole table for every r_s; the rows written once and each run's map give
+    # back every one of those blocks, bit for bit, from the JSON and from the CSV
+    ctx = field_context(q)
+    radii = radii_order(ctx)
+    paths = {fmt: tmp_path / f"sweep.{fmt}" for fmt in ("json", "csv")}
+    for fmt, out in paths.items():
+        assert main(["spherical", "--q", str(q), "--r-s", "all-regular", "--format", fmt, "--out", str(out)]) == EXIT_OK
+    data = json.loads(paths["json"].read_text())["data"]
+    meta, header, rows = read_csv(paths["csv"])
+    assert meta["config"]["r_s"] == "all-regular"
+    from_csv = {
+        "radii": [int(h.removeprefix("omega_r")) for h in header if h.startswith("omega_r")],
+        "orbit_sizes": data["orbit_sizes"],  # the one field the CSV does not carry, as before
+        "rows": [{"kind": row[0], "j": row[1], "degree": row[2], "omega": row[3 : 3 + q]} for row in rows],
+        "runs": [{"r_s": int(h.removeprefix("row_rs")), "row": [row[k] for row in rows]}
+                 for k, h in enumerate(header) if h.startswith("row_rs")],
+    }
+    assert header[:3] == ["kind", "j", "degree"] and len(header) == 3 + q + len(radii) - 2
+    expected = []
+    for r_s in radii[2:]:
+        table = spherical_table(ctx, r_s)
+        rows_at = zip(table.degrees.tolist(), table.adjacency_eigenvalues.tolist(),
+                      table.laplacian_eigenvalues.tolist(), table.omega[:, radii].tolist())
+        expected.append({"r_s": r_s, "radii": radii, "orbit_sizes": table.orbit_sizes[radii].tolist(), "rows": [
+            {"index": i, "degree": d, "adjacency_eigenvalue": a, "laplacian_eigenvalue": lam, "omega": omega}
+            for i, (d, a, lam, omega) in enumerate(rows_at)]})
+    assert _rebuilt_spherical_blocks(data) == expected
+    assert _rebuilt_spherical_blocks(from_csv) == expected
+    assert from_csv == data
 
 
 def test_all_regular_rejected_where_meaningless(capsys):

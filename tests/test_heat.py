@@ -28,7 +28,7 @@ from fuhp.heat import (
 from fuhp.spherical import spherical_table
 from fuhp.theta import theta_consistency_report
 from fuhp.uhp import UhpGraph, build_graph, radii_order, scheme, vertex_index
-from fuhp.verify import heat_checks, lift_checks
+from fuhp.verify import LIFT_AGREEMENT, heat_checks, lift_checks
 
 from dense_graph import Point, act, distance, enumerate_points, laplacian
 from dense_lift import build_group_graph, dense_images, mobius_action
@@ -496,7 +496,7 @@ def test_lift_uses_no_eigendecomposition(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     report = method_of_images_check(field_context(7), 1, [0.1, 1.0, 5.0])
     assert report.group_order == 2016 and report.intertwining_exact
-    assert report.max_deviation <= 1e-8
+    assert report.max_deviation <= LIFT_AGREEMENT * U * 7 * 6
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
@@ -505,6 +505,21 @@ def test_lift_checks_cover_every_prime_to_13(q):
     results = lift_checks(build_graph(ctx, radii_order(ctx)[2]))
     assert len(results) == 2
     assert all(r.passed and not r.finding_only for r in results), [r.detail for r in results]
+
+
+def test_the_lift_check_is_bounded_by_its_error_model(monkeypatch):
+    # |K-average - quotient kernel| <= LIFT_AGREEMENT*u*n (verify.py), 1.1e-11 at q=3: a lifted walk scaled
+    # by 1 + 1e-9 fails it, though it stays within the former bare 1e-8; the walk as it is passes
+    graph = build_graph(field_context(3), 1)
+    for scale, passes in ((1.0, True), (1 + 1e-9, False)):
+        def scaled(step, start, rates, terms, scale=scale):  # the lifted walk starts on |G| > n entries
+            return _uniformization(step, start, rates, terms) * (scale if start.size > graph.n else 1.0)
+
+        monkeypatch.setattr(fuhp.heat, "_uniformization", scaled)
+        (check,) = [r for r in lift_checks(graph) if r.name == "q=3 r_s=1 K-average = quotient kernel"]
+        deviation = float(check.detail.split()[2])
+        assert check.fatal is not passes
+        assert (deviation <= LIFT_AGREEMENT * U * 6) == passes and deviation < 1e-8
 
 
 def test_lift_checks_skip_above_13():
