@@ -257,9 +257,8 @@ def cmd_heat(args):
 
 
 def cmd_theta(args):
-    ctx = _resolve_ctx(args)
     t_grid = _parse_t(args.t)
-    if args.classical is not None:
+    if args.classical is not None:  # the series depends on no q: --q and --delta are not read
         if not all(0 < t < float("inf") for t in t_grid):
             raise ValueError(f"--t expects positive finite times with --classical, got {args.t!r}")
         # plain decimal text with the stated truncation bound
@@ -273,6 +272,7 @@ def cmd_theta(args):
             )
         _write(args, "\n".join(lines) + "\n")
         return EXIT_OK
+    ctx = _resolve_ctx(args)
     if args.r_s == "all-regular":
         raise ValueError("theta reports need a single generating radius")
     (r_s,) = _radii_arg(ctx, args.r_s)
@@ -368,7 +368,8 @@ def build_parser():
     _add_common(p, with_t=True)
     p.add_argument("--mode", choices=("verbatim", "reconciled", "both"), default="both")
     p.add_argument("--classical", type=float, default=None, metavar="Z",
-                   help="instead: print the classical theta(Z, it) for each time t > 0 as text")
+                   help="instead: print the classical theta(Z, it) for each time t > 0 as text; "
+                   "reads only --t, --n-max and --out")
     p.add_argument("--n-max", type=int, default=25, help="classical theta truncation")
     p.set_defaults(func=cmd_theta)
 

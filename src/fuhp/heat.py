@@ -27,9 +27,9 @@ delta = 4(q+1)u/n, at a step k* that is a property of the graph (at most
 86 over the primes q <= 101, at q=5), the remaining terms are replaced by
 the uniform vector times the remaining Poisson mass T. The walk costs
 O(min(K, k*) * n(q+1)) time and O(n) memory per time of the grid, whatever
-t. Every term is non-negative, so nothing cancels: each entry carries the
-truncated tail (<= u), rounding of about min(K, k*)*u relative, and the
-stop's n*delta*T <= 4(q+1)u.
+t. Every term is non-negative, so nothing cancels: each entry of P^k e_0
+is at most 1/(q+1) for k >= 1, a step rounds it by at most u, and the
+kernel's error model is ``ORACLE_AGREEMENT``.
 
 Every kernel takes a grid of times and returns an array [t, r] (r the
 radius); the walk goes once, to the largest t of the grid, and also returns
@@ -119,24 +119,41 @@ ORTHOGONALITY_AGREEMENT = 40
 POSITIVITY_MARGIN = 32
 
 # c in |heat_kernel_spectral - heat_kernel_oracle(...).by_radius| <= c*u*n, n = q(q-1). The spectral kernel
-# is within 32u*n of exact (the derivation of POSITIVITY_MARGIN). Each entry of the walk carries, by the
-# error model of ``heat_kernel_oracle``, its dropped Poisson tail, at most u of unit mass and so u*n of E;
-# its rounding, about min(K, k*)*u relative, with E <= n (exp(-tL) is doubly stochastic and >= 0) and
-# k* <= 86 (every regular radius of every prime q <= 101, at q=5): 86u*n; and the stop's 4(q+1)u*T, with
-# T <= 1 at most 3u*n for q >= 3. c = 122 is the sum. k* falls as q grows: the graphs are Ramanujan, so a
-# step multiplies the walk's l2 distance from uniform by at most 2*sqrt(q)/(q+1); at verify's radius k* is
-# at most 51 over every prime q <= 211 (q = 3 to 11). Measured at most 2.4u*n at verify's radius and times
-# over every prime q <= 211 (q=5).
-ORACLE_AGREEMENT = 122
+# is within 32u*n of exact (the derivation of POSITIVITY_MARGIN). The walk E = n * sum_k w_k p_k, p_k =
+# P^k e_0, carries per entry, at worst unless a long sum is named:
+# - its dropped Poisson tail, at most u of unit mass and so u*n of E;
+# - the rounding of its steps. For k >= 1, ||p_k||_inf <= 1/(q+1): p_1 is 1/(q+1) on S_{r_s}, and P, an
+#   average of q+1 entries, never raises the largest. A step adds q+1 entries >= 0 left to right and divides
+#   by q+1, so it rounds an entry p by at most (q+1)u*p <= u, and P (>= 0, unit row sums) carries earlier
+#   errors without growth: p_k is within k*u, and E within k*u*n, with k* <= 86 (every regular radius of
+#   every prime q <= 101, at q=5): 86u*n;
+# - the Poisson-weighted sum acc += w_k p_k: k*+1 products within u of terms that add to at most 1, u*n;
+#   and k* additions whose partial sums stay within 1, k*u*n at worst and about sqrt(k*+1)*u*n with
+#   independent signs, at most 10u*n;
+# - the stop's 4(q+1)u*T, with T <= 1 at most 3u*n for q >= 3, and the addition of its uniform term, u*n;
+# - the scaling by n, u*n.
+# c = 135 is the sum (210 with the running sum at worst). k* falls as q grows: the graphs are Ramanujan,
+# so a step multiplies the walk's l2 distance from uniform by at most 2*sqrt(q)/(q+1); at verify's radius
+# k* is at most 51 over every prime q <= 211 (q = 3 to 11). Measured at most 2.4u*n at verify's radius and
+# times over every prime q <= 211 (q=5), and 6.2u*n over every regular radius of every prime q <= 101
+# (q=61, r_s=4).
+ORACLE_AGREEMENT = 135
 
 # c in |mean_v heat_kernel_oracle(...).by_vertex - 1| <= c*u (mass conservation), n = q(q-1). P is doubly
 # stochastic, so the exact walk keeps unit mass, and so does its stop, which trades terms of mass T for
-# the uniform vector of mass T: the kept terms miss only the dropped tail, at most u. The walk's rounding,
-# about min(K, k*)*u relative on entries that add to 1, moves the mass by at most 86u (k* as for
-# ORACLE_AGREEMENT). The scaling by n and the mean's division round once each, and numpy's pairwise sum of
-# n values >= 0 nests at most 18 + log2(n/128) roundings: 27u for q <= 256. c = 116 is the sum. Measured at
-# most 18u at verify's radius and times over every prime q <= 211 (q=89).
-MASS_AGREEMENT = 116
+# the uniform vector of mass T: the kept terms miss only the dropped tail, at most u. The mass is an l1 sum,
+# so the walk's rounding (as for ORACLE_AGREEMENT) adds up over the n entries: a step moves each entry p by
+# at most (q+1)u*p and so the mass by at most (q+1)u, and P keeps the mass of earlier errors: k*(q+1)u at
+# worst, 2,346u over every regular radius of every prime q <= 101 (q=101, r_s=4) and 4,028u at verify's
+# radius at q=211. That is a long sum of k*n roundings; with independent signs it is about
+# (q+1)u*sqrt(sum_k sum_v p_k(v)^2) <= sqrt(k*(q+1))*u, as sum_v p_k(v)^2 <= max_v p_k(v) <= 1/(q+1): at
+# most 49u there and 64u at verify's radius for every prime q <= 211 (q=211). The Poisson-weighted sum adds
+# its products' u and its additions' k*u at worst, about sqrt(k*+1)*u <= 10u with independent signs; the
+# stop's uniform term rounds twice, 2u. The scaling by n and the mean's division round once each, and
+# numpy's pairwise sum of n values >= 0 nests at most 18 + log2(n/128) roundings: 27u for q <= 256.
+# c = 107 is the sum. Measured at most 18u at verify's radius and times over every prime q <= 211 (q=89),
+# and 20u over every regular radius of every prime q <= 101 (q=89, r_s=6).
+MASS_AGREEMENT = 107
 
 # c in |sum_r |S_r| omega_i(r) omega_k(r) - [i=k] n/d_i| <= c*u*n (weighted orthogonality) and in
 # |sum_i d_i omega_i(r) - [r=0] n| <= c*u*n (delta reconstruction), n = q(q-1), over the rows of
@@ -339,11 +356,12 @@ def heat_kernel_oracle(graph, t_grid):
     generator rows; one walk serves the whole grid, and it stops at the
     first step k* where ||P^k* e_0 - 1/n||_inf <= delta = 4(q+1)u/n (see
     ``_uniformization``). Cost O(min(K, k*) * n(q+1)), with K ~ (q+1)t +
-    O(sqrt((q+1)t)) for the largest t. Error per entry: the dropped Poisson
-    tail (<= u), about min(K, k*)*u relative, as every term is non-negative,
-    and at most n*delta*T = 4(q+1)u*T for the times still running at k*, T
-    being their Poisson mass past k*. e_0 is the indicator of sqrt(delta);
-    radius values are read off its orbits, asserting constancy on each orbit.
+    O(sqrt((q+1)t)) for the largest t. Error per entry of E: the dropped
+    Poisson tail (<= u*n), the rounding of the steps and of the Poisson sum
+    (each at most k*u*n; see ``ORACLE_AGREEMENT``), and at most n*delta*T =
+    4(q+1)u*T for the times still running at k*, T being their Poisson mass
+    past k*. e_0 is the indicator of sqrt(delta); radius values are read off
+    its orbits, asserting constancy on each orbit.
     """
     t_grid = _time_grid(t_grid)
     ctx = graph.ctx

@@ -196,9 +196,10 @@ def _average(weights, phases, m):
 def closed_forms(ctx):
     """Evaluate both families for every character and radius of (q, delta) at once; do not modify.
 
-    principal[r, j] is 1 at r=0, beta_j(-1) at 4*delta, and otherwise the
-    sphere average of beta_j over the y-coordinates: the (q-1)-point character
-    transform of the histogram of dlog(y) over each sphere. cuspidal[c][r, j]
+    principal[r, j] is the sphere average of beta_j over the y-coordinates:
+    the (q-1)-point character transform of the histogram of dlog(y) over
+    each sphere, divided by |S_r|. So the one-point spheres give 1 at r=0
+    (y = 1) and beta_j(-1) at 4*delta (y = -1), exactly. cuspidal[c][r, j]
     is the average over U of eps(Tr(u - c(r))) * nu0(u) * nu_j(u), eps the
     sign character of F_q: a (q x (q+1)) sign matrix eps(2 u.a - 2 c(r)) *
     nu0(u) times the nu_j phases on U, with c(r) = 1 - r/(2*delta) for
@@ -208,8 +209,8 @@ def closed_forms(ctx):
     4*delta the value is antipodal[j] = -nu_j(-1); the other reading,
     -nu0(-1)*nu_j(-1), differs by nu0(-1) = (-1)^((q+1)/2) and fails the
     certificate at q = 1 mod 4. Both families are real products, divided by
-    q+1 as reals (``_average``): a complex division multiplies by the
-    reciprocal, which leaves (q+1)/(q+1) at 1 - u, and a real-by-complex
+    |S_r| or q+1 as reals (``_average``): a complex division multiplies by
+    the reciprocal, which leaves (q+1)/(q+1) at 1 - u, and a real-by-complex
     matmul took 5 to 16 ms a call at q=53 on two BLAS threads.
     """
     q, delta = ctx.q, ctx.delta
@@ -218,9 +219,7 @@ def closed_forms(ctx):
 
     vertices = scheme(ctx)
     hist = np.bincount(vertices.labels * (q - 1) + ctx.dlog[vertices.y], minlength=q * (q - 1))
-    principal = _average(hist.reshape(q, q - 1), chars.base, q + 1)
-    principal[deg0] = 1.0
-    principal[deg1] = chars.base[:, (q - 1) // 2]  # beta_j(-1), dlog(-1) = (q-1)/2
+    principal = _average(hist.reshape(q, q - 1), chars.base, vertices.sizes[:, None])
 
     k = np.arange(q + 1)
     u_a = ctx.power_a[(q - 1) * k]  # a-coordinates of U = {zeta^((q-1)k)}, in cyclic order

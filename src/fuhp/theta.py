@@ -27,7 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import ExtElement, ext_norm
 from .heat import _time_grid, heat_kernel_affine, heat_kernel_spectral
 from .spherical import spherical_table
 from .uhp import degenerate_radii, scheme
@@ -36,7 +35,7 @@ THETA_MODES = ("verbatim", "reconciled")
 
 
 class _ThetaTables(NamedTuple):
-    u_idx: np.ndarray  # the norm-one representatives (q-1)*(1..q+1)
+    u_idx: np.ndarray  # the norm-one representatives (q-1)*(1..q+1), as verify's "|U| = q+1" proves
     u_phase: np.ndarray  # [l-1, k] = e^(2 pi i l u_k/(q^2-1)), l = 1..q^2-1
     base_alpha: np.ndarray  # [l-1, y-1] = e^(2 pi i l y/(q-1)), l, y = 1..q-1
     base_phase: np.ndarray  # [l-1, y-1] = e^(2 pi i l y (q+2)/(q^2-1)), l, y = 1..q-1
@@ -51,11 +50,7 @@ def _theta_tables(ctx):
     at a time, so its (q^2-1) x (q+1) table is the only array of that size.
     """
     q, n2 = ctx.q, ctx.q * ctx.q - 1
-    norm = ext_norm(ctx, ExtElement(ctx.power_a, ctx.power_b))
     u_idx = np.arange(q - 1, n2 + 1, q - 1)
-    # N(zeta^m) = N(zeta)^m and N(zeta) generates F_q^x, so N = 1 exactly on multiples of q-1
-    if not np.array_equal(np.flatnonzero(norm[np.arange(1, n2 + 1) % n2] == 1) + 1, u_idx):
-        raise AssertionError("the norm-one indices are not the multiples of q-1")
     u_phase = np.empty((n2, q + 1), dtype=complex)
     for ls, out in zip(np.arange(1, n2 + 1).reshape(q - 1, q + 1), u_phase.reshape(q - 1, q + 1, q + 1)):
         np.exp(1j * (2 * np.pi * ls[:, None] * u_idx / n2), out=out)

@@ -714,6 +714,18 @@ def test_classical_theta_text(capsys):
     assert "truncation bound" in out
 
 
+@pytest.mark.parametrize("field", [["--q", "211"], ["--q", "4"], ["--q", "5", "--delta", "4"]],
+                         ids=["past-the-cap", "not-prime", "square-delta"])
+def test_classical_theta_reads_no_field(field, monkeypatch, capsys):
+    # the series depends on no q, but the field was resolved first: --q 211 exited 2 with "q=211 exceeds
+    # FUHP_MAX_Q=101" and --q 4 with "q must be an odd prime"
+    monkeypatch.delenv("FUHP_MAX_Q", raising=False)
+    assert main(["theta", "--q", "5", "--classical", "0.2", "--t", "1"]) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert main(["theta", *field, "--classical", "0.2", "--t", "1"]) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
 def test_classical_theta_of_a_large_z_is_its_value_at_the_reduced_z(capsys):
     # theta has period 1 in z and 1e307 is an integer; unreduced, its phases 2 pi n z overflowed and
     # the call failed with "math domain error"
