@@ -28,11 +28,7 @@ from .field import (
 )
 from .uhp import UhpGraph, build_graph, degenerate_radii
 from .characters import character_orthogonality_check
-from .spherical import (
-    SphericalTable,
-    match_formulas_to_oracle,
-    spherical_table,
-)
+from .spherical import SphericalTable, spherical_table
 from .heat import (
     heat_kernel_affine,
     heat_kernel_oracle,
@@ -64,7 +60,6 @@ __all__ = [
     "heat_kernel_oracle",
     "heat_kernel_spectral",
     "initial_condition_check",
-    "match_formulas_to_oracle",
     "method_of_images_check",
     "run_battery",
     "spherical_table",

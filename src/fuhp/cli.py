@@ -223,7 +223,7 @@ def cmd_spherical(args):
         return _emit_runs(ctx, args, [_spherical_block(ctx, r) for r in _radii_arg(ctx, args.r_s)], header,
                           lambda b: ([row[k] for k in fields] + row["omega"].tolist() for row in b["rows"]))
     # The rows belong to (q, delta), so a sweep writes them once, in class order. A run's r_s only maps each
-    # class c to its row of spherical_table(ctx, r_s), row[c], as CharacterMatch.row does; the table holds
+    # class c to its row of spherical_table(ctx, r_s), row[c]; the table holds
     # its eigenvalues a_i = (q+1)*omega_i(r_s) and lambda_i = (q+1) - a_i, bit for bit.
     rows = spherical_rows(ctx)
     runs = [{"r_s": r, "row": np.argsort(_row_order(ctx, r)[1])} for r in radii[2:]]
@@ -272,6 +272,8 @@ def cmd_theta(args):
             )
         _write(args, "\n".join(lines) + "\n")
         return EXIT_OK
+    if args.q is None:
+        raise ValueError("the following arguments are required: --q (or --classical)")
     ctx = _resolve_ctx(args)
     if args.r_s == "all-regular":
         raise ValueError("theta reports need a single generating radius")
@@ -323,8 +325,8 @@ def cmd_verify(args):
     return EXIT_VERIFY_FAILED if fatal else EXIT_OK
 
 
-def _add_common(p, with_rs=True, with_t=False):
-    p.add_argument("--q", type=int, required=True, help="odd prime field size")
+def _add_common(p, with_rs=True, with_t=False, q_required=True):
+    p.add_argument("--q", type=int, required=q_required, help="odd prime field size")
     p.add_argument("--delta", default="auto", help="non-square residue, or 'auto'")
     if with_rs:
         p.add_argument("--r-s", "--r", dest="r_s", default="1",
@@ -365,7 +367,7 @@ def build_parser():
     p.set_defaults(func=cmd_heat)
 
     p = sub.add_parser("theta", help="finite theta consistency report")
-    _add_common(p, with_t=True)
+    _add_common(p, with_t=True, q_required=False)  # --classical reads no q
     p.add_argument("--mode", choices=("verbatim", "reconciled", "both"), default="both")
     p.add_argument("--classical", type=float, default=None, metavar="Z",
                    help="instead: print the classical theta(Z, it) for each time t > 0 as text; "

@@ -12,8 +12,9 @@ one reader of their values, and ``spherical_rows`` builds the q rows from
 them and certifies each as a common eigenvector of the integer intersection
 matrices B_r, so the closed forms are claims checked against the scheme, not
 definitions taken on trust. r_s only selects the eigenvalues a_i =
-(q+1)*omega_i(r_s) and the row order, and ``match_formulas_to_oracle``
-reports each class with its row of that order and its certificate residual.
+(q+1)*omega_i(r_s) and the row order of ``spherical_table``; row i of
+``spherical_rows`` stays the i-th of ``character_classes``, with its
+certificate residual.
 """
 
 import functools
@@ -46,9 +47,6 @@ class SphericalTable(NamedTuple):
     (q+1)*omega_i(r_s) and laplacian_eigenvalues[i] = (q+1) - adjacency_eigenvalues[i].
     """
 
-    q: int
-    delta: int
-    r_s: int
     orbit_sizes: np.ndarray
     omega: np.ndarray
     degrees: np.ndarray
@@ -164,9 +162,6 @@ def spherical_table(ctx, r_s):
     rows = spherical_rows(ctx)
     adj, order = _row_order(ctx, r_s)
     return SphericalTable(
-        q=ctx.q,
-        delta=ctx.delta,
-        r_s=r_s,
         orbit_sizes=scheme(ctx).sizes.copy(),
         omega=rows.omega[order],
         degrees=rows.degrees[order],
@@ -240,57 +235,3 @@ def closed_forms(ctx):
     cuspidal["verbatim"][1] = np.nan  # the pole of (1+r)/(1-r)
     antipodal = -chars.norm_one[:, (q + 1) // 2]  # -nu_j(-1), -1 = zeta^((q-1)(q+1)/2)
     return ClosedForms(principal, cuspidal, antipodal)
-
-
-class CharacterMatch(NamedTuple):
-    """One character class, its spectral row and its certificate residual."""
-
-    kind: str  # "principal" | "cuspidal"
-    index: int
-    row: int
-    max_deviation: float  # the row's certificate residual
-    excluded_radii: tuple = ()
-    infinity_reading: str = ""
-    verbatim_deviation: float = 0.0  # cuspidal only: gap of the as-stated constant
-
-
-class MatchReport(NamedTuple):
-    table: SphericalTable
-    matches: list
-    max_imag: float
-
-    @property
-    def principal(self):
-        return [m for m in self.matches if m.kind == "principal"]
-
-    @property
-    def cuspidal(self):
-        return [m for m in self.matches if m.kind == "cuspidal"]
-
-
-def match_formulas_to_oracle(ctx, r_s):
-    """Every character class, its row of ``spherical_table(ctx, r_s)`` and its deviations.
-
-    Row i of ``spherical_rows`` is the i-th class, so r_s only renumbers the
-    rows. The antipodal readings differ by nu0(-1) = (-1)^((q+1)/2), so they
-    coincide exactly when q = 3 mod 4; otherwise the rows hold "minus_nu",
-    -nu_j(-1). The verbatim deviation is the as-stated constant's gap from the
-    row outside radii {1, 4*delta}; max_imag is over the closed-form values
-    the rows take.
-    """
-    q = ctx.q
-    table = spherical_table(ctx, r_s)
-    rows = spherical_rows(ctx)
-    forms = closed_forms(ctx)
-    position = np.argsort(_row_order(ctx, table.r_s)[1])
-    reading = "both (readings coincide)" if q % 4 == 3 else "minus_nu"
-    matches = []
-    for i, (kind, j) in enumerate(character_classes(q)):
-        match = CharacterMatch(kind, j, int(position[i]), float(rows.residuals[i]))
-        if kind == "cuspidal":
-            verbatim = np.nanmax(np.abs(rows.omega[i] - forms.cuspidal["verbatim"][:, j]))  # NaN at 1, 4*delta
-            match = match._replace(excluded_radii=(1,), infinity_reading=reading, verbatim_deviation=float(verbatim))
-        matches.append(match)
-    half = (q - 1) // 2
-    values = (forms.principal[:, : half + 1], forms.cuspidal["reconciled"][:, 1 : half + 1])  # NaN + 0j at 4*delta
-    return MatchReport(table, matches, max(float(np.abs(v.imag).max()) for v in values))

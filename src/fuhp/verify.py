@@ -28,7 +28,7 @@ from .heat import (
     method_of_images_check,
     stabiliser_orbits,
 )
-from .spherical import match_formulas_to_oracle, spherical_rows, spherical_table
+from .spherical import closed_forms, spherical_rows, spherical_table
 from .theta import _report, classical_theta
 from .uhp import UhpGraph, degenerate_radii, radii_order, scheme
 
@@ -39,7 +39,7 @@ HEAT_T_GRID = (0.0, 0.01, 0.1, 1.0, 10.0)
 # prime q <= 211 (q=17, r_s=11; 4.1u(q+1) at r_s = 1), at one and at two BLAS threads, not growing with q,
 # so c = 16 leaves a factor 3
 SPECTRUM_AGREEMENT = 16
-# c in |Im v| <= c*u over the closed-form values v that the rows take (``MatchReport.max_imag``), each a real
+# c in |Im v| <= c*u over the closed-form values v that the rows take (``formula_match_checks``), each a real
 # character sum formed as ``spherical.closed_forms`` forms it: sum_k w_k Im(e^(i theta_k)) / (q+1), with real
 # weights w_k (a sphere's dlog histogram, or the cuspidal signs) whose |w_k| add to at most q+1, so an error
 # of e*u in every term moves it by at most e*u. A phase rounds its angle 2*pi*a/m < 2*pi three times (up to
@@ -232,18 +232,23 @@ def radius_checks(ctx, r_s):
     return out
 
 
-def formula_match_checks(report):
-    """Checks on a match_formulas_to_oracle report."""
-    q = report.table.q
+def formula_match_checks(ctx):
+    """The closed forms behind the certified rows: real values, and the gap of the as-stated cuspidal constant."""
+    q, half = ctx.q, (ctx.q - 1) // 2
+    forms = closed_forms(ctx)
     out = []
-    _check(out, f"q={q} formula values real", report.max_imag <= REAL_VALUE_AGREEMENT * UNIT_ROUNDOFF,
-           f"max imag {report.max_imag:.1e}")
+    # the values of the classes of ``spherical.character_classes``, NaN + 0j at 4*delta
+    imag = max(float(np.abs(v.imag).max()) for v in (forms.principal[:, : half + 1],
+                                                     forms.cuspidal["reconciled"][:, 1 : half + 1]))
+    _check(out, f"q={q} formula values real", imag <= REAL_VALUE_AGREEMENT * UNIT_ROUNDOFF, f"max imag {imag:.1e}")
     if q == 3:  # 0, 1 and 4*delta are all of F_3, and both constants give 1 at r=0: nothing ran
         _check(out, "q=3 as-stated cuspidal constant gap", False, NO_AUDITED_RADIUS, finding_only=True)
         return out
+    # the as-stated constant against the cuspidal rows, NaN at its pole r=1 and at 4*delta
+    verbatim = forms.cuspidal["verbatim"][:, 1 : half + 1].T
+    verb = float(np.nanmax(np.abs(spherical_rows(ctx).omega[half + 1 :] - verbatim)))
     # the stated 2(1+r)/(1-r) is 2 - r/delta in F_q exactly when r(r - 1 - 4 delta) = 0: at r = 4 delta + 1
-    verb = max(m.verbatim_deviation for m in report.cuspidal)
-    agree = (4 * report.table.delta + 1) % q
+    agree = (4 * ctx.delta + 1) % q
     _check(out, f"q={q} as-stated cuspidal constant gap", verb <= 1e-9, f"max deviation {verb:.3f} (measured "
            f"finding); the constants agree exactly at {f'r={agree}' if agree else 'no audited radius'}",
            finding_only=True)
@@ -339,14 +344,26 @@ def classical_theta_checks():
     _check(out, "classical theta periodicity", per <= 1e-12, f"{per:.1e}")
     h = 1e-4
     z0, t0 = 0.2, 1.0
+    theta = classical_theta(z0, t0).value
     dt = (classical_theta(z0, t0 + h).value - classical_theta(z0, t0 - h).value) / (2 * h)
-    dzz = (
-        classical_theta(z0 + h, t0).value
-        - 2 * classical_theta(z0, t0).value
-        + classical_theta(z0 - h, t0).value
-    ) / (h * h)
+    dzz = (classical_theta(z0 + h, t0).value - 2 * theta + classical_theta(z0 - h, t0).value) / (h * h)
     rel = abs(dt - dzz / (4 * math.pi)) / abs(dt)
-    _check(out, "classical theta heat identity", rel <= 1e-6, f"relative error {rel:.1e}")
+    # theta_t = theta_zz/(4 pi), and the two central differences miss it by their truncation, h^2/6 theta_ttt
+    # and h^2/12 theta_zzzz/(4 pi) at points of the stencil. Each is bounded termwise, pairing n with -n, by
+    # its series at the stencil's least t with |cos(2 pi n z)| <= |cos(2 pi n z0)| + 2 pi n h: 0.84 and 41.9,
+    # 5.0e-8 relative. Each theta value errs by at most 5u relative: the exp and cos of its n = +-1 terms, up
+    # to 19u at a weight 2e^(-pi) = 0.086, three additions that round (the later terms are below u), and the
+    # rounding of z0 +- h, 0.1u. The stencil weights 1+1 and 1+2+1 carry that to dt and dzz/(4 pi):
+    # 5u|theta| (1/h + 1/(pi h^2)) over |theta_t|, 2.2e-7 relative. Measured 4.8e-8, nearly all of it
+    # truncation (h^2 pi^2/2 from the n = +-1 terms), and each theta value within 1.5u; the bare bound was 1e-6
+    n = np.arange(1, 26)
+    swing = np.minimum(1, np.abs(np.cos(2 * math.pi * n * z0)) + 2 * math.pi * n * h)
+    terms = 2 * np.exp(-math.pi * n * n * (t0 - h)) * swing
+    theta_ttt, theta_zzzz = np.sum((math.pi * n * n) ** 3 * terms), np.sum((2 * math.pi * n) ** 4 * terms)
+    truncation = h * h * (theta_ttt / 6 + theta_zzzz / (48 * math.pi))
+    rounding = 5 * UNIT_ROUNDOFF * abs(theta) * (1 / h + 1 / (math.pi * h * h))
+    bound = (truncation + rounding) / abs(dt)
+    _check(out, "classical theta heat identity", rel <= bound, f"relative error {rel:.1e}")
     return out
 
 
@@ -370,9 +387,9 @@ def run_battery(q_list, include_lift=False):
             results += checks
             if checks[0].passed and graph is None:
                 graph = UhpGraph(ctx, r_s, affine_spectrum(ctx, r_s).generators)
+        results += formula_match_checks(ctx)
         if graph is None:
             continue
-        results += formula_match_checks(match_formulas_to_oracle(ctx, graph.r_s))
         results += heat_checks(graph)
         results += theta_checks(ctx, graph.r_s)
         if include_lift:

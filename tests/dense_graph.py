@@ -154,9 +154,6 @@ def radial_eigenbasis(graph):
     degrees = np.array([rows[i][1] for i in order])
     adj_eigs = np.array([rows[i][2] for i in order])
     return SphericalTable(
-        q=q,
-        delta=ctx.delta,
-        r_s=graph.r_s,
         orbit_sizes=sizes,
         omega=omega,
         degrees=degrees,

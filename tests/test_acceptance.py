@@ -16,7 +16,7 @@ from fuhp.heat import (
     initial_condition_check,
     method_of_images_check,
 )
-from fuhp.spherical import match_formulas_to_oracle, spherical_table
+from fuhp.spherical import _row_order, closed_forms, spherical_rows, spherical_table
 from fuhp.theta import classical_theta, finite_theta, theta_consistency_report
 from fuhp.uhp import build_graph, degenerate_radii
 
@@ -98,14 +98,13 @@ def test_criterion_5_spherical_table_invariants(sweep):
 @pytest.mark.parametrize("q", [5, 7])
 def test_criterion_6_formula_reconciliation(q):
     ctx = field_context(q)
-    report = match_formulas_to_oracle(ctx, 1)
-    assert len(report.matches) == q
-    assert len({m.row for m in report.matches}) == q  # unique row per class
-    for m in report.principal:
-        assert m.max_deviation <= 1e-9  # all radii
-    for m in report.cuspidal:
-        assert m.max_deviation <= 1e-9  # all radii except the excluded r=1
-        assert m.excluded_radii == (1,)
+    rows = spherical_rows(ctx)
+    assert len(rows.omega) == q  # one certified row per character class
+    row = np.argsort(_row_order(ctx, 1)[1])  # class i -> its row of spherical_table(ctx, 1)
+    assert sorted(row.tolist()) == list(range(q))  # unique row per class
+    assert np.array_equal(spherical_table(ctx, 1).omega[row], rows.omega)
+    assert rows.residuals.max() <= 1e-9  # every class, at all radii, r=1 included
+    assert np.isnan(closed_forms(ctx).cuspidal["verbatim"][1]).all()  # the stated form's pole r=1
 
 
 def test_criterion_7_method_of_images():

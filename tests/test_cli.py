@@ -726,6 +726,18 @@ def test_classical_theta_reads_no_field(field, monkeypatch, capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_classical_theta_needs_no_q(capsys):
+    # --classical reads only --t, --n-max and --out, but argparse required --q of every theta call
+    assert main(["theta", "--q", "5", "--classical", "0.2", "--t", "1"]) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert main(["theta", "--classical", "0.2", "--t", "1"]) == EXIT_OK
+    assert capsys.readouterr().out == expected
+    # the finite report still needs its field: invalid input, one error line
+    assert main(["theta", "--t", "1"]) == EXIT_BAD_INPUT
+    assert [line for line in capsys.readouterr().err.splitlines() if "error:" in line] == [
+        "error: the following arguments are required: --q (or --classical)"]
+
+
 def test_classical_theta_of_a_large_z_is_its_value_at_the_reduced_z(capsys):
     # theta has period 1 in z and 1e307 is an integer; unreduced, its phases 2 pi n z overflowed and
     # the call failed with "math domain error"

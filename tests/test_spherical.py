@@ -14,15 +14,20 @@ from fuhp.spherical import (
     character_classes,
     closed_forms,
     intersection_matrices,
-    match_formulas_to_oracle,
     spherical_rows,
     spherical_table,
 )
 from fuhp.theta import finite_theta, theta_consistency_report
 from fuhp.uhp import build_graph, degenerate_radii, radii_order, scheme
+from fuhp.verify import formula_match_checks
 
 from dense_graph import Point, broadcast_radial_rows, distance, enumerate_points, radial_eigenbasis, sphere
 from scalar_reference import beta, norm_one_subgroup, nu, nu0, quadratic_character
+
+
+def row_map(ctx, r_s):
+    """Class i of ``character_classes`` -> its row of ``spherical_table(ctx, r_s)``, as the CLI's sweep writes it."""
+    return np.argsort(fuhp.spherical._row_order(ctx, r_s)[1])
 
 
 def table_for(q, r_s=None, delta=None):
@@ -195,20 +200,23 @@ def test_every_cuspidal_entry_is_its_character_sum_within_a_few_u(q):
 
 def test_cuspidal_matches_oracle_rows_q5():
     ctx = field_context(5)
-    report = match_formulas_to_oracle(ctx, 1)
-    table = report.table
+    rows, table, row = spherical_rows(ctx), spherical_table(ctx, 1), row_map(ctx, 1)
     cusp = closed_forms(ctx).cuspidal["reconciled"]
-    for m in report.cuspidal:
-        assert m.max_deviation <= 1e-10
+    for i, (kind, j) in enumerate(character_classes(5)):
+        if kind != "cuspidal":
+            continue
+        assert rows.residuals[i] <= 1e-10
         for r in (0, 2, 4):  # radii where the sum form applies (3 = 4*delta)
-            assert cusp[r, m.index].real == pytest.approx(table.omega[m.row, r], abs=1e-10)
+            assert cusp[r, j].real == pytest.approx(table.omega[row[i], r], abs=1e-10)
 
 
 def test_cuspidal_verbatim_variant_disagrees_somewhere():
     # the as-stated constant reproduces some classes but not all; the gap is
-    # what the match report measures
-    report = match_formulas_to_oracle(field_context(7), 1)
-    gaps = [m.verbatim_deviation for m in report.cuspidal]
+    # what "as-stated cuspidal constant gap" reports
+    ctx = field_context(7)
+    rows, verbatim = spherical_rows(ctx), closed_forms(ctx).cuspidal["verbatim"]
+    gaps = [np.nanmax(np.abs(rows.omega[i] - verbatim[:, j]))  # NaN at the pole r=1 and at 4*delta
+            for i, (kind, j) in enumerate(character_classes(7)) if kind == "cuspidal"]
     assert max(gaps) > 0.1
 
 
@@ -220,7 +228,7 @@ def test_laplace_eigenvalue_relation():
     assert sorted(np.round(lam, 6).tolist()) == [0.0, 4.0, 6.0]
     for q in (3, 5, 7, 13):
         ctx, graph, table = table_for(q)
-        lam = (q + 1) * (1 - table.omega[:, table.r_s])
+        lam = (q + 1) * (1 - table.omega[:, 1])
         np.testing.assert_allclose(lam, table.laplacian_eigenvalues, rtol=0, atol=1e-10)
 
 
@@ -228,42 +236,38 @@ def test_match_q3_by_elimination():
     # the cuspidal row is the one left over, (1, -0.5, 1): its sum at r=1 and its antipodal value at
     # r=2=4*delta
     ctx = field_context(3)
-    report = match_formulas_to_oracle(ctx, 1)
-    assert {m.row for m in report.matches} == {0, 1, 2}
-    principal_rows = {m.index: m.row for m in report.principal}
+    table, row = spherical_table(ctx, 1), row_map(ctx, 1)
+    assert character_classes(3) == [("principal", 0), ("principal", 1), ("cuspidal", 1)]
+    assert sorted(row.tolist()) == [0, 1, 2]
     # beta_0 -> constant row, beta_1 -> (1, 0, -1); the remaining row is cuspidal
-    table = report.table
-    assert table.degrees[principal_rows[0]] == 1
-    assert table.degrees[principal_rows[1]] == 3
-    (cusp,) = report.cuspidal
-    assert cusp.row == ({0, 1, 2} - set(principal_rows.values())).pop()
-    assert table.omega[cusp.row].tolist() == [1.0, -0.5, 1.0]
-    assert table.degrees[cusp.row] == 2
-    assert cusp.excluded_radii == (1,)
+    assert table.degrees[row[0]] == 1
+    assert table.degrees[row[1]] == 3
+    assert table.omega[row[2]].tolist() == [1.0, -0.5, 1.0]
+    assert table.degrees[row[2]] == 2
+    assert np.isnan(closed_forms(ctx).cuspidal["verbatim"][1]).all()  # the stated constant's pole r=1
 
 
 @pytest.mark.parametrize("q", [5, 7])
 def test_match_unique_rows_and_tolerances(q):
     ctx = field_context(q)
-    report = match_formulas_to_oracle(ctx, 1)
-    assert len(report.matches) == q
-    assert len({m.row for m in report.matches}) == q
-    for m in report.principal:
-        assert m.max_deviation <= 1e-9
-    for m in report.cuspidal:
-        assert m.max_deviation <= 1e-9
-        assert m.excluded_radii == (1,)
-    assert report.max_imag <= 1e-10
+    rows = spherical_rows(ctx)
+    assert len(rows.omega) == len(character_classes(q)) == q
+    assert sorted(row_map(ctx, 1).tolist()) == list(range(q))
+    assert rows.residuals.max() <= 1e-9  # every class, r=1 included
+    assert np.isnan(closed_forms(ctx).cuspidal["verbatim"][1]).all()  # the stated constant's pole r=1
+    (real,) = [r for r in formula_match_checks(ctx) if r.name == f"q={q} formula values real"]
+    assert real.passed, real.detail  # within 40u, far below 1e-10
 
 
 def test_antipodal_reading_is_minus_nu():
-    # at q = 1 mod 4 the two candidate readings differ; the spectral match
-    # picks -nu(-1) every time
-    for q in (5, 13):
-        report = match_formulas_to_oracle(field_context(q), 1)
-        assert all(m.infinity_reading == "minus_nu" for m in report.cuspidal)
-    report = match_formulas_to_oracle(field_context(7), 1)
-    assert all(m.infinity_reading.startswith("both") for m in report.cuspidal)
+    # at q = 1 mod 4 the two candidate readings differ; the certified rows
+    # hold -nu(-1) every time
+    for q in (5, 13, 7):
+        ctx = field_context(q)
+        half, deg1 = (q - 1) // 2, degenerate_radii(ctx)[1]
+        antipodal = closed_forms(ctx).antipodal
+        assert np.array_equal(spherical_rows(ctx).omega[half + 1 :, deg1], antipodal[1 : half + 1].real)
+        assert np.array_equal(_other_reading(ctx, antipodal), antipodal) is (q % 4 == 3)
 
 
 def test_inverse_character_gives_equal_cuspidal_function():
@@ -347,9 +351,8 @@ def test_match_and_reconciled_theta_at_a_colliding_radius():
     ctx = field_context(13)
     table = spherical_table(ctx, 1)
     assert len(table.spectrum()) < len(table.omega)
-    report = match_formulas_to_oracle(ctx, 1)
-    assert len({m.row for m in report.matches}) == 13
-    assert max(m.max_deviation for m in report.matches) <= 1e-9
+    assert sorted(row_map(ctx, 1).tolist()) == list(range(13))
+    assert spherical_rows(ctx).residuals.max() <= 1e-9
     theta = theta_consistency_report(ctx, 1, [0.1, 1.0])
     assert theta.reconciled_deviation[:, theta.radii].max() <= 1e-9
     assert finite_theta(ctx, table, 0, 0.0) == pytest.approx(13 * 12, abs=1e-9)
@@ -434,29 +437,20 @@ def test_an_asymmetric_count_fails_the_scheme_check(monkeypatch):
 
 @pytest.mark.parametrize("q", [5, 7, 13, 29])
 def test_match_is_the_same_at_every_generating_radius(q):
-    # the classes and their rows belong to (q, delta): each report, read back in the
-    # rows' own order, is one assignment with bit-equal deviations and readings
+    # the classes and their rows belong to (q, delta): each table, read back through its
+    # row map in the rows' own order, is the one assignment of the certified rows
     ctx = field_context(q)
     forms = closed_forms(ctx)
     rows = spherical_rows(ctx)
     own_row = {row.tobytes(): i for i, row in enumerate(rows.omega)}
-    seen = None
     for r_s in radii_order(ctx)[2:]:
-        report = match_formulas_to_oracle(ctx, r_s)
-        table = report.table
-        assert table.r_s == r_s
-        for m in report.principal:
-            assert np.array_equal(table.omega[m.row], forms.principal[:, m.index].real)
-        summary = {
-            (m.kind, m.index): (own_row[table.omega[m.row].tobytes()], m.max_deviation,
-                                m.verbatim_deviation, m.infinity_reading)
-            for m in report.matches
-        }
-        assert len(summary) == q
-        # row i of the certified rows is the i-th class, and its deviation is that row's residual
-        assert [summary[c][:2] for c in character_classes(q)] == list(zip(range(q), rows.residuals.tolist()))
-        assert seen is None or (summary, report.max_imag) == seen
-        seen = summary, report.max_imag
+        table, row = spherical_table(ctx, r_s), row_map(ctx, r_s)
+        assert np.array_equal(table.adjacency_eigenvalues, (q + 1) * table.omega[:, r_s])
+        for i, (kind, j) in enumerate(character_classes(q)):
+            if kind == "principal":
+                assert np.array_equal(table.omega[row[i]], forms.principal[:, j].real)
+        # row i of the certified rows is the i-th class
+        assert [own_row[table.omega[row[i]].tobytes()] for i in range(q)] == list(range(q))
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 13])
@@ -469,16 +463,15 @@ def test_the_reconciled_kernel_is_the_spectral_kernel_of_the_character_sums(q):
     sizes = scheme(ctx).sizes
     t_grid = [0.0, 0.1, 1.0, 5.0]
     for r_s in radii_order(ctx)[2:]:
-        report = match_formulas_to_oracle(ctx, r_s)
-        table = report.table
-        for m in report.matches:
-            row = table.omega[m.row]
-            if m.kind == "principal":
-                assert np.array_equal(row, forms.principal[:, m.index].real)
+        table = spherical_table(ctx, r_s)
+        for (kind, j), i in zip(character_classes(q), row_map(ctx, r_s)):
+            row = table.omega[i]
+            if kind == "principal":
+                assert np.array_equal(row, forms.principal[:, j].real)
                 continue
             defined = [r for r in range(q) if r != deg1]
-            assert np.array_equal(row[defined], forms.cuspidal["reconciled"][defined, m.index].real)
-            assert row[deg1] == forms.antipodal[m.index].real
+            assert np.array_equal(row[defined], forms.cuspidal["reconciled"][defined, j].real)
+            assert row[deg1] == forms.antipodal[j].real
             # orthogonal to the constant row as "weighted orthogonality" measures it, not by construction
             assert abs(row @ sizes) <= TABLE_SUM_AGREEMENT * UNIT_ROUNDOFF * q * (q - 1)
         theta = theta_consistency_report(ctx, r_s, t_grid, mode="reconciled")
@@ -536,9 +529,8 @@ def test_tied_rows_appear_in_class_order(q):
     ctx = field_context(q)
     ties = 0
     for r_s in radii_order(ctx)[2:]:
-        report = match_formulas_to_oracle(ctx, r_s)
-        class_of = {m.row: i for i, m in enumerate(report.matches)}
-        a = report.table.adjacency_eigenvalues
+        class_of = {int(row): i for i, row in enumerate(row_map(ctx, r_s))}
+        a = spherical_table(ctx, r_s).adjacency_eigenvalues
         head = 0
         for i in range(1, q):
             if a[head] - a[i] > EIGENVALUE_CLUSTER_TOL:

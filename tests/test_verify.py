@@ -26,13 +26,13 @@ from fuhp.heat import (
     initial_condition_check,
     stabiliser_orbits,
 )
-from fuhp.spherical import match_formulas_to_oracle
 from fuhp.theta import theta_consistency_report
 from fuhp.uhp import build_graph, cayley_certificate, radii_order, scheme, vertex_index
 from fuhp.verify import (
     LIFT_MAX_Q,
     REAL_VALUE_AGREEMENT,
     character_checks,
+    classical_theta_checks,
     field_checks,
     formula_match_checks,
     heat_checks,
@@ -61,21 +61,21 @@ def test_battery_builds_one_graph_per_q_and_one_match(monkeypatch):
         func = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls.append((name, args[1]))  # the radius
+            calls.append((name, args[1] if len(args) > 1 else None))  # the radius of a graph
             return func(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
     counted(fuhp.verify, "UhpGraph")
-    counted(fuhp.verify, "match_formulas_to_oracle")
+    counted(fuhp.verify, "formula_match_checks")
     fuhp.spherical.spherical_rows.cache_clear()
     assert not any(r.fatal for r in run_battery([7]))
     # the walk's graph, at the first regular radius, on the generators the certificate proved there
     assert [r_s for name, r_s in calls if name == "UhpGraph"] == [1]
     assert not hasattr(fuhp.verify, "build_graph")
     assert not {"build_graph", "UhpGraph"} & set(vars(fuhp.theta))  # the theta report needs no graph
-    assert [name for name, _ in calls].count("match_formulas_to_oracle") == 1
-    # every table, the match and the theta report read the same certified rows: they are computed once
+    assert [name for name, _ in calls].count("formula_match_checks") == 1
+    # every table, the formula checks and the theta report read the same certified rows: computed once
     assert fuhp.spherical.spherical_rows.cache_info().misses == 1
 
 
@@ -152,10 +152,10 @@ def test_the_per_radius_phase_proves_each_connection_set_once(monkeypatch, affin
     ctx = field_context(7)
     calls = []
     _count_certificates(monkeypatch, calls)
-    real_match = fuhp.verify.match_formulas_to_oracle
+    real_checks = fuhp.verify.formula_match_checks
     # the first call after the radius loop marks the end of the per-radius phase
-    monkeypatch.setattr(fuhp.verify, "match_formulas_to_oracle",
-                        lambda *args: calls.append("end") or real_match(*args))
+    monkeypatch.setattr(fuhp.verify, "formula_match_checks",
+                        lambda *args: calls.append("end") or real_checks(*args))
     assert not any(r.fatal for r in run_battery([7]))
     assert not hasattr(fuhp.verify, "cayley_certificate")
     assert calls[: calls.index("end")] == radii_order(ctx)[2:]
@@ -254,7 +254,7 @@ def test_the_field_and_character_checks_read_the_arrays_the_computation_reads(na
 def test_at_q3_no_radius_is_audited_and_both_verbatim_lines_are_findings_that_say_so():
     # 0, 1 and 4*delta are all of F_3: neither audit has a radius, so neither line may pass
     ctx = field_context(3)
-    checks = formula_match_checks(match_formulas_to_oracle(ctx, 1)) + theta_checks(ctx, 1)
+    checks = formula_match_checks(ctx) + theta_checks(ctx, 1)
     assert [(r.name, r.passed, r.finding_only, r.detail) for r in checks if "gap" in r.name] == [
         (f"q=3 {name}", False, True, "skipped: no radius outside {0, 1, 4*delta} to audit at this q")
         for name in ("as-stated cuspidal constant gap", "verbatim theta gap")]
@@ -402,8 +402,7 @@ def test_the_cuspidal_constant_finding_names_the_radius_where_the_constants_agre
     # the stated 2(1+r)/(1-r) equals 2 - r/delta in F_q exactly when r(r - 1 - 4 delta) = 0, so on the
     # audited radii the two closed forms agree at r = 4 delta + 1 alone
     ctx = field_context(q)
-    (check,) = [r for r in formula_match_checks(match_formulas_to_oracle(ctx, 1))
-                if r.name == f"q={q} as-stated cuspidal constant gap"]
+    (check,) = [r for r in formula_match_checks(ctx) if r.name == f"q={q} as-stated cuspidal constant gap"]
     agree = (4 * ctx.delta + 1) % q
     assert check.finding_only and not check.passed
     assert check.detail.endswith(f"the constants agree exactly at r={agree}")
@@ -633,6 +632,21 @@ def test_verify_reports_a_refused_connection_set_and_runs_on(monkeypatch, affine
     assert len(others) == 4 * 5 and all(line in lines for line in others)
 
 
+def test_the_formula_checks_run_when_no_connection_set_passes(monkeypatch, affine_cache):
+    # the closed forms are facts of (q, delta): they were checked only once some radius had passed
+    clean = {r.name: r for r in run_battery([7])}
+
+    def refuse(ctx, r_s):
+        raise AssertionError("refused")
+
+    monkeypatch.setattr(fuhp.heat, "cayley_certificate", refuse)
+    fuhp.heat.affine_spectrum.cache_clear()  # it holds the clean run's last connection set
+    results = {r.name: r for r in run_battery([7])}
+    assert all(results[f"q=7 r_s={r_s} graph built"].fatal for r_s in radii_order(field_context(7))[2:])
+    for name in ("q=7 formula values real", "q=7 as-stated cuspidal constant gap"):
+        assert results[name] == clean[name]
+
+
 def test_an_uncertified_table_fails_one_line_and_the_battery_runs_on(monkeypatch, capsys):
     # the certificate's AssertionError once escaped the battery: exit 2 and no check line
     assert main(["verify", "--q", "11"]) == 0
@@ -658,15 +672,29 @@ def test_an_uncertified_table_fails_one_line_and_the_battery_runs_on(monkeypatch
 def test_the_formula_values_real_check_is_bounded_by_its_error_model(monkeypatch):
     # |Im v| <= REAL_VALUE_AGREEMENT*u (verify.py): an imaginary part ten times that fails, half of it
     # passes; the former bare 1e-10 was 22,500 times the bound
-    ctx, real = field_context(7), fuhp.spherical.closed_forms
+    ctx, real = field_context(7), fuhp.verify.closed_forms
     bound = REAL_VALUE_AGREEMENT * UNIT_ROUNDOFF
     for imag, passes in ((0.5 * bound, True), (10 * bound, False)):
         forms = real(ctx)._replace(principal=real(ctx).principal.copy())
         forms.principal[2, 1] = forms.principal[2, 1].real + 1j * imag
-        monkeypatch.setattr(fuhp.spherical, "closed_forms", lambda c, forms=forms: forms)
-        report = match_formulas_to_oracle(ctx, 1)
-        assert report.max_imag == imag
-        (check,) = [r for r in formula_match_checks(report) if r.name == "q=7 formula values real"]
+        monkeypatch.setattr(fuhp.verify, "closed_forms", lambda c, forms=forms: forms)
+        (check,) = [r for r in formula_match_checks(ctx) if r.name == "q=7 formula values real"]
+        assert check.detail == f"max imag {imag:.1e}"  # the moved value is the largest
+        assert check.passed is passes, check.detail
+
+
+def test_the_classical_heat_identity_is_bounded_by_its_error_model(monkeypatch):
+    # theta(z0, t0 + h) moved by 1e-11 relative moves dt by 6.1e-7 relative, past the derived bound of
+    # 2.7e-7 but inside the former bare 1e-6; moved by 1e-12 (6.1e-8) it stays inside
+    real = fuhp.verify.classical_theta
+    for move, passes in ((1e-12, True), (1e-11, False)):
+
+        def moved(z, t, n_max=25, move=move):
+            got = real(z, t, n_max)
+            return got._replace(value=got.value * (1 - move)) if (z, t) == (0.2, 1.0 + 1e-4) else got
+
+        monkeypatch.setattr(fuhp.verify, "classical_theta", moved)
+        (check,) = [r for r in classical_theta_checks() if r.name == "classical theta heat identity"]
         assert check.passed is passes, check.detail
 
 
