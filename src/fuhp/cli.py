@@ -314,7 +314,7 @@ def cmd_verify(args):
     for q in q_list:
         if q > cap:
             raise ValueError(f"q={q} exceeds FUHP_MAX_Q={cap}")
-        field_context(q)  # validates primality early, exit 2 on bad input
+        find_nonsquare(q)  # validates primality early, exit 2 on bad input
     results = run_battery(q_list, include_lift=args.include_lift)
     fatal = [r for r in results if r.fatal]
     findings = [r for r in results if not r.passed and r.finding_only]

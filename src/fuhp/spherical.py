@@ -10,11 +10,11 @@ family, a sign-weighted character sum over the norm-one subgroup U.
 ``closed_forms`` evaluates both families once per (q, delta) as arrays, the
 one reader of their values, and ``spherical_rows`` builds the q rows from
 them and certifies each as a common eigenvector of the integer intersection
-matrices B_r, so the closed forms are claims checked against the scheme, not
-definitions taken on trust. r_s only selects the eigenvalues a_i =
-(q+1)*omega_i(r_s) and the row order of ``spherical_table``; row i of
-``spherical_rows`` stays the i-th of ``character_classes``, with its
-certificate residual.
+matrices B_r, each formed as it is checked, so the closed forms are claims
+checked against the scheme, not definitions taken on trust. r_s only
+selects the eigenvalues a_i = (q+1)*omega_i(r_s) and the row order of
+``spherical_table``; row i of ``spherical_rows`` stays the i-th of
+``character_classes``, with its certificate residual.
 """
 
 import functools
@@ -24,7 +24,7 @@ import numpy as np
 
 from .characters import character_tables
 from .heat import UNIT_ROUNDOFF
-from .uhp import affine_product, degenerate_radii, regular_radius, scheme, unsigned_dtype
+from .uhp import affine_product, degenerate_radii, regular_radius, scheme
 
 EIGENVALUE_CLUSTER_TOL = 1e-8
 # c in |B_r omega_i - |S_r| omega_i(r) omega_i| <= c*u*(q+1) entrywise over the rows of spherical_rows, which
@@ -72,22 +72,18 @@ def _cluster_heads(adj, lam):
     return heads
 
 
-@functools.lru_cache(maxsize=1)
 def intersection_matrices(ctx):
-    """B_r[r1, r2] = #{s in S_r : d(z_r1 . s, sqrt(delta)) = r2} as one read-only array [r, r1, r2].
+    """Yield B_r[r1, r2] = #{s in S_r : d(z_r1 . s, sqrt(delta)) = r2} for r = 0, ..., q-1, one at a time.
 
-    The counts are at most q+1, so uint8 up to q = 254. Filled one orbit
-    representative z_r1 (a bincount over n vertices) at a time.
+    Block r is a q x q bincount of the radii of z_r1 . s over the q orbit representatives z_r1 and the
+    points s of S_r, the members of one stable argsort of the labels: O(q^2) per radius, and none is kept.
     """
     q = ctx.q
-    x, y, labels, _, reps = scheme(ctx)
-    counts = np.empty((q, q, q), dtype=unsigned_dtype(q + 1))
-    for r1, rep in enumerate(reps):
-        # the radius of z_r1 . w for every vertex w, counted by the radius of w
-        moved = labels[affine_product(q, x[rep], y[rep], x, y)]
-        counts[:, r1] = np.bincount(labels * q + moved, minlength=q * q).reshape(q, q)
-    counts.flags.writeable = False
-    return counts
+    x, y, labels, sizes, reps = scheme(ctx)
+    rows = np.arange(q)[:, None] * q
+    for sphere in np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1]):
+        moved = labels[affine_product(q, x[reps, None], y[reps, None], x[sphere], y[sphere])]  # [r1, s]
+        yield np.bincount((rows + moved).ravel(), minlength=q * q).reshape(q, q)
 
 
 class SphericalRows(NamedTuple):
@@ -114,8 +110,8 @@ def spherical_rows(ctx):
     q+1 (other principal), q-1 (cuspidal). A row that is no common
     eigenvector of the integer ``intersection_matrices``, B_r omega_i = |S_r|
     omega_i(r) omega_i at every r within CERTIFICATE_AGREEMENT*u*(q+1), raises
-    AssertionError, as does a count that is no scheme's. O(q^4) time, O(q^2)
-    scratch beyond B_r.
+    AssertionError, as does a count that is no scheme's. O(q^4) time and
+    O(q^2) scratch: each B_r is checked as it is formed, and none is kept.
     """
     q = ctx.q
     half = (q - 1) // 2
@@ -125,9 +121,8 @@ def spherical_rows(ctx):
     cusp[:, degenerate_radii(ctx)[1]] = forms.antipodal[1 : half + 1].real
     omega = np.vstack([forms.principal[:, : half + 1].real.T, cusp])
     degrees = np.concatenate([[1], np.full(half - 1, q + 1), [q], np.full(half, q - 1)])
-    counts = intersection_matrices(ctx)
     residuals = np.zeros(q)
-    for r, block in enumerate(counts):
+    for r, block in enumerate(intersection_matrices(ctx)):
         pairs = block * sizes[:, None]
         if not np.array_equal(pairs, pairs.T):
             raise AssertionError("|S_r1| B_r[r1, r2] must be symmetric: distance classes are not a scheme")

@@ -102,7 +102,7 @@ class UhpGraph:
         x, y, *_ = scheme(ctx)
         self.ctx = ctx
         self.r_s = r_s
-        self.by_generator = np.empty((len(generators), len(x)), dtype=unsigned_dtype(len(x) - 1, np.uint16))
+        self.by_generator = np.empty((len(generators), len(x)), dtype=unsigned_dtype(len(x) - 1))
         for k, s in enumerate(generators):
             self.by_generator[k] = affine_product(ctx.q, x, y, x[s], y[s])  # z . s_k for every vertex z
         self.neighbors = self.by_generator.T
@@ -131,9 +131,9 @@ class UhpGraph:
         return self._eig
 
 
-def unsigned_dtype(largest, floor=np.uint8):
-    """The smallest unsigned integer dtype, and at least ``floor``, that holds 0..largest."""
-    return np.promote_types(floor, np.min_scalar_type(largest))
+def unsigned_dtype(largest):
+    """The smallest unsigned integer dtype, and at least uint16, that holds 0..largest."""
+    return np.promote_types(np.uint16, np.min_scalar_type(largest))
 
 
 def build_graph(ctx, r_s):

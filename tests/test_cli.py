@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 import fuhp
+import fuhp.cli
 import fuhp.heat
 import fuhp.theta
+import fuhp.verify
 from fuhp.cli import EXIT_BAD_INPUT, EXIT_OK, main
 from fuhp.field import field_context
 from fuhp.spherical import spherical_table
@@ -164,8 +166,8 @@ def test_heat_q101_memory(tmp_path, run_child):
     out = tmp_path / "heat.json"
     child = run_child(["-m", "fuhp.cli", "heat", "--q", "101", "--r-s", "1", "--t", "0,1", "--out", str(out)])
     assert child.exit_code == EXIT_OK
-    # the 64 MB ceiling: importing the package takes about 30 MB; the uint8 scheme counts (1 MB) and
-    # the q x q tables of the spherical rows and the affine oracle add a few MB at q=101; no n-sized
+    # the 64 MB ceiling: importing the package takes about 30 MB; the q x q tables of the spherical
+    # rows, their intersection matrices and the affine oracle add a few MB at q=101; no n-sized
     # array beyond the scheme's coordinates and labels is built
     assert child.peak_mb <= 64, f"peak RSS {child.peak_mb:.1f} MB (wall {child.wall:.2f} s)"
     series = json.loads(out.read_text())["data"]["series"]
@@ -519,6 +521,21 @@ def test_verify_exit_codes(capsys):
     captured = capsys.readouterr().out
     assert "[PASS]" in captured and "failures" in captured
     assert main(["verify", "--q", "2"]) == EXIT_BAD_INPUT
+
+
+def test_verify_builds_one_field_context_per_q(monkeypatch, capsys):
+    # the q list is validated by find_nonsquare, which field_context calls first: only the battery builds
+    built = []
+    for module in (fuhp.cli, fuhp.verify):
+        monkeypatch.setattr(module, "field_context", lambda q, delta=None: built.append(q) or field_context(q, delta))
+    assert main(["verify", "--q", "3,5"]) == EXIT_OK
+    assert built == [3, 5]
+
+
+@pytest.mark.parametrize("q_list, bad", [("3,4", 4), ("2", 2)])
+def test_verify_refuses_a_q_that_is_no_odd_prime(q_list, bad, capsys):
+    assert main(["verify", "--q", q_list]) == EXIT_BAD_INPUT
+    assert capsys.readouterr() == ("", f"error: q must be an odd prime >= 3, got {bad}\n")
 
 
 @pytest.mark.parametrize("q_list", ["", "3,x", "3,,5"])

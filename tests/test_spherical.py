@@ -397,40 +397,59 @@ def test_certified_rows_match_the_eigh_reference_to_q211(q):
     _assert_rows_match_the_eigh_reference(q)
 
 
-def test_certified_rows_scratch_is_one_byte_cube(monkeypatch):
-    # the uint8 counts B_r are the only q^3 array; the rows, their products with one block B_r at a
-    # time and the scheme check's |S_r1| B_r[r1, r2] are q x q
-    monkeypatch.setattr(fuhp.spherical, "intersection_matrices", intersection_matrices.__wrapped__)
+def test_certified_rows_scratch_is_one_byte_cube():
+    # no q^3 array: each block B_r is formed as the certificate checks it, and the rows, their products
+    # with that block and the scheme check's |S_r1| B_r[r1, r2] are q x q (about 11 q^2 floats traced)
     for q in (53, 101):
         ctx = field_context(q)
-        spherical_rows.__wrapped__(ctx)  # warm the per-(q, delta) tables it reads
+        closed_forms(ctx)  # warm the per-(q, delta) tables it reads
         tracemalloc.start()
         try:
-            spherical_rows.__wrapped__(ctx)  # counts included, as the cache is bypassed
+            spherical_rows.__wrapped__(ctx)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= q**3 + 16 * q * q * 8, f"traced peak {peak / 1e6:.2f} MB at q={q}"
+        assert peak <= 16 * q * q * 8, f"traced peak {peak / 1e6:.2f} MB at q={q}"
+
+
+def test_certified_rows_hold_only_the_rows_once_they_return():
+    # the blocks B_r are not kept: the q x q rows (82 kB at q=101) are what the call leaves behind
+    spherical_rows(field_context(3))  # another q's rows in the cache, so the q=101 call below builds them
+    ctx = field_context(101)
+    closed_forms(ctx)  # warm the per-(q, delta) tables it reads
+    tracemalloc.start()
+    try:
+        spherical_rows(ctx)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 0.26e6, f"{held / 2**20:.2f} MiB held"
 
 
 def test_intersection_matrices_are_the_neighbour_counts_of_each_representative():
     q = 13
     ctx = field_context(q)
     vertices = scheme(ctx)
-    counts = intersection_matrices(ctx)
-    assert counts.dtype == np.uint8 and counts.shape == (q, q, q) and not counts.flags.writeable
+    counts = list(intersection_matrices(ctx))
+    assert len(counts) == q and all(block.shape == (q, q) for block in counts)
     for r_s in radii_order(ctx)[2:]:
         graph = build_graph(ctx, r_s)
         for r1, rep in enumerate(vertices.reps):
             around = np.bincount(vertices.labels[graph.neighbors[rep]], minlength=q)
-            assert np.array_equal(counts[r_s, r1], around)
+            assert np.array_equal(counts[r_s][r1], around)
 
 
 def test_an_asymmetric_count_fails_the_scheme_check(monkeypatch):
     ctx = field_context(13)
-    counts = intersection_matrices(ctx).copy()
-    counts[4, 2, 3] += 1  # |S_2| B_4[2, 3] = |S_3| B_4[3, 2] no longer holds
-    monkeypatch.setattr(fuhp.spherical, "intersection_matrices", lambda c: counts)
+    real = intersection_matrices
+
+    def bumped(c):
+        for r, block in enumerate(real(c)):
+            if r == 4:
+                block[2, 3] += 1  # |S_2| B_4[2, 3] = |S_3| B_4[3, 2] no longer holds
+            yield block
+
+    monkeypatch.setattr(fuhp.spherical, "intersection_matrices", bumped)
     with pytest.raises(AssertionError, match="not a scheme"):
         spherical_rows.__wrapped__(ctx)
 
