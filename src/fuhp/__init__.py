@@ -20,9 +20,7 @@ import os
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .field import (
-    ExtElement,
     FieldCtx,
-    ext_norm,
     field_context,
     find_nonsquare,
 )
@@ -44,7 +42,6 @@ from .theta import (
 from .verify import run_battery
 
 __all__ = [
-    "ExtElement",
     "FieldCtx",
     "SphericalTable",
     "UhpGraph",
@@ -52,7 +49,6 @@ __all__ = [
     "character_orthogonality_check",
     "classical_theta",
     "degenerate_radii",
-    "ext_norm",
     "field_context",
     "find_nonsquare",
     "finite_theta",

@@ -123,7 +123,7 @@ def cmd_info(args):
         "q": ctx.q,
         "delta": ctx.delta,
         "base_generator": ctx.g,
-        "extension_generator": [ctx.zeta.a, ctx.zeta.b],
+        "extension_generator": list(ctx.zeta),
         "smallest_nonsquare": find_nonsquare(ctx.q),
         "vertices": ctx.q * (ctx.q - 1),
         "degenerate_radii": [deg0, deg1],

@@ -7,10 +7,9 @@ smallest candidates (lexicographic (a, b) order in the extension), so every
 index derived from them -- character labels, theta phases -- is reproducible
 across runs and machines.
 
-Elements of F_q are plain ints reduced mod q; elements of F_q(sqrt(delta))
-are ``ExtElement`` pairs (a, b) standing for a + b*sqrt(delta), the
-single-element API. The arithmetic functions read only the coordinates, so
-they also act elementwise on an ``ExtElement`` of integer arrays.
+Elements of F_q are ints reduced mod q; an element of F_q(sqrt(delta)) is
+a coordinate pair (a, b) standing for a + b*sqrt(delta), whose entries may
+be ints or integer arrays, so the arithmetic acts on a whole array at once.
 """
 
 from typing import NamedTuple
@@ -50,25 +49,11 @@ def find_nonsquare(q):
     return next(a for a in range(2, q) if pow(a, (q - 1) // 2, q) != 1)  # Euler's criterion
 
 
-class ExtElement(NamedTuple):
-    """a + b*sqrt(delta), both coordinates reduced mod q."""
-
-    a: int
-    b: int
-
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
-
-
-EXT_ONE = ExtElement(1, 0)
-EXT_ZERO = ExtElement(0, 0)
-
-
 class FieldCtx(NamedTuple):
     """Arithmetic context for F_q and F_q(sqrt(delta)).
 
-    g generates F_q^x (order q-1), zeta generates F_q(sqrt(delta))^x
-    (order q^2-1). The tables are read-only int64 arrays:
+    g generates F_q^x (order q-1), zeta = (a, b), a pair of ints, generates
+    F_q(sqrt(delta))^x (order q^2-1). The tables are read-only int64 arrays:
 
     power_a[m], power_b[m]: coordinates of zeta^m for m = 0..q^2-2;
     dlog[a]: discrete log of a to base g, with dlog[0] = -1;
@@ -84,13 +69,13 @@ class FieldCtx(NamedTuple):
     q: int
     delta: int
     g: int
-    zeta: ExtElement
-    power_a: np.ndarray = None
-    power_b: np.ndarray = None
-    dlog: np.ndarray = None
-    dlog2: np.ndarray = None
-    chi: np.ndarray = None
-    inverse: np.ndarray = None
+    zeta: tuple
+    power_a: np.ndarray
+    power_b: np.ndarray
+    dlog: np.ndarray
+    dlog2: np.ndarray
+    chi: np.ndarray
+    inverse: np.ndarray
 
     def __eq__(self, other):
         if not isinstance(other, FieldCtx):
@@ -105,26 +90,19 @@ class FieldCtx(NamedTuple):
         return hash(self[:4])
 
 
-def ext_mul(ctx, z, w):
-    q, d = ctx.q, ctx.delta
-    return ExtElement((z.a * w.a + d * z.b * w.b) % q, (z.a * w.b + z.b * w.a) % q)
+def _mul(q, delta, z, w):
+    """The product of coordinate pairs z and w, whose entries may be ints or integer arrays."""
+    (a, b), (c, d) = z, w
+    return (a * c + delta * b * d) % q, (a * d + b * c) % q
 
 
-def ext_norm(ctx, z):
-    """N(z) = z * conj(z) = a^2 - delta*b^2, an element of F_q."""
-    return (z.a * z.a - ctx.delta * z.b * z.b) % ctx.q
-
-
-def ext_pow(ctx, z, n):
-    """z^n for n >= 0, by squaring; the inverse of a nonzero z is z^(q^2-2)."""
-    if n < 0:
-        raise ValueError(f"ext_pow needs an exponent n >= 0, got {n}")
-    out = EXT_ONE
-    base = z
+def _pow(q, delta, z, n):
+    """z^n of a coordinate pair z for n >= 1, by squaring."""
+    out = (1, 0)
     while n:
         if n & 1:
-            out = ext_mul(ctx, out, base)
-        base = ext_mul(ctx, base, base)
+            out = _mul(q, delta, out, z)
+        z = _mul(q, delta, z, z)
         n >>= 1
     return out
 
@@ -155,20 +133,19 @@ def field_context(q, delta=None):
             break
     assert g is not None, "cyclic group F_q^x must have a generator"
 
-    # smallest generator of F_q(sqrt(delta))^x in lexicographic (a, b) order
+    # smallest generator of F_q(sqrt(delta))^x in lexicographic (a, b) order, one row (a, 0..q-1) at a time
     n2 = q * q - 1
     ext_factors = _prime_factors(n2)
-    ctx0 = FieldCtx(q=q, delta=delta, g=g, zeta=EXT_ONE)
+    b = np.arange(q)
     zeta = None
     for a in range(q):
-        for b in range(q):
-            cand = ExtElement(a, b)
-            if cand.is_zero():
-                continue
-            if all(ext_pow(ctx0, cand, n2 // p) != EXT_ONE for p in ext_factors):
-                zeta = cand
-                break
-        if zeta is not None:
+        passing = (a != 0) | (b != 0)  # 0 is not in the group
+        for p in ext_factors:
+            pa, pb = _pow(q, delta, (a, b), n2 // p)
+            passing &= (pa != 1) | (pb != 0)
+        hits = np.flatnonzero(passing)
+        if hits.size:
+            zeta = (a, int(hits[0]))
             break
     assert zeta is not None, "cyclic group F_{q^2}^x must have a generator"
 
@@ -183,14 +160,12 @@ def field_context(q, delta=None):
     power_a, power_b = np.ones(n2, dtype=np.int64), np.zeros(n2, dtype=np.int64)
     k, step = 1, zeta
     while k < n2:
-        block = ext_mul(ctx0, ExtElement(power_a[:k], power_b[:k]), step)
-        power_a[k : 2 * k], power_b[k : 2 * k] = block.a[: n2 - k], block.b[: n2 - k]
-        k, step = 2 * k, ext_mul(ctx0, step, step)
+        block_a, block_b = _mul(q, delta, (power_a[:k], power_b[:k]), step)
+        power_a[k : 2 * k], power_b[k : 2 * k] = block_a[: n2 - k], block_b[: n2 - k]
+        k, step = 2 * k, _mul(q, delta, step, step)
     dlog2 = np.full(q * q, -1, dtype=np.int64)
     dlog2[power_a * q + power_b] = np.arange(n2)
     assert np.all(dlog2[1:] >= 0), "powers of zeta must exhaust the group"
     for table in (power_a, power_b, dlog, dlog2, chi, inverse):
         table.flags.writeable = False
-    return ctx0._replace(zeta=zeta, power_a=power_a, power_b=power_b, dlog=dlog, dlog2=dlog2, chi=chi,
-                        inverse=inverse)
-
+    return FieldCtx(q, delta, g, zeta, power_a, power_b, dlog, dlog2, chi, inverse)

@@ -495,7 +495,7 @@ def method_of_images_check(ctx, r_s, t_grid, graph=None):
 
     vertices = scheme(ctx)
     gen_ix = np.flatnonzero(vertices.labels == graph.r_s)  # the sphere S_{r_s}, in sphere order
-    lifted = np.isin(coset_of, gen_ix)
+    lifted = vertices.labels[coset_of] == graph.r_s
     assert lifted.sum() == (q + 1) * k_order, "lift of the sphere has |S_r| * |K| elements"
     # (s k)^-1 = k^-1 s^-1: the lift is inverse-closed, as S_{r_s} is (cayley_certificate) and K keeps it
     assert stabiliser_orbits(ctx), "lifted generating set not closed under inversion: K does not keep S_r"

@@ -15,10 +15,9 @@ Vertex encoding: vertex i is x + y*sqrt(delta) with x = i % q and
 y = i // q + 1, the lexicographic (y, x) order: vertex 0 is sqrt(delta), the
 labels in vertex order are a (q-1) x q table [y - 1, x], and every matrix is
 bit-reproducible. Only this module builds indices: ``vertex_index`` encodes
-coordinates, ``affine_product`` is the affine product on coordinates and
-``translate`` on indices, and ``scheme`` holds, once per (q, delta), the
-coordinate arrays and the distance classes (orbits) around sqrt(delta) that
-the other modules read.
+coordinates, ``affine_product`` is the affine product on coordinates, and
+``scheme`` holds, once per (q, delta), the coordinate arrays and the distance
+classes (orbits) around sqrt(delta) that the other modules read.
 """
 
 import functools
@@ -37,12 +36,6 @@ def vertex_index(q, x, y):
 def affine_product(q, x, y, x2, y2):
     """Index of (x, y).(x2, y2) = (y*x2 + x, y*y2) from coordinates (arrays broadcast)."""
     return vertex_index(q, (y * x2 + x) % q, y * y2 % q)
-
-
-def translate(q, i, j):
-    """Index of z_i . z_j = (y_i*x_j + x_i, y_i*y_j) for vertex indices i, j (arrays broadcast)."""
-    (yi, xi), (yj, xj) = np.divmod(i, q), np.divmod(j, q)
-    return affine_product(q, xi, yi + 1, xj, yj + 1)
 
 
 class Scheme(NamedTuple):

@@ -3,8 +3,9 @@
 ``Point``, ``enumerate_points``, ``act`` and ``distance``: the points of H_q
 as ``Point``s in the canonical (y, x) order, the affine product and the
 pseudo-distance, one point at a time, for tests that check the library's
-vectorised index arrays against them; ``sphere`` reads one distance class of
-``scheme(ctx)`` back as ``Point``s.
+vectorised index arrays against them; ``translate`` is the affine product on
+vertex indices, and ``sphere`` reads one distance class of ``scheme(ctx)``
+back as ``Point``s.
 
 ``laplacian``: the dense combinatorial Laplacian (q+1)*I - A of a graph.
 
@@ -27,9 +28,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fuhp.field import ExtElement, ext_norm
 from fuhp.spherical import EIGENVALUE_CLUSTER_TOL, SphericalTable
-from fuhp.uhp import radial_values, radii_order, scheme, translate
+from fuhp.uhp import affine_product, radial_values, radii_order, scheme
+
+from scalar_reference import ExtElement, ext_norm
 
 # weights cos(r * golden angle) keep the eigenvalues of sum_r c_r B~_r apart
 # by >= 5.5e-5 of its norm at every prime q <= 101
@@ -51,6 +53,12 @@ def enumerate_points(ctx):
 def act(ctx, z, s):
     """Right action of the affine group: (x,y).(x_s,y_s) = (y*x_s + x, y*y_s)."""
     return Point((z.y * s.x + z.x) % ctx.q, (z.y * s.y) % ctx.q)
+
+
+def translate(q, i, j):
+    """Index of z_i . z_j = (y_i*x_j + x_i, y_i*y_j) for vertex indices i, j (arrays broadcast)."""
+    (yi, xi), (yj, xj) = np.divmod(i, q), np.divmod(j, q)
+    return affine_product(q, xi, yi + 1, xj, yj + 1)
 
 
 def sphere(ctx, r):

@@ -11,10 +11,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fuhp.field import ExtElement, ext_mul, ext_pow
 from fuhp.uhp import vertex_index
 
 from dense_graph import Point, sphere
+from scalar_reference import ExtElement, ext_mul, ext_pow
 
 
 def mat_mul(m1, m2, q):

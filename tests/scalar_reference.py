@@ -1,6 +1,11 @@
 """Scalar references for the arrays of fuhp, one value at a time.
 
-``beta``, ``ext_char``, ``nu`` and the sign character ``nu0`` of the
+``ExtElement`` is an element a + b*sqrt(delta) of F_q(sqrt(delta)), and
+``ext_mul``, ``ext_norm`` and ``ext_pow`` are its arithmetic, one element at
+a time; they read only ctx.q and ctx.delta, and take any (a, b) pair, such as
+``ctx.zeta``. ``lexicographic_generators`` is the scalar search for the
+smallest generators g and zeta, the reference for ``field_context``'s row
+search. ``beta``, ``ext_char``, ``nu`` and the sign character ``nu0`` of the
 norm-one subgroup U are cmath and integer expressions of one element, the
 quadratic character is Euler's criterion, and ``norm_one_subgroup`` walks
 U by ``ext_mul`` from zeta^(q-1): none reads the tables they check
@@ -10,8 +15,68 @@ the text of ``export.dumps_csv`` back into typed rows.
 
 import cmath
 import json
+from typing import NamedTuple
 
-from fuhp.field import EXT_ONE, ext_mul, ext_norm, ext_pow
+
+class ExtElement(NamedTuple):
+    """a + b*sqrt(delta), both coordinates reduced mod q."""
+
+    a: int
+    b: int
+
+    def is_zero(self):
+        return self.a == 0 and self.b == 0
+
+
+EXT_ONE = ExtElement(1, 0)
+
+
+def ext_mul(ctx, z, w):
+    (za, zb), (wa, wb) = z, w
+    return ExtElement((za * wa + ctx.delta * zb * wb) % ctx.q, (za * wb + zb * wa) % ctx.q)
+
+
+def ext_norm(ctx, z):
+    """N(z) = z * conj(z) = a^2 - delta*b^2, an element of F_q."""
+    a, b = z
+    return (a * a - ctx.delta * b * b) % ctx.q
+
+
+def ext_pow(ctx, z, n):
+    """z^n for n >= 0, by squaring; the inverse of a nonzero z is z^(q^2-2)."""
+    if n < 0:
+        raise ValueError(f"ext_pow needs an exponent n >= 0, got {n}")
+    out = EXT_ONE
+    base = z
+    while n:
+        if n & 1:
+            out = ext_mul(ctx, out, base)
+        base = ext_mul(ctx, base, base)
+        n >>= 1
+    return out
+
+
+def _prime_factors(n):
+    out, d = [], 2
+    while n > 1:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out
+
+
+def lexicographic_generators(ctx):
+    """(g, zeta) for ctx.q and ctx.delta: the first c in 2, 3, ... and the first (a, b) != (0, 0)
+    in lexicographic order whose power (group order)/p is not 1 for every prime p of the order."""
+    q = ctx.q
+    g = next(c for c in range(2, q) if all(pow(c, (q - 1) // p, q) != 1 for p in _prime_factors(q - 1)))
+    n2 = q * q - 1
+    factors = _prime_factors(n2)
+    zeta = next(z for z in (ExtElement(a, b) for a in range(q) for b in range(q))
+                if not z.is_zero() and all(ext_pow(ctx, z, n2 // p) != EXT_ONE for p in factors))
+    return g, zeta
 
 
 def quadratic_character(ctx, a):

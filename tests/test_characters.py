@@ -5,9 +5,9 @@ import cmath
 import pytest
 
 from fuhp.characters import character_orthogonality_check, character_tables
-from fuhp.field import EXT_ONE, ExtElement, ext_mul, ext_pow, field_context
+from fuhp.field import field_context
 from fuhp.spherical import character_classes
-from scalar_reference import beta, ext_char, norm_one_subgroup, nu, nu0, u_index
+from scalar_reference import EXT_ONE, ExtElement, beta, ext_char, ext_mul, ext_pow, norm_one_subgroup, nu, nu0, u_index
 
 
 def test_beta_frozen_values():

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuhp.field import (EXT_ONE, ExtElement, ext_mul, ext_norm, ext_pow, field_context, find_nonsquare,
-                        is_odd_prime)
+from fuhp.field import field_context, find_nonsquare, is_odd_prime
 from fuhp.uhp import scheme
-from scalar_reference import ext_trace, norm_one_subgroup, quadratic_character
+from scalar_reference import (EXT_ONE, ExtElement, ext_mul, ext_norm, ext_pow, ext_trace, lexicographic_generators,
+                              norm_one_subgroup, quadratic_character)
 
 
 def squares_mod(q):
@@ -165,9 +165,19 @@ def test_generators_minimal_and_exact_order(q):
         ExtElement(a, b)
         for a in range(q)
         for b in range(q)
-        if (a, b) != (0, 0) and (a, b) < (ctx.zeta.a, ctx.zeta.b)
+        if (a, b) != (0, 0) and (a, b) < ctx.zeta
     ]
     assert all(order_ext(z) < q * q - 1 for z in smaller)
+
+
+@pytest.mark.parametrize("q,delta", [(q, None) for q in range(3, 258, 2) if is_odd_prime(q)]
+                         + [(7, 5), (13, 6), (101, 3)])
+def test_generators_are_the_scalar_lexicographic_search(q, delta):
+    # the row search must keep the candidates' order: the first passing (a, b), not any generator
+    ctx = field_context(q, delta)
+    assert delta is None or delta != find_nonsquare(q)
+    assert (ctx.g, ctx.zeta) == lexicographic_generators(ctx)
+    assert type(ctx.zeta) is tuple and all(type(c) is int for c in ctx.zeta)
 
 
 def test_extension_generator_q3_brute_force():

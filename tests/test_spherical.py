@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fuhp.spherical
-from fuhp.field import ExtElement, field_context, is_odd_prime
+from fuhp.field import field_context, is_odd_prime
 from fuhp.heat import TABLE_SUM_AGREEMENT, UNIT_ROUNDOFF, heat_kernel_spectral
 from fuhp.spherical import (
     EIGENVALUE_CLUSTER_TOL,
@@ -22,7 +22,7 @@ from fuhp.uhp import build_graph, degenerate_radii, radii_order, scheme
 from fuhp.verify import formula_match_checks
 
 from dense_graph import Point, broadcast_radial_rows, distance, enumerate_points, radial_eigenbasis, sphere
-from scalar_reference import beta, norm_one_subgroup, nu, nu0, quadratic_character
+from scalar_reference import ExtElement, beta, norm_one_subgroup, nu, nu0, quadratic_character
 
 
 def row_map(ctx, r_s):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuhp.field import ext_norm, ext_pow, field_context
+from fuhp.field import field_context
 from fuhp.heat import heat_kernel_spectral
 from fuhp.spherical import spherical_table
 from fuhp.theta import (
@@ -23,7 +23,7 @@ from fuhp.theta import (
 )
 from fuhp.uhp import degenerate_radii
 from dense_graph import sphere
-from scalar_reference import ext_trace, quadratic_character
+from scalar_reference import ext_norm, ext_pow, ext_trace, quadratic_character
 
 
 class ThetaIndexSets(NamedTuple):

@@ -16,12 +16,11 @@ from fuhp.uhp import (
     degenerate_radii,
     radii_order,
     scheme,
-    translate,
     unsigned_dtype,
     vertex_index,
 )
 
-from dense_graph import Point, act, connected, distance, enumerate_points, laplacian, sphere
+from dense_graph import Point, act, connected, distance, enumerate_points, laplacian, sphere, translate
 
 BASE = Point(0, 1)  # sqrt(delta), vertex 0
 

@@ -259,21 +259,16 @@ def test_at_q3_no_radius_is_audited_and_both_verbatim_lines_are_findings_that_sa
         for name in ("as-stated cuspidal constant gap", "verbatim theta gap")]
 
 
-def test_norm_check_catches_a_non_multiplicative_norm(monkeypatch):
-    # a^2 + delta*b^2 agrees with the norm on F_q but is not multiplicative on the extension
+def test_norm_check_catches_a_non_multiplicative_norm():
+    # one wrong coordinate in the power table: zeta^5 = 6 + 2*sqrt(3) read as 6 + 3*sqrt(3), whose norm
+    # 2 is not N(zeta)^5 = 3, so m -> N(zeta^m) is no longer a homomorphism
     ctx = field_context(7)
-    seen = []
-
-    def wrong_norm(c, z):
-        seen.append(np.shape(z.a))
-        return (z.a * z.a + c.delta * z.b * z.b) % c.q
-
-    (norm,) = [r for r in field_checks(ctx) if r.name == "q=7 norm multiplicative"]
-    assert norm.passed
-    monkeypatch.setattr(fuhp.verify, "ext_norm", wrong_norm)
-    (norm,) = [r for r in field_checks(ctx) if r.name == "q=7 norm multiplicative"]
-    assert not norm.passed
-    assert (48,) in seen  # the check reads the norm of the whole power table
+    power_b = ctx.power_b.copy()
+    assert (ctx.power_a[5], power_b[5], ctx.delta) == (6, 2, 3)
+    power_b[5] = 3
+    for corrupted, passed in ((ctx, True), (ctx._replace(power_b=power_b), False)):
+        (norm,) = [r for r in field_checks(corrupted) if r.name == "q=7 norm multiplicative"]
+        assert norm.passed is passed
 
 
 def test_dlog_total_check_catches_corrupted_tables():
